@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from . import expr
 from .fdiff import derivative_on_segment
-from .integrate import ZPath, integrate_z
+from .integrate import ZPath, integrate_z, spline_adjoint
 from .reportio import csv_text
 from .trajectory import HerglotzProblem, Trajectory
 
@@ -215,18 +216,16 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     node's unit variation direction: the weak form whose entries the exact
     first-variation gradient must reproduce.
 
-    The [b-tau, b] residual is displayed without its lambda weight, so it is
+    A unit direction is one at its node and zero at the others, so the
+    node-sampled Simpson terms and the seam term land directly on the node
+    vector; the midpoint terms go through the spline adjoint. The
+    [b-tau, b] residual is displayed without its lambda weight, so it is
     multiplied back before pairing; the total is normalized by lambda(b) like
     the gradient.
     """
-    from scipy.interpolate import CubicSpline
-
-    from .integrate import VariationDirection  # local import avoids a cycle
-
     g = problem.grid
     tmain = g.main_nodes
     k1 = g.n - g.m
-    seam = tmain[k1]
     # the strong density jumps at the seam (the shifted terms stop applying),
     # so panels left of it sample the [a, b-tau] residual and panels right of
     # it sample lambda times the [b-tau, b] residual, each one-sided
@@ -249,13 +248,10 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                               {"t": g.b, "x": xb, "dx": dxb,
                                "xtau": float(xt_b[0]), "dxtau": float(dxt_b[0]),
                                "z": zpath.z_b}))
-    seam_weight = zpath.lambda_b * p5_b
-    out = np.empty(g.n - 1)
-    for col, j in enumerate(g.free_indices):
-        eta = VariationDirection.unit(g, j)
-        ev, _ = eta.eval_many(tmain)
-        em, _ = eta.eval_many(mids)
-        panel = g.h / 6.0 * (ends_lo * ev[:-1] + 4.0 * sm * em + ends_hi * ev[1:])
-        total = float(np.sum(panel)) + seam_weight * float(ev[k1])
-        out[col] = total / zpath.lambda_b
-    return out
+    w = g.h / 6.0
+    nodal = np.zeros(g.n + 1)
+    nodal[:-1] += w * ends_lo
+    nodal[1:] += w * ends_hi
+    nodal[k1] += zpath.lambda_b * p5_b
+    total = nodal + spline_adjoint(tmain, mids, 4.0 * w * sm, np.zeros(g.n))
+    return total[1:-1] / zpath.lambda_b

@@ -53,11 +53,6 @@ def derivative_on_segment(full: np.ndarray, start: int, stop: int, h: float) -> 
     return out
 
 
-def five_point_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dt of a whole uniform sample array (one-sided at the ends)."""
-    return derivative_on_segment(np.asarray(values, dtype=float), 0, len(values), h)
-
-
 def fornberg_weights(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
     """Weights w with sum(w * f(xs)) ~= f^(order)(x0) for arbitrary nodes xs.
 

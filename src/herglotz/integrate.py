@@ -34,6 +34,7 @@ from math import isfinite
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from . import expr
 from .errors import FixedNode, InvalidTrajectory, NonFinite, OutOfDomain
@@ -288,6 +289,44 @@ class VariationDirection:
     def eval(self, t: float, side: str = "right"):
         eta, deta = self.eval_many(np.array([float(t)]), side=side)
         return float(eta[0]), float(deta[0])
+
+
+def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
+                   wd: np.ndarray) -> np.ndarray:
+    """Node weights g with g . y = sum(wv * s(ts) + wd * s'(ts)) for the
+    natural cubic spline s through (nodes, y), i.e. the transpose of the
+    spline evaluation behind VariationDirection.
+
+    On interval i, with A = (t_{i+1} - t)/h_i and B = 1 - A,
+        s  = A y_i + B y_{i+1} + h_i^2/6 [(A^3 - A) M_i + (B^3 - B) M_{i+1}]
+        s' = (y_{i+1} - y_i)/h_i + h_i/6 [(1 - 3A^2) M_i + (3B^2 - 1) M_{i+1}]
+    and the interior moments solve T M = R y with T symmetric tridiagonal
+    (M = 0 at both ends). So g is a scatter of the y-coefficients plus
+    R^T T^{-1} applied to the scattered M-coefficients: O(len(ts) + n).
+    """
+    n = len(nodes) - 1
+    h = np.diff(nodes)
+    i = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, n - 1)
+    hi = h[i]
+    B = (ts - nodes[i]) / hi
+    A = 1.0 - B
+    slope = wd / hi
+    g = (np.bincount(i, A * wv - slope, n + 1)
+         + np.bincount(i + 1, B * wv + slope, n + 1))
+    cm_lo = hi * (hi * (A**3 - A) * wv + (1.0 - 3.0 * A**2) * wd) / 6.0
+    cm_hi = hi * (hi * (B**3 - B) * wv + (3.0 * B**2 - 1.0) * wd) / 6.0
+    cm = np.bincount(i, cm_lo, n + 1) + np.bincount(i + 1, cm_hi, n + 1)
+    # row k of T M = R y: h_{k-1} M_{k-1} + 2(h_{k-1} + h_k) M_k + h_k M_{k+1}
+    #                     = 6 [(y_{k+1} - y_k)/h_k - (y_k - y_{k-1})/h_{k-1}]
+    # general banded solve: solveh_banded rejects the 1x1 system of n = 2
+    band = np.zeros((3, n - 1))
+    band[0, 1:] = band[2, :-1] = h[1:-1]
+    band[1] = 2.0 * (h[:-1] + h[1:])
+    q = 6.0 * solve_banded((1, 1), band, cm[1:-1])
+    g[2:] += q / h[1:]
+    g[1:-1] -= q * (1.0 / h[:-1] + 1.0 / h[1:])
+    g[:-2] += q / h[:-1]
+    return g
 
 
 def _panel_samples(problem: HerglotzProblem, traj: Trajectory):

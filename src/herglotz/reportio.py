@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,10 +50,6 @@ def write_text_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def write_csv(path: Path, header: Sequence[str], columns: Iterable) -> None:
-    write_text_atomic(path, csv_text(header, list(columns)))
 
 
 def write_json(path: Path, obj) -> None:

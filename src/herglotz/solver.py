@@ -10,8 +10,9 @@ precision.
 
 The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
 steps decrease the working objective monotonically, and maximize problems
-run on the negated objective. Desk-scale problem sizes keep the dense
-basis-matrix gradient assembly cheap; the basis is cached per grid.
+run on the negated objective. The gradient is the adjoint of the natural
+spline through the node values (integrate.spline_adjoint): a scatter of the
+Simpson-weighted partials plus one banded solve, O(n) per call.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BadInterval, NonFinite
 from . import expr
-from .integrate import ZPath, _panel_samples, integrate_z
+from .integrate import ZPath, _panel_samples, integrate_z, spline_adjoint
 from .trajectory import HerglotzProblem, SampledTrajectory, seed_trajectory
 
 _LBFGS_MEMORY = 10
@@ -72,81 +72,15 @@ class SolveResult:
         }
 
 
-class _Basis:
-    """Unit-direction spline values/derivatives at the quadrature samples of a
-    grid, at the samples themselves and at their delayed images."""
-
-    def __init__(self, grid, times, delayed):
-        nfree = grid.n - 1
-        main = grid.main_nodes
-        self.E = np.empty((len(times), nfree))
-        self.D = np.empty((len(times), nfree))
-        self.Ed = np.zeros((len(times), nfree))
-        self.Dd = np.zeros((len(times), nfree))
-        # delayed reads in the last third (panel right endpoints) take the
-        # left limit: at exactly s - tau = a the direction is flat-zero
-        inside = delayed >= grid.a
-        k2 = 2 * (len(times) // 3)
-        inside[k2:] = delayed[k2:] > grid.a
-        din = delayed[inside]
-        e = np.zeros(grid.n + 1)
-        for col in range(nfree):
-            e[col + 1] = 1.0
-            cs = CubicSpline(main, e, bc_type="natural")
-            e[col + 1] = 0.0
-            self.E[:, col] = cs(times)
-            self.D[:, col] = cs(times, 1)
-            if np.any(inside):
-                self.Ed[inside, col] = cs(din)
-                self.Dd[inside, col] = cs(din, 1)
-
-
-_BASIS_CACHE: dict = {}
-_BASIS_CACHE_MAX_N = 512
-
-
-def _basis_for(problem: HerglotzProblem, times, delayed) -> _Basis:
-    # keyed on the actual sample times: trajectories with different kink
-    # positions produce different quadrature panels on the same grid
-    key = (problem.grid.key(), times.tobytes())
-    basis = _BASIS_CACHE.get(key)
-    if basis is None:
-        basis = _Basis(problem.grid, times, delayed)
-        if len(_BASIS_CACHE) > 8:
-            _BASIS_CACHE.clear()
-        _BASIS_CACHE[key] = basis
-    return basis
-
-
-def _accumulate_directions(grid, times, delayed, c0, c1, c2, c3) -> np.ndarray:
-    """Pair the coefficient vectors with every unit direction one column at a
-    time; same arithmetic as the cached dense basis without the O(n^2) memory,
-    for grids too large to keep the matrices around."""
-    main = grid.main_nodes
-    inside = delayed >= grid.a
-    k2 = 2 * (len(times) // 3)
-    inside[k2:] = delayed[k2:] > grid.a
-    din = delayed[inside]
-    c2_in = c2[inside]
-    c3_in = c3[inside]
-    out = np.empty(grid.n - 1)
-    e = np.zeros(grid.n + 1)
-    for col in range(grid.n - 1):
-        e[col + 1] = 1.0
-        cs = CubicSpline(main, e, bc_type="natural")
-        e[col + 1] = 0.0
-        acc = cs(times) @ c0 + cs(times, 1) @ c1
-        if len(din):
-            acc += cs(din) @ c2_in + cs(din, 1) @ c3_in
-        out[col] = acc
-    return out
-
-
 def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
                          zpath: ZPath) -> np.ndarray:
     """d z(b) / d x_j for every free node j (indices m+1 .. n+m-1), computed
     in one quadrature pass from the first-variation integral; the sign is
     flipped for maximize problems so descent always means improvement.
+
+    The Simpson-weighted partials at the panel samples and at their delayed
+    images inside [a, b] are pulled back onto the nodes through the spline
+    adjoint, so all unit directions are paired at once in O(n).
 
     The solver drives sampled trajectories, but any trajectory backend is
     accepted: the entries are then the first variations along the unit node
@@ -167,11 +101,14 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
         return w * lam * np.broadcast_to(p, times.shape)
 
     c0, c1, c2, c3 = coeff("x"), coeff("dx"), coeff("xtau"), coeff("dxtau")
-    if problem.grid.n <= _BASIS_CACHE_MAX_N:
-        basis = _basis_for(problem, times, delayed)
-        g = basis.E.T @ c0 + basis.D.T @ c1 + basis.Ed.T @ c2 + basis.Dd.T @ c3
-    else:
-        g = _accumulate_directions(problem.grid, times, delayed, c0, c1, c2, c3)
+    # delayed reads in the last third (panel right endpoints) take the left
+    # limit: at exactly s - tau = a the direction is flat-zero
+    inside = delayed >= problem.grid.a
+    inside[2 * k:] = delayed[2 * k:] > problem.grid.a
+    g = spline_adjoint(problem.grid.main_nodes,
+                       np.concatenate([times, delayed[inside]]),
+                       np.concatenate([c0, c2[inside]]),
+                       np.concatenate([c1, c3[inside]]))[1:-1]
     g /= zpath.lambda_b
     if problem.sense == "maximize":
         g = -g
@@ -280,8 +217,6 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         x, f, grad = x_new, f_new, grad_new
         iterations = it
         history.append(sign * f)
-    else:
-        pass
     final_gnorm = float(np.max(np.abs(grad))) if len(grad) else 0.0
     if not converged and final_gnorm <= opts.grad_tol:
         converged = True

@@ -68,9 +68,6 @@ class Grid:
         """Indices of decision nodes: strictly between a and b."""
         return range(self.m + 1, self.n + self.m)
 
-    def key(self):
-        return (self.a, self.b, self.tau, self.n)
-
 
 def build_grid(a: float, b: float, tau: float, n: int) -> Grid:
     a, b, tau = float(a), float(b), float(tau)

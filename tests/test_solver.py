@@ -9,7 +9,7 @@ from herglotz.integrate import integrate_z
 from herglotz.solver import SolveOptions, fd_gradient, solve_direct, variational_gradient
 from herglotz.trajectory import SampledTrajectory, build_grid
 
-from conftest import build_bundle, build_paper
+from conftest import build_bundle, build_paper, wavy_sampled
 
 E = math.e
 
@@ -65,8 +65,8 @@ class TestGradients:
                                    -fd_gradient(problem, traj), atol=1e-15)
 
     def test_basis_cache_distinguishes_kink_layouts(self):
-        # same grid, same stop count, different off-node kinks: the cached
-        # direction basis must follow the panel times, not just their number
+        # same grid, same stop count, different off-node kinks: the gradient
+        # must follow the kinks' panel times, not just their number
         from herglotz.integrate import VariationDirection, first_variation
         from herglotz.trajectory import PiecewiseTrajectory
 
@@ -82,6 +82,21 @@ class TestGradients:
                 first_variation(problem, traj, zp, VariationDirection.unit(g, j))
                 for j in g.free_indices])
             assert np.max(np.abs(gv - fv)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["paper-s4", "herglotz-damped", "classical-line"])
+    def test_matches_first_variation_at_large_n(self, name):
+        from herglotz.integrate import VariationDirection, first_variation
+
+        problem, _, _, _ = build_bundle(name, n=2000)
+        traj = wavy_sampled(problem)
+        zp = integrate_z(problem, traj)
+        gv = variational_gradient(problem, traj, zp)
+        rng = np.random.default_rng(2000)
+        for _ in range(3):
+            eta = rng.standard_normal(problem.grid.n - 1)
+            fv = first_variation(problem, traj, zp,
+                                 VariationDirection.from_free(problem.grid, eta))
+            assert abs(gv @ eta - fv) <= 1e-9 * np.sum(np.abs(gv * eta))
 
     def test_tail_entries_small_on_reference_problem(self):
         # free nodes past b - tau barely matter: only the weak spline
