@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bundles import BUNDLE_NAMES, bundle
-from .conditions import dbr_residuals, el_residuals, hypothesis_profiles
+from .conditions import TOLERANCES, dbr_residuals, el_residuals, hypothesis_profiles
 from .config import load_config, schema_path
 from .errors import (
     ConfigError,
@@ -27,12 +27,11 @@ from .errors import (
     NonFinite,
 )
 from .integrate import integrate_z
-from .noether import check_noether, conserved_quantities, group_variation
+from .noether import check_noether, group_variation
 from .reportio import fmt, write_json, write_text_atomic
 from .solver import solve_direct
 from .trajectory import trajectory_csv
 
-_DEFAULT_TOLS = {"el": 1e-4, "dbr": 1e-4, "hyp": 1e-6, "inv": 1e-8, "drift": 1e-6}
 _PAPER_Z_TOL = 1e-8
 
 
@@ -60,8 +59,31 @@ def _verdict_line(summary: dict) -> str:
             f"tol={fmt(summary['tolerance'])} {summary['verdict'].upper()}")
 
 
-def _write_report(out: Path, stem: str, report) -> None:
-    write_text_atomic(out / f"{stem}.csv", report.csv())
+def _tol(args, check: str) -> float:
+    return args.tol if args.tol is not None else TOLERANCES[check]
+
+
+def _emit(out: Path, reports: dict) -> list:
+    """Write each residual report's profile under its stem and print its
+    verdict; return the labels of the failed ones."""
+    for stem, rep in reports.items():
+        write_text_atomic(out / f"{stem}.csv", rep.csv())
+        print(_verdict_line(rep.summary()))
+    return [rep.label for rep in reports.values() if not rep.passed]
+
+
+def _emit_invariance(out: Path, prof, tol: float) -> bool:
+    write_text_atomic(out / "invariance.csv", prof.csv())
+    print(_verdict_line(prof.summary(tol)))
+    return prof.sup_norm <= tol
+
+
+def _emit_conservation(out: Path, cons) -> list:
+    write_text_atomic(out / "qpath.csv", cons.csv())
+    for p in cons.profiles:
+        print(f"{p.label}: mean={fmt(p.mean)} drift={fmt(p.drift)} "
+              f"tol={fmt(p.tolerance)} {'PASS' if p.passed else 'FAIL'}")
+    return [p.label for p in cons.profiles if not p.passed]
 
 
 def cmd_integrate(args) -> int:
@@ -75,62 +97,40 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def cmd_check_el(args) -> int:
+def cmd_check_residuals(args) -> int:
+    """check-el and check-dbr: the two interval reports of one condition."""
+    check = args.command.removeprefix("check-")
+    residuals = el_residuals if check == "el" else dbr_residuals
     problem, traj, _, _ = _built(args, need_traj=True)
-    tol = args.tol if args.tol is not None else _DEFAULT_TOLS["el"]
     zpath = integrate_z(problem, traj)
-    r1, r2 = el_residuals(problem, traj, zpath, tol)
+    r1, r2 = residuals(problem, traj, zpath, _tol(args, check))
     out = Path(args.out)
-    _write_report(out, "el1", r1)
-    _write_report(out, "el2", r2)
-    write_json(out / "check_el.json", [r1.summary(), r2.summary()])
-    print(_verdict_line(r1.summary()))
-    print(_verdict_line(r2.summary()))
-    return 0 if (r1.passed and r2.passed) else 1
-
-
-def cmd_check_dbr(args) -> int:
-    problem, traj, _, _ = _built(args, need_traj=True)
-    tol = args.tol if args.tol is not None else _DEFAULT_TOLS["dbr"]
-    zpath = integrate_z(problem, traj)
-    r1, r2 = dbr_residuals(problem, traj, zpath, tol)
-    out = Path(args.out)
-    _write_report(out, "dbr1", r1)
-    _write_report(out, "dbr2", r2)
-    write_json(out / "check_dbr.json", [r1.summary(), r2.summary()])
-    print(_verdict_line(r1.summary()))
-    print(_verdict_line(r2.summary()))
-    return 0 if (r1.passed and r2.passed) else 1
+    failed = _emit(out, {f"{check}1": r1, f"{check}2": r2})
+    write_json(out / f"check_{check}.json", [r1.summary(), r2.summary()])
+    return 1 if failed else 0
 
 
 def cmd_check_hyp(args) -> int:
     problem, traj, group, _ = _built(args, need_traj=True)
-    tol = args.tol if args.tol is not None else _DEFAULT_TOLS["hyp"]
-    h1, h2 = hypothesis_profiles(problem, traj, group=group, tol=tol)
-    out = Path(args.out)
-    _write_report(out, "hyp_extremal", h1)
-    summaries = [h1.summary()]
-    ok = h1.passed
+    h1, h2 = hypothesis_profiles(problem, traj, group=group, tol=_tol(args, "hyp"))
+    reports = {"hyp_extremal": h1}
     if h2 is not None:
-        _write_report(out, "hyp_noether", h2)
-        summaries.append(h2.summary())
-        ok = ok and h2.passed
-    write_json(out / "check_hyp.json", summaries)
-    for s in summaries:
-        print(_verdict_line(s))
-    return 0 if ok else 1
+        reports["hyp_noether"] = h2
+    out = Path(args.out)
+    failed = _emit(out, reports)
+    write_json(out / "check_hyp.json", [rep.summary() for rep in reports.values()])
+    return 1 if failed else 0
 
 
 def cmd_invariance(args) -> int:
     problem, traj, group, _ = _built(args, need_traj=True, need_group=True)
-    tol = args.tol if args.tol is not None else _DEFAULT_TOLS["inv"]
+    tol = _tol(args, "inv")
     zpath = integrate_z(problem, traj)
     prof = group_variation(problem, traj, zpath, group)
     out = Path(args.out)
-    write_text_atomic(out / "invariance.csv", prof.csv())
+    ok = _emit_invariance(out, prof, tol)
     write_json(out / "invariance.json", prof.summary(tol))
-    print(_verdict_line(prof.summary(tol)))
-    return 0 if prof.sup_norm <= tol else 1
+    return 0 if ok else 1
 
 
 def cmd_noether(args) -> int:
@@ -138,11 +138,8 @@ def cmd_noether(args) -> int:
     zpath = integrate_z(problem, traj)
     verdict = check_noether(problem, traj, zpath, group, tol=args.tol)
     out = Path(args.out)
-    write_text_atomic(out / "qpath.csv", verdict.conservation.csv())
+    _emit_conservation(out, verdict.conservation)
     write_json(out / "noether.json", verdict.summary())
-    for p in verdict.conservation.profiles:
-        print(f"{p.label}: mean={fmt(p.mean)} drift={fmt(p.drift)} "
-              f"tol={fmt(p.tolerance)} {'PASS' if p.passed else 'FAIL'}")
     if verdict.passed:
         print("noether: PASS")
         return 0
@@ -166,8 +163,7 @@ def cmd_solve(args) -> int:
 
 def cmd_paper_example(args) -> int:
     info = bundle("paper-s4")
-    cfg = info.config()
-    problem, traj, group, _ = cfg.build(n_override=args.n)
+    problem, traj, group, _ = info.config().build(n_override=args.n)
     expected = info.expected
     out = Path(args.out)
     zpath = integrate_z(problem, traj)
@@ -194,33 +190,18 @@ def cmd_paper_example(args) -> int:
     if lam_err > _PAPER_Z_TOL:
         failures.append("lambda")
 
-    tol = args.tol
-    r1, r2 = el_residuals(problem, traj, zpath, tol if tol else _DEFAULT_TOLS["el"])
-    d1, d2 = dbr_residuals(problem, traj, zpath, tol if tol else _DEFAULT_TOLS["dbr"])
-    h1, h2 = hypothesis_profiles(problem, traj, group=group, zpath=zpath,
-                                 tol=tol if tol else _DEFAULT_TOLS["hyp"])
-    inv = group_variation(problem, traj, zpath, group)
-    inv_tol = tol if tol else _DEFAULT_TOLS["inv"]
-    cons = conserved_quantities(problem, traj, zpath, group,
-                                tol if tol else _DEFAULT_TOLS["drift"])
-    reports = {"el1": r1, "el2": r2, "dbr1": d1, "dbr2": d2, "hyp_extremal": h1}
-    if h2 is not None:
-        reports["hyp_noether"] = h2
-    for stem, rep in reports.items():
-        _write_report(out, stem, rep)
-        print(_verdict_line(rep.summary()))
-        if not rep.passed:
-            failures.append(rep.label)
-    write_text_atomic(out / "invariance.csv", inv.csv())
-    print(_verdict_line(inv.summary(inv_tol)))
-    if inv.sup_norm > inv_tol:
+    verdict = check_noether(problem, traj, zpath, group, tol=args.tol)
+    d1, d2 = dbr_residuals(problem, traj, zpath, _tol(args, "dbr"))
+    reports = {"el1": verdict.el1, "el2": verdict.el2, "dbr1": d1, "dbr2": d2,
+               "hyp_extremal": verdict.hyp_extremal}
+    if verdict.hyp_noether is not None:
+        reports["hyp_noether"] = verdict.hyp_noether
+    failures += _emit(out, reports)
+    inv, inv_tol = verdict.invariance, verdict.invariance_tolerance
+    if not _emit_invariance(out, inv, inv_tol):
         failures.append("invariance")
-    write_text_atomic(out / "qpath.csv", cons.csv())
-    for p in cons.profiles:
-        print(f"{p.label}: mean={fmt(p.mean)} drift={fmt(p.drift)} "
-              f"tol={fmt(p.tolerance)} {'PASS' if p.passed else 'FAIL'}")
-        if not p.passed:
-            failures.append(p.label)
+    cons = verdict.conservation
+    failures += _emit_conservation(out, cons)
     summary = {
         "z_b": zpath.z_b,
         "z_b_reference": expected["z_b"],
@@ -261,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("integrate", cmd_integrate, "integrate z and lambda along the config trajectory")
-    add("check-el", cmd_check_el, "Euler-Lagrange residuals of the config trajectory")
-    add("check-dbr", cmd_check_dbr, "DuBois-Reymond residuals of the config trajectory")
+    add("check-el", cmd_check_residuals, "Euler-Lagrange residuals of the config trajectory")
+    add("check-dbr", cmd_check_residuals, "DuBois-Reymond residuals of the config trajectory")
     add("check-hyp", cmd_check_hyp, "auxiliary hypothesis profiles")
     add("invariance", cmd_invariance, "invariance defect of the config group")
     add("noether", cmd_noether, "full conserved-quantity check with premises")

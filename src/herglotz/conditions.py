@@ -16,6 +16,7 @@ across problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import expr
 from .fdiff import derivative_on_segment
 from .integrate import ZPath, integrate_z, spline_adjoint
 from .reportio import csv_text
-from .trajectory import HerglotzProblem, Trajectory
+from .trajectory import Grid, HerglotzProblem, Trajectory
 
 EL1_LABEL = "EL-1 on [a, b-tau]"
 EL2_LABEL = "EL-2 on [b-tau, b]"
@@ -33,6 +34,11 @@ DBR1_LABEL = "DBR-1"
 DBR2_LABEL = "DBR-2"
 HYP1_LABEL = "HYP-extremal"
 HYP2_LABEL = "HYP-noether"
+
+# default tolerance of each check: residual sup-norms (el, dbr, hyp), the
+# invariance defect (inv) and the conserved-quantity drift (drift)
+TOLERANCES = MappingProxyType(
+    {"el": 1e-4, "dbr": 1e-4, "hyp": 1e-6, "inv": 1e-8, "drift": 1e-6})
 
 
 @dataclass
@@ -72,7 +78,9 @@ def exclusion_zones(traj: Trajectory, lo: float, hi: float) -> list:
     return [(p - r, p + r) for p in sorted(points)]
 
 
-def _masked(times: np.ndarray, zones: list) -> np.ndarray:
+def _masked(traj: Trajectory, times: np.ndarray):
+    """Exclusion zones of the sampled span and the mask of samples outside them."""
+    zones = exclusion_zones(traj, times[0], times[-1])
     keep = np.ones(len(times), dtype=bool)
     if len(times) > 1:
         pad = 1e-9 * (times[-1] - times[0])
@@ -82,11 +90,11 @@ def _masked(times: np.ndarray, zones: list) -> np.ndarray:
     # window touching the kink, so it is excluded too
     for lo, hi in zones:
         keep &= ~((times >= lo - pad) & (times <= hi + pad))
-    return keep
+    return zones, keep
 
 
-def _report(label, times, values, tol, zones) -> ResidualReport:
-    keep = _masked(times, zones)
+def _report(label, times, values, tol, traj) -> ResidualReport:
+    zones, keep = _masked(traj, times)
     sup = float(np.max(np.abs(values[keep]))) if np.any(keep) else 0.0
     return ResidualReport(label=label, times=times, values=np.asarray(values),
                           tolerance=float(tol), sup_norm=sup,
@@ -96,8 +104,11 @@ def _report(label, times, values, tol, zones) -> ResidualReport:
 @dataclass
 class NodeTables:
     """Lagrangian value and the six partials along the trajectory at the
-    nodes of [a, b], plus the trajectory data feeding them."""
+    nodes of [a, b], plus the grid and trajectory data feeding them: all a
+    node-sampled check needs, built once per check."""
 
+    grid: Grid = field(repr=False)
+    traj: Trajectory = field(repr=False)
     t: np.ndarray
     x: np.ndarray
     dx: np.ndarray
@@ -121,12 +132,12 @@ def node_tables(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath) -> Nod
     for name in ("t", "x", "dx", "xtau", "dxtau", "z"):
         pv = np.asarray(expr.partial(problem.lagrangian, name, bind), dtype=float)
         parts.append(np.broadcast_to(pv, tmain.shape).copy())
-    return NodeTables(t=tmain, x=x, dx=dx, xtau=xtau, dxtau=dxtau,
+    return NodeTables(grid=g, traj=traj, t=tmain, x=x, dx=dx, xtau=xtau, dxtau=dxtau,
                       z=zpath.z, lam=zpath.lam, L=L, p=parts)
 
 
 def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
-                 tol: float = 1e-4):
+                 tol: float = TOLERANCES["el"]):
     """Residuals of the two delayed Euler-Lagrange equations.
 
     On [a, b-tau]:
@@ -137,9 +148,11 @@ def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
         L_x(t) - d/dt L_dx(t) + L_dx(t) L_z(t)
     Both are asserted at the shared point t = b-tau and both are reported.
     """
-    g = problem.grid
-    T = node_tables(problem, traj, zpath)
-    m, n, h = g.m, g.n, g.h
+    return _el_reports(node_tables(problem, traj, zpath), tol)
+
+
+def _el_reports(T: NodeTables, tol: float):
+    m, n, h = T.grid.m, T.grid.n, T.grid.h
     k1 = n - m
     d5_shift = derivative_on_segment(T.p[5], m, n + 1, h)
     d3_low = derivative_on_segment(T.p[3], 0, k1 + 1, h)
@@ -148,14 +161,12 @@ def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                                + T.p[3][: k1 + 1] * T.p[6][: k1 + 1]))
     d3_high = derivative_on_segment(T.p[3], k1, n + 1, h)
     r2 = T.p[2][k1:] - d3_high + T.p[3][k1:] * T.p[6][k1:]
-    t1 = T.t[: k1 + 1]
-    t2 = T.t[k1:]
-    return (_report(EL1_LABEL, t1, r1, tol, exclusion_zones(traj, t1[0], t1[-1])),
-            _report(EL2_LABEL, t2, r2, tol, exclusion_zones(traj, t2[0], t2[-1])))
+    return (_report(EL1_LABEL, T.t[: k1 + 1], r1, tol, T.traj),
+            _report(EL2_LABEL, T.t[k1:], r2, tol, T.traj))
 
 
 def dbr_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
-                  tol: float = 1e-4):
+                  tol: float = TOLERANCES["dbr"]):
     """Residuals of the two DuBois-Reymond first-integral conditions.
 
     On [a, b-tau]:
@@ -164,9 +175,8 @@ def dbr_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     On [b-tau, b]:
         d/dt { lambda [L - x' L_dx] } - lambda L_t
     """
-    g = problem.grid
     T = node_tables(problem, traj, zpath)
-    m, n, h = g.m, g.n, g.h
+    m, n, h = T.grid.m, T.grid.n, T.grid.h
     k1 = n - m
     bracket1 = (T.lam[: k1 + 1] * T.L[: k1 + 1]
                 - T.dx[: k1 + 1] * (T.lam[: k1 + 1] * T.p[3][: k1 + 1]
@@ -176,14 +186,12 @@ def dbr_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     bracket2 = T.lam * (T.L - T.dx * T.p[3])
     r2 = (derivative_on_segment(bracket2, k1, n + 1, h)
           - T.lam[k1:] * T.p[1][k1:])
-    t1 = T.t[: k1 + 1]
-    t2 = T.t[k1:]
-    return (_report(DBR1_LABEL, t1, r1, tol, exclusion_zones(traj, t1[0], t1[-1])),
-            _report(DBR2_LABEL, t2, r2, tol, exclusion_zones(traj, t2[0], t2[-1])))
+    return (_report(DBR1_LABEL, T.t[: k1 + 1], r1, tol, T.traj),
+            _report(DBR2_LABEL, T.t[k1:], r2, tol, T.traj))
 
 
 def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, group=None,
-                        zpath: Optional[ZPath] = None, tol: float = 1e-6):
+                        zpath: Optional[ZPath] = None, tol: float = TOLERANCES["hyp"]):
     """Profiles of the auxiliary hypotheses behind the first-integral results.
 
     H1(t) = L_xtau(t+tau) x'(t) + L_dxtau(t+tau) x''(t)   on [a-tau, b-tau];
@@ -192,21 +200,24 @@ def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, group=None,
     computed only when a symmetry group is supplied (else None), with the
     generator time derivatives taken along the trajectory by the chain rule.
     """
-    g = problem.grid
     if zpath is None:
         zpath = integrate_z(problem, traj)
-    T = node_tables(problem, traj, zpath)
+    return _hyp_reports(node_tables(problem, traj, zpath), group, tol)
+
+
+def _hyp_reports(T: NodeTables, group, tol: float):
+    g = T.grid
     tg = g.nodes[: g.n + 1]
-    xg, dxg, ddxg = traj.eval_many(tg, side="right", want_ddx=True)
+    xg, dxg, ddxg = T.traj.eval_many(tg, side="right", want_ddx=True)
     h1 = T.p[4] * dxg + T.p[5] * ddxg
-    rep1 = _report(HYP1_LABEL, tg, h1, tol, exclusion_zones(traj, tg[0], tg[-1]))
+    rep1 = _report(HYP1_LABEL, tg, h1, tol, T.traj)
     if group is None:
         return rep1, None
     k1 = g.n - g.m
     t1 = T.t[: k1 + 1]
     sig, xi, dsig, dxi = group.along(t1, T.x[: k1 + 1], T.dx[: k1 + 1])
     h2 = T.p[4][g.m:] * xi + T.p[5][g.m:] * (dxi - T.dx[: k1 + 1] * dsig)
-    rep2 = _report(HYP2_LABEL, t1, h2, tol, exclusion_zones(traj, t1[0], t1[-1]))
+    rep2 = _report(HYP2_LABEL, t1, h2, tol, T.traj)
     return rep1, rep2
 
 

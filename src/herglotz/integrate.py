@@ -23,6 +23,11 @@ closed integral
 
 with eta identically zero left of a, evaluated by composite Simpson on
 breakpoint-aligned panels (grid intervals split at kinks, midpoint sampled).
+Panels samples those panels once per (problem, trajectory, z-path): the
+one-sided trajectory reads at panel ends and midpoints and at their delayed
+images, z and lambda there, the mask of delayed images inside [a, b], and the
+Lagrangian partials on first use. The first variation, the solver gradient and
+the invariance defect are each a short formula over it.
 All operations are pure; concurrent integrations are safe.
 """
 
@@ -329,55 +334,71 @@ def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
     return g
 
 
-def _panel_samples(problem: HerglotzProblem, traj: Trajectory):
-    """Panel geometry plus trajectory/z samples at ends and midpoints."""
-    g = problem.grid
-    stops, node_pos = integration_stops(problem, traj)
-    lefts, rights = stops[:-1], stops[1:]
-    mids = 0.5 * (lefts + rights)
-    hs = rights - lefts
-    anchors = _delay_anchors(problem, traj)
-    tol = 1e-9 * g.h
-    times = np.concatenate([lefts, mids, rights])
-    delayed = _snap(times - g.tau, anchors, tol)
-    sides = ["right"] * len(lefts) + ["right"] * len(mids) + ["left"] * len(rights)
-    x = np.empty_like(times)
-    dx = np.empty_like(times)
-    xt = np.empty_like(times)
-    dxt = np.empty_like(times)
-    k = len(lefts)
-    for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
-        x[sl], dx[sl] = traj.eval_many(times[sl], side=side, want_ddx=False)
-        xt[sl], dxt[sl] = traj.eval_many(delayed[sl], side=side, want_ddx=False)
-    return stops, node_pos, lefts, mids, rights, hs, times, delayed, x, dx, xt, dxt
+class Panels:
+    """Breakpoint-aligned Simpson panels of [a, b] sampled once along a
+    trajectory and its z-path: the one quadrature path behind the first
+    variation, the solver gradient and the invariance defect.
+
+    Sample arrays are ordered panel lefts, then midpoints, then rights (k of
+    each). Trajectory reads are one-sided: lefts and midpoints take the right
+    limit, rights the left limit, and the delayed images follow the same
+    sides. Lagrangian values and partials are evaluated on first use and
+    kept on the instance.
+    """
+
+    def __init__(self, problem: HerglotzProblem, traj: Trajectory, zpath: ZPath):
+        g = problem.grid
+        self.lagrangian = problem.lagrangian
+        stops, self.node_pos = integration_stops(problem, traj)
+        lefts, rights = stops[:-1], stops[1:]
+        self.k = k = len(lefts)
+        self.hs = rights - lefts
+        self.times = np.concatenate([lefts, 0.5 * (lefts + rights), rights])
+        self.delayed = _snap(self.times - g.tau, _delay_anchors(problem, traj),
+                             1e-9 * g.h)
+        self.x, self.dx, self.xtau, self.dxtau = (np.empty_like(self.times)
+                                                  for _ in range(4))
+        for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
+            self.x[sl], self.dx[sl] = traj.eval_many(
+                self.times[sl], side=side, want_ddx=False)
+            self.xtau[sl], self.dxtau[sl] = traj.eval_many(
+                self.delayed[sl], side=side, want_ddx=False)
+        self.z = zpath.z_at(self.times)
+        self.lam = zpath.lambda_at(self.times)
+        self.bind = {"t": self.times, "x": self.x, "dx": self.dx,
+                     "xtau": self.xtau, "dxtau": self.dxtau, "z": self.z}
+        # delayed images that fall inside [a, b], where variation directions
+        # and group generators live; rights take the left limit, so exactly
+        # s - tau = a counts as outside there and a kink at s = a + tau never
+        # leaks across its panel boundary
+        self.inside = self.delayed >= g.a
+        self.inside[2 * k:] = self.delayed[2 * k:] > g.a
+        self._tables: dict = {}
+
+    def table(self, name: str) -> np.ndarray:
+        """L itself (name "L") or its partial in name at the samples."""
+        if name not in self._tables:
+            L, bind = self.lagrangian, self.bind
+            v = expr.evaluate(L, bind) if name == "L" else expr.partial(L, name, bind)
+            self._tables[name] = np.broadcast_to(
+                np.asarray(v, dtype=float), self.times.shape)
+        return self._tables[name]
+
+    def simpson(self, f: np.ndarray) -> np.ndarray:
+        """Composite Simpson integral of sampled f over each panel."""
+        k = self.k
+        return self.hs / 6.0 * (f[:k] + 4.0 * f[k:2 * k] + f[2 * k:])
 
 
 def first_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                     eta: VariationDirection) -> float:
     """Directional derivative zeta(b) of z(b) along the admissible direction."""
-    (stops, _, lefts, mids, rights, hs,
-     times, delayed, x, dx, xt, dxt) = _panel_samples(problem, traj)
-    zs = zpath.z_at(times)
-    lam = zpath.lambda_at(times)
-    bind = {"t": times, "x": x, "dx": dx, "xtau": xt, "dxtau": dxt, "z": zs}
-    p2 = expr.partial(problem.lagrangian, "x", bind)
-    p3 = expr.partial(problem.lagrangian, "dx", bind)
-    p4 = expr.partial(problem.lagrangian, "xtau", bind)
-    p5 = expr.partial(problem.lagrangian, "dxtau", bind)
-    eta_s, deta_s = eta.eval_many(times)
-    # delayed reads are one-sided like the trajectory reads: panel right
-    # endpoints take the left limit, so a kink of eta(s - tau) at s = a + tau
-    # never leaks across its panel boundary
-    k2 = 2 * len(lefts)
-    eta_d = np.empty_like(times)
-    deta_d = np.empty_like(times)
-    eta_d[:k2], deta_d[:k2] = eta.eval_many(delayed[:k2], side="right")
-    eta_d[k2:], deta_d[k2:] = eta.eval_many(delayed[k2:], side="left")
-    f = lam * (np.asarray(p2) * eta_s + np.asarray(p3) * deta_s
-               + np.asarray(p4) * eta_d + np.asarray(p5) * deta_d)
-    k = len(lefts)
-    fl, fm, fr = f[:k], f[k:2 * k], f[2 * k:]
-    total = float(np.sum(hs / 6.0 * (fl + 4.0 * fm + fr)))
+    P = Panels(problem, traj, zpath)
+    eta_s, deta_s = eta.eval_many(P.times)
+    eta_d, deta_d = (np.where(P.inside, v, 0.0) for v in eta.eval_many(P.delayed))
+    f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
+                 + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
+    total = float(np.sum(P.simpson(f)))
     if not isfinite(total):
         raise NonFinite("first variation is non-finite")
     return total / zpath.lambda_b

@@ -37,15 +37,16 @@ import numpy as np
 
 from . import expr
 from .conditions import (
+    TOLERANCES,
+    NodeTables,
     ResidualReport,
+    _el_reports,
+    _hyp_reports,
     _masked,
-    el_residuals,
-    exclusion_zones,
-    hypothesis_profiles,
     node_tables,
 )
 from .errors import InvalidTrajectory
-from .integrate import ZPath, _panel_samples
+from .integrate import Panels, ZPath
 from .reportio import csv_text
 from .trajectory import HerglotzProblem, Trajectory
 
@@ -117,37 +118,20 @@ def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     """Invariance defect h(t) on [a, b]; identically zero iff the group leaves
     the functional invariant. h(a) = 0 exactly."""
     g = problem.grid
-    (stops, node_pos, lefts, mids, rights, hs,
-     times, delayed, x, dx, xt, dxt) = _panel_samples(problem, traj)
-    zs = zpath.z_at(times)
-    lam = zpath.lambda_at(times)
-    bind = {"t": times, "x": x, "dx": dx, "xtau": xt, "dxtau": dxt, "z": zs}
-    Lv = np.broadcast_to(
-        np.asarray(expr.evaluate(problem.lagrangian, bind), dtype=float),
-        times.shape).copy()
-    parts = {}
-    for name in ("t", "x", "dx", "xtau", "dxtau"):
-        pv = np.asarray(expr.partial(problem.lagrangian, name, bind), dtype=float)
-        parts[name] = np.broadcast_to(pv, times.shape).copy()
-    sig, xi, dsig, dxi = group.along(times, x, dx)
-    sig_d, xi_d, dsig_d, dxi_d = group.along(delayed, xt, dxt)
-    # generators are null left of a; panel right endpoints (last third) take
-    # the left limit, so the null extension applies at exactly s - tau = a too
-    outside = delayed < g.a
-    k2 = 2 * len(lefts)
-    outside[k2:] = delayed[k2:] <= g.a
+    P = Panels(problem, traj, zpath)
+    sig, xi, dsig, dxi = group.along(P.times, P.x, P.dx)
+    sig_d, xi_d, dsig_d, dxi_d = group.along(P.delayed, P.xtau, P.dxtau)
+    # generators are null left of a
+    outside = ~P.inside
     for arr in (xi_d, dxi_d, dsig_d):
         arr[outside] = 0.0
-    f = lam * (parts["t"] * sig + parts["x"] * xi
-               + parts["dx"] * (dxi - dx * dsig)
-               + parts["xtau"] * xi_d
-               + parts["dxtau"] * np.where(outside, 0.0, dxi_d - dxt * dsig_d)
-               + Lv * dsig)
-    k = len(lefts)
-    fl, fm, fr = f[:k], f[k:2 * k], f[2 * k:]
-    panel = hs / 6.0 * (fl + 4.0 * fm + fr)
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    h_nodes = cum[node_pos] / zpath.lam
+    f = P.lam * (P.table("t") * sig + P.table("x") * xi
+                 + P.table("dx") * (dxi - P.dx * dsig)
+                 + P.table("xtau") * xi_d
+                 + P.table("dxtau") * np.where(outside, 0.0, dxi_d - P.dxtau * dsig_d)
+                 + P.table("L") * dsig)
+    cum = np.concatenate([[0.0], np.cumsum(P.simpson(f))])
+    h_nodes = cum[P.node_pos] / zpath.lam
     return InvarianceProfile(times=g.main_nodes, values=h_nodes,
                              sup_norm=float(np.max(np.abs(h_nodes))))
 
@@ -196,8 +180,8 @@ class ConservationReport:
                 "verdict": "pass" if self.passed else "fail"}
 
 
-def _profile(label, times, values, tol, zones) -> QuantityProfile:
-    keep = _masked(times, zones)
+def _profile(label, times, values, tol, traj) -> QuantityProfile:
+    zones, keep = _masked(traj, times)
     if np.any(keep):
         mean = float(np.mean(values[keep]))
         drift = float(np.max(np.abs(values[keep] - mean)))
@@ -213,9 +197,11 @@ def quantity_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     """Raw Q1 and Q2 samples: Q1 over the nodes of [a, b-tau], Q2 over the
     nodes of [b-tau, b] (over all of [a, b] when tau = 0, where they collapse
     onto the same formula whenever L has no delayed-velocity dependence)."""
-    g = problem.grid
-    T = node_tables(problem, traj, zpath)
-    m, n = g.m, g.n
+    return _quantities(node_tables(problem, traj, zpath), group)
+
+
+def _quantities(T: NodeTables, group: SymmetryGroup):
+    m, n = T.grid.m, T.grid.n
     k1 = n - m
     sig, xi, dsig, dxi = group.along(T.t, T.x, T.dx)
     coeff = T.lam[: k1 + 1] * T.p[3][: k1 + 1] + T.lam[m:] * T.p[5][m:]
@@ -227,17 +213,19 @@ def quantity_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
 
 
 def conserved_quantities(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
-                         group: SymmetryGroup, tol: float = 1e-6) -> ConservationReport:
+                         group: SymmetryGroup,
+                         tol: float = TOLERANCES["drift"]) -> ConservationReport:
     """Conserved-quantity profiles with drift (max deviation from the mean)
     verdicts at the given tolerance."""
-    g = problem.grid
-    t1, q1, t2, q2 = quantity_values(problem, traj, zpath, group)
-    if g.m == 0:
-        profile = _profile(Q_LABEL, t1, q1, tol, exclusion_zones(traj, t1[0], t1[-1]))
-        return ConservationReport(profiles=(profile,))
-    p1 = _profile(Q1_LABEL, t1, q1, tol, exclusion_zones(traj, t1[0], t1[-1]))
-    p2 = _profile(Q2_LABEL, t2, q2, tol, exclusion_zones(traj, t2[0], t2[-1]))
-    return ConservationReport(profiles=(p1, p2))
+    return _conservation(node_tables(problem, traj, zpath), group, tol)
+
+
+def _conservation(T: NodeTables, group: SymmetryGroup, tol: float) -> ConservationReport:
+    t1, q1, t2, q2 = _quantities(T, group)
+    if T.grid.m == 0:
+        return ConservationReport(profiles=(_profile(Q_LABEL, t1, q1, tol, T.traj),))
+    return ConservationReport(profiles=(_profile(Q1_LABEL, t1, q1, tol, T.traj),
+                                        _profile(Q2_LABEL, t2, q2, tol, T.traj)))
 
 
 @dataclass
@@ -274,19 +262,23 @@ class NoetherVerdict:
 
 def check_noether(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                   group: SymmetryGroup, tol: Optional[float] = None, *,
-                  el_tol: float = 1e-4, hyp_tol: float = 1e-6,
-                  inv_tol: float = 1e-8, drift_tol: float = 1e-6) -> NoetherVerdict:
+                  el_tol: float = TOLERANCES["el"], hyp_tol: float = TOLERANCES["hyp"],
+                  inv_tol: float = TOLERANCES["inv"],
+                  drift_tol: float = TOLERANCES["drift"]) -> NoetherVerdict:
     """Check every premise of the conservation statement, then the drift.
 
     A single tol overrides all four tolerances uniformly (the CLI --tol path);
-    otherwise each premise uses its own default.
+    otherwise each premise uses its own default. The node table behind the
+    Euler-Lagrange, hypothesis and conserved-quantity samples is built once
+    and shared by all three.
     """
     if tol is not None:
         el_tol = hyp_tol = inv_tol = drift_tol = tol
-    el1, el2 = el_residuals(problem, traj, zpath, el_tol)
-    h1, h2 = hypothesis_profiles(problem, traj, group=group, zpath=zpath, tol=hyp_tol)
+    T = node_tables(problem, traj, zpath)
+    el1, el2 = _el_reports(T, el_tol)
+    h1, h2 = _hyp_reports(T, group, hyp_tol)
     inv = group_variation(problem, traj, zpath, group)
-    cons = conserved_quantities(problem, traj, zpath, group, drift_tol)
+    cons = _conservation(T, group, drift_tol)
     checks = [("EL-1", el1.passed), ("EL-2", el2.passed), ("H1", h1.passed)]
     if h2 is not None:
         checks.append(("H2", h2.passed))

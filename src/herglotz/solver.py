@@ -9,10 +9,11 @@ the analytic gradient and the central-difference oracle agree to quadrature
 precision.
 
 The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
-steps decrease the working objective monotonically, and maximize problems
-run on the negated objective. The gradient is the adjoint of the natural
-spline through the node values (integrate.spline_adjoint): a scatter of the
-Simpson-weighted partials plus one banded solve, O(n) per call.
+steps decrease the working objective monotonically, a trial point whose
+integration overflows or leaves the real domain is a rejected step, and
+maximize problems run on the negated objective. The gradient is the adjoint
+of the natural spline through the node values (integrate.spline_adjoint): a
+scatter of the Simpson-weighted partials plus one banded solve, O(n) per call.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadInterval, NonFinite
-from . import expr
-from .integrate import ZPath, _panel_samples, integrate_z, spline_adjoint
+from .errors import BadInterval, DomainError, NonFinite
+from .integrate import Panels, ZPath, integrate_z, spline_adjoint
 from .trajectory import HerglotzProblem, SampledTrajectory, seed_trajectory
 
 _LBFGS_MEMORY = 10
@@ -85,28 +85,17 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     The solver drives sampled trajectories, but any trajectory backend is
     accepted: the entries are then the first variations along the unit node
     directions of the grid."""
-    (stops, _, lefts, mids, rights, hs,
-     times, delayed, x, dx, xt, dxt) = _panel_samples(problem, traj)
-    zs = zpath.z_at(times)
-    lam = zpath.lambda_at(times)
-    bind = {"t": times, "x": x, "dx": dx, "xtau": xt, "dxtau": dxt, "z": zs}
-    k = len(lefts)
+    P = Panels(problem, traj, zpath)
+    k, hs = P.k, P.hs
     w = np.empty(3 * k)
     w[:k] = hs / 6.0
     w[k:2 * k] = 4.0 * hs / 6.0
     w[2 * k:] = hs / 6.0
-
-    def coeff(name):
-        p = np.asarray(expr.partial(problem.lagrangian, name, bind), dtype=float)
-        return w * lam * np.broadcast_to(p, times.shape)
-
-    c0, c1, c2, c3 = coeff("x"), coeff("dx"), coeff("xtau"), coeff("dxtau")
-    # delayed reads in the last third (panel right endpoints) take the left
-    # limit: at exactly s - tau = a the direction is flat-zero
-    inside = delayed >= problem.grid.a
-    inside[2 * k:] = delayed[2 * k:] > problem.grid.a
+    c0, c1, c2, c3 = (w * P.lam * P.table(name)
+                      for name in ("x", "dx", "xtau", "dxtau"))
+    inside = P.inside
     g = spline_adjoint(problem.grid.main_nodes,
-                       np.concatenate([times, delayed[inside]]),
+                       np.concatenate([P.times, P.delayed[inside]]),
                        np.concatenate([c0, c2[inside]]),
                        np.concatenate([c1, c3[inside]]))[1:-1]
     g /= zpath.lambda_b
@@ -166,16 +155,16 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         values[free] = xfree
         return base._with_values(values)
 
-    def objective(xfree: np.ndarray, it: int):
+    def objective(xfree: np.ndarray):
         traj = build(xfree)
-        try:
-            zpath = integrate_z(problem, traj)
-        except NonFinite as e:
-            raise NonFinite(f"objective failed at iteration {it}: {e}") from e
+        zpath = integrate_z(problem, traj)
         return sign * zpath.z_b, traj, zpath
 
     x = base.values[free].copy()
-    f, traj, zpath = objective(x, 0)
+    try:
+        f, traj, zpath = objective(x)
+    except NonFinite as e:
+        raise NonFinite(f"objective failed at iteration 0: {e}") from e
     grad = variational_gradient(problem, traj, zpath)
     history = [sign * f]
     s_list: list = []
@@ -197,7 +186,10 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
             trial = x + step * d
-            f_new, traj_new, zpath_new = objective(trial, it)
+            try:
+                f_new, traj_new, zpath_new = objective(trial)
+            except (NonFinite, DomainError):
+                f_new = np.inf  # overflow or a trip outside the real domain: reject
             if f_new <= f + opts.armijo_c * step * dg:
                 accepted = (trial, f_new, traj_new, zpath_new)
                 break

@@ -23,7 +23,6 @@ returns a new value.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -194,32 +193,6 @@ class PiecewiseTrajectory:
         self.breakpoints = tuple(
             q[0] for q in parsed[1:] if grid.nodes[0] < q[0] < grid.b)
 
-    def _piece_index(self, t: float, side: str) -> int:
-        if side == "left":
-            i = bisect_left(self._starts, t) - 1
-        else:
-            i = bisect_right(self._starts, t) - 1
-        return min(max(i, 0), len(self.pieces) - 1)
-
-    def _ddx_window(self, t: float, t0: float, t1: float):
-        s = self.grid.h / 16.0
-        base = min(max(t - 2 * s, t0), t1 - 4 * s)
-        return base + s * np.arange(5), s
-
-    def eval(self, t: float, side: str = "right"):
-        t = float(t)
-        _domain_check(self.grid, np.array([t]))
-        t0, t1, e = self.pieces[self._piece_index(t, side)]
-        x, dx = expr.value_and_partial(e, "t", {"t": t})
-        xs, s = self._ddx_window(t, t0, t1)
-        dxs = np.broadcast_to(
-            np.asarray(expr.partial(e, "t", {"t": xs}), dtype=float), xs.shape)
-        if abs(xs[2] - t) <= 1e-12 * max(1.0, abs(t)):
-            ddx = float(_STENCIL5 @ dxs) / s
-        else:
-            ddx = float(fornberg_weights(xs, t, 1) @ dxs)
-        return float(x), float(dx), ddx
-
     def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)
         _domain_check(self.grid, ts)
@@ -253,6 +226,10 @@ class PiecewiseTrajectory:
                     out[k] = fornberg_weights(pts[k], tm[k], 1) @ dmat[k]
                 ddx[mask] = out
         return (x, dx, ddx) if want_ddx else (x, dx)
+
+    def eval(self, t: float, side: str = "right"):
+        x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
+        return float(x[0]), float(dx[0]), float(ddx[0])
 
 
 Trajectory = Union[SampledTrajectory, PiecewiseTrajectory]

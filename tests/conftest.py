@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import herglotz as hg
+from herglotz import conditions
 from herglotz.bundles import bundle
 
 
@@ -40,3 +43,20 @@ def wavy_sampled(problem, amplitude=0.3, freq=2.0):
     vals[g.m + 1: g.n + g.m] += amplitude * np.sin(
         freq * np.pi * (tm - g.a) / span)
     return hg.SampledTrajectory(g, vals)
+
+
+@pytest.fixture
+def node_table_calls(monkeypatch):
+    """List that grows by one per conditions.node_tables call, wherever the
+    function was imported."""
+    calls = []
+    original = conditions.node_tables
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("herglotz") and getattr(module, "node_tables", None) is original:
+            monkeypatch.setattr(module, "node_tables", counted)
+    return calls

@@ -38,6 +38,22 @@ class TestExitCodes:
         assert "drift" in out
         assert "paper-example: PASS" in out
 
+    def test_paper_example_honours_tol_zero(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["paper-example", "--n", "200", "--tol", "0", "--out", str(out)])
+        assert rc == 1
+        summary = json.loads((out / "paper_example.json").read_text())
+        tolerances = ([c["tolerance"] for c in summary["checks"]]
+                      + [summary["invariance"]["tolerance"]]
+                      + [p["tolerance"] for p in summary["conservation"]["profiles"]])
+        assert len(tolerances) == 9
+        assert all(t == 0.0 for t in tolerances)
+
+    def test_paper_example_builds_two_node_tables(self, tmp_path, capsys,
+                                                  node_table_calls):
+        assert main(["paper-example", "--n", "200", "--out", str(tmp_path / "o")]) == 0
+        assert len(node_table_calls) <= 2
+
     def test_syntax_error_is_exit_2_with_offset(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lagrangian="dxtau^2 +")
         rc = main(["check-el", str(cfg), "--out", str(tmp_path / "o")])

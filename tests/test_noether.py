@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz.conditions import node_tables
+from herglotz.conditions import el_residuals, hypothesis_profiles, node_tables
 from herglotz.integrate import integrate_z
 from herglotz.noether import (
     SymmetryGroup,
@@ -157,6 +157,24 @@ class TestCheckNoether:
         assert not tight.passed
         loose = check_noether(problem, traj, zp, group, tol=10.0)
         assert loose.passed
+
+    def test_builds_one_node_table(self, paper400, node_table_calls):
+        problem, traj, group, zp = paper400
+        check_noether(problem, traj, zp, group)
+        assert len(node_table_calls) == 1
+
+    def test_shared_table_matches_separate_checks(self, paper400):
+        problem, traj, group, zp = paper400
+        verdict = check_noether(problem, traj, zp, group)
+        el1, el2 = el_residuals(problem, traj, zp)
+        h1, h2 = hypothesis_profiles(problem, traj, group=group, zpath=zp)
+        cons = conserved_quantities(problem, traj, zp, group)
+        pairs = [(verdict.el1, el1), (verdict.el2, el2), (verdict.hyp_extremal, h1),
+                 (verdict.hyp_noether, h2)] + list(zip(verdict.conservation.profiles,
+                                                       cons.profiles))
+        for shared, separate in pairs:
+            assert np.array_equal(shared.values, separate.values)
+            assert shared.passed == separate.passed
 
     def test_summary_structure(self, paper400):
         problem, traj, group, zp = paper400

@@ -183,6 +183,18 @@ class TestSolveDirect:
         with pytest.raises(errors.NonFinite, match="iteration"):
             solve_direct(problem, SolveOptions(seed_guess="linear"))
 
+    def test_overflowing_trial_is_a_rejected_step(self):
+        # the first full L-BFGS step overflows exp(10*dx^2); backtracking
+        # must shrink past it instead of aborting the solve
+        g = build_grid(0.0, 1.0, 0.0, 40)
+        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=2.0, history="0",
+                                     lagrangian="exp(10*dx^2)")
+        seed_z = integrate_z(problem, hg.seed_trajectory(problem, "linear")).z_b
+        result = solve_direct(problem, SolveOptions(max_iters=5))
+        assert math.isfinite(result.z_b)
+        assert result.z_b <= seed_z
+        assert result.iterations == 5
+
     def test_option_validation(self):
         with pytest.raises(errors.BadInterval):
             SolveOptions(armijo_c=1.5)
