@@ -156,7 +156,7 @@ def cmd_solve(args) -> int:
     zpath = integrate_z(problem, result.trajectory)
     write_text_atomic(out / "solution_zpath.csv", zpath.csv())
     print(f"solve: z(b) = {fmt(result.z_b)}  iterations = {result.iterations}  "
-          f"grad_norm = {fmt(result.final_grad_norm)}  "
+          f"grad_norm = {fmt(result.final_grad_norm)}  stop_reason = {result.stop_reason}  "
           f"{'CONVERGED' if result.converged else 'NOT CONVERGED'}")
     return 0 if result.converged else 1
 

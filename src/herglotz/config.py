@@ -24,7 +24,10 @@ from .trajectory import (
     sampled_from_csv,
 )
 
-_SOLVER_KEYS = {"max_iters", "grad_tol", "armijo_c", "shrink", "initial_step", "seed_guess"}
+_NUMBER = (int, float)
+# solver key -> JSON types the schema allows; seed_guess is further restricted below
+_SOLVER_KINDS = {"max_iters": int, "grad_tol": _NUMBER, "armijo_c": _NUMBER,
+                 "shrink": _NUMBER, "initial_step": _NUMBER, "seed_guess": (str, list)}
 
 
 def schema_path() -> Path:
@@ -74,10 +77,13 @@ class ProblemConfig:
 
 
 def _need(data: dict, key: str, kinds, where: str):
+    """data[key], required and of one of the JSON types kinds (a bool is no number)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: must be an object")
     if key not in data:
         raise ConfigError(f"{where}: missing key {key!r}")
     value = data[key]
-    if not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"{where}: key {key!r} has type {type(value).__name__}")
     return value
 
@@ -86,12 +92,12 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
     interval = _need(data, "interval", dict, where)
-    a = float(_need(interval, "a", (int, float), f"{where}.interval"))
-    b = float(_need(interval, "b", (int, float), f"{where}.interval"))
-    tau = float(_need(data, "tau", (int, float), where))
+    a = float(_need(interval, "a", _NUMBER, f"{where}.interval"))
+    b = float(_need(interval, "b", _NUMBER, f"{where}.interval"))
+    tau = float(_need(data, "tau", _NUMBER, where))
     n = _need(data, "n", int, where)
-    gamma = float(_need(data, "gamma", (int, float), where))
-    beta = float(_need(data, "beta", (int, float), where))
+    gamma = float(_need(data, "gamma", _NUMBER, where))
+    beta = float(_need(data, "beta", _NUMBER, where))
     history = _need(data, "history", str, where)
     lagrangian = _need(data, "lagrangian", str, where)
     sense = data.get("sense", "minimize")
@@ -103,7 +109,7 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
         if backend == "pieces":
             pieces = _need(trajectory, "pieces", list, f"{where}.trajectory")
             for i, p in enumerate(pieces):
-                for key, kinds in (("from", (int, float)), ("to", (int, float)),
+                for key, kinds in (("from", _NUMBER), ("to", _NUMBER),
                                    ("expr", str)):
                     _need(p, key, kinds, f"{where}.trajectory.pieces[{i}]")
         elif backend == "samples":
@@ -116,9 +122,18 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
         _need(group, "xi", str, f"{where}.group")
     solver = data.get("solver")
     if solver is not None:
-        unknown = set(solver) - _SOLVER_KEYS
+        if not isinstance(solver, dict):
+            raise ConfigError(f"{where}: solver must be an object")
+        unknown = set(solver) - set(_SOLVER_KINDS)
         if unknown:
             raise ConfigError(f"{where}.solver: unknown keys {sorted(unknown)}")
+        for key in solver:
+            _need(solver, key, _SOLVER_KINDS[key], f"{where}.solver")
+        seed = solver.get("seed_guess", "linear")
+        if isinstance(seed, list) and not all(
+                isinstance(v, _NUMBER) and not isinstance(v, bool) for v in seed):
+            raise ConfigError(f"{where}.solver: seed_guess must be \"linear\", "
+                              "\"zero\" or an array of numbers")
     return ProblemConfig(a=a, b=b, tau=tau, n=n, gamma=gamma, beta=beta,
                          history=history, lagrangian=lagrangian, sense=sense,
                          trajectory=trajectory, group=group, solver=solver,

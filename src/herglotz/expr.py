@@ -12,17 +12,19 @@ Grammar (EBNF, also documented in the README):
 Variables are fixed: t, x, dx, xtau, dxtau, z, plus the reserved eps.
 Functions: sin, cos, exp, log, sqrt, abs, tanh.
 
-Partial derivatives are computed by dual-number (first-order Taylor pair)
-evaluation seeded on one variable: exact to machine precision, never a finite
-difference. Evaluation accepts floats or same-shaped numpy arrays and is pure;
-parsed trees are immutable, so concurrent use is safe.
+One tree walk serves values and partials: dual-number (first-order Taylor
+pair) evaluation seeded on one variable gives a partial exact to machine
+precision, never a finite difference, and a plain evaluation is the value
+half of the same walk with no seed. Evaluation accepts floats or same-shaped
+numpy arrays and is pure; parsed trees are immutable, so concurrent use is
+safe. Scalar and array evaluation agree, sin and cos of inf included (NaN).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -310,61 +312,16 @@ def _exp_scalar(x: float) -> float:
         return math.inf
 
 
-_UNARY_VALUE = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "exp": (_exp_scalar, np.exp),
-    "tanh": (math.tanh, np.tanh),
-    "abs": (abs, np.abs),
-}
-
-
-def _eval(e: Expression, b: Bindings) -> Value:
-    kind = type(e)
-    if kind is Num:
-        return e.value
-    if kind is Var:
-        return _lookup(b, e.name)
-    if kind is Bin:
-        l = _eval(e.left, b)
-        r = _eval(e.right, b)
-        op = e.op
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "/":
-            if _any(np.equal(r, 0.0)):
-                raise DomainError("division by zero")
-            return l / r
-        return _pow_value(l, r)
-    if kind is Neg:
-        return -_eval(e.operand, b)
-    # Call
-    u = _eval(e.arg, b)
-    fn = e.fn
-    if fn == "log":
-        if _any(np.less_equal(u, 0.0)):
-            raise DomainError("log of a non-positive value")
-        return np.log(u) if _is_array(u) else math.log(u)
-    if fn == "sqrt":
-        if _any(np.less(u, 0.0)):
-            raise DomainError("sqrt of a negative value")
-        return np.sqrt(u) if _is_array(u) else math.sqrt(u)
-    scalar_fn, array_fn = _UNARY_VALUE[fn]
-    return array_fn(u) if _is_array(u) else scalar_fn(u)
-
-
 def evaluate(e: Expression, bindings: Bindings) -> Value:
     """IEEE-double evaluation of the tree under the given variable bindings."""
-    return _eval(e, bindings)
+    return _dual(e, bindings, None)[0]
 
 
-# dual-number evaluation: every node returns (value, tangent)
+# the one tree walk: every node returns (value, tangent). Unseeded tangents
+# are zero, or NaN past an overflow (0 * inf), so the tangent-only checks of
+# "^", sqrt and abs run only with a seed: evaluate raises what values raise.
 
-def _dual(e: Expression, b: Bindings, seed: str):
+def _dual(e: Expression, b: Bindings, seed: Optional[str]):
     kind = type(e)
     if kind is Num:
         return e.value, 0.0
@@ -391,18 +348,18 @@ def _dual(e: Expression, b: Bindings, seed: str):
                 raise DomainError("division by zero")
             val = lv / rv
             return val, (lt - val * rt) / rv
-        return _pow_dual(lv, lt, rv, rt)
+        return _pow_dual(lv, lt, rv, rt) if seed else (_pow_value(lv, rv), 0.0)
     # Call
     uv, ut = _dual(e.arg, b, seed)
     fn = e.fn
-    if fn == "sin":
+    if fn in ("sin", "cos"):
         if _is_array(uv):
-            return np.sin(uv), np.cos(uv) * ut
-        return math.sin(uv), math.cos(uv) * ut
-    if fn == "cos":
-        if _is_array(uv):
-            return np.cos(uv), -np.sin(uv) * ut
-        return math.cos(uv), -math.sin(uv) * ut
+            sv, cv = np.sin(uv), np.cos(uv)
+        elif math.isinf(uv):
+            sv = cv = math.nan  # as np.sin/np.cos; math.sin raises here
+        else:
+            sv, cv = math.sin(uv), math.cos(uv)
+        return (sv, cv * ut) if fn == "sin" else (cv, -sv * ut)
     if fn == "exp":
         ev = np.exp(uv) if _is_array(uv) else _exp_scalar(uv)
         return ev, ev * ut
@@ -413,16 +370,16 @@ def _dual(e: Expression, b: Bindings, seed: str):
     if fn == "sqrt":
         if _any(np.less(uv, 0.0)):
             raise DomainError("sqrt of a negative value")
-        if _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
+        if seed and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
             raise NonDifferentiable("sqrt is not differentiable at 0")
         sv = np.sqrt(uv) if _is_array(uv) else math.sqrt(uv)
         if _is_array(uv):
             tan = np.where(ut == 0.0, 0.0, ut / np.where(sv == 0.0, 1.0, 2.0 * sv))
         else:
-            tan = 0.0 if ut == 0.0 else ut / (2.0 * sv)
+            tan = 0.0 if ut == 0.0 or sv == 0.0 else ut / (2.0 * sv)
         return sv, tan
     if fn == "abs":
-        if _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
+        if seed and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
             raise NonDifferentiable("abs is not differentiable at 0")
         return np.abs(uv) if _is_array(uv) else abs(uv), np.sign(uv) * ut
     # tanh

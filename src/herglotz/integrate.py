@@ -23,12 +23,14 @@ closed integral
 
 with eta identically zero left of a, evaluated by composite Simpson on
 breakpoint-aligned panels (grid intervals split at kinks, midpoint sampled).
-Panels samples those panels once per (problem, trajectory, z-path): the
-one-sided trajectory reads at panel ends and midpoints and at their delayed
-images, z and lambda there, the mask of delayed images inside [a, b], and the
-Lagrangian partials on first use. The first variation, the solver gradient and
-the invariance defect are each a short formula over it.
-All operations are pure; concurrent integrations are safe.
+These panels are the RK4 substeps, so one sampler serves both: Panels reads
+the trajectory once, one-sided, at the panel ends and midpoints and at their
+delayed images; integrate_z runs its RK4 stages on those reads and the z-path
+carries them on. The first variation, the solver gradient and the invariance
+defect take them from the z-path, with z and lambda there and the Lagrangian
+partials filled in on first use, and are each a short formula over them.
+All operations are pure (a fill-in on first use writes the same values
+whichever caller comes first); concurrent integrations are safe.
 """
 
 from __future__ import annotations
@@ -94,19 +96,15 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
     return stops, node_pos
 
 
-def _delay_anchors(problem: HerglotzProblem, traj: Trajectory) -> np.ndarray:
-    g = problem.grid
-    return np.sort(np.concatenate(
-        [g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
-
-
 @dataclass
 class ZPath:
-    """z and lambda at the nodes of [a, b], with spline interpolation between."""
+    """z and lambda at the nodes of [a, b], with spline interpolation between,
+    plus the panel samples of the trajectory they were integrated on."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
+    panels: Panels = field(repr=False, compare=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -155,6 +153,19 @@ class ZPath:
     def csv(self) -> str:
         return csv_text(["t", "z", "lambda"], [self.times, self.z, self.lam])
 
+    def samples(self, traj: Trajectory) -> Panels:
+        """The panel samples this z-path was integrated on, with z and lambda
+        there filled in on first use. traj must be the very trajectory object
+        it was integrated along; a z-path is never re-sampled."""
+        P = self.panels
+        if traj is not P.traj:
+            raise InvalidTrajectory("z-path was integrated along a different trajectory")
+        if "z" not in P.bind:
+            P.z = self.z_at(P.times)
+            P.lam = self.lambda_at(P.times)
+            P.bind["z"] = P.z
+        return P
+
 
 def lambda_at(zpath: ZPath, t):
     """Integrating factor at time t (spline between nodes, exact at nodes)."""
@@ -164,34 +175,18 @@ def lambda_at(zpath: ZPath, t):
 def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     """Integrate z and log-lambda over [a, b] along the given trajectory."""
     g = problem.grid
-    stops, node_pos = integration_stops(problem, traj)
-    lefts, rights = stops[:-1], stops[1:]
-    mids = 0.5 * (lefts + rights)
-    hs = rights - lefts
-    anchors = _delay_anchors(problem, traj)
-    tol = 1e-9 * g.h
-
-    def batch(ts, side):
-        tsnap = _snap(ts, anchors, tol)
-        x, dx = traj.eval_many(tsnap, side=side, want_ddx=False)
-        xt, dxt = traj.eval_many(
-            _snap(tsnap - g.tau, anchors, tol), side=side, want_ddx=False)
-        return x, dx, xt, dxt
-
-    xL, dxL, xtL, dxtL = batch(lefts, "right")
-    xM, dxM, xtM, dxtM = batch(mids, "right")
-    xR, dxR, xtR, dxtR = batch(rights, "left")
-
+    P = Panels(problem, traj)
+    k, hs, ts = P.k, P.hs, P.times
+    x, dx, xt, dxt = P.x, P.dx, P.xtau, P.dxtau
     L = problem.lagrangian
     b: dict = {"t": 0.0, "x": 0.0, "dx": 0.0, "xtau": 0.0, "dxtau": 0.0, "z": 0.0}
 
-    def stage(i, arrs, tv, zv):
-        x, dx, xt, dxt = arrs
-        b["t"] = tv
-        b["x"] = x[i]
-        b["dx"] = dx[i]
-        b["xtau"] = xt[i]
-        b["dxtau"] = dxt[i]
+    def stage(j, zv):
+        b["t"] = ts[j]
+        b["x"] = x[j]
+        b["dx"] = dx[j]
+        b["xtau"] = xt[j]
+        b["dxtau"] = dxt[j]
         b["z"] = zv
         val, dz = expr.value_and_partial(L, "z", b)
         return float(val), -float(dz)
@@ -201,31 +196,28 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     mu_nodes = np.empty(n_nodes)
     z = float(problem.gamma)
     mu = 0.0
-    rec = {int(p): k for k, p in enumerate(node_pos)}
+    rec = {int(p): node for node, p in enumerate(P.node_pos)}
     if 0 in rec:
         z_nodes[rec[0]] = z
         mu_nodes[rec[0]] = mu
-    AL = (xL, dxL, xtL, dxtL)
-    AM = (xM, dxM, xtM, dxtM)
-    AR = (xR, dxR, xtR, dxtR)
-    for i in range(len(lefts)):
+    for i in range(k):
         h = hs[i]
-        z1, m1 = stage(i, AL, lefts[i], z)
-        z2, m2 = stage(i, AM, mids[i], z + 0.5 * h * z1)
-        z3, m3 = stage(i, AM, mids[i], z + 0.5 * h * z2)
-        z4, m4 = stage(i, AR, rights[i], z + h * z3)
+        z1, m1 = stage(i, z)
+        z2, m2 = stage(k + i, z + 0.5 * h * z1)
+        z3, m3 = stage(k + i, z + 0.5 * h * z2)
+        z4, m4 = stage(2 * k + i, z + h * z3)
         z = z + h * (z1 + 2.0 * z2 + 2.0 * z3 + z4) / 6.0
         mu = mu + h * (m1 + 2.0 * m2 + 2.0 * m3 + m4) / 6.0
         if not (isfinite(z) and isfinite(mu)):
-            raise NonFinite(f"z integration produced a non-finite value at t={rights[i]}")
-        k = rec.get(i + 1)
-        if k is not None:
-            z_nodes[k] = z
-            mu_nodes[k] = mu
+            raise NonFinite(f"z integration produced a non-finite value at t={ts[2 * k + i]}")
+        node = rec.get(i + 1)
+        if node is not None:
+            z_nodes[node] = z
+            mu_nodes[node] = mu
     lam = np.exp(mu_nodes)
     if not np.all(np.isfinite(lam)):
         raise NonFinite("integrating factor overflowed")
-    return ZPath(grid=g, z=z_nodes, lam=lam)
+    return ZPath(grid=g, z=z_nodes, lam=lam, panels=P)
 
 
 @dataclass
@@ -336,8 +328,9 @@ def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
 
 class Panels:
     """Breakpoint-aligned Simpson panels of [a, b] sampled once along a
-    trajectory and its z-path: the one quadrature path behind the first
-    variation, the solver gradient and the invariance defect.
+    trajectory: the one sampler behind the RK4 stages of integrate_z, the
+    first variation, the solver gradient and the invariance defect. The
+    z-path carries it (ZPath.samples), which fills in z and lambda here.
 
     Sample arrays are ordered panel lefts, then midpoints, then rights (k of
     each). Trajectory reads are one-sided: lefts and midpoints take the right
@@ -346,16 +339,18 @@ class Panels:
     kept on the instance.
     """
 
-    def __init__(self, problem: HerglotzProblem, traj: Trajectory, zpath: ZPath):
+    def __init__(self, problem: HerglotzProblem, traj: Trajectory):
         g = problem.grid
         self.lagrangian = problem.lagrangian
+        self.traj = traj
         stops, self.node_pos = integration_stops(problem, traj)
         lefts, rights = stops[:-1], stops[1:]
         self.k = k = len(lefts)
         self.hs = rights - lefts
         self.times = np.concatenate([lefts, 0.5 * (lefts + rights), rights])
-        self.delayed = _snap(self.times - g.tau, _delay_anchors(problem, traj),
-                             1e-9 * g.h)
+        anchors = np.sort(np.concatenate(
+            [g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
+        self.delayed = _snap(self.times - g.tau, anchors, 1e-9 * g.h)
         self.x, self.dx, self.xtau, self.dxtau = (np.empty_like(self.times)
                                                   for _ in range(4))
         for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
@@ -363,10 +358,8 @@ class Panels:
                 self.times[sl], side=side, want_ddx=False)
             self.xtau[sl], self.dxtau[sl] = traj.eval_many(
                 self.delayed[sl], side=side, want_ddx=False)
-        self.z = zpath.z_at(self.times)
-        self.lam = zpath.lambda_at(self.times)
         self.bind = {"t": self.times, "x": self.x, "dx": self.dx,
-                     "xtau": self.xtau, "dxtau": self.dxtau, "z": self.z}
+                     "xtau": self.xtau, "dxtau": self.dxtau}
         # delayed images that fall inside [a, b], where variation directions
         # and group generators live; rights take the left limit, so exactly
         # s - tau = a counts as outside there and a kink at s = a + tau never
@@ -393,7 +386,7 @@ class Panels:
 def first_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                     eta: VariationDirection) -> float:
     """Directional derivative zeta(b) of z(b) along the admissible direction."""
-    P = Panels(problem, traj, zpath)
+    P = zpath.samples(traj)
     eta_s, deta_s = eta.eval_many(P.times)
     eta_d, deta_d = (np.where(P.inside, v, 0.0) for v in eta.eval_many(P.delayed))
     f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s

@@ -46,7 +46,7 @@ from .conditions import (
     node_tables,
 )
 from .errors import InvalidTrajectory
-from .integrate import Panels, ZPath
+from .integrate import ZPath
 from .reportio import csv_text
 from .trajectory import HerglotzProblem, Trajectory
 
@@ -118,7 +118,7 @@ def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     """Invariance defect h(t) on [a, b]; identically zero iff the group leaves
     the functional invariant. h(a) = 0 exactly."""
     g = problem.grid
-    P = Panels(problem, traj, zpath)
+    P = zpath.samples(traj)
     sig, xi, dsig, dxi = group.along(P.times, P.x, P.dx)
     sig_d, xi_d, dsig_d, dxi_d = group.along(P.delayed, P.xtau, P.dxtau)
     # generators are null left of a

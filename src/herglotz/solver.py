@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BadInterval, DomainError, NonFinite
-from .integrate import Panels, ZPath, integrate_z, spline_adjoint
+from .integrate import ZPath, integrate_z, spline_adjoint
 from .trajectory import HerglotzProblem, SampledTrajectory, seed_trajectory
 
 _LBFGS_MEMORY = 10
@@ -55,12 +55,19 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """stop_reason: "converged", "max_iters" or "line_search_failed" (no
+    backtracking trial along the search direction met the Armijo test)."""
+
     trajectory: SampledTrajectory
     z_b: float
     iterations: int
     final_grad_norm: float
-    converged: bool
+    stop_reason: str
     objective_history: list = field(repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def summary(self) -> dict:
         return {
@@ -68,6 +75,7 @@ class SolveResult:
             "iterations": self.iterations,
             "final_grad_norm": self.final_grad_norm,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "objective_history": list(self.objective_history),
         }
 
@@ -84,8 +92,9 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
 
     The solver drives sampled trajectories, but any trajectory backend is
     accepted: the entries are then the first variations along the unit node
-    directions of the grid."""
-    P = Panels(problem, traj, zpath)
+    directions of the grid. zpath must come from integrate_z along this very
+    trajectory object, whose samples it carries."""
+    P = zpath.samples(traj)
     k, hs = P.k, P.hs
     w = np.empty(3 * k)
     w[:k] = hs / 6.0
@@ -141,8 +150,8 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
 
     Each iteration re-splines the trajectory, re-integrates z and lambda,
     takes an L-BFGS step with Armijo backtracking, and records the achieved
-    functional value. Terminates on the gradient tolerance or the iteration
-    cap; the converged flag reports which.
+    functional value. Terminates on the gradient tolerance, the iteration
+    cap or a failed line search; stop_reason reports which.
     """
     opts = opts or SolveOptions()
     base = seed_trajectory(problem, opts.seed_guess)
@@ -170,11 +179,11 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
     s_list: list = []
     y_list: list = []
     iterations = 0
-    converged = False
+    stop_reason = "max_iters"
     for it in range(1, opts.max_iters + 1):
         gnorm = float(np.max(np.abs(grad))) if len(grad) else 0.0
         if gnorm <= opts.grad_tol:
-            converged = True
+            stop_reason = "converged"
             break
         d = _two_loop(grad, s_list, y_list)
         d = -d
@@ -195,6 +204,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
                 break
             step *= opts.shrink
         if accepted is None:
+            stop_reason = "line_search_failed"
             break
         x_new, f_new, traj, zpath = accepted
         grad_new = variational_gradient(problem, traj, zpath)
@@ -210,8 +220,8 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         iterations = it
         history.append(sign * f)
     final_gnorm = float(np.max(np.abs(grad))) if len(grad) else 0.0
-    if not converged and final_gnorm <= opts.grad_tol:
-        converged = True
+    if stop_reason == "max_iters" and final_gnorm <= opts.grad_tol:
+        stop_reason = "converged"
     return SolveResult(trajectory=traj, z_b=sign * f, iterations=iterations,
-                       final_grad_norm=final_gnorm, converged=converged,
+                       final_grad_norm=final_gnorm, stop_reason=stop_reason,
                        objective_history=history)

@@ -2,7 +2,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from herglotz.bundles import bundle
 from herglotz.cli import main
 from herglotz.config import load_config, schema_path
 
@@ -110,6 +112,17 @@ class TestExitCodes:
         rc = main(["integrate", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_overflowed_sine_is_exit_3(self, tmp_path, capsys):
+        # exp(1000*dx) overflows along the line x = t; sin(inf) is NaN, so z
+        # turns non-finite
+        data = json.loads(bundle("classical-line").config_path.read_text())
+        data["lagrangian"] = "sin(exp(1000*dx))"
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(data))
+        rc = main(["integrate", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_integrate_outputs(self, tmp_path, capsys):
@@ -142,6 +155,8 @@ class TestSubcommands:
         assert rc == 0
         data = json.loads((out / "solve.json").read_text())
         assert data["converged"] is True
+        assert data["stop_reason"] == "converged"
+        assert "stop_reason = converged" in capsys.readouterr().out
         assert abs(data["z_b"] - 1.0) < 1e-3
         assert (out / "solution.csv").exists()
         assert (out / "solution_zpath.csv").exists()
@@ -203,6 +218,20 @@ class TestConfigHandling:
     def test_unknown_solver_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={"stepsize": 1.0})
         assert main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"solver": {"max_iters": "10"}},
+        {"solver": {"grad_tol": None}},
+        {"solver": {"seed_guess": ["a"] * 16}},
+        {"solver": {"seed_guess": {"a": 1}}},
+        {"solver": {"max_iters": True}},
+        {"interval": {"a": False, "b": 2.0}},
+    ], ids=["string-int", "null-number", "string-seed", "object-seed",
+            "bool-int", "bool-number"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **override)
+        assert main(["solve", str(cfg), "--n", "10", "--out", str(tmp_path / "o")]) == 2
+        assert "herglotz: " in capsys.readouterr().err
 
     def test_bad_backend(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trajectory={"backend": "mystery"})

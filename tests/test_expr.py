@@ -16,12 +16,32 @@ from herglotz.expr import (
     parse,
     partial,
     to_text,
+    value_and_partial,
     variables_in,
 )
 
 
 def central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def random_trees(seed, count, depth=4):
+    rng = np.random.default_rng(seed)
+
+    def rand_tree(depth):
+        kind = rng.integers(0, 5 if depth > 0 else 2)
+        if kind == 0:
+            return Num(float(np.round(rng.uniform(0.0, 4.0), 3)))
+        if kind == 1:
+            return Var(VARIABLES[rng.integers(len(VARIABLES))])
+        if kind == 2:
+            return Neg(rand_tree(depth - 1))
+        if kind == 3:
+            op = "+-*/^"[rng.integers(5)]
+            return Bin(op, rand_tree(depth - 1), rand_tree(depth - 1))
+        return Call(FUNCTIONS[rng.integers(len(FUNCTIONS))], rand_tree(depth - 1))
+
+    return [rand_tree(depth) for _ in range(count)]
 
 
 class TestParse:
@@ -81,23 +101,7 @@ class TestParse:
 
 class TestPrint:
     def test_roundtrip_on_random_trees(self):
-        rng = np.random.default_rng(7)
-
-        def rand_tree(depth):
-            kind = rng.integers(0, 5 if depth > 0 else 2)
-            if kind == 0:
-                return Num(float(np.round(rng.uniform(0.0, 4.0), 3)))
-            if kind == 1:
-                return Var(VARIABLES[rng.integers(len(VARIABLES))])
-            if kind == 2:
-                return Neg(rand_tree(depth - 1))
-            if kind == 3:
-                op = "+-*/^"[rng.integers(5)]
-                return Bin(op, rand_tree(depth - 1), rand_tree(depth - 1))
-            return Call(FUNCTIONS[rng.integers(len(FUNCTIONS))], rand_tree(depth - 1))
-
-        for _ in range(300):
-            tree = rand_tree(4)
+        for tree in random_trees(7, 300):
             assert parse(to_text(tree)) == tree
 
     def test_variables_in(self):
@@ -144,14 +148,40 @@ class TestEvaluate:
             evaluate(parse("x"), {"x": math.inf})
 
     def test_array_evaluation_matches_scalar(self):
-        e = parse("sin(t)*exp(x) + x^2/(1+z)")
         ts = np.linspace(-1.0, 2.0, 17)
         xs = np.linspace(0.1, 0.9, 17)
         zs = np.linspace(-0.4, 0.4, 17)
-        vec = evaluate(e, {"t": ts, "x": xs, "z": zs})
-        for i in range(17):
-            scalar = evaluate(e, {"t": ts[i], "x": xs[i], "z": zs[i]})
-            assert vec[i] == pytest.approx(scalar, abs=0.0, rel=1e-15)
+        # the second overflows its exp to inf for x > 0.81 (sin and cos of inf
+        # are NaN on both paths) and keeps the sine arguments small elsewhere
+        for text in ("sin(t)*exp(x) + x^2/(1+z)",
+                     "sin(exp(1e5*(x - 0.8))) + z*cos(exp(1e5*(x - 0.8)))"):
+            e = parse(text)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vec = evaluate(e, {"t": ts, "x": xs, "z": zs})
+            for i in range(17):
+                scalar = evaluate(e, {"t": ts[i], "x": xs[i], "z": zs[i]})
+                assert vec[i] == pytest.approx(scalar, abs=0.0, rel=1e-15, nan_ok=True)
+
+    @pytest.mark.parametrize("size", [None, 9])
+    def test_value_is_the_value_half_of_every_partial(self, size):
+        rng = np.random.default_rng(13)
+        for tree in random_trees(7, 300):
+            b = {v: rng.uniform(-2.0, 2.0, size) for v in VARIABLES}
+            with np.errstate(all="ignore"):
+                try:
+                    value = evaluate(tree, b)
+                except errors.DomainError:
+                    for var in VARIABLES:
+                        with pytest.raises(errors.DomainError):
+                            value_and_partial(tree, var, b)
+                    continue
+                for var in VARIABLES:
+                    try:
+                        dual = value_and_partial(tree, var, b)[0]
+                    except errors.DomainError:
+                        continue  # a tangent-only check: kink, or u^v at u <= 0
+                    assert (np.asarray(dual, dtype=float).tobytes()
+                            == np.asarray(value, dtype=float).tobytes())
 
     def test_abs_value(self):
         assert evaluate(parse("abs(x)"), {"x": -3.5}) == 3.5

@@ -6,9 +6,11 @@ import pytest
 import herglotz as hg
 from herglotz import errors
 from herglotz.integrate import VariationDirection, first_variation, integrate_z, lambda_at
+from herglotz.noether import group_variation
+from herglotz.solver import variational_gradient
 from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
 
-from conftest import build_paper
+from conftest import build_paper, wavy_sampled
 
 E = math.e
 
@@ -185,3 +187,35 @@ class TestOrderOfAccuracy:
             problem, traj, _, _ = build_paper(n)
             errs[n] = abs(integrate_z(problem, traj).z_b - ref)
         assert 12.0 <= errs[16] / errs[32] <= 20.0
+
+
+class TestSamples:
+    def test_one_trajectory_sampling_serves_every_consumer(self, monkeypatch):
+        problem, _, group, _ = build_paper(100)
+        traj = wavy_sampled(problem)
+        eta = VariationDirection.from_free(problem.grid, np.ones(problem.grid.n - 1))
+        calls = []
+        original = SampledTrajectory.eval_many
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SampledTrajectory, "eval_many", counted)
+        zp = integrate_z(problem, traj)
+        variational_gradient(problem, traj, zp)
+        first_variation(problem, traj, zp, eta)
+        group_variation(problem, traj, zp, group)
+        assert len(calls) == 4
+
+    def test_zpath_of_another_trajectory_is_rejected(self):
+        problem, traj, group, _ = build_paper(40)
+        zp = integrate_z(problem, traj)
+        other = hg.seed_trajectory(problem, "linear")
+        eta = VariationDirection.from_free(problem.grid, np.ones(problem.grid.n - 1))
+        with pytest.raises(errors.InvalidTrajectory):
+            variational_gradient(problem, other, zp)
+        with pytest.raises(errors.InvalidTrajectory):
+            first_variation(problem, other, zp, eta)
+        with pytest.raises(errors.InvalidTrajectory):
+            group_variation(problem, other, zp, group)

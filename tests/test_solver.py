@@ -164,7 +164,17 @@ class TestSolveDirect:
         problem, _, _, _ = build_bundle("paper-s4", n=40)
         starved = solve_direct(problem, SolveOptions(max_iters=2))
         assert not starved.converged
+        assert starved.stop_reason == "max_iters"
         assert starved.iterations == 2
+
+    def test_failed_line_search_is_reported(self):
+        # sixty trials shrinking by 0.9 from a unit step of 1e6 all overshoot
+        problem, _, _, opts = build_bundle("classical-line", n=20)
+        result = solve_direct(problem, SolveOptions(initial_step=1e6, shrink=0.9,
+                                                    seed_guess=opts.seed_guess))
+        assert result.stop_reason == "line_search_failed"
+        assert not result.converged
+        assert result.iterations == 0
 
     def test_weak_residual_small_at_convergence(self):
         from herglotz.conditions import el_residuals, weak_form_values
@@ -213,4 +223,5 @@ class TestSolveDirect:
         problem, _, _, _ = build_bundle("classical-line", n=20)
         s = solve_direct(problem, SolveOptions()).summary()
         assert set(s) == {"z_b", "iterations", "final_grad_norm", "converged",
-                          "objective_history"}
+                          "stop_reason", "objective_history"}
+        assert s["stop_reason"] == "converged"
