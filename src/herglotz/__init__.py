@@ -25,7 +25,6 @@ from .integrate import (
     ZPath,
     first_variation,
     integrate_z,
-    lambda_at,
 )
 from .noether import (
     ConservationReport,
@@ -87,7 +86,6 @@ __all__ = [
     "group_variation",
     "hypothesis_profiles",
     "integrate_z",
-    "lambda_at",
     "load_config",
     "parse",
     "parse_config",

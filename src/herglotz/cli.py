@@ -230,24 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, config=True):
+    def add(name, fn, help_text, config=True, tol=True):
         p = sub.add_parser(name, help=help_text)
         if config:
             p.add_argument("config", help="problem config JSON path, or a bundle name "
                                           f"({', '.join(BUNDLE_NAMES)})")
         p.add_argument("--out", default="out", help="report directory (default ./out)")
         p.add_argument("--n", type=int, default=None, help="override the grid resolution")
-        p.add_argument("--tol", type=float, default=None, help="override check tolerances")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="override check tolerances")
         p.set_defaults(handler=fn)
-        return p
 
-    add("integrate", cmd_integrate, "integrate z and lambda along the config trajectory")
+    add("integrate", cmd_integrate, "integrate z and lambda along the config trajectory",
+        tol=False)
     add("check-el", cmd_check_residuals, "Euler-Lagrange residuals of the config trajectory")
     add("check-dbr", cmd_check_residuals, "DuBois-Reymond residuals of the config trajectory")
     add("check-hyp", cmd_check_hyp, "auxiliary hypothesis profiles")
     add("invariance", cmd_invariance, "invariance defect of the config group")
     add("noether", cmd_noether, "full conserved-quantity check with premises")
-    add("solve", cmd_solve, "extremize z(b) by direct transcription")
+    add("solve", cmd_solve, "extremize z(b) by direct transcription", tol=False)
     add("paper-example", cmd_paper_example,
         "run the bundled delayed reference problem end to end", config=False)
     return parser

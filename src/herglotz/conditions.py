@@ -22,11 +22,10 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import expr
 from .fdiff import derivative_on_segment
-from .integrate import ZPath, integrate_z, spline_adjoint
+from .integrate import Samples, ZPath, integrate_z, spline_adjoint
 from .reportio import csv_text
-from .trajectory import Grid, HerglotzProblem, Trajectory
+from .trajectory import HerglotzProblem, Trajectory
 
 EL1_LABEL = "EL-1 on [a, b-tau]"
 EL2_LABEL = "EL-2 on [b-tau, b]"
@@ -82,10 +81,7 @@ def _masked(traj: Trajectory, times: np.ndarray):
     """Exclusion zones of the sampled span and the mask of samples outside them."""
     zones = exclusion_zones(traj, times[0], times[-1])
     keep = np.ones(len(times), dtype=bool)
-    if len(times) > 1:
-        pad = 1e-9 * (times[-1] - times[0])
-    else:
-        pad = 0.0
+    pad = 1e-9 * (times[-1] - times[0])
     # closed zones: a sample exactly 2h from a kink still has a differencing
     # window touching the kink, so it is excluded too
     for lo, hi in zones:
@@ -101,39 +97,28 @@ def _report(label, times, values, tol, traj) -> ResidualReport:
                           passed=sup <= tol, excluded_zones=zones)
 
 
-@dataclass
-class NodeTables:
-    """Lagrangian value and the six partials along the trajectory at the
-    nodes of [a, b], plus the grid and trajectory data feeding them: all a
-    node-sampled check needs, built once per check."""
+class NodeTables(Samples):
+    """L and its partials along the trajectory at the nodes of [a, b], filled
+    in by name on first use, with the reads, z and lambda feeding them: all a
+    node-sampled check needs, built once per check. The trajectory is read
+    once, at every grid node with x''; tau is m steps, so the delayed reads
+    at the nodes of [a, b] are the reads at the first n+1 nodes."""
 
-    grid: Grid = field(repr=False)
-    traj: Trajectory = field(repr=False)
-    t: np.ndarray
-    x: np.ndarray
-    dx: np.ndarray
-    xtau: np.ndarray
-    dxtau: np.ndarray
-    z: np.ndarray
-    lam: np.ndarray
-    L: np.ndarray
-    p: list  # p[1]..p[6]
+    def __init__(self, problem: HerglotzProblem, traj: Trajectory, zpath: ZPath):
+        g = self.grid = problem.grid
+        self.traj = traj
+        x, dx, ddx = traj.eval_many(g.nodes, side="right", want_ddx=True)
+        self.t, self.x, self.dx = g.main_nodes, x[g.m:], dx[g.m:]
+        self.xtau, self.dxtau, self.ddxtau = x[: g.n + 1], dx[: g.n + 1], ddx[: g.n + 1]
+        self.z, self.lam = zpath.z, zpath.lam
+        super().__init__(problem.lagrangian, {
+            "t": self.t, "x": self.x, "dx": self.dx,
+            "xtau": self.xtau, "dxtau": self.dxtau, "z": self.z})
 
 
 def node_tables(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath) -> NodeTables:
-    g = problem.grid
-    tmain = g.main_nodes
-    x, dx = traj.eval_many(tmain, side="right", want_ddx=False)
-    xtau, dxtau = traj.eval_many(g.nodes[: g.n + 1], side="right", want_ddx=False)
-    bind = {"t": tmain, "x": x, "dx": dx, "xtau": xtau, "dxtau": dxtau, "z": zpath.z}
-    L = np.asarray(expr.evaluate(problem.lagrangian, bind), dtype=float)
-    L = np.broadcast_to(L, tmain.shape).copy()
-    parts = [None]
-    for name in ("t", "x", "dx", "xtau", "dxtau", "z"):
-        pv = np.asarray(expr.partial(problem.lagrangian, name, bind), dtype=float)
-        parts.append(np.broadcast_to(pv, tmain.shape).copy())
-    return NodeTables(grid=g, traj=traj, t=tmain, x=x, dx=dx, xtau=xtau, dxtau=dxtau,
-                      z=zpath.z, lam=zpath.lam, L=L, p=parts)
+    """The node table of one check: the one call each check makes."""
+    return NodeTables(problem, traj, zpath)
 
 
 def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
@@ -154,13 +139,13 @@ def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
 def _el_reports(T: NodeTables, tol: float):
     m, n, h = T.grid.m, T.grid.n, T.grid.h
     k1 = n - m
-    d5_shift = derivative_on_segment(T.p[5], m, n + 1, h)
-    d3_low = derivative_on_segment(T.p[3], 0, k1 + 1, h)
-    r1 = (T.lam[m:] * (T.p[4][m:] - d5_shift + T.p[5][m:] * T.p[6][m:])
-          + T.lam[: k1 + 1] * (T.p[2][: k1 + 1] - d3_low
-                               + T.p[3][: k1 + 1] * T.p[6][: k1 + 1]))
-    d3_high = derivative_on_segment(T.p[3], k1, n + 1, h)
-    r2 = T.p[2][k1:] - d3_high + T.p[3][k1:] * T.p[6][k1:]
+    Lx, Ldx, Lxt, Ldxt, Lz = (T.table(v) for v in ("x", "dx", "xtau", "dxtau", "z"))
+    d5_shift = derivative_on_segment(Ldxt, m, n + 1, h)
+    d3_low = derivative_on_segment(Ldx, 0, k1 + 1, h)
+    r1 = (T.lam[m:] * (Lxt[m:] - d5_shift + Ldxt[m:] * Lz[m:])
+          + T.lam[: k1 + 1] * (Lx[: k1 + 1] - d3_low + Ldx[: k1 + 1] * Lz[: k1 + 1]))
+    d3_high = derivative_on_segment(Ldx, k1, n + 1, h)
+    r2 = Lx[k1:] - d3_high + Ldx[k1:] * Lz[k1:]
     return (_report(EL1_LABEL, T.t[: k1 + 1], r1, tol, T.traj),
             _report(EL2_LABEL, T.t[k1:], r2, tol, T.traj))
 
@@ -178,14 +163,12 @@ def dbr_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     T = node_tables(problem, traj, zpath)
     m, n, h = T.grid.m, T.grid.n, T.grid.h
     k1 = n - m
-    bracket1 = (T.lam[: k1 + 1] * T.L[: k1 + 1]
-                - T.dx[: k1 + 1] * (T.lam[: k1 + 1] * T.p[3][: k1 + 1]
-                                    + T.lam[m:] * T.p[5][m:]))
-    r1 = (derivative_on_segment(bracket1, 0, k1 + 1, h)
-          - T.lam[: k1 + 1] * T.p[1][: k1 + 1])
-    bracket2 = T.lam * (T.L - T.dx * T.p[3])
-    r2 = (derivative_on_segment(bracket2, k1, n + 1, h)
-          - T.lam[k1:] * T.p[1][k1:])
+    L, Lt, Ldx, Ldxt = (T.table(v) for v in ("L", "t", "dx", "dxtau"))
+    bracket1 = (T.lam[: k1 + 1] * L[: k1 + 1]
+                - T.dx[: k1 + 1] * (T.lam[: k1 + 1] * Ldx[: k1 + 1] + T.lam[m:] * Ldxt[m:]))
+    r1 = derivative_on_segment(bracket1, 0, k1 + 1, h) - T.lam[: k1 + 1] * Lt[: k1 + 1]
+    bracket2 = T.lam * (L - T.dx * Ldx)
+    r2 = derivative_on_segment(bracket2, k1, n + 1, h) - T.lam[k1:] * Lt[k1:]
     return (_report(DBR1_LABEL, T.t[: k1 + 1], r1, tol, T.traj),
             _report(DBR2_LABEL, T.t[k1:], r2, tol, T.traj))
 
@@ -202,22 +185,22 @@ def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, group=None,
     """
     if zpath is None:
         zpath = integrate_z(problem, traj)
-    return _hyp_reports(node_tables(problem, traj, zpath), group, tol)
+    T = node_tables(problem, traj, zpath)
+    return _hyp_reports(T, None if group is None else group.along(T.t, T.x, T.dx), tol)
 
 
-def _hyp_reports(T: NodeTables, group, tol: float):
+def _hyp_reports(T: NodeTables, gens, tol: float):
+    """H1, and H2 from the generators at the nodes (None: no H2)."""
     g = T.grid
-    tg = g.nodes[: g.n + 1]
-    xg, dxg, ddxg = T.traj.eval_many(tg, side="right", want_ddx=True)
-    h1 = T.p[4] * dxg + T.p[5] * ddxg
-    rep1 = _report(HYP1_LABEL, tg, h1, tol, T.traj)
-    if group is None:
+    Lxt, Ldxt = T.table("xtau"), T.table("dxtau")
+    h1 = Lxt * T.dxtau + Ldxt * T.ddxtau
+    rep1 = _report(HYP1_LABEL, g.nodes[: g.n + 1], h1, tol, T.traj)
+    if gens is None:
         return rep1, None
     k1 = g.n - g.m
-    t1 = T.t[: k1 + 1]
-    sig, xi, dsig, dxi = group.along(t1, T.x[: k1 + 1], T.dx[: k1 + 1])
-    h2 = T.p[4][g.m:] * xi + T.p[5][g.m:] * (dxi - T.dx[: k1 + 1] * dsig)
-    rep2 = _report(HYP2_LABEL, t1, h2, tol, T.traj)
+    _, xi, dsig, dxi = (v[: k1 + 1] for v in gens)
+    h2 = Lxt[g.m:] * xi + Ldxt[g.m:] * (dxi - T.dx[: k1 + 1] * dsig)
+    rep2 = _report(HYP2_LABEL, T.t[: k1 + 1], h2, tol, T.traj)
     return rep1, rep2
 
 
@@ -251,14 +234,9 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     ends_lo = np.concatenate([left[:-1], right[:-1]])
     ends_hi = np.concatenate([left[1:], right[1:]])
     # integrating the eta' terms by parts leaves a point contribution at the
-    # seam where the shifted coefficient drops out of the first integral
-    xt_b, dxt_b = traj.eval_many(
-        np.array([g.b - g.tau]), side="left", want_ddx=False)
-    xb, dxb, _ = traj.eval(g.b, side="left")
-    p5_b = float(expr.partial(problem.lagrangian, "dxtau",
-                              {"t": g.b, "x": xb, "dx": dxb,
-                               "xtau": float(xt_b[0]), "dxtau": float(dxt_b[0]),
-                               "z": zpath.z_b}))
+    # seam where the shifted coefficient drops out of the first integral: L_dxtau
+    # at b with left limits, which is the last panel right of the z-path samples
+    p5_b = zpath.samples(traj).table("dxtau")[-1]
     w = g.h / 6.0
     nodal = np.zeros(g.n + 1)
     nodal[:-1] += w * ends_lo

@@ -317,38 +317,46 @@ def evaluate(e: Expression, bindings: Bindings) -> Value:
     return _dual(e, bindings, None)[0]
 
 
-# the one tree walk: every node returns (value, tangent). Unseeded tangents
-# are zero, or NaN past an overflow (0 * inf), so the tangent-only checks of
-# "^", sqrt and abs run only with a seed: evaluate raises what values raise.
+# the one tree walk: every node returns (value, tangent). A subtree without
+# the seed has tangent None, an exact zero that is never multiplied, so an
+# overflow there (0 * inf) cannot turn a partial NaN; the tangent-only checks
+# of "^", sqrt and abs run only on a real tangent. Unseeded, every tangent is
+# None and evaluate raises exactly what values raise.
 
 def _dual(e: Expression, b: Bindings, seed: Optional[str]):
     kind = type(e)
     if kind is Num:
-        return e.value, 0.0
+        return e.value, None
     if kind is Var:
         v = _lookup(b, e.name)
         if e.name != seed:
-            return v, 0.0
+            return v, None
         return v, (np.ones_like(v) if _is_array(v) else 1.0)
     if kind is Neg:
         v, t = _dual(e.operand, b, seed)
-        return -v, -t
+        return -v, (None if t is None else -t)
     if kind is Bin:
         lv, lt = _dual(e.left, b, seed)
         rv, rt = _dual(e.right, b, seed)
         op = e.op
         if op == "+":
-            return lv + rv, lt + rt
+            return lv + rv, (rt if lt is None else lt if rt is None else lt + rt)
         if op == "-":
-            return lv - rv, lt - rt
+            return lv - rv, (lt if rt is None else -rt if lt is None else lt - rt)
         if op == "*":
-            return lv * rv, lt * rv + lv * rt
+            if lt is None:
+                return lv * rv, None if rt is None else lv * rt
+            return lv * rv, lt * rv if rt is None else lt * rv + lv * rt
         if op == "/":
             if _any(np.equal(rv, 0.0)):
                 raise DomainError("division by zero")
             val = lv / rv
-            return val, (lt - val * rt) / rv
-        return _pow_dual(lv, lt, rv, rt) if seed else (_pow_value(lv, rv), 0.0)
+            if rt is None:
+                return val, None if lt is None else lt / rv
+            return val, (-(val * rt) if lt is None else lt - val * rt) / rv
+        if lt is None and rt is None:
+            return _pow_value(lv, rv), None
+        return _pow_dual(lv, lt, rv, rt)
     # Call
     uv, ut = _dual(e.arg, b, seed)
     fn = e.fn
@@ -359,38 +367,42 @@ def _dual(e: Expression, b: Bindings, seed: Optional[str]):
             sv = cv = math.nan  # as np.sin/np.cos; math.sin raises here
         else:
             sv, cv = math.sin(uv), math.cos(uv)
-        return (sv, cv * ut) if fn == "sin" else (cv, -sv * ut)
+        if fn == "sin":
+            return sv, None if ut is None else cv * ut
+        return cv, None if ut is None else -sv * ut
     if fn == "exp":
         ev = np.exp(uv) if _is_array(uv) else _exp_scalar(uv)
-        return ev, ev * ut
+        return ev, None if ut is None else ev * ut
     if fn == "log":
         if _any(np.less_equal(uv, 0.0)):
             raise DomainError("log of a non-positive value")
-        return (np.log(uv) if _is_array(uv) else math.log(uv)), ut / uv
+        return (np.log(uv) if _is_array(uv) else math.log(uv)), None if ut is None else ut / uv
     if fn == "sqrt":
         if _any(np.less(uv, 0.0)):
             raise DomainError("sqrt of a negative value")
-        if seed and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
+        if ut is not None and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
             raise NonDifferentiable("sqrt is not differentiable at 0")
         sv = np.sqrt(uv) if _is_array(uv) else math.sqrt(uv)
+        if ut is None:
+            return sv, None
         if _is_array(uv):
             tan = np.where(ut == 0.0, 0.0, ut / np.where(sv == 0.0, 1.0, 2.0 * sv))
         else:
             tan = 0.0 if ut == 0.0 or sv == 0.0 else ut / (2.0 * sv)
         return sv, tan
     if fn == "abs":
-        if seed and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
+        if ut is not None and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
             raise NonDifferentiable("abs is not differentiable at 0")
-        return np.abs(uv) if _is_array(uv) else abs(uv), np.sign(uv) * ut
+        return np.abs(uv) if _is_array(uv) else abs(uv), None if ut is None else np.sign(uv) * ut
     # tanh
     tv = np.tanh(uv) if _is_array(uv) else math.tanh(uv)
-    return tv, (1.0 - tv * tv) * ut
+    return tv, None if ut is None else (1.0 - tv * tv) * ut
 
 
 def _pow_dual(uv, ut, vv, vt):
     val = _pow_value(uv, vv)
     # exponent tangent term needs a positive base
-    if _any(np.not_equal(vt, 0.0)):
+    if vt is not None and _any(np.not_equal(vt, 0.0)):
         if _any(np.less_equal(uv, 0.0) & np.not_equal(vt, 0.0)):
             raise DomainError("d/dv of u^v needs u > 0")
         logs = np.log(uv) if _is_array(uv) else math.log(uv)
@@ -398,7 +410,7 @@ def _pow_dual(uv, ut, vv, vt):
     else:
         exp_term = 0.0
     # base tangent term: v * u^(v-1) * ut, skipped where the seed is absent
-    if _any(np.not_equal(ut, 0.0)):
+    if ut is not None and _any(np.not_equal(ut, 0.0)):
         if _any(np.equal(uv, 0.0) & np.less(vv, 1.0) & np.not_equal(ut, 0.0)):
             raise DomainError("u^v is not differentiable in u at u=0 for v < 1")
         base_pow = _pow_value(uv, vv - 1.0)
@@ -414,7 +426,8 @@ def value_and_partial(e: Expression, var: str, bindings: Bindings):
     """Evaluate the tree and its exact partial derivative with respect to var."""
     if var not in VARIABLES:
         raise UnboundVariable(var)
-    return _dual(e, bindings, var)
+    v, t = _dual(e, bindings, var)
+    return v, 0.0 if t is None else t
 
 
 def partial(e: Expression, var: str, bindings: Bindings) -> Value:

@@ -167,11 +167,6 @@ class ZPath:
         return P
 
 
-def lambda_at(zpath: ZPath, t):
-    """Integrating factor at time t (spline between nodes, exact at nodes)."""
-    return zpath.lambda_at(t)
-
-
 def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     """Integrate z and log-lambda over [a, b] along the given trajectory."""
     g = problem.grid
@@ -191,15 +186,11 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
         val, dz = expr.value_and_partial(L, "z", b)
         return float(val), -float(dz)
 
-    n_nodes = g.n + 1
-    z_nodes = np.empty(n_nodes)
-    mu_nodes = np.empty(n_nodes)
-    z = float(problem.gamma)
-    mu = 0.0
-    rec = {int(p): node for node, p in enumerate(P.node_pos)}
-    if 0 in rec:
-        z_nodes[rec[0]] = z
-        mu_nodes[rec[0]] = mu
+    # z and mu at every stop; the nodes are picked out at the end
+    zs = np.empty(k + 1)
+    mus = np.empty(k + 1)
+    z = zs[0] = float(problem.gamma)
+    mu = mus[0] = 0.0
     for i in range(k):
         h = hs[i]
         z1, m1 = stage(i, z)
@@ -210,14 +201,12 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
         mu = mu + h * (m1 + 2.0 * m2 + 2.0 * m3 + m4) / 6.0
         if not (isfinite(z) and isfinite(mu)):
             raise NonFinite(f"z integration produced a non-finite value at t={ts[2 * k + i]}")
-        node = rec.get(i + 1)
-        if node is not None:
-            z_nodes[node] = z
-            mu_nodes[node] = mu
-    lam = np.exp(mu_nodes)
+        zs[i + 1] = z
+        mus[i + 1] = mu
+    lam = np.exp(mus[P.node_pos])
     if not np.all(np.isfinite(lam)):
         raise NonFinite("integrating factor overflowed")
-    return ZPath(grid=g, z=z_nodes, lam=lam, panels=P)
+    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P)
 
 
 @dataclass
@@ -283,10 +272,6 @@ class VariationDirection:
             eta[exact] = self.main_values[idx[exact]]
         return eta, deta
 
-    def eval(self, t: float, side: str = "right"):
-        eta, deta = self.eval_many(np.array([float(t)]), side=side)
-        return float(eta[0]), float(deta[0])
-
 
 def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
                    wd: np.ndarray) -> np.ndarray:
@@ -326,7 +311,30 @@ def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
     return g
 
 
-class Panels:
+class Samples:
+    """The Lagrangian at a set of trajectory samples: L itself or one of its
+    partials, evaluated by name under the bindings on first use and kept on
+    the instance. The one place Lagrangian tables are filled; the panel
+    samples and the node tables of the condition checks are its two kinds."""
+
+    def __init__(self, lagrangian: expr.Expression, bind: dict):
+        self.lagrangian = lagrangian
+        self.bind = bind
+        self._tables: dict = {}
+
+    def table(self, name: str) -> np.ndarray:
+        """L itself (name "L") or its partial in name at the samples,
+        contiguous even where the expression is constant, so sums and dot
+        products over it round the same way whatever its shape."""
+        if name not in self._tables:
+            L, bind = self.lagrangian, self.bind
+            v = expr.evaluate(L, bind) if name == "L" else expr.partial(L, name, bind)
+            self._tables[name] = np.ascontiguousarray(np.broadcast_to(
+                np.asarray(v, dtype=float), bind["t"].shape))
+        return self._tables[name]
+
+
+class Panels(Samples):
     """Breakpoint-aligned Simpson panels of [a, b] sampled once along a
     trajectory: the one sampler behind the RK4 stages of integrate_z, the
     first variation, the solver gradient and the invariance defect. The
@@ -335,13 +343,11 @@ class Panels:
     Sample arrays are ordered panel lefts, then midpoints, then rights (k of
     each). Trajectory reads are one-sided: lefts and midpoints take the right
     limit, rights the left limit, and the delayed images follow the same
-    sides. Lagrangian values and partials are evaluated on first use and
-    kept on the instance.
+    sides.
     """
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory):
         g = problem.grid
-        self.lagrangian = problem.lagrangian
         self.traj = traj
         stops, self.node_pos = integration_stops(problem, traj)
         lefts, rights = stops[:-1], stops[1:]
@@ -358,24 +364,15 @@ class Panels:
                 self.times[sl], side=side, want_ddx=False)
             self.xtau[sl], self.dxtau[sl] = traj.eval_many(
                 self.delayed[sl], side=side, want_ddx=False)
-        self.bind = {"t": self.times, "x": self.x, "dx": self.dx,
-                     "xtau": self.xtau, "dxtau": self.dxtau}
+        super().__init__(problem.lagrangian, {
+            "t": self.times, "x": self.x, "dx": self.dx,
+            "xtau": self.xtau, "dxtau": self.dxtau})
         # delayed images that fall inside [a, b], where variation directions
         # and group generators live; rights take the left limit, so exactly
         # s - tau = a counts as outside there and a kink at s = a + tau never
         # leaks across its panel boundary
         self.inside = self.delayed >= g.a
         self.inside[2 * k:] = self.delayed[2 * k:] > g.a
-        self._tables: dict = {}
-
-    def table(self, name: str) -> np.ndarray:
-        """L itself (name "L") or its partial in name at the samples."""
-        if name not in self._tables:
-            L, bind = self.lagrangian, self.bind
-            v = expr.evaluate(L, bind) if name == "L" else expr.partial(L, name, bind)
-            self._tables[name] = np.broadcast_to(
-                np.asarray(v, dtype=float), self.times.shape)
-        return self._tables[name]
 
     def simpson(self, f: np.ndarray) -> np.ndarray:
         """Composite Simpson integral of sampled f over each panel."""

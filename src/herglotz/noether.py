@@ -79,17 +79,15 @@ class SymmetryGroup:
         likewise for xi: no numerical differencing of the generators.
         """
         bind = {"t": t, "x": x}
-        shape = np.shape(t)
 
         def level(e):
-            v = np.asarray(expr.evaluate(e, bind), dtype=float)
-            return np.broadcast_to(v, shape).copy() if shape else float(v)
+            return np.broadcast_to(np.asarray(expr.evaluate(e, bind), dtype=float),
+                                   t.shape).copy()
 
         def total(e):
             pt = np.asarray(expr.partial(e, "t", bind), dtype=float)
             px = np.asarray(expr.partial(e, "x", bind), dtype=float)
-            v = pt + px * np.asarray(dx)
-            return np.broadcast_to(v, shape).copy() if shape else float(v)
+            return np.broadcast_to(pt + px * dx, t.shape).copy()
 
         return level(self.sigma), level(self.xi), total(self.sigma), total(self.xi)
 
@@ -197,18 +195,19 @@ def quantity_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     """Raw Q1 and Q2 samples: Q1 over the nodes of [a, b-tau], Q2 over the
     nodes of [b-tau, b] (over all of [a, b] when tau = 0, where they collapse
     onto the same formula whenever L has no delayed-velocity dependence)."""
-    return _quantities(node_tables(problem, traj, zpath), group)
+    T = node_tables(problem, traj, zpath)
+    return _quantities(T, group.along(T.t, T.x, T.dx))
 
 
-def _quantities(T: NodeTables, group: SymmetryGroup):
+def _quantities(T: NodeTables, gens):
     m, n = T.grid.m, T.grid.n
     k1 = n - m
-    sig, xi, dsig, dxi = group.along(T.t, T.x, T.dx)
-    coeff = T.lam[: k1 + 1] * T.p[3][: k1 + 1] + T.lam[m:] * T.p[5][m:]
+    sig, xi, _, _ = gens
+    L, Ldx, Ldxt = T.table("L"), T.table("dx"), T.table("dxtau")
+    coeff = T.lam[: k1 + 1] * Ldx[: k1 + 1] + T.lam[m:] * Ldxt[m:]
     q1 = (coeff * xi[: k1 + 1]
-          + (T.lam[: k1 + 1] * T.L[: k1 + 1] - T.dx[: k1 + 1] * coeff) * sig[: k1 + 1])
-    q2 = T.lam[k1:] * (T.p[3][k1:] * xi[k1:]
-                       + (T.L[k1:] - T.dx[k1:] * T.p[3][k1:]) * sig[k1:])
+          + (T.lam[: k1 + 1] * L[: k1 + 1] - T.dx[: k1 + 1] * coeff) * sig[: k1 + 1])
+    q2 = T.lam[k1:] * (Ldx[k1:] * xi[k1:] + (L[k1:] - T.dx[k1:] * Ldx[k1:]) * sig[k1:])
     return T.t[: k1 + 1], q1, T.t[k1:], q2
 
 
@@ -217,11 +216,12 @@ def conserved_quantities(problem: HerglotzProblem, traj: Trajectory, zpath: ZPat
                          tol: float = TOLERANCES["drift"]) -> ConservationReport:
     """Conserved-quantity profiles with drift (max deviation from the mean)
     verdicts at the given tolerance."""
-    return _conservation(node_tables(problem, traj, zpath), group, tol)
+    T = node_tables(problem, traj, zpath)
+    return _conservation(T, group.along(T.t, T.x, T.dx), tol)
 
 
-def _conservation(T: NodeTables, group: SymmetryGroup, tol: float) -> ConservationReport:
-    t1, q1, t2, q2 = _quantities(T, group)
+def _conservation(T: NodeTables, gens, tol: float) -> ConservationReport:
+    t1, q1, t2, q2 = _quantities(T, gens)
     if T.grid.m == 0:
         return ConservationReport(profiles=(_profile(Q_LABEL, t1, q1, tol, T.traj),))
     return ConservationReport(profiles=(_profile(Q1_LABEL, t1, q1, tol, T.traj),
@@ -270,15 +270,16 @@ def check_noether(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     A single tol overrides all four tolerances uniformly (the CLI --tol path);
     otherwise each premise uses its own default. The node table behind the
     Euler-Lagrange, hypothesis and conserved-quantity samples is built once
-    and shared by all three.
+    and shared by all three, and so are the generators at the nodes.
     """
     if tol is not None:
         el_tol = hyp_tol = inv_tol = drift_tol = tol
     T = node_tables(problem, traj, zpath)
+    gens = group.along(T.t, T.x, T.dx)
     el1, el2 = _el_reports(T, el_tol)
-    h1, h2 = _hyp_reports(T, group, hyp_tol)
+    h1, h2 = _hyp_reports(T, gens, hyp_tol)
     inv = group_variation(problem, traj, zpath, group)
-    cons = _conservation(T, group, drift_tol)
+    cons = _conservation(T, gens, drift_tol)
     checks = [("EL-1", el1.passed), ("EL-2", el2.passed), ("H1", h1.passed)]
     if h2 is not None:
         checks.append(("H2", h2.passed))

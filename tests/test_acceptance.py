@@ -127,7 +127,7 @@ def test_criterion_7_reduction_identities():
     _, q1, _, _ = quantity_values(problem, traj, zpath, group)
     T = node_tables(problem, traj, zpath)
     sig, xi, _, _ = group.along(T.t, T.x, T.dx)
-    q2_formula = T.lam * (T.p[3] * xi + (T.L - T.dx * T.p[3]) * sig)
+    q2_formula = T.lam * (T.table("dx") * xi + (T.table("L") - T.dx * T.table("dx")) * sig)
     collapse = float(np.max(np.abs(q1 - q2_formula)))
 
     # z-free delayed problem: identity integrating factor, corollary formulas
@@ -142,11 +142,11 @@ def test_criterion_7_reduction_identities():
     T2 = node_tables(zfree, traj2, zp2)
     s2, x2, _, _ = grp.along(T2.t, T2.x, T2.dx)
     k1 = g.n - g.m
-    coeff = T2.p[3][: k1 + 1] + T2.p[5][g.m:]
+    coeff = T2.table("dx")[: k1 + 1] + T2.table("dxtau")[g.m:]
     direct1 = (coeff * x2[: k1 + 1]
-               + (T2.L[: k1 + 1] - T2.dx[: k1 + 1] * coeff) * s2[: k1 + 1])
-    direct2 = (T2.p[3][k1:] * x2[k1:]
-               + (T2.L[k1:] - T2.dx[k1:] * T2.p[3][k1:]) * s2[k1:])
+               + (T2.table("L")[: k1 + 1] - T2.dx[: k1 + 1] * coeff) * s2[: k1 + 1])
+    direct2 = (T2.table("dx")[k1:] * x2[k1:]
+               + (T2.table("L")[k1:] - T2.dx[k1:] * T2.table("dx")[k1:]) * s2[k1:])
     rng = np.random.default_rng(21)
     scale = max(1.0, float(np.max(np.abs(q1d))))
     idx1 = rng.integers(0, len(q1d), size=100)

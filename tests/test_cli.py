@@ -123,6 +123,23 @@ class TestExitCodes:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflow_without_z_integrates(self, tmp_path, capsys):
+        # exp(1000*dx) overflows along the line x = t, but the z-partial of
+        # this integrand is exactly 1
+        data = json.loads(bundle("classical-line").config_path.read_text())
+        data["lagrangian"] = "sqrt(exp(-exp(1000*dx))) + z"
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command", ["integrate", "solve"])
+    def test_tol_is_a_usage_error_where_nothing_is_checked(self, tmp_path, capsys,
+                                                          command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "classical-line", "--tol", "5", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_integrate_outputs(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 import herglotz as hg
+from herglotz import expr
 from herglotz.conditions import (
     dbr_residuals,
     el_residuals,
@@ -11,6 +13,7 @@ from herglotz.conditions import (
     weak_form_values,
 )
 from herglotz.integrate import integrate_z
+from herglotz.noether import check_noether
 from herglotz.trajectory import PiecewiseTrajectory, build_grid
 
 from conftest import build_bundle, build_paper, wavy_sampled
@@ -133,6 +136,47 @@ class TestHypotheses:
         np.testing.assert_allclose(auto[0].values, given[0].values, atol=1e-12)
 
 
+def node_walks(monkeypatch, problem):
+    """List that grows by one per evaluate or partial of the Lagrangian over
+    the n+1 nodes of [a, b]."""
+    walks = []
+    for name in ("evaluate", "partial"):
+        def counted(e, *args, original=getattr(expr, name)):
+            if e is problem.lagrangian and np.size(args[-1]["t"]) == problem.grid.n + 1:
+                walks.append(1)
+            return original(e, *args)
+        monkeypatch.setattr(expr, name, counted)
+    return walks
+
+
+class TestNodeTables:
+    @pytest.mark.parametrize("check, expected", [
+        ("el", 5), ("dbr", 4), ("hyp", 2), ("noether", 6)])
+    def test_each_check_walks_only_the_tables_it_reads(self, monkeypatch, paper400,
+                                                       check, expected):
+        problem, traj, group, zp = paper400
+        run = {"el": lambda: el_residuals(problem, traj, zp),
+               "dbr": lambda: dbr_residuals(problem, traj, zp),
+               "hyp": lambda: hypothesis_profiles(problem, traj, group, zp),
+               "noether": lambda: check_noether(problem, traj, zp, group)}[check]
+        walks = node_walks(monkeypatch, problem)
+        run()
+        assert len(walks) == expected
+
+    def test_hypotheses_read_the_trajectory_once(self, monkeypatch, paper400):
+        problem, traj, group, zp = paper400
+        reads = []
+        original = type(traj).eval_many
+
+        def counted(self, *args, **kwargs):
+            reads.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(traj), "eval_many", counted)
+        hypothesis_profiles(problem, traj, group=group, zpath=zp)
+        assert len(reads) == 1
+
+
 class TestReductions:
     def test_no_delay_reduces_to_single_interval_equation(self):
         # z-dependent Lagrangian so the integrating factor is not trivial
@@ -142,9 +186,9 @@ class TestReductions:
         T = node_tables(problem, traj, zp)
         h = problem.grid.h
         # directly coded no-delay equation: the x and velocity slots collapse
-        px = T.p[2] + T.p[4]
-        pdx = T.p[3] + T.p[5]
-        direct = T.lam * (px - oracle_ddt(pdx, h) + pdx * T.p[6])
+        px = T.table("x") + T.table("xtau")
+        pdx = T.table("dx") + T.table("dxtau")
+        direct = T.lam * (px - oracle_ddt(pdx, h) + pdx * T.table("z"))
         assert np.max(np.abs(r1.values - direct)) < 1e-10
 
     def test_z_free_lagrangian_collapses_factor_and_equations(self):
@@ -163,15 +207,15 @@ class TestReductions:
         shift5 = np.empty(k1 + 1)
         for j in range(k1 + 1):
             w0 = min(max(j + m - 2, m), n - 4)
-            shift5[j] = _ORACLE_ROWS[j + m - w0] @ T.p[5][w0:w0 + 5] / h
-        d3 = oracle_ddt(T.p[3][: k1 + 1], h)
-        direct1 = T.p[4][m:] - shift5 + T.p[2][: k1 + 1] - d3
+            shift5[j] = _ORACLE_ROWS[j + m - w0] @ T.table("dxtau")[w0:w0 + 5] / h
+        d3 = oracle_ddt(T.table("dx")[: k1 + 1], h)
+        direct1 = T.table("xtau")[m:] - shift5 + T.table("x")[: k1 + 1] - d3
         assert np.max(np.abs(r1.values - direct1)) < 1e-10
         d3b = np.empty(m + 1)
         for j in range(m + 1):
             w0 = min(max(k1 + j - 2, k1), n - 4)
-            d3b[j] = _ORACLE_ROWS[k1 + j - w0] @ T.p[3][w0:w0 + 5] / h
-        direct2 = T.p[2][k1:] - d3b
+            d3b[j] = _ORACLE_ROWS[k1 + j - w0] @ T.table("dx")[w0:w0 + 5] / h
+        direct2 = T.table("x")[k1:] - d3b
         assert np.max(np.abs(r2.values - direct2)) < 1e-10
 
 
@@ -226,7 +270,7 @@ class TestWeakStrongConsistency:
         def shifted(name):
             # lambda(t+tau) * dL(name) at t+tau; nodes by index shift,
             # mids by direct evaluation left of the seam only
-            psn = T.p[5] if name == "dxtau" else T.p[4]
+            psn = T.table("dxtau") if name == "dxtau" else T.table("xtau")
             shn = np.zeros_like(tmain)
             shn[: k1 + 1] = T.lam[g.m:] * psn[g.m:]
             shm = np.zeros_like(mids)

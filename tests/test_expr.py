@@ -245,6 +245,20 @@ class TestPartial:
     def test_partial_of_unseeded_variable_is_zero(self):
         assert partial(parse("x^2"), "z", {"x": 3.0, "z": 1.0}) == 0.0
 
+    @pytest.mark.parametrize("text, expected", [
+        ("sqrt(exp(-exp(1000*dx))) + z", 1.0),
+        ("exp(-exp(1000*dx))^0.5 + z", 1.0),
+        ("exp(-exp(1000*dx)) * z", 0.0),
+    ])
+    def test_overflow_without_the_seed_leaves_the_partial_exact(self, text, expected):
+        # exp(1000) overflows to inf in a subtree without z; its tangent is an
+        # exact zero, never 0 * inf = NaN, so no kink or power check fires
+        e = parse(text)
+        assert partial(e, "z", {"dx": 1.0, "z": 0.0}) == expected
+        with np.errstate(over="ignore"):
+            arr = partial(e, "z", {"dx": np.ones(3), "z": np.zeros(3)})
+        np.testing.assert_array_equal(np.broadcast_to(arr, (3,)), expected)
+
     def test_quotient_rule(self):
         e = parse("x / (1 + x^2)")
         x = 0.7

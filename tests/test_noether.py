@@ -101,7 +101,7 @@ class TestConservedQuantities:
         t1, q1, _, _ = quantity_values(problem, traj, zp, group)
         T = node_tables(problem, traj, zp)
         sig, xi, _, _ = group.along(T.t, T.x, T.dx)
-        q2_formula = T.lam * (T.p[3] * xi + (T.L - T.dx * T.p[3]) * sig)
+        q2_formula = T.lam * (T.table("dx") * xi + (T.table("L") - T.dx * T.table("dx")) * sig)
         assert np.max(np.abs(q1 - q2_formula)) <= 1e-12 * max(1.0, np.max(np.abs(q1)))
 
     def test_z_free_collapse_to_unweighted_quantities(self):
@@ -118,11 +118,11 @@ class TestConservedQuantities:
         k1 = g.n - g.m
         rng = np.random.default_rng(9)
         sig, xi, _, _ = group.along(T.t, T.x, T.dx)
-        coeff = T.p[3][: k1 + 1] + T.p[5][g.m:]
+        coeff = T.table("dx")[: k1 + 1] + T.table("dxtau")[g.m:]
         direct1 = (coeff * xi[: k1 + 1]
-                   + (T.L[: k1 + 1] - T.dx[: k1 + 1] * coeff) * sig[: k1 + 1])
-        direct2 = (T.p[3][k1:] * xi[k1:]
-                   + (T.L[k1:] - T.dx[k1:] * T.p[3][k1:]) * sig[k1:])
+                   + (T.table("L")[: k1 + 1] - T.dx[: k1 + 1] * coeff) * sig[: k1 + 1])
+        direct2 = (T.table("dx")[k1:] * xi[k1:]
+                   + (T.table("L")[k1:] - T.dx[k1:] * T.table("dx")[k1:]) * sig[k1:])
         scale = max(1.0, np.max(np.abs(q1)))
         for idx in rng.integers(0, k1 + 1, size=100):
             assert abs(q1[idx] - direct1[idx]) <= 1e-12 * scale
