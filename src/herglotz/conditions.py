@@ -101,24 +101,29 @@ class NodeTables(Samples):
     """L and its partials along the trajectory at the nodes of [a, b], filled
     in by name on first use, with the reads, z and lambda feeding them: all a
     node-sampled check needs, built once per check. The trajectory is read
-    once, at every grid node with x''; tau is m steps, so the delayed reads
-    at the nodes of [a, b] are the reads at the first n+1 nodes."""
+    once, at every grid node; tau is m steps, so the delayed reads at the
+    nodes of [a, b] are the reads at the first n+1 nodes. x'' is read only
+    for a check of H1, which asks for it with want_ddx (else ddxtau is None)."""
 
-    def __init__(self, problem: HerglotzProblem, traj: Trajectory, zpath: ZPath):
+    def __init__(self, problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
+                 want_ddx: bool = False):
         g = self.grid = problem.grid
         self.traj = traj
-        x, dx, ddx = traj.eval_many(g.nodes, side="right", want_ddx=True)
+        reads = traj.eval_many(g.nodes, side="right", want_ddx=want_ddx)
+        x, dx = reads[:2]
         self.t, self.x, self.dx = g.main_nodes, x[g.m:], dx[g.m:]
-        self.xtau, self.dxtau, self.ddxtau = x[: g.n + 1], dx[: g.n + 1], ddx[: g.n + 1]
+        self.xtau, self.dxtau = x[: g.n + 1], dx[: g.n + 1]
+        self.ddxtau = reads[2][: g.n + 1] if want_ddx else None
         self.z, self.lam = zpath.z, zpath.lam
         super().__init__(problem.lagrangian, {
             "t": self.t, "x": self.x, "dx": self.dx,
             "xtau": self.xtau, "dxtau": self.dxtau, "z": self.z})
 
 
-def node_tables(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath) -> NodeTables:
+def node_tables(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
+                want_ddx: bool = False) -> NodeTables:
     """The node table of one check: the one call each check makes."""
-    return NodeTables(problem, traj, zpath)
+    return NodeTables(problem, traj, zpath, want_ddx)
 
 
 def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
@@ -185,7 +190,7 @@ def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, group=None,
     """
     if zpath is None:
         zpath = integrate_z(problem, traj)
-    T = node_tables(problem, traj, zpath)
+    T = node_tables(problem, traj, zpath, want_ddx=True)
     return _hyp_reports(T, None if group is None else group.along(T.t, T.x, T.dx), tol)
 
 

@@ -274,7 +274,7 @@ def check_noether(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     """
     if tol is not None:
         el_tol = hyp_tol = inv_tol = drift_tol = tol
-    T = node_tables(problem, traj, zpath)
+    T = node_tables(problem, traj, zpath, want_ddx=True)
     gens = group.along(T.t, T.x, T.dx)
     el1, el2 = _el_reports(T, el_tol)
     h1, h2 = _hyp_reports(T, gens, hyp_tol)

@@ -9,7 +9,7 @@ the analytic gradient and the central-difference oracle agree to quadrature
 precision.
 
 The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
-steps decrease the working objective monotonically, a trial point whose
+steps decrease the working objective strictly, a trial point whose
 integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (integrate.spline_adjoint): a
@@ -199,7 +199,8 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
                 f_new, traj_new, zpath_new = objective(trial)
             except (NonFinite, DomainError):
                 f_new = np.inf  # overflow or a trip outside the real domain: reject
-            if f_new <= f + opts.armijo_c * step * dg:
+            # f_new < f: an Armijo term that rounds away must not pass an unchanged f
+            if f_new < f and f_new <= f + opts.armijo_c * step * dg:
                 accepted = (trial, f_new, traj_new, zpath_new)
                 break
             step *= opts.shrink

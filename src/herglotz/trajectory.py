@@ -13,8 +13,9 @@ Two backends:
   corner and bias every downstream quantity at O(h).
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
-  derivative comes from a 5-point stencil of the exact first derivative with
-  step h/16 clamped inside the piece.
+  derivative applies the 5-point rows of fdiff to the exact first derivative
+  at step h/16 (a fifth of the piece if that is shorter), with the read time
+  itself as window point p = 0..4, chosen so the window stays in the piece.
 
 At a breakpoint, evaluation uses the right limit; quadrature internals may
 ask for the left limit via side="left". Trajectories are immutable; perturb
@@ -39,10 +40,8 @@ from .errors import (
     InvalidTrajectory,
     OutOfDomain,
 )
-from .fdiff import fornberg_weights
+from .fdiff import ROWS
 from .reportio import csv_text
-
-_STENCIL5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,19 @@ class PiecewiseTrajectory:
             x[mask] = xv
             dx[mask] = dv
             if want_ddx:
-                s = self.grid.h / 16.0
-                base = np.minimum(np.maximum(tm - 2 * s, t0), t1 - 4 * s)
-                pts = base[:, None] + s * np.arange(5)[None, :]
+                # a window of 4s fits at every point of a piece of length >= 5s;
+                # reads in the domain slack past an end clip to the end row
+                s = min(self.grid.h / 16.0, (t1 - t0) / 5.0)
+                p = np.minimum(2, np.floor((tm - t0) / s))
+                p = np.clip(np.maximum(p, 4 - np.floor((t1 - tm) / s)), 0, 4).astype(int)
+                pts = (tm - p * s)[:, None] + s * np.arange(5)[None, :]
                 dmat = np.broadcast_to(np.asarray(
                     expr.partial(e, "t", {"t": pts.ravel()}), dtype=float),
                     pts.size).reshape(pts.shape)
-                out = dmat @ _STENCIL5 / s
-                off = np.abs(pts[:, 2] - tm) > 1e-12 * np.maximum(1.0, np.abs(tm))
-                for k in np.nonzero(off)[0]:
-                    out[k] = fornberg_weights(pts[k], tm[k], 1) @ dmat[k]
+                out = np.empty(len(tm))
+                for k in np.unique(p):
+                    at = p == k
+                    out[at] = dmat[at] @ ROWS[5][k] / s
                 ddx[mask] = out
         return (x, dx, ddx) if want_ddx else (x, dx)
 

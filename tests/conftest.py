@@ -60,3 +60,20 @@ def node_table_calls(monkeypatch):
         if name.startswith("herglotz") and getattr(module, "node_tables", None) is original:
             monkeypatch.setattr(module, "node_tables", counted)
     return calls
+
+
+@pytest.fixture
+def trajectory_reads(monkeypatch):
+    """Called with a trajectory class, returns a list that grows by the
+    want_ddx of each later eval_many call on that class."""
+    def watch(cls):
+        reads = []
+        original = cls.eval_many
+
+        def recorded(self, ts, side="right", want_ddx=True):
+            reads.append(want_ddx)
+            return original(self, ts, side=side, want_ddx=want_ddx)
+
+        monkeypatch.setattr(cls, "eval_many", recorded)
+        return reads
+    return watch

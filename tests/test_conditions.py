@@ -163,18 +163,18 @@ class TestNodeTables:
         run()
         assert len(walks) == expected
 
-    def test_hypotheses_read_the_trajectory_once(self, monkeypatch, paper400):
+    def test_hypotheses_read_the_trajectory_once(self, trajectory_reads, paper400):
         problem, traj, group, zp = paper400
-        reads = []
-        original = type(traj).eval_many
-
-        def counted(self, *args, **kwargs):
-            reads.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(type(traj), "eval_many", counted)
+        reads = trajectory_reads(type(traj))
         hypothesis_profiles(problem, traj, group=group, zpath=zp)
         assert len(reads) == 1
+
+    def test_residual_checks_read_no_second_derivative(self, trajectory_reads, paper400):
+        problem, traj, _, zp = paper400
+        reads = trajectory_reads(type(traj))
+        el_residuals(problem, traj, zp)
+        dbr_residuals(problem, traj, zp)
+        assert reads == [False, False]
 
 
 class TestReductions:

@@ -176,6 +176,17 @@ class TestSolveDirect:
         assert not result.converged
         assert result.iterations == 0
 
+    def test_stagnation_ends_the_line_search(self):
+        # an unreachable tolerance: once f stops changing, no trial decreases
+        # it strictly, so the solve stops instead of running to the cap
+        problem, _, _, opts = build_bundle("classical-line", n=20)
+        result = solve_direct(problem, SolveOptions(grad_tol=1e-300,
+                                                    seed_guess=opts.seed_guess))
+        assert result.stop_reason == "line_search_failed"
+        assert result.iterations < 1000
+        assert all(b < a for a, b in zip(result.objective_history,
+                                         result.objective_history[1:]))
+
     def test_weak_residual_small_at_convergence(self):
         from herglotz.conditions import el_residuals, weak_form_values
 

@@ -90,6 +90,18 @@ class TestPiecewise:
             assert dx == pytest.approx(3 * t * t, abs=1e-12)
             assert ddx == pytest.approx(6 * t, abs=1e-9)
 
+    def test_second_derivative_at_piece_ends(self):
+        # x' = 5t^4 is quartic, so the 5-point rows are exact up to round-off;
+        # the first piece is 0.3h long, shorter than the 5h/16 of a full window
+        g = build_grid(0.0, 1.0, 0.0, 10)
+        traj = PiecewiseTrajectory(g, [(0.0, 0.03, "t^5"), (0.03, 1.0, "t^5")])
+        slack = 5e-10   # inside the domain slack 1e-9 (b - a)
+        for t, side in ((-slack, "right"), (0.0, "right"), (0.015, "right"),
+                        (0.03, "left"), (0.03, "right"), (0.5, "right"),
+                        (1.0, "right"), (1.0 + slack, "right")):
+            _, _, ddx = traj.eval_many(np.array([t]), side=side)
+            assert ddx[0] == pytest.approx(20 * t ** 3, abs=1e-9)
+
     def test_gap_detected(self):
         g = build_grid(0.0, 1.0, 0.0, 4)
         with pytest.raises(errors.InvalidTrajectory):
