@@ -291,12 +291,17 @@ def _lookup(b: Bindings, name: str) -> Value:
 
 
 def _pow_value(u: Value, v: Value) -> Value:
-    if _any(np.equal(u, 0.0) & np.less(v, 0.0)):
-        raise DomainError("zero raised to a negative power")
-    if _any(np.less(u, 0.0) & np.not_equal(v, np.round(v))):
-        raise DomainError("negative base with a fractional exponent")
     if _is_array(u) or _is_array(v):
+        if np.any(np.equal(u, 0.0) & np.less(v, 0.0)):
+            raise DomainError("zero raised to a negative power")
+        if np.any(np.less(u, 0.0) & np.not_equal(v, np.round(v))):
+            raise DomainError("negative base with a fractional exponent")
         return np.power(u, v)
+    # the same tests on plain floats: np.round(inf) == inf, nan is no integer
+    if u == 0.0 and v < 0.0:
+        raise DomainError("zero raised to a negative power")
+    if u < 0.0 and not (math.isinf(v) or float(v).is_integer()):
+        raise DomainError("negative base with a fractional exponent")
     try:
         return float(u) ** float(v)
     except OverflowError:

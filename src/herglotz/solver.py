@@ -14,6 +14,15 @@ integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (integrate.spline_adjoint): a
 scatter of the Simpson-weighted partials plus one banded solve, O(n) per call.
+
+The two-loop recursion is seeded with the H1 (Sobolev) metric:
+H0 = gamma K^-1 with K = tridiag(-1, 2, -1)/h on the free nodes
+(Neuberger, Sobolev Gradients and Differential Equations, LNM 1670; Nocedal &
+Wright, Numerical Optimization, sec. 7.2). The Hessian of z(b) in the node
+values scales like K, so the iteration count does not grow with n. Before the
+first curvature pair the direction is -K^-1 g scaled to inf-norm at most 1,
+so a unit first step is bounded whatever the scale of z. The stop test is the
+raw gradient inf-norm against grad_tol.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import BadInterval, DomainError, NonFinite
 from .integrate import ZPath, integrate_z, spline_adjoint
@@ -130,15 +140,31 @@ def fd_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     return g
 
 
-def _two_loop(grad, s_list, y_list):
+def _h1_inverse(count: int, h: float):
+    """v -> K^-1 v for K = tridiag(-1, 2, -1)/h on the free nodes, with
+    Dirichlet ends (a, b and the history are pinned): one banded solve, O(n)."""
+    band = np.empty((3, count))
+    band[0] = band[2] = -1.0 / h
+    band[1] = 2.0 / h
+    return lambda v: solve_banded((1, 1), band, v, check_finite=False)
+
+
+def _two_loop(grad, s_list, y_list, kinv):
+    """H grad for the L-BFGS inverse Hessian H built from the (s, y) pairs on
+    top of H0 = gamma K^-1, gamma = s'y / y'K^-1 y of the newest pair. With no
+    pairs it is K^-1 grad, shrunk to inf-norm at most 1."""
     q = grad.copy()
     alphas = []
     for s, y in zip(reversed(s_list), reversed(y_list)):
         a = (s @ q) / (y @ s)
         alphas.append(a)
         q -= a * y
+    q = kinv(q)
     if s_list:
-        q *= (s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1])
+        y = y_list[-1]
+        q *= (s_list[-1] @ y) / (y @ kinv(y))
+    else:
+        q /= max(1.0, float(np.max(np.abs(q))))
     for (s, y), a in zip(zip(s_list, y_list), reversed(alphas)):
         b = (y @ q) / (y @ s)
         q += (a - b) * s
@@ -158,6 +184,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
     g = problem.grid
     free = np.fromiter(g.free_indices, dtype=int)
     sign = -1.0 if problem.sense == "maximize" else 1.0
+    kinv = _h1_inverse(len(free), g.h)
 
     def build(xfree: np.ndarray) -> SampledTrajectory:
         values = base.values.copy()
@@ -185,12 +212,11 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         if gnorm <= opts.grad_tol:
             stop_reason = "converged"
             break
-        d = _two_loop(grad, s_list, y_list)
-        d = -d
+        d = -_two_loop(grad, s_list, y_list, kinv)
         dg = float(d @ grad)
-        if dg >= 0.0:
-            d = -grad
-            dg = -float(grad @ grad)
+        if dg >= 0.0:  # round-off cost the pairs their descent: step without them
+            d = -_two_loop(grad, [], [], kinv)
+            dg = float(d @ grad)
         step = opts.initial_step
         accepted = None
         for _ in range(_MAX_BACKTRACKS):

@@ -162,6 +162,32 @@ class TestEvaluate:
                 scalar = evaluate(e, {"t": ts[i], "x": xs[i], "z": zs[i]})
                 assert vec[i] == pytest.approx(scalar, abs=0.0, rel=1e-15, nan_ok=True)
 
+    # exponent from z; exp(z) with z = 1000 is inf, and inf - inf is nan
+    @pytest.mark.parametrize("x, exponent, z", [
+        (0.0, "z", -2.0), (-0.0, "z", -1.0), (0.0, "z", 0.0), (-0.0, "z", 0.5),
+        (-2.0, "z", 0.5), (-2.0, "z", 3.0), (-2.0, "z", -3.0), (10.0, "z", 400.0),
+        (-10.0, "z", 401.0), (-2.0, "exp(z)", 1000.0), (-0.5, "exp(z)", 1000.0),
+        (-2.0, "-exp(z)", 1000.0), (0.0, "exp(z)", 1000.0), (0.0, "-exp(z)", 1000.0),
+        (-2.0, "exp(z) - exp(z)", 1000.0), (2.0, "exp(z) - exp(z)", 1000.0),
+        (0.0, "exp(z) - exp(z)", 1000.0), (1.0, "exp(z) - exp(z)", 1000.0),
+    ])
+    def test_power_domain_same_for_scalars_and_arrays(self, x, exponent, z):
+        e = parse(f"x^({exponent})")
+
+        def outcome(bindings):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return float(np.squeeze(evaluate(e, bindings)))
+            except errors.DomainError as err:
+                return str(err)
+
+        scalar = outcome({"x": x, "z": z})
+        vector = outcome({"x": np.array([x]), "z": np.array([z])})
+        if isinstance(scalar, float) and math.isnan(scalar):
+            assert math.isnan(vector)
+        else:
+            assert scalar == vector
+
     @pytest.mark.parametrize("size", [None, 9])
     def test_value_is_the_value_half_of_every_partial(self, size):
         rng = np.random.default_rng(13)

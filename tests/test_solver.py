@@ -14,6 +14,15 @@ from conftest import build_bundle, build_paper, wavy_sampled
 E = math.e
 
 
+def _bumped_exp_problem():
+    """Convex L = exp(10*dx^2) from 0 to 2 on n=40, with the straight line
+    bumped by 0.2*sin(pi*t) as an explicit seed (z = 7.0e28 there)."""
+    g = build_grid(0.0, 1.0, 0.0, 40)
+    problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=2.0, history="0",
+                                 lagrangian="exp(10*dx^2)")
+    return problem, 2.0 * g.nodes + 0.2 * np.sin(np.pi * g.nodes)
+
+
 class TestGradients:
     def test_zero_lagrangian_gives_zero_gradient(self):
         g = build_grid(0.0, 2.0, 1.0, 12)
@@ -204,17 +213,51 @@ class TestSolveDirect:
         with pytest.raises(errors.NonFinite, match="iteration"):
             solve_direct(problem, SolveOptions(seed_guess="linear"))
 
-    def test_overflowing_trial_is_a_rejected_step(self):
-        # the first full L-BFGS step overflows exp(10*dx^2); backtracking
+    def test_overflowing_trial_is_a_rejected_step(self, monkeypatch):
+        # from the bumped seed some trial overflows exp(10*dx^2); backtracking
         # must shrink past it instead of aborting the solve
-        g = build_grid(0.0, 1.0, 0.0, 40)
-        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=2.0, history="0",
-                                     lagrangian="exp(10*dx^2)")
-        seed_z = integrate_z(problem, hg.seed_trajectory(problem, "linear")).z_b
-        result = solve_direct(problem, SolveOptions(max_iters=5))
+        from herglotz import solver
+
+        problem, seed = _bumped_exp_problem()
+        seed_z = integrate_z(problem, hg.SampledTrajectory(problem.grid, seed)).z_b
+        overflows = []
+
+        def counted(*args, **kwargs):
+            try:
+                return integrate_z(*args, **kwargs)
+            except errors.NonFinite:
+                overflows.append(1)
+                raise
+
+        monkeypatch.setattr(solver, "integrate_z", counted)
+        result = solve_direct(problem, SolveOptions(max_iters=5, seed_guess=seed))
+        assert overflows
         assert math.isfinite(result.z_b)
         assert result.z_b <= seed_z
         assert result.iterations == 5
+
+    def test_first_step_is_scaled(self):
+        # z = 7e28 at the seed: a unit step along the raw direction overflows
+        # for every one of the sixty halvings; the scaled first step reaches
+        # the straight line, whose z = e^40 is the minimum
+        problem, seed = _bumped_exp_problem()
+        result = solve_direct(problem, SolveOptions(seed_guess=seed))
+        assert result.iterations > 0
+        assert abs(result.z_b - math.exp(40.0)) <= 1e-6 * math.exp(40.0)
+
+    def test_iterations_do_not_grow_with_n(self):
+        from herglotz.conditions import el_residuals
+
+        iterations = []
+        for n in (100, 400, 2000):
+            problem, _, _, opts = build_bundle("paper-s4", n=n)
+            result = solve_direct(problem, opts)
+            assert result.converged
+            iterations.append(result.iterations)
+        assert max(iterations) - min(iterations) <= 5
+        el1, el2 = el_residuals(problem, result.trajectory,
+                                integrate_z(problem, result.trajectory))
+        assert el1.passed and el2.passed
 
     def test_option_validation(self):
         with pytest.raises(errors.BadInterval):
