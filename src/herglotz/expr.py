@@ -17,7 +17,17 @@ pair) evaluation seeded on one variable gives a partial exact to machine
 precision, never a finite difference, and a plain evaluation is the value
 half of the same walk with no seed. Evaluation accepts floats or same-shaped
 numpy arrays and is pure; parsed trees are immutable, so concurrent use is
-safe. Scalar and array evaluation agree, sin and cos of inf included (NaN).
+safe. Scalar and array evaluation raise the same domain errors and agree in
+value, sin and cos of inf included (NaN), up to the last bit of ^ and the
+functions, where numpy's loops and libm may round apart.
+
+A loop that changes one variable only, such as the RK4 stages in z, splits
+the tree once with hoist: every maximal subtree free of that variable is
+evaluated over the array bindings and becomes a Col leaf of per-sample
+values, so each pass walks only the paths to the variable. The hoisted
+values keep the float kernels (^ and the functions run through math sample
+by sample), so the split walk returns bit for bit what the whole walk
+returns on floats.
 """
 
 from __future__ import annotations
@@ -72,7 +82,17 @@ class Call:
     arg: "Expression"
 
 
-Expression = Union[Num, Var, Neg, Bin, Call]
+@dataclass(frozen=True, eq=False)
+class Col:
+    """A hoisted subtree (see hoist): its value at each sample, read at the
+    sample index bound under SAMPLE."""
+    values: list
+
+
+Expression = Union[Num, Var, Neg, Bin, Call, Col]
+
+# binding key of the sample index that Col leaves read
+SAMPLE = "sample"
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +310,34 @@ def _lookup(b: Bindings, name: str) -> Value:
     return v
 
 
-def _pow_value(u: Value, v: Value) -> Value:
-    if _is_array(u) or _is_array(v):
-        if np.any(np.equal(u, 0.0) & np.less(v, 0.0)):
-            raise DomainError("zero raised to a negative power")
-        if np.any(np.less(u, 0.0) & np.not_equal(v, np.round(v))):
-            raise DomainError("negative base with a fractional exponent")
-        return np.power(u, v)
-    # the same tests on plain floats: np.round(inf) == inf, nan is no integer
-    if u == 0.0 and v < 0.0:
-        raise DomainError("zero raised to a negative power")
-    if u < 0.0 and not (math.isinf(v) or float(v).is_integer()):
-        raise DomainError("negative base with a fractional exponent")
+class _Libm(np.ndarray):
+    """Samples whose ^ and functions run through the float kernels one sample
+    at a time, so every value has the bits the float walk gives it (numpy's
+    SIMD power and transcendental loops round differently from libm). +, -,
+    * and / round alike either way and stay whole-array."""
+
+
+def _by_sample(kernel, *args) -> _Libm:
+    cols = (a.tolist() for a in np.broadcast_arrays(*args))
+    return np.array(list(map(kernel, *cols)), dtype=float).view(_Libm)
+
+
+def _sin(u: float) -> float:
+    return math.nan if math.isinf(u) else math.sin(u)  # as np.sin; math.sin raises
+
+
+def _cos(u: float) -> float:
+    return math.nan if math.isinf(u) else math.cos(u)
+
+
+def _exp(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
+def _pow(u: float, v: float) -> float:
     try:
         return float(u) ** float(v)
     except OverflowError:
@@ -310,11 +346,37 @@ def _pow_value(u: Value, v: Value) -> Value:
             return float(np.power(np.float64(u), np.float64(v)))
 
 
-def _exp_scalar(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+_FLOAT_KERNELS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": math.log,
+                  "sqrt": math.sqrt, "abs": abs, "tanh": math.tanh}
+_ARRAY_KERNELS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+                  "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh}
+
+
+def _apply(fn: str, u: Value) -> Value:
+    """The function fn at u, after its domain check has run: math on a float,
+    numpy on an array, math sample by sample on a _Libm column."""
+    if not _is_array(u):
+        return _FLOAT_KERNELS[fn](u)
+    if type(u) is _Libm:
+        return _by_sample(_FLOAT_KERNELS[fn], u)
+    return _ARRAY_KERNELS[fn](u)
+
+
+def _pow_value(u: Value, v: Value) -> Value:
+    if _is_array(u) or _is_array(v):
+        if np.any(np.equal(u, 0.0) & np.less(v, 0.0)):
+            raise DomainError("zero raised to a negative power")
+        if np.any(np.less(u, 0.0) & np.not_equal(v, np.round(v))):
+            raise DomainError("negative base with a fractional exponent")
+        if type(u) is _Libm or type(v) is _Libm:
+            return _by_sample(_pow, u, v)
+        return np.power(u, v)
+    # the same tests on plain floats: np.round(inf) == inf, nan is no integer
+    if u == 0.0 and v < 0.0:
+        raise DomainError("zero raised to a negative power")
+    if u < 0.0 and not (math.isinf(v) or float(v).is_integer()):
+        raise DomainError("negative base with a fractional exponent")
+    return _pow(u, v)
 
 
 def evaluate(e: Expression, bindings: Bindings) -> Value:
@@ -326,7 +388,8 @@ def evaluate(e: Expression, bindings: Bindings) -> Value:
 # the seed has tangent None, an exact zero that is never multiplied, so an
 # overflow there (0 * inf) cannot turn a partial NaN; the tangent-only checks
 # of "^", sqrt and abs run only on a real tangent. Unseeded, every tangent is
-# None and evaluate raises exactly what values raise.
+# None and evaluate raises exactly what values raise. Domain checks compare
+# with plain operators, which serve floats and arrays alike.
 
 def _dual(e: Expression, b: Bindings, seed: Optional[str]):
     kind = type(e)
@@ -337,6 +400,8 @@ def _dual(e: Expression, b: Bindings, seed: Optional[str]):
         if e.name != seed:
             return v, None
         return v, (np.ones_like(v) if _is_array(v) else 1.0)
+    if kind is Col:
+        return e.values[b[SAMPLE]], None
     if kind is Neg:
         v, t = _dual(e.operand, b, seed)
         return -v, (None if t is None else -t)
@@ -353,7 +418,7 @@ def _dual(e: Expression, b: Bindings, seed: Optional[str]):
                 return lv * rv, None if rt is None else lv * rt
             return lv * rv, lt * rv if rt is None else lt * rv + lv * rt
         if op == "/":
-            if _any(np.equal(rv, 0.0)):
+            if _any(rv == 0.0):
                 raise DomainError("division by zero")
             val = lv / rv
             if rt is None:
@@ -365,66 +430,88 @@ def _dual(e: Expression, b: Bindings, seed: Optional[str]):
     # Call
     uv, ut = _dual(e.arg, b, seed)
     fn = e.fn
-    if fn in ("sin", "cos"):
-        if _is_array(uv):
-            sv, cv = np.sin(uv), np.cos(uv)
-        elif math.isinf(uv):
-            sv = cv = math.nan  # as np.sin/np.cos; math.sin raises here
-        else:
-            sv, cv = math.sin(uv), math.cos(uv)
-        if fn == "sin":
-            return sv, None if ut is None else cv * ut
-        return cv, None if ut is None else -sv * ut
+    if fn == "log" and _any(uv <= 0.0):
+        raise DomainError("log of a non-positive value")
+    if fn == "sqrt" and _any(uv < 0.0):
+        raise DomainError("sqrt of a negative value")
+    if ut is not None and fn in ("sqrt", "abs") and _any((uv == 0.0) & (ut != 0.0)):
+        raise NonDifferentiable(f"{fn} is not differentiable at 0")
+    val = _apply(fn, uv)
+    if ut is None:
+        return val, None
+    if fn == "sin":
+        return val, _apply("cos", uv) * ut
+    if fn == "cos":
+        return val, -_apply("sin", uv) * ut
     if fn == "exp":
-        ev = np.exp(uv) if _is_array(uv) else _exp_scalar(uv)
-        return ev, None if ut is None else ev * ut
+        return val, val * ut
     if fn == "log":
-        if _any(np.less_equal(uv, 0.0)):
-            raise DomainError("log of a non-positive value")
-        return (np.log(uv) if _is_array(uv) else math.log(uv)), None if ut is None else ut / uv
-    if fn == "sqrt":
-        if _any(np.less(uv, 0.0)):
-            raise DomainError("sqrt of a negative value")
-        if ut is not None and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
-            raise NonDifferentiable("sqrt is not differentiable at 0")
-        sv = np.sqrt(uv) if _is_array(uv) else math.sqrt(uv)
-        if ut is None:
-            return sv, None
-        if _is_array(uv):
-            tan = np.where(ut == 0.0, 0.0, ut / np.where(sv == 0.0, 1.0, 2.0 * sv))
-        else:
-            tan = 0.0 if ut == 0.0 or sv == 0.0 else ut / (2.0 * sv)
-        return sv, tan
+        return val, ut / uv
     if fn == "abs":
-        if ut is not None and _any(np.equal(uv, 0.0) & np.not_equal(ut, 0.0)):
-            raise NonDifferentiable("abs is not differentiable at 0")
-        return np.abs(uv) if _is_array(uv) else abs(uv), None if ut is None else np.sign(uv) * ut
-    # tanh
-    tv = np.tanh(uv) if _is_array(uv) else math.tanh(uv)
-    return tv, None if ut is None else (1.0 - tv * tv) * ut
+        return val, np.sign(uv) * ut
+    if fn == "tanh":
+        return val, (1.0 - val * val) * ut
+    # sqrt: zero where the tangent is, the kink included
+    if _is_array(uv):
+        return val, np.where(ut == 0.0, 0.0, ut / np.where(val == 0.0, 1.0, 2.0 * val))
+    return val, 0.0 if ut == 0.0 or val == 0.0 else ut / (2.0 * val)
 
 
 def _pow_dual(uv, ut, vv, vt):
     val = _pow_value(uv, vv)
     # exponent tangent term needs a positive base
-    if vt is not None and _any(np.not_equal(vt, 0.0)):
-        if _any(np.less_equal(uv, 0.0) & np.not_equal(vt, 0.0)):
+    if vt is not None and _any(vt != 0.0):
+        if _any((uv <= 0.0) & (vt != 0.0)):
             raise DomainError("d/dv of u^v needs u > 0")
-        logs = np.log(uv) if _is_array(uv) else math.log(uv)
-        exp_term = val * logs * vt
+        exp_term = val * _apply("log", uv) * vt
     else:
         exp_term = 0.0
     # base tangent term: v * u^(v-1) * ut, skipped where the seed is absent
-    if ut is not None and _any(np.not_equal(ut, 0.0)):
-        if _any(np.equal(uv, 0.0) & np.less(vv, 1.0) & np.not_equal(ut, 0.0)):
+    if ut is not None and _any(ut != 0.0):
+        if _any((uv == 0.0) & (vv < 1.0) & (ut != 0.0)):
             raise DomainError("u^v is not differentiable in u at u=0 for v < 1")
         base_pow = _pow_value(uv, vv - 1.0)
         base_term = vv * base_pow * ut
         if _is_array(base_term):
-            base_term = np.where(np.equal(ut, 0.0), 0.0, base_term)
+            base_term = np.where(ut == 0.0, 0.0, base_term)
     else:
         base_term = 0.0
     return val, exp_term + base_term
+
+
+def hoist(e: Expression, var: str, bindings: Bindings) -> Expression:
+    """The tree with every maximal subtree free of var evaluated once, at
+    every sample of the array bindings, and put back as a Col leaf holding
+    those values (a constant subtree becomes a Num).
+
+    Walking the result under {SAMPLE: i, var: v} visits only the nodes on
+    the paths to var and gives, bit for bit, what walking e gives under
+    sample i of the bindings with var = v: a hoisted value has tangent None,
+    as the subtree had, and ^ and the functions keep the float kernels (see
+    _Libm). Raises what evaluating the hoisted subtrees raises, possibly at
+    a sample the caller would have reached only later; an overflow there
+    saturates silently to inf, as on floats.
+    """
+    cols = {k: np.asarray(v, dtype=float).view(_Libm) for k, v in bindings.items()}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _split(e, var, cols, shape)
+
+
+def _split(e, var, cols, shape):
+    # a module function, not a closure over itself: that would be a reference
+    # cycle holding the sample arrays until the cyclic collector runs
+    kind = type(e)
+    if var in variables_in(e):
+        if kind is Neg:
+            return Neg(_split(e.operand, var, cols, shape))
+        if kind is Bin:
+            return Bin(e.op, _split(e.left, var, cols, shape), _split(e.right, var, cols, shape))
+        if kind is Call:
+            return Call(e.fn, _split(e.arg, var, cols, shape))
+        return e
+    v = _dual(e, cols, None)[0]
+    return Col(np.broadcast_to(v, shape).tolist()) if _is_array(v) else Num(v)
 
 
 def value_and_partial(e: Expression, var: str, bindings: Bindings):

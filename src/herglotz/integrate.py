@@ -9,7 +9,11 @@ trajectory breakpoint and at every breakpoint shifted by +tau, so no stage
 straddles a kink of the integrand. Delayed arguments are read from the
 trajectory; since tau sits exactly on the grid, delayed reads at nodes land
 on nodes. Stage times at substep ends use one-sided trajectory limits so the
-integrand stays smooth within each substep.
+integrand stays smooth within each substep. Along the trajectory only z
+changes from stage to stage, so the parts of L without z are evaluated once,
+over all the samples (expr.hoist), and a stage walks only the nodes on the
+paths to z; z and lambda are bit for bit those of the whole-tree walk. A
+stage that meets a non-finite z raises NonFinite.
 
 The integrating factor lambda(t) = exp(-int_a^t dL/dz) is accumulated in the
 same pass as log-lambda (positivity by construction); if L does not depend on
@@ -44,7 +48,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from . import expr
-from .errors import FixedNode, InvalidTrajectory, NonFinite, OutOfDomain
+from .errors import InvalidTrajectory, NonFinite, OutOfDomain
 from .reportio import csv_text
 from .trajectory import Grid, HerglotzProblem, Trajectory
 
@@ -172,16 +176,15 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     g = problem.grid
     P = Panels(problem, traj)
     k, hs, ts = P.k, P.hs, P.times
-    x, dx, xt, dxt = P.x, P.dx, P.xtau, P.dxtau
-    L = problem.lagrangian
-    b: dict = {"t": 0.0, "x": 0.0, "dx": 0.0, "xtau": 0.0, "dxtau": 0.0, "z": 0.0}
+    # only z changes between stages: the z-free parts of L are evaluated
+    # once over the samples, and a stage binds the sample index and z
+    L = expr.hoist(problem.lagrangian, "z", P.bind)
+    b: dict = {expr.SAMPLE: 0, "z": 0.0}
 
     def stage(j, zv):
-        b["t"] = ts[j]
-        b["x"] = x[j]
-        b["dx"] = dx[j]
-        b["xtau"] = xt[j]
-        b["dxtau"] = dxt[j]
+        if not isfinite(zv):
+            raise NonFinite(f"z integration produced a non-finite value at t={ts[j]}")
+        b[expr.SAMPLE] = j
         b["z"] = zv
         val, dz = expr.value_and_partial(L, "z", b)
         return float(val), -float(dz)
@@ -239,15 +242,6 @@ class VariationDirection:
             raise InvalidTrajectory(
                 f"expected {grid.n - 1} free values, got {free.shape}")
         vals[1:-1] = free
-        return cls(grid, vals)
-
-    @classmethod
-    def unit(cls, grid: Grid, node_index: int) -> "VariationDirection":
-        """Direction with value 1 at one free node (global node index)."""
-        if not (grid.m < node_index < grid.n + grid.m):
-            raise FixedNode(f"node {node_index} is pinned")
-        vals = np.zeros(grid.n + 1)
-        vals[node_index - grid.m] = 1.0
         return cls(grid, vals)
 
     @cached_property

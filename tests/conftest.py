@@ -1,11 +1,14 @@
 import sys
+from math import isfinite
 
 import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz import conditions
+from herglotz import conditions, expr
 from herglotz.bundles import bundle
+from herglotz.errors import FixedNode
+from herglotz.integrate import Panels, VariationDirection
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +46,47 @@ def wavy_sampled(problem, amplitude=0.3, freq=2.0):
     vals[g.m + 1: g.n + g.m] += amplitude * np.sin(
         freq * np.pi * (tm - g.a) / span)
     return hg.SampledTrajectory(g, vals)
+
+
+def whole_tree_z(problem, traj):
+    """Oracle: z and lambda at the nodes by RK4 stages that bind all six
+    names and walk the whole tree of L at every stage."""
+    P = Panels(problem, traj)
+    k, hs = P.k, P.hs
+    b = {}
+
+    def stage(j, zv):
+        for name in ("t", "x", "dx", "xtau", "dxtau"):
+            b[name] = P.bind[name][j]
+        b["z"] = zv
+        val, dz = expr.value_and_partial(problem.lagrangian, "z", b)
+        return float(val), -float(dz)
+
+    zs, mus = np.empty(k + 1), np.empty(k + 1)
+    z = zs[0] = float(problem.gamma)
+    mu = mus[0] = 0.0
+    for i in range(k):
+        h = hs[i]
+        z1, m1 = stage(i, z)
+        z2, m2 = stage(k + i, z + 0.5 * h * z1)
+        z3, m3 = stage(k + i, z + 0.5 * h * z2)
+        z4, m4 = stage(2 * k + i, z + h * z3)
+        z = z + h * (z1 + 2.0 * z2 + 2.0 * z3 + z4) / 6.0
+        mu = mu + h * (m1 + 2.0 * m2 + 2.0 * m3 + m4) / 6.0
+        assert isfinite(z) and isfinite(mu)
+        zs[i + 1] = z
+        mus[i + 1] = mu
+    return zs[P.node_pos], np.exp(mus[P.node_pos])
+
+
+def unit_direction(grid, node_index):
+    """Admissible direction with value 1 at one free node (global node
+    index); a pinned node raises FixedNode."""
+    if not (grid.m < node_index < grid.n + grid.m):
+        raise FixedNode(f"node {node_index} is pinned")
+    vals = np.zeros(grid.n + 1)
+    vals[node_index - grid.m] = 1.0
+    return VariationDirection(grid, vals)
 
 
 @pytest.fixture

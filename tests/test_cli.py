@@ -112,6 +112,13 @@ class TestExitCodes:
         rc = main(["integrate", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_blow_up_inside_a_step_is_exit_3(self, tmp_path, capsys):
+        # z' = z^2 from z(0) = 1 blows up at t = 1: a stage sees z = inf
+        cfg = write_config(tmp_path, gamma=1.0, lagrangian="z^2")
+        rc = main(["integrate", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_overflowed_sine_is_exit_3(self, tmp_path, capsys):
         # exp(1000*dx) overflows along the line x = t; sin(inf) is NaN, so z
         # turns non-finite

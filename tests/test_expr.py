@@ -1,4 +1,7 @@
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -6,13 +9,16 @@ import pytest
 from herglotz import errors
 from herglotz.expr import (
     FUNCTIONS,
+    SAMPLE,
     VARIABLES,
     Bin,
     Call,
+    Col,
     Neg,
     Num,
     Var,
     evaluate,
+    hoist,
     parse,
     partial,
     to_text,
@@ -42,6 +48,27 @@ def random_trees(seed, count, depth=4):
         return Call(FUNCTIONS[rng.integers(len(FUNCTIONS))], rand_tree(depth - 1))
 
     return [rand_tree(depth) for _ in range(count)]
+
+
+def exit_code(err):
+    """The exit code herglotz.cli.main gives an evaluation error."""
+    return 3 if isinstance(err, (errors.DomainError, errors.NonFinite)) else 2
+
+
+def outcome(fn):
+    """(value, partial) as floats, or the exit code of what fn raised."""
+    try:
+        return tuple(float(v) for v in fn())
+    except errors.HerglotzError as err:
+        return exit_code(err)
+
+
+def same_bits(a, b):
+    """Equal exit codes, or equal float bits with NaN payloads aside."""
+    if isinstance(a, int) or isinstance(b, int):
+        return a == b
+    return all(math.isnan(x) and math.isnan(y) or
+               np.float64(x).tobytes() == np.float64(y).tobytes() for x, y in zip(a, b))
 
 
 class TestParse:
@@ -188,6 +215,29 @@ class TestEvaluate:
         else:
             assert scalar == vector
 
+    # 0, -0.0, inf and nan reach /, log, sqrt and abs; exp(z) with z = 1000
+    # is inf, and exp(z) - exp(z) is nan
+    @pytest.mark.parametrize("text, x", [
+        (t, x) for t in ("1/x", "z/(x*exp(z))", "x/(exp(z) - exp(z))", "1/(-exp(z)*x)",
+                         "log(x)", "log(x*exp(z))", "log(-x*exp(z))",
+                         "log(exp(z) - exp(z) + x)", "sqrt(x)", "sqrt(x*exp(z))",
+                         "sqrt(-x*exp(z))", "sqrt(exp(z) - exp(z) + x)", "abs(x)",
+                         "abs(x*exp(z))", "abs(exp(z) - exp(z) + x)")
+        for x in (0.0, -0.0, 1.0, -1.0)])
+    def test_domain_checks_same_for_scalars_and_arrays(self, text, x):
+        e = parse(text)
+
+        def scalar(fn):
+            return outcome(lambda: fn({"x": x, "z": 1000.0}))
+
+        def array(fn):
+            with np.errstate(all="ignore"):
+                return outcome(lambda: tuple(
+                    np.squeeze(v) for v in fn({"x": np.array([x]), "z": np.array([1000.0])})))
+
+        for fn in (lambda b: (evaluate(e, b),), lambda b: value_and_partial(e, "x", b)):
+            assert same_bits(scalar(fn), array(fn))
+
     @pytest.mark.parametrize("size", [None, 9])
     def test_value_is_the_value_half_of_every_partial(self, size):
         rng = np.random.default_rng(13)
@@ -291,3 +341,63 @@ class TestPartial:
         exact = partial(e, "x", {"x": x})
         expected = (1 - x * x) / (1 + x * x) ** 2
         assert exact == pytest.approx(expected, rel=1e-14)
+
+
+class TestHoist:
+    def test_split_walk_matches_whole_tree_walk(self):
+        # value and z-partial bit for bit, transcendental subtrees included;
+        # where one walk raises, the other raises for the same exit code
+        rng = np.random.default_rng(29)
+        size = 9
+        split_with_z = 0
+        # about one tree in seven reads z; the rest test the hoisted columns
+        for tree in random_trees(11, 1500):
+            arrays = {v: rng.uniform(-2.0, 2.0, size) for v in VARIABLES if v != "z"}
+            zs = rng.uniform(-2.0, 2.0, size).tolist()
+            with np.errstate(all="ignore"):
+                whole = [outcome(lambda: value_and_partial(
+                    tree, "z", {**{v: float(a[i]) for v, a in arrays.items()}, "z": zs[i]}))
+                    for i in range(size)]
+                try:
+                    split = hoist(tree, "z", arrays)
+                except errors.HerglotzError as err:
+                    assert exit_code(err) in whole
+                    continue
+                got = [outcome(lambda: value_and_partial(split, "z", {SAMPLE: i, "z": zs[i]}))
+                       for i in range(size)]
+            split_with_z += "z" in variables_in(tree)
+            for g, w in zip(got, whole):
+                assert same_bits(g, w)
+        assert split_with_z > 100
+
+    def test_leaves_only_the_z_path(self):
+        e = parse("dxtau^2 + z*sin(2*3) - exp(x)/z")
+        n = 4
+        split = hoist(e, "z", {"x": np.linspace(0.0, 1.0, n), "dxtau": np.ones(n)})
+        assert type(split.left.left) is Col and split.left.left.values == [1.0] * n
+        assert split.left.right == Bin("*", Var("z"), Num(math.sin(6.0)))
+        assert type(split.right.left) is Col and split.right.right == Var("z")
+
+    def test_hoisted_overflow_is_silent(self):
+        e = parse("1e300*x*1e300 + exp(exp(exp(5 + x))) - z")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = hoist(e, "z", {"x": np.array([0.0, 1.0])})
+            assert value_and_partial(split, "z", {SAMPLE: 1, "z": 1.0}) == (math.inf, -1.0)
+
+    def test_hoisting_frees_the_samples_without_the_cycle_collector(self):
+        # a reference cycle would keep the sample arrays alive until the
+        # cyclic collector runs, and resident memory grows across integrations
+        x = np.linspace(0.0, 1.0, 5)
+        alive = weakref.ref(x)
+        gc.disable()
+        try:
+            hoist(parse("x^2 + z"), "z", {"x": x})
+            del x
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_hoisted_domain_error_raises_at_hoist(self):
+        with pytest.raises(errors.DomainError):
+            hoist(parse("log(x) + z"), "z", {"x": np.array([1.0, 0.0])})

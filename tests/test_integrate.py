@@ -1,16 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz import errors
-from herglotz.integrate import VariationDirection, first_variation, integrate_z
+from herglotz import errors, expr
+from herglotz.bundles import BUNDLE_NAMES
+from herglotz.integrate import (
+    VariationDirection,
+    first_variation,
+    integrate_z,
+    integration_stops,
+)
 from herglotz.noether import group_variation
 from herglotz.solver import variational_gradient
 from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
 
-from conftest import build_paper, wavy_sampled
+from conftest import build_bundle, build_paper, unit_direction, wavy_sampled, whole_tree_z
 
 E = math.e
 
@@ -62,6 +69,58 @@ class TestIntegrateZ:
         traj = PiecewiseTrajectory(g, [(0.0, 1.0, "t")])
         with pytest.raises(errors.NonFinite):
             integrate_z(problem, traj)
+
+    @pytest.mark.parametrize("text", [
+        "exp(exp(exp(5 + x))) + z",
+        "1e300*(2 + x)*1e300 + z",
+        "(exp(exp(exp(5 + x))) - exp(exp(exp(5 + x))))*z",
+    ])
+    def test_hoisted_overflow_is_silent_and_non_finite(self, text):
+        g = build_grid(0.0, 1.0, 0.0, 10)
+        problem = hg.HerglotzProblem(grid=g, gamma=1.0, beta=1.0,
+                                     history="0", lagrangian=text)
+        traj = PiecewiseTrajectory(g, [(0.0, 1.0, "t")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NonFinite):
+                integrate_z(problem, traj)
+
+    def test_blow_up_inside_a_step_is_non_finite(self):
+        # z' = z^2 from z(0) = 1 blows up at t = 1, between two stages
+        g = build_grid(0.0, 2.0, 0.0, 100)
+        problem = hg.HerglotzProblem(grid=g, gamma=1.0, beta=1.0,
+                                     history="0", lagrangian="z^2")
+        traj = PiecewiseTrajectory(g, [(0.0, 2.0, "t")])
+        with pytest.raises(errors.NonFinite):
+            integrate_z(problem, traj)
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    @pytest.mark.parametrize("n", [100, None])
+    def test_bitwise_equal_to_the_whole_tree_stages(self, name, n):
+        problem, traj, _, _ = build_bundle(name, n=n)
+        zp = integrate_z(problem, traj)
+        z, lam = whole_tree_z(problem, traj)
+        assert zp.z.tobytes() == z.tobytes()
+        assert zp.lam.tobytes() == lam.tobytes()
+
+    def test_stages_walk_only_the_z_path(self, monkeypatch):
+        # paper-s4, L = dxtau^2 + z: dxtau^2 is evaluated once over the
+        # samples (its 3 nodes), and each stage visits +, the hoisted leaf and
+        # z: 3 nodes, where the whole tree has 5. A sampled trajectory reads
+        # no expression, so every visit outside the stages is the hoisting
+        problem, _, _, _ = build_paper(100)
+        traj = wavy_sampled(problem)
+        visits = {"stage": 0, "samples": 0}
+        original = expr._dual
+
+        def counted(e, b, seed):
+            visits["stage" if expr.SAMPLE in b else "samples"] += 1
+            return original(e, b, seed)
+
+        monkeypatch.setattr(expr, "_dual", counted)
+        integrate_z(problem, traj)
+        k = len(integration_stops(problem, traj)[0]) - 1
+        assert visits == {"stage": 3 * 4 * k, "samples": 3}
 
     def test_csv_layout(self):
         problem, traj, _, _ = build_paper(8)
@@ -133,7 +192,7 @@ class TestFirstVariation:
         traj = SampledTrajectory(g, x)
         zp = integrate_z(problem, traj)
         j = int(np.argmin(np.abs(g.nodes - 0.5)))
-        eta = VariationDirection.unit(g, j)
+        eta = unit_direction(g, j)
         analytic = first_variation(problem, traj, zp, eta)
         eps = 1e-5
         zp_plus = integrate_z(problem, hg.perturb(traj, j, +eps))
@@ -157,7 +216,7 @@ class TestFirstVariation:
             free = list(g.free_indices)
             for j in rng.choice(free, size=20, replace=True):
                 j = int(j)
-                eta = VariationDirection.unit(g, j)
+                eta = unit_direction(g, j)
                 analytic = first_variation(problem, traj, zp, eta)
                 plus = integrate_z(problem, hg.perturb(traj, j, +eps)).z_b
                 minus = integrate_z(problem, hg.perturb(traj, j, -eps)).z_b
@@ -166,13 +225,13 @@ class TestFirstVariation:
     def test_unit_direction_bounds(self):
         g = build_grid(0.0, 2.0, 1.0, 8)
         with pytest.raises(errors.FixedNode):
-            VariationDirection.unit(g, g.m)      # node at t = a is pinned
+            unit_direction(g, g.m)      # node at t = a is pinned
         with pytest.raises(errors.FixedNode):
-            VariationDirection.unit(g, g.n + g.m)
+            unit_direction(g, g.n + g.m)
 
     def test_direction_vanishes_on_history_and_endpoint(self):
         g = build_grid(0.0, 2.0, 1.0, 8)
-        eta = VariationDirection.unit(g, g.m + 2)
+        eta = unit_direction(g, g.m + 2)
         vals, dvals = eta.eval_many(np.array([-0.7, g.a, g.b]))
         assert vals[0] == 0.0 and dvals[0] == 0.0
         assert vals[1] == 0.0

@@ -9,18 +9,42 @@ from herglotz.integrate import integrate_z
 from herglotz.solver import SolveOptions, fd_gradient, solve_direct, variational_gradient
 from herglotz.trajectory import SampledTrajectory, build_grid
 
-from conftest import build_bundle, build_paper, wavy_sampled
+from conftest import build_bundle, build_paper, unit_direction, wavy_sampled
 
 E = math.e
 
 
-def _bumped_exp_problem():
+def _bumped_exp_problem(lagrangian="exp(10*dx^2)"):
     """Convex L = exp(10*dx^2) from 0 to 2 on n=40, with the straight line
     bumped by 0.2*sin(pi*t) as an explicit seed (z = 7.0e28 there)."""
     g = build_grid(0.0, 1.0, 0.0, 40)
     problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=2.0, history="0",
-                                 lagrangian="exp(10*dx^2)")
+                                 lagrangian=lagrangian)
     return problem, 2.0 * g.nodes + 0.2 * np.sin(np.pi * g.nodes)
+
+
+def _assert_overflows_are_rejected(monkeypatch, lagrangian):
+    """Five iterations from the bumped seed, with at least one trial whose
+    integration raised NonFinite, to a finite z(b) below the seed's."""
+    from herglotz import solver
+
+    problem, seed = _bumped_exp_problem(lagrangian)
+    seed_z = integrate_z(problem, hg.SampledTrajectory(problem.grid, seed)).z_b
+    overflows = []
+
+    def counted(*args, **kwargs):
+        try:
+            return integrate_z(*args, **kwargs)
+        except errors.NonFinite:
+            overflows.append(1)
+            raise
+
+    monkeypatch.setattr(solver, "integrate_z", counted)
+    result = solve_direct(problem, SolveOptions(max_iters=5, seed_guess=seed))
+    assert overflows
+    assert math.isfinite(result.z_b)
+    assert result.z_b <= seed_z
+    assert result.iterations == 5
 
 
 class TestGradients:
@@ -76,7 +100,7 @@ class TestGradients:
     def test_basis_cache_distinguishes_kink_layouts(self):
         # same grid, same stop count, different off-node kinks: the gradient
         # must follow the kinks' panel times, not just their number
-        from herglotz.integrate import VariationDirection, first_variation
+        from herglotz.integrate import first_variation
         from herglotz.trajectory import PiecewiseTrajectory
 
         g = build_grid(0.0, 1.0, 0.0, 16)
@@ -88,7 +112,7 @@ class TestGradients:
             zp = integrate_z(problem, traj)
             gv = variational_gradient(problem, traj, zp)
             fv = np.array([
-                first_variation(problem, traj, zp, VariationDirection.unit(g, j))
+                first_variation(problem, traj, zp, unit_direction(g, j))
                 for j in g.free_indices])
             assert np.max(np.abs(gv - fv)) < 1e-12
 
@@ -216,25 +240,11 @@ class TestSolveDirect:
     def test_overflowing_trial_is_a_rejected_step(self, monkeypatch):
         # from the bumped seed some trial overflows exp(10*dx^2); backtracking
         # must shrink past it instead of aborting the solve
-        from herglotz import solver
+        _assert_overflows_are_rejected(monkeypatch, "exp(10*dx^2)")
 
-        problem, seed = _bumped_exp_problem()
-        seed_z = integrate_z(problem, hg.SampledTrajectory(problem.grid, seed)).z_b
-        overflows = []
-
-        def counted(*args, **kwargs):
-            try:
-                return integrate_z(*args, **kwargs)
-            except errors.NonFinite:
-                overflows.append(1)
-                raise
-
-        monkeypatch.setattr(solver, "integrate_z", counted)
-        result = solve_direct(problem, SolveOptions(max_iters=5, seed_guess=seed))
-        assert overflows
-        assert math.isfinite(result.z_b)
-        assert result.z_b <= seed_z
-        assert result.iterations == 5
+    def test_overflow_inside_a_step_is_a_rejected_step(self, monkeypatch):
+        # with a z term the overflow reaches z inside an RK4 step, at a stage
+        _assert_overflows_are_rejected(monkeypatch, "exp(10*dx^2) + 0.001*z")
 
     def test_first_step_is_scaled(self):
         # z = 7e28 at the seed: a unit step along the raw direction overflows
