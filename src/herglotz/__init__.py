@@ -20,12 +20,7 @@ from .conditions import (
 )
 from .config import ProblemConfig, load_config, parse_config, schema_path
 from .expr import evaluate, parse, partial, to_text, variables_in
-from .integrate import (
-    VariationDirection,
-    ZPath,
-    first_variation,
-    integrate_z,
-)
+from .integrate import ZPath, first_variation, integrate_z
 from .noether import (
     ConservationReport,
     InvarianceProfile,
@@ -47,6 +42,7 @@ from .trajectory import (
     HerglotzProblem,
     PiecewiseTrajectory,
     SampledTrajectory,
+    VariationDirection,
     build_grid,
     perturb,
     sampled_from_csv,

@@ -23,9 +23,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .fdiff import derivative_on_segment
-from .integrate import Samples, ZPath, integrate_z, spline_adjoint
+from .integrate import Samples, ZPath, integrate_z
 from .reportio import csv_text
-from .trajectory import HerglotzProblem, Trajectory
+from .trajectory import HerglotzProblem, Trajectory, spline_adjoint
 
 EL1_LABEL = "EL-1 on [a, b-tau]"
 EL2_LABEL = "EL-2 on [b-tau, b]"

@@ -27,12 +27,16 @@ closed integral
 
 with eta identically zero left of a, evaluated by composite Simpson on
 breakpoint-aligned panels (grid intervals split at kinks, midpoint sampled).
-These panels are the RK4 substeps, so one sampler serves both: Panels reads
-the trajectory once, one-sided, at the panel ends and midpoints and at their
-delayed images; integrate_z runs its RK4 stages on those reads and the z-path
-carries them on. The first variation, the solver gradient and the invariance
-defect take them from the z-path, with z and lambda there and the Lagrangian
-partials filled in on first use, and are each a short formula over them.
+These panels are the RK4 substeps, so one sampler serves both: Panels.read
+reads a trajectory, one-sided, at the panel ends and midpoints and at their
+delayed images; integrate_z runs its RK4 stages on the reads of x and the
+z-path carries them on. The first variation, the solver gradient and the
+invariance defect take them from the z-path, with z and lambda there and the
+Lagrangian partials filled in on first use, and are each a short formula
+over them. A direction eta is a sampled trajectory with zero history
+(trajectory.VariationDirection), so the first variation reads it through
+Panels.read too; the splines through node values, and their adjoint, live
+in trajectory.
 All operations are pure (a fill-in on first use writes the same values
 whichever caller comes first); concurrent integrations are safe.
 """
@@ -45,12 +49,11 @@ from math import isfinite
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
 from . import expr
 from .errors import InvalidTrajectory, NonFinite, OutOfDomain
 from .reportio import csv_text
-from .trajectory import Grid, HerglotzProblem, Trajectory
+from .trajectory import Grid, HerglotzProblem, Trajectory, VariationDirection
 
 
 def _snap(ts: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
@@ -123,14 +126,10 @@ class ZPath:
         return float(self.lam[-1])
 
     @cached_property
-    def _z_spline(self):
+    def _spline(self):
+        """One spline over the columns (z, lambda)."""
         bc = "not-a-knot" if len(self.z) >= 4 else "natural"
-        return CubicSpline(self.times, self.z, bc_type=bc)
-
-    @cached_property
-    def _lam_spline(self):
-        bc = "not-a-knot" if len(self.lam) >= 4 else "natural"
-        return CubicSpline(self.times, self.lam, bc_type=bc)
+        return CubicSpline(self.times, np.column_stack([self.z, self.lam]), bc_type=bc)
 
     def _check(self, ts: np.ndarray) -> None:
         g = self.grid
@@ -138,10 +137,10 @@ class ZPath:
         if np.any(ts < g.a - slack) or np.any(ts > g.b + slack):
             raise OutOfDomain(f"time outside [{g.a}, {g.b}]")
 
-    def _interp(self, spline, stored, t):
+    def _interp(self, col, stored, t):
         ts = np.asarray(t, dtype=float)
         self._check(np.atleast_1d(ts))
-        out = spline(ts)
+        out = self._spline(ts)[..., col]
         nodes = self.times
         idx = np.clip(np.searchsorted(nodes, ts), 0, len(nodes) - 1)
         exact = nodes[idx] == ts
@@ -149,10 +148,10 @@ class ZPath:
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def z_at(self, t):
-        return self._interp(self._z_spline, self.z, t)
+        return self._interp(0, self.z, t)
 
     def lambda_at(self, t):
-        return self._interp(self._lam_spline, self.lam, t)
+        return self._interp(1, self.lam, t)
 
     def csv(self) -> str:
         return csv_text(["t", "z", "lambda"], [self.times, self.z, self.lam])
@@ -212,99 +211,6 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P)
 
 
-@dataclass
-class VariationDirection:
-    """Admissible direction: values at free nodes, zero on [a-tau, a] and at b.
-
-    Evaluation between nodes goes through the same natural-spline machinery
-    as sampled trajectories, so a unit direction is exactly the change of
-    trajectory produced by perturbing that node.
-    """
-
-    grid: Grid
-    main_values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.main_values, dtype=float).copy()
-        if vals.shape != (self.grid.n + 1,):
-            raise InvalidTrajectory(
-                f"direction needs {self.grid.n + 1} values on [a, b], got {vals.shape}")
-        vals[0] = 0.0
-        vals[-1] = 0.0
-        vals.setflags(write=False)
-        object.__setattr__(self, "main_values", vals)
-
-    @classmethod
-    def from_free(cls, grid: Grid, free_values) -> "VariationDirection":
-        vals = np.zeros(grid.n + 1)
-        free = np.asarray(free_values, dtype=float)
-        if free.shape != (grid.n - 1,):
-            raise InvalidTrajectory(
-                f"expected {grid.n - 1} free values, got {free.shape}")
-        vals[1:-1] = free
-        return cls(grid, vals)
-
-    @cached_property
-    def _spline(self):
-        return CubicSpline(self.grid.main_nodes, self.main_values, bc_type="natural")
-
-    def eval_many(self, ts, side: str = "right"):
-        """eta and eta' at the given times; zero left of a. At exactly t=a the
-        value is zero either way, but the slope is one-sided: side="left"
-        returns the flat history slope 0, side="right" the spline slope."""
-        ts = np.asarray(ts, dtype=float)
-        eta = np.zeros_like(ts)
-        deta = np.zeros_like(ts)
-        inside = ts > self.grid.a if side == "left" else ts >= self.grid.a
-        if np.any(inside):
-            tm = ts[inside]
-            eta[inside] = self._spline(tm)
-            deta[inside] = self._spline(tm, 1)
-            nodes = self.grid.main_nodes
-            idx = np.clip(np.searchsorted(nodes, ts), 0, len(nodes) - 1)
-            exact = (nodes[idx] == ts) & inside
-            eta[exact] = self.main_values[idx[exact]]
-        return eta, deta
-
-
-def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
-                   wd: np.ndarray) -> np.ndarray:
-    """Node weights g with g . y = sum(wv * s(ts) + wd * s'(ts)) for the
-    natural cubic spline s through (nodes, y), i.e. the transpose of the
-    spline evaluation behind VariationDirection.
-
-    On interval i, with A = (t_{i+1} - t)/h_i and B = 1 - A,
-        s  = A y_i + B y_{i+1} + h_i^2/6 [(A^3 - A) M_i + (B^3 - B) M_{i+1}]
-        s' = (y_{i+1} - y_i)/h_i + h_i/6 [(1 - 3A^2) M_i + (3B^2 - 1) M_{i+1}]
-    and the interior moments solve T M = R y with T symmetric tridiagonal
-    (M = 0 at both ends). So g is a scatter of the y-coefficients plus
-    R^T T^{-1} applied to the scattered M-coefficients: O(len(ts) + n).
-    """
-    n = len(nodes) - 1
-    h = np.diff(nodes)
-    i = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, n - 1)
-    hi = h[i]
-    B = (ts - nodes[i]) / hi
-    A = 1.0 - B
-    slope = wd / hi
-    g = (np.bincount(i, A * wv - slope, n + 1)
-         + np.bincount(i + 1, B * wv + slope, n + 1))
-    cm_lo = hi * (hi * (A**3 - A) * wv + (1.0 - 3.0 * A**2) * wd) / 6.0
-    cm_hi = hi * (hi * (B**3 - B) * wv + (3.0 * B**2 - 1.0) * wd) / 6.0
-    cm = np.bincount(i, cm_lo, n + 1) + np.bincount(i + 1, cm_hi, n + 1)
-    # row k of T M = R y: h_{k-1} M_{k-1} + 2(h_{k-1} + h_k) M_k + h_k M_{k+1}
-    #                     = 6 [(y_{k+1} - y_k)/h_k - (y_k - y_{k-1})/h_{k-1}]
-    # general banded solve: solveh_banded rejects the 1x1 system of n = 2
-    band = np.zeros((3, n - 1))
-    band[0, 1:] = band[2, :-1] = h[1:-1]
-    band[1] = 2.0 * (h[:-1] + h[1:])
-    q = 6.0 * solve_banded((1, 1), band, cm[1:-1])
-    g[2:] += q / h[1:]
-    g[1:-1] -= q * (1.0 / h[:-1] + 1.0 / h[1:])
-    g[:-2] += q / h[:-1]
-    return g
-
-
 class Samples:
     """The Lagrangian at a set of trajectory samples: L itself or one of its
     partials, evaluated by name under the bindings on first use and kept on
@@ -351,22 +257,28 @@ class Panels(Samples):
         anchors = np.sort(np.concatenate(
             [g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
         self.delayed = _snap(self.times - g.tau, anchors, 1e-9 * g.h)
-        self.x, self.dx, self.xtau, self.dxtau = (np.empty_like(self.times)
-                                                  for _ in range(4))
-        for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
-            self.x[sl], self.dx[sl] = traj.eval_many(
-                self.times[sl], side=side, want_ddx=False)
-            self.xtau[sl], self.dxtau[sl] = traj.eval_many(
-                self.delayed[sl], side=side, want_ddx=False)
+        self.x, self.dx, self.xtau, self.dxtau = self.read(traj)
         super().__init__(problem.lagrangian, {
             "t": self.times, "x": self.x, "dx": self.dx,
             "xtau": self.xtau, "dxtau": self.dxtau})
-        # delayed images that fall inside [a, b], where variation directions
-        # and group generators live; rights take the left limit, so exactly
-        # s - tau = a counts as outside there and a kink at s = a + tau never
-        # leaks across its panel boundary
+        # delayed images that fall inside [a, b], where the solver's spline
+        # adjoint and the group generators act; rights take the left limit, so
+        # exactly s - tau = a counts as outside there and a kink at s = a + tau
+        # never leaks across its panel boundary
         self.inside = self.delayed >= g.a
         self.inside[2 * k:] = self.delayed[2 * k:] > g.a
+
+    def read(self, traj: Trajectory):
+        """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with
+        the one-sided limits of the class docstring."""
+        k = self.k
+        out = [np.empty_like(self.times) for _ in range(4)]
+        for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
+            out[0][sl], out[1][sl] = traj.eval_many(
+                self.times[sl], side=side, want_ddx=False)
+            out[2][sl], out[3][sl] = traj.eval_many(
+                self.delayed[sl], side=side, want_ddx=False)
+        return out
 
     def simpson(self, f: np.ndarray) -> np.ndarray:
         """Composite Simpson integral of sampled f over each panel."""
@@ -376,10 +288,11 @@ class Panels(Samples):
 
 def first_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                     eta: VariationDirection) -> float:
-    """Directional derivative zeta(b) of z(b) along the admissible direction."""
+    """Directional derivative zeta(b) of z(b) along the admissible direction,
+    read by the panel sampler like the trajectory: its zero history and the
+    left limits at the panel rights keep the delayed terms zero left of a."""
     P = zpath.samples(traj)
-    eta_s, deta_s = eta.eval_many(P.times)
-    eta_d, deta_d = (np.where(P.inside, v, 0.0) for v in eta.eval_many(P.delayed))
+    eta_s, deta_s, eta_d, deta_d = P.read(eta)
     f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
                  + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
     total = float(np.sum(P.simpson(f)))

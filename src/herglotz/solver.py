@@ -12,7 +12,7 @@ The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
 steps decrease the working objective strictly, a trial point whose
 integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
-of the natural spline through the node values (integrate.spline_adjoint): a
+of the natural spline through the node values (trajectory.spline_adjoint): a
 scatter of the Simpson-weighted partials plus one banded solve, O(n) per call.
 
 The two-loop recursion is seeded with the H1 (Sobolev) metric:
@@ -34,8 +34,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import BadInterval, DomainError, NonFinite
-from .integrate import ZPath, integrate_z, spline_adjoint
-from .trajectory import HerglotzProblem, SampledTrajectory, seed_trajectory
+from .integrate import ZPath, integrate_z
+from .trajectory import HerglotzProblem, SampledTrajectory, perturb, seed_trajectory, spline_adjoint
 
 _LBFGS_MEMORY = 10
 _MAX_BACKTRACKS = 60
@@ -128,8 +128,6 @@ def fd_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     """Central-difference oracle: perturb each free node by +-eps, re-spline,
     re-integrate. O(number of free nodes) integrations; same sign convention
     as variational_gradient."""
-    from .trajectory import perturb
-
     g = np.empty(problem.grid.n - 1)
     for col, j in enumerate(problem.grid.free_indices):
         zp = integrate_z(problem, perturb(traj, j, +eps)).z_b

@@ -10,7 +10,11 @@ Two backends:
   split keeps the slope break at t=a representable: the problems this package
   targets pin x on the history, and their minimizers generically enter [a, b]
   with a different slope. A single C2 spline across t=a would smear that
-  corner and bias every downstream quantity at O(h).
+  corner and bias every downstream quantity at O(h). An admissible variation
+  direction is a sampled trajectory too (VariationDirection), with zero node
+  values on [a-tau, a] and at b, and spline_adjoint is the transpose of the
+  [a, b] spline read; these are the package's only splines through node
+  values.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -29,6 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from . import expr
 from .errors import (
@@ -232,6 +237,71 @@ class PiecewiseTrajectory:
     def eval(self, t: float, side: str = "right"):
         x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
         return float(x[0]), float(dx[0]), float(ddx[0])
+
+
+class VariationDirection(SampledTrajectory):
+    """Admissible direction: a sampled trajectory whose node values vanish on
+    [a-tau, a] and at b, given by its n+1 values on [a, b] (the two ends are
+    set to zero). It reads through the splines of every sampled trajectory,
+    so a unit direction is exactly the change of trajectory produced by
+    perturbing that node."""
+
+    def __init__(self, grid: Grid, main_values: Sequence[float]):
+        main = np.asarray(main_values, dtype=float)
+        if main.shape != (grid.n + 1,):
+            raise InvalidTrajectory(
+                f"direction needs {grid.n + 1} values on [a, b], got {main.shape}")
+        values = np.zeros(len(grid.nodes))
+        values[grid.m + 1: -1] = main[1:-1]
+        super().__init__(grid, values)
+
+    @classmethod
+    def from_free(cls, grid: Grid, free_values) -> "VariationDirection":
+        free = np.asarray(free_values, dtype=float)
+        if free.shape != (grid.n - 1,):
+            raise InvalidTrajectory(
+                f"expected {grid.n - 1} free values, got {free.shape}")
+        main = np.zeros(grid.n + 1)
+        main[1:-1] = free
+        return cls(grid, main)
+
+
+def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
+                   wd: np.ndarray) -> np.ndarray:
+    """Node weights g with g . y = sum(wv * s(ts) + wd * s'(ts)) for the
+    natural cubic spline s through (nodes, y), i.e. the transpose of the
+    [a, b] spline read of SampledTrajectory.
+
+    On interval i, with A = (t_{i+1} - t)/h_i and B = 1 - A,
+        s  = A y_i + B y_{i+1} + h_i^2/6 [(A^3 - A) M_i + (B^3 - B) M_{i+1}]
+        s' = (y_{i+1} - y_i)/h_i + h_i/6 [(1 - 3A^2) M_i + (3B^2 - 1) M_{i+1}]
+    and the interior moments solve T M = R y with T symmetric tridiagonal
+    (M = 0 at both ends). So g is a scatter of the y-coefficients plus
+    R^T T^{-1} applied to the scattered M-coefficients: O(len(ts) + n).
+    """
+    n = len(nodes) - 1
+    h = np.diff(nodes)
+    i = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, n - 1)
+    hi = h[i]
+    B = (ts - nodes[i]) / hi
+    A = 1.0 - B
+    slope = wd / hi
+    g = (np.bincount(i, A * wv - slope, n + 1)
+         + np.bincount(i + 1, B * wv + slope, n + 1))
+    cm_lo = hi * (hi * (A**3 - A) * wv + (1.0 - 3.0 * A**2) * wd) / 6.0
+    cm_hi = hi * (hi * (B**3 - B) * wv + (3.0 * B**2 - 1.0) * wd) / 6.0
+    cm = np.bincount(i, cm_lo, n + 1) + np.bincount(i + 1, cm_hi, n + 1)
+    # row k of T M = R y: h_{k-1} M_{k-1} + 2(h_{k-1} + h_k) M_k + h_k M_{k+1}
+    #                     = 6 [(y_{k+1} - y_k)/h_k - (y_k - y_{k-1})/h_{k-1}]
+    # general banded solve: solveh_banded rejects the 1x1 system of n = 2
+    band = np.zeros((3, n - 1))
+    band[0, 1:] = band[2, :-1] = h[1:-1]
+    band[1] = 2.0 * (h[:-1] + h[1:])
+    q = 6.0 * solve_banded((1, 1), band, cm[1:-1])
+    g[2:] += q / h[1:]
+    g[1:-1] -= q * (1.0 / h[:-1] + 1.0 / h[1:])
+    g[:-2] += q / h[:-1]
+    return g
 
 
 Trajectory = Union[SampledTrajectory, PiecewiseTrajectory]

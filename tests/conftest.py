@@ -3,6 +3,7 @@ from math import isfinite
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import herglotz as hg
 from herglotz import conditions, expr
@@ -77,6 +78,32 @@ def whole_tree_z(problem, traj):
         zs[i + 1] = z
         mus[i + 1] = mu
     return zs[P.node_pos], np.exp(mus[P.node_pos])
+
+
+def masked_first_variation(problem, traj, zpath, eta):
+    """Oracle: first variation with eta read by its own natural spline on
+    [a, b] and set to zero left of a, and the delayed reads masked by
+    Panels.inside, so exactly s - tau = a at a panel right reads zero."""
+    g = problem.grid
+    nodes, main = g.main_nodes, eta.values[g.m:]
+    spline = CubicSpline(nodes, main, bc_type="natural")
+
+    def reads(ts):
+        val, slope = np.zeros_like(ts), np.zeros_like(ts)
+        inside = ts >= g.a
+        val[inside] = spline(ts[inside])
+        slope[inside] = spline(ts[inside], 1)
+        idx = np.clip(np.searchsorted(nodes, ts), 0, len(nodes) - 1)
+        exact = (nodes[idx] == ts) & inside
+        val[exact] = main[idx[exact]]
+        return val, slope
+
+    P = zpath.samples(traj)
+    eta_s, deta_s = reads(P.times)
+    eta_d, deta_d = (np.where(P.inside, v, 0.0) for v in reads(P.delayed))
+    f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
+                 + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
+    return float(np.sum(P.simpson(f))) / zpath.lambda_b
 
 
 def unit_direction(grid, node_index):

@@ -17,7 +17,14 @@ from herglotz.noether import group_variation
 from herglotz.solver import variational_gradient
 from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
 
-from conftest import build_bundle, build_paper, unit_direction, wavy_sampled, whole_tree_z
+from conftest import (
+    build_bundle,
+    build_paper,
+    masked_first_variation,
+    unit_direction,
+    wavy_sampled,
+    whole_tree_z,
+)
 
 E = math.e
 
@@ -232,10 +239,27 @@ class TestFirstVariation:
     def test_direction_vanishes_on_history_and_endpoint(self):
         g = build_grid(0.0, 2.0, 1.0, 8)
         eta = unit_direction(g, g.m + 2)
-        vals, dvals = eta.eval_many(np.array([-0.7, g.a, g.b]))
+        vals, dvals = eta.eval_many(np.array([-0.7, g.a, g.b]), want_ddx=False)
         assert vals[0] == 0.0 and dvals[0] == 0.0
         assert vals[1] == 0.0
         assert vals[2] == 0.0
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+@pytest.mark.parametrize("n", [100, None], ids=["n100", "shipped"])
+def test_first_variation_bitwise_equal_to_masked_spline_reads(name, n):
+    # the direction goes through the panel sampler like the trajectory; its
+    # zero history and the left limits at the panel rights give the zeros
+    # that a separate spline and the Panels.inside mask gave
+    problem, traj, _, _ = build_bundle(name, n)
+    g = problem.grid
+    rng = np.random.default_rng(23)
+    for tr in (traj, wavy_sampled(problem)):
+        zp = integrate_z(problem, tr)
+        for _ in range(3):
+            eta = VariationDirection.from_free(g, rng.normal(size=g.n - 1))
+            assert first_variation(problem, tr, zp, eta) == \
+                masked_first_variation(problem, tr, zp, eta)
 
 
 class TestOrderOfAccuracy:
@@ -257,7 +281,8 @@ class TestSamples:
         original = SampledTrajectory.eval_many
 
         def counted(self, *args, **kwargs):
-            calls.append(1)
+            if self is traj:    # directions are sampled trajectories too
+                calls.append(1)
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(SampledTrajectory, "eval_many", counted)

@@ -14,7 +14,7 @@ from herglotz.trajectory import (
     trajectory_csv,
 )
 
-from conftest import build_paper
+from conftest import build_paper, unit_direction
 
 
 class TestGrid:
@@ -197,6 +197,33 @@ class TestPerturb:
         g = problem.grid
         new = perturb(traj, g.m + 3, 0.2)
         np.testing.assert_array_equal(new.values[: g.m + 1], traj.values[: g.m + 1])
+
+    @pytest.mark.parametrize("tau", [1.0, 0.0], ids=["m4", "m0"])
+    def test_unit_direction_is_the_perturbation(self, tau):
+        # perturb(traj, j, 1) - traj is unit_direction(g, j), value and slope,
+        # on the history, at t = a from both sides, inside [a, b] and at b
+        g = build_grid(0.0, 2.0, tau, 8)
+        rng = np.random.default_rng(5)
+        traj = SampledTrajectory(g, rng.normal(size=len(g.nodes)))
+        hist = np.concatenate([g.nodes[: g.m + 1],
+                               rng.uniform(g.nodes[0], g.a, 10 if g.m else 0)])
+        inner = np.concatenate([g.main_nodes[1:-1], rng.uniform(g.a, g.b, 20)])
+        reads = [(hist, "right"), (hist, "left"), ([g.a], "left"), ([g.a], "right"),
+                 (inner, "right"), (inner, "left"), ([g.b], "left")]
+        for j in g.free_indices:
+            moved, eta = perturb(traj, j, 1.0), unit_direction(g, j)
+            for ts, side in reads:
+                ts = np.asarray(ts, dtype=float)
+                for new, old, want in zip(moved.eval_many(ts, side, want_ddx=False),
+                                          traj.eval_many(ts, side, want_ddx=False),
+                                          eta.eval_many(ts, side, want_ddx=False)):
+                    np.testing.assert_allclose(new - old, want, rtol=0, atol=1e-12)
+
+    def test_direction_reads_outside_the_grid_raise(self):
+        eta = unit_direction(build_grid(0.0, 2.0, 1.0, 8), 6)
+        for t in (-1.5, 2.5):
+            with pytest.raises(errors.OutOfDomain):
+                eta.eval_many(np.array([t]))
 
     def test_raising_objective_when_leaving_flat_extremal(self):
         # nudging the flat segment of the reference extremal costs value
