@@ -153,8 +153,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     write_text_atomic(out / "solution.csv", trajectory_csv(result.trajectory))
     write_json(out / "solve.json", result.summary())
-    zpath = integrate_z(problem, result.trajectory)
-    write_text_atomic(out / "solution_zpath.csv", zpath.csv())
+    write_text_atomic(out / "solution_zpath.csv", result.zpath.csv())
     print(f"solve: z(b) = {fmt(result.z_b)}  iterations = {result.iterations}  "
           f"grad_norm = {fmt(result.final_grad_norm)}  stop_reason = {result.stop_reason}  "
           f"{'CONVERGED' if result.converged else 'NOT CONVERGED'}")

@@ -21,13 +21,17 @@ safe. Scalar and array evaluation raise the same domain errors and agree in
 value, sin and cos of inf included (NaN), up to the last bit of ^ and the
 functions, where numpy's loops and libm may round apart.
 
-A loop that changes one variable only, such as the RK4 stages in z, splits
+A loop that changes one variable only, such as the RK4 stages in z, needs
+no walk per pass where the tree is affine in that variable: affine reads the
+tree as A + B*var by a structural degree test and returns the per-sample
+columns A and B from one walk over the array bindings. Otherwise it splits
 the tree once with hoist: every maximal subtree free of that variable is
 evaluated over the array bindings and becomes a Col leaf of per-sample
-values, so each pass walks only the paths to the variable. The hoisted
-values keep the float kernels (^ and the functions run through math sample
-by sample), so the split walk returns bit for bit what the whole walk
-returns on floats.
+values, so each pass walks only the paths to the variable. Both keep the
+float kernels for array samples (^ and the functions run through math
+sample by sample), so a var-free subtree has the bits the float walk gives
+it, and the split walk returns bit for bit what the whole walk returns on
+floats.
 """
 
 from __future__ import annotations
@@ -492,10 +496,14 @@ def hoist(e: Expression, var: str, bindings: Bindings) -> Expression:
     a sample the caller would have reached only later; an overflow there
     saturates silently to inf, as on floats.
     """
-    cols = {k: np.asarray(v, dtype=float).view(_Libm) for k, v in bindings.items()}
-    shape = np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
+    cols, shape = _libm_views(bindings)
     with np.errstate(over="ignore", invalid="ignore"):
         return _split(e, var, cols, shape)
+
+
+def _libm_views(bindings: Bindings):
+    cols = {k: np.asarray(v, dtype=float).view(_Libm) for k, v in bindings.items()}
+    return cols, np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
 
 
 def _split(e, var, cols, shape):
@@ -512,6 +520,50 @@ def _split(e, var, cols, shape):
         return e
     v = _dual(e, cols, None)[0]
     return Col(np.broadcast_to(v, shape).tolist()) if _is_array(v) else Num(v)
+
+
+def _degree(e: Expression, var: str) -> int:
+    """Structural degree of e in var: 0, 1, or 2 for anything not affine."""
+    kind = type(e)
+    if kind is Var:
+        return int(e.name == var)
+    if kind is Neg:
+        return _degree(e.operand, var)
+    if kind is Bin:
+        left, right = _degree(e.left, var), _degree(e.right, var)
+        if e.op in ("+", "-"):
+            return max(left, right)
+        if e.op == "*":
+            return min(left + right, 2)
+        if e.op == "/":
+            return left if right == 0 else 2
+        return 0 if left == right == 0 else 2
+    if kind is Call:
+        return 0 if _degree(e.arg, var) == 0 else 2
+    return 0
+
+
+def affine(e: Expression, var: str, bindings: Bindings):
+    """The columns (A, B) with e = A + B*var at every sample of the array
+    bindings, if the tree is affine in var by structure, else None.
+
+    Affine means var enters only through +, -, negation, products with at
+    most one factor holding var, and numerators over var-free denominators;
+    ^ and the functions must be var-free. A and B come from one walk seeded
+    on var with var bound to zero, over the same libm views and under the
+    same silent overflow as hoist, so a var-free subtree has the bits it has
+    in the float walk. A + B*v rounds like the tree where the tree is A +- b*v
+    itself; otherwise the two may differ in the last bits. Raises what the
+    walk raises, possibly at a sample the caller would have reached later.
+    """
+    if _degree(e, var) > 1:
+        return None
+    cols, shape = _libm_views(bindings)
+    cols[var] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _dual(e, cols, var)
+    return tuple(np.ascontiguousarray(np.broadcast_to(
+        np.asarray(v, dtype=float), shape)) for v in (a, 0.0 if b is None else b))
 
 
 def value_and_partial(e: Expression, var: str, bindings: Bindings):

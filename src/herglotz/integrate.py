@@ -10,10 +10,16 @@ straddles a kink of the integrand. Delayed arguments are read from the
 trajectory; since tau sits exactly on the grid, delayed reads at nodes land
 on nodes. Stage times at substep ends use one-sided trajectory limits so the
 integrand stays smooth within each substep. Along the trajectory only z
-changes from stage to stage, so the parts of L without z are evaluated once,
-over all the samples (expr.hoist), and a stage walks only the nodes on the
-paths to z; z and lambda are bit for bit those of the whole-tree walk. A
-stage that meets a non-finite z raises NonFinite.
+changes from stage to stage. Where L is affine in z, L = A + B z (expr.affine;
+every shipped bundle is), one walk over all the samples gives the columns A
+and B: log-lambda is then one running sum of -B, and z runs the stage
+formulas on floats with no tree walk. Otherwise the parts of L without z are
+evaluated once over the samples (expr.hoist) and a stage walks only the nodes
+on the paths to z. z and lambda are bit for bit those of the whole-tree walk,
+except that an affine L not written as A +- b*z may move z by a few ulps. A
+stage that meets a non-finite z, or a stop where z or log-lambda is one,
+raises NonFinite; where the affine stages meet a non-finite value, the stage
+walk runs instead, so the error names the same t.
 
 The integrating factor lambda(t) = exp(-int_a^t dL/dz) is accumulated in the
 same pass as log-lambda (positivity by construction); if L does not depend on
@@ -174,9 +180,23 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     """Integrate z and log-lambda over [a, b] along the given trajectory."""
     g = problem.grid
     P = Panels(problem, traj)
+    coeffs = expr.affine(problem.lagrangian, "z", P.bind)
+    path = None if coeffs is None else _affine_stages(P, problem.gamma, *coeffs)
+    # L not affine in z, or a non-finite value on the way: the stage walk decides
+    zs, mus = _stages(problem, P) if path is None else path
+    with np.errstate(over="ignore"):
+        lam = np.exp(mus[P.node_pos])
+    if not np.all(np.isfinite(lam)):
+        raise NonFinite("integrating factor overflowed")
+    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P)
+
+
+def _stages(problem: HerglotzProblem, P: Panels):
+    """z and mu = log lambda at every stop, by RK4 stages that walk the
+    z-paths of L: only z changes between stages, so the z-free parts of L
+    are evaluated once over the samples and a stage binds the sample index
+    and z. A non-finite z or mu raises NonFinite at the first t it reaches."""
     k, hs, ts = P.k, P.hs, P.times
-    # only z changes between stages: the z-free parts of L are evaluated
-    # once over the samples, and a stage binds the sample index and z
     L = expr.hoist(problem.lagrangian, "z", P.bind)
     b: dict = {expr.SAMPLE: 0, "z": 0.0}
 
@@ -188,7 +208,6 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
         val, dz = expr.value_and_partial(L, "z", b)
         return float(val), -float(dz)
 
-    # z and mu at every stop; the nodes are picked out at the end
     zs = np.empty(k + 1)
     mus = np.empty(k + 1)
     z = zs[0] = float(problem.gamma)
@@ -205,10 +224,34 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
             raise NonFinite(f"z integration produced a non-finite value at t={ts[2 * k + i]}")
         zs[i + 1] = z
         mus[i + 1] = mu
-    lam = np.exp(mus[P.node_pos])
-    if not np.all(np.isfinite(lam)):
-        raise NonFinite("integrating factor overflowed")
-    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P)
+    return zs, mus
+
+
+def _affine_stages(P: Panels, gamma: float, A: np.ndarray, B: np.ndarray):
+    """The same stages for L = A + B z, from the columns A and B at the
+    samples, with no tree walk; None if z or mu meets a non-finite value.
+    mu' = -B does not depend on z, so its RK4 sums are one running sum, and
+    z runs the stage formulas on floats."""
+    k, hs = P.k, P.hs
+    lo, mid, hi = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+    m = -B
+    with np.errstate(over="ignore", invalid="ignore"):
+        mus = np.cumsum(np.concatenate(
+            ([0.0], hs * (m[lo] + 2.0 * m[mid] + 2.0 * m[mid] + m[hi]) / 6.0)))
+    z = float(gamma)
+    zs = [z]
+    for h, al, am, ar, bl, bm, br in zip(
+            hs.tolist(), *(c[s].tolist() for c in (A, B) for s in (lo, mid, hi))):
+        z1 = al + bl * z
+        z2 = am + bm * (z + 0.5 * h * z1)
+        z3 = am + bm * (z + 0.5 * h * z2)
+        z4 = ar + br * (z + h * z3)
+        z = z + h * (z1 + 2.0 * z2 + 2.0 * z3 + z4) / 6.0
+        zs.append(z)
+    zs = np.array(zs)
+    if np.all(np.isfinite(zs)) and np.all(np.isfinite(mus)):
+        return zs, mus
+    return None
 
 
 class Samples:

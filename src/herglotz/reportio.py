@@ -21,15 +21,11 @@ def fmt(x: float) -> str:
 
 
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
-    cols = [np.asarray(c) for c in columns]
-    lines = [",".join(header)]
-    for i in range(len(cols[0]) if cols else 0):
-        cells = []
-        for c in cols:
-            v = c[i]
-            cells.append(str(v) if isinstance(v, str) or c.dtype.kind in "US" else fmt(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cols = [np.asarray(c).tolist() for c in columns]
+    # one format per column: text as it is, numbers as fmt writes them
+    row = ",".join("{}" if c and isinstance(c[0], (str, bytes)) else "{:.17g}"
+                   for c in cols)
+    return "\n".join([",".join(header), *(row.format(*r) for r in zip(*cols))]) + "\n"
 
 
 def json_text(obj) -> str:

@@ -66,7 +66,8 @@ class SolveOptions:
 @dataclass
 class SolveResult:
     """stop_reason: "converged", "max_iters" or "line_search_failed" (no
-    backtracking trial along the search direction met the Armijo test)."""
+    backtracking trial along the search direction met the Armijo test).
+    zpath is z and lambda along the final trajectory."""
 
     trajectory: SampledTrajectory
     z_b: float
@@ -74,6 +75,7 @@ class SolveResult:
     final_grad_norm: float
     stop_reason: str
     objective_history: list = field(repr=False)
+    zpath: ZPath = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -249,4 +251,4 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         stop_reason = "converged"
     return SolveResult(trajectory=traj, z_b=sign * f, iterations=iterations,
                        final_grad_norm=final_gnorm, stop_reason=stop_reason,
-                       objective_history=history)
+                       objective_history=history, zpath=zpath)

@@ -119,6 +119,17 @@ class TestExitCodes:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_affine_blow_up_is_exit_3(self, tmp_path, capsys):
+        # z' = 50 z from z(0) = 1 overflows before t = 20, on the affine path
+        cfg = write_config(
+            tmp_path, interval={"a": 0.0, "b": 20.0}, n=200, gamma=1.0,
+            beta=20.0, history="t", lagrangian="50*z",
+            trajectory={"backend": "pieces",
+                        "pieces": [{"from": -1.0, "to": 20.0, "expr": "t"}]})
+        rc = main(["integrate", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_overflowed_sine_is_exit_3(self, tmp_path, capsys):
         # exp(1000*dx) overflows along the line x = t; sin(inf) is NaN, so z
         # turns non-finite

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import herglotz as hg
 from herglotz import errors
 from herglotz.expr import (
     FUNCTIONS,
@@ -17,6 +18,8 @@ from herglotz.expr import (
     Neg,
     Num,
     Var,
+    _degree,
+    affine,
     evaluate,
     hoist,
     parse,
@@ -25,6 +28,9 @@ from herglotz.expr import (
     value_and_partial,
     variables_in,
 )
+from herglotz.integrate import integrate_z
+
+from conftest import build_paper, wavy_sampled, whole_tree_z
 
 
 def central_diff(f, x, h=1e-5):
@@ -401,3 +407,63 @@ class TestHoist:
     def test_hoisted_domain_error_raises_at_hoist(self):
         with pytest.raises(errors.DomainError):
             hoist(parse("log(x) + z"), "z", {"x": np.array([1.0, 0.0])})
+
+
+class TestAffine:
+    X = np.array([0.5, -1.5, 2.0])
+
+    @pytest.mark.parametrize("text, a, b", [
+        ("z", 0.0, 1.0),
+        ("3*z", 0.0, 3.0),
+        ("z/x", 0.0 / X, 1.0 / X),
+        ("x^2 - 0.2*z", X ** 2, -0.2),
+        ("-(z)", -0.0, -1.0),
+        ("z - z", 0.0, 0.0),
+        ("x^2", X ** 2, 0.0),
+    ])
+    def test_affine_columns(self, text, a, b):
+        got = affine(parse(text), "z", {"x": self.X})
+        assert got is not None
+        for col, want in zip(got, (a, b)):
+            assert col.shape == self.X.shape
+            assert np.broadcast_to(want, self.X.shape).tobytes() == col.tobytes()
+
+    @pytest.mark.parametrize("text", ["z*z", "x/z", "sin(z)", "z^1", "2^z", "exp(x*z) + 1"])
+    def test_not_affine(self, text):
+        assert affine(parse(text), "z", {"x": self.X}) is None
+
+    def test_overflow_is_silent(self):
+        x = {"x": np.array([0.0, 1.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a1, b1 = affine(parse("1e300*x*1e300 + x*z"), "z", x)
+            a2, b2 = affine(parse("exp(exp(exp(5 + x)))*z"), "z", x)
+        assert list(a1) == [0.0, math.inf] and list(b1) == [0.0, 1.0]
+        assert np.all(np.isnan(a2)) and list(b2) == [math.inf] * 2
+
+    def test_integration_matches_the_stage_walk_on_random_trees(self):
+        # lambda bit for bit (B is the z-partial the stages take); z within
+        # 1e-13 relative, exact where the tree is A +- b*z itself. Where the
+        # stage walk raises or meets a non-finite value, so does integrate_z
+        problem, _, _, _ = build_paper(8)
+        traj = wavy_sampled(problem)
+        names = {"t", "x", "dx", "xtau", "dxtau", "z"}
+        compared = with_z = 0
+        for tree in random_trees(11, 1500):
+            if not variables_in(tree) <= names or _degree(tree, "z") > 1:
+                continue
+            p = hg.HerglotzProblem(grid=problem.grid, gamma=0.5, beta=problem.beta,
+                                   history=problem.history, lagrangian=tree)
+            try:
+                with np.errstate(all="ignore"):
+                    z, lam = whole_tree_z(p, traj)
+            except (errors.HerglotzError, AssertionError):
+                with pytest.raises(errors.HerglotzError):
+                    integrate_z(p, traj)
+                continue
+            zp = integrate_z(p, traj)
+            assert zp.lam.tobytes() == lam.tobytes()
+            assert np.all(np.abs(zp.z - z) <= 1e-13 * np.abs(z))
+            compared += 1
+            with_z += "z" in variables_in(tree)
+        assert compared > 1000 and with_z > 50

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import herglotz as hg
 from herglotz import errors, expr
 from herglotz.bundles import BUNDLE_NAMES
 from herglotz.integrate import (
+    Panels,
     VariationDirection,
+    _stages,
     first_variation,
     integrate_z,
     integration_stops,
@@ -111,10 +114,11 @@ class TestIntegrateZ:
         assert zp.lam.tobytes() == lam.tobytes()
 
     def test_stages_walk_only_the_z_path(self, monkeypatch):
-        # paper-s4, L = dxtau^2 + z: dxtau^2 is evaluated once over the
-        # samples (its 3 nodes), and each stage visits +, the hoisted leaf and
-        # z: 3 nodes, where the whole tree has 5. A sampled trajectory reads
-        # no expression, so every visit outside the stages is the hoisting
+        # paper-s4, L = dxtau^2 + z, is affine in z: one walk over the
+        # samples (its 5 nodes) gives L = A + B z there, and no stage walks.
+        # A sampled trajectory reads no expression, so every visit is L's.
+        # L = dxtau^2 + sin(z) is not: dxtau^2 is hoisted (3 visits) and each
+        # stage visits +, the hoisted leaf, sin and z
         problem, _, _, _ = build_paper(100)
         traj = wavy_sampled(problem)
         visits = {"stage": 0, "samples": 0}
@@ -126,8 +130,25 @@ class TestIntegrateZ:
 
         monkeypatch.setattr(expr, "_dual", counted)
         integrate_z(problem, traj)
+        assert visits == {"stage": 0, "samples": 5}
+        visits.update(stage=0, samples=0)
+        integrate_z(replace(problem, lagrangian=expr.parse("dxtau^2 + sin(z)")), traj)
         k = len(integration_stops(problem, traj)[0]) - 1
-        assert visits == {"stage": 3 * 4 * k, "samples": 3}
+        assert visits == {"stage": 4 * 4 * k, "samples": 3}
+
+    def test_affine_blow_up_is_non_finite_where_the_stages_say(self):
+        # z' = 50 z from z(0) = 1 overflows before t = 20; the message names
+        # the t the stage walk names
+        g = build_grid(0.0, 20.0, 0.0, 200)
+        problem = hg.HerglotzProblem(grid=g, gamma=1.0, beta=1.0,
+                                     history="0", lagrangian="50*z")
+        traj = PiecewiseTrajectory(g, [(0.0, 20.0, "t")])
+        assert expr.affine(problem.lagrangian, "z", {"t": g.main_nodes}) is not None
+        with pytest.raises(errors.NonFinite) as affine:
+            integrate_z(problem, traj)
+        with pytest.raises(errors.NonFinite) as walked:
+            _stages(problem, Panels(problem, traj))
+        assert str(affine.value) == str(walked.value)
 
     def test_csv_layout(self):
         problem, traj, _, _ = build_paper(8)

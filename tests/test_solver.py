@@ -174,6 +174,14 @@ class TestSolveDirect:
         hist = np.array(result.objective_history)
         assert np.all(np.diff(hist) <= 1e-14)
 
+    def test_result_carries_the_final_zpath(self):
+        problem, _, _, opts = build_bundle("paper-s4", n=40)
+        result = solve_direct(problem, opts)
+        again = integrate_z(problem, result.trajectory)
+        assert result.zpath.samples(result.trajectory) is not None
+        assert result.zpath.z_b == result.z_b
+        assert result.zpath.csv() == again.csv()
+
     def test_fixed_nodes_preserved_bit_for_bit(self):
         problem, _, _, opts = build_bundle("paper-s4", n=40)
         seed = hg.seed_trajectory(problem, "linear")
