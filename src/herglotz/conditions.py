@@ -20,12 +20,11 @@ from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fdiff import derivative_on_segment
 from .integrate import Samples, ZPath, integrate_z
 from .reportio import csv_text
-from .trajectory import HerglotzProblem, Trajectory, spline_adjoint
+from .trajectory import CubicSpline, HerglotzProblem, Trajectory, spline_adjoint
 
 EL1_LABEL = "EL-1 on [a, b-tau]"
 EL2_LABEL = "EL-2 on [b-tau, b]"
@@ -233,9 +232,9 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     mids = 0.5 * (tmain[:-1] + tmain[1:])
     sm = np.empty(g.n)
     if k1 > 0:
-        sm[:k1] = CubicSpline(tmain[: k1 + 1], left)(mids[:k1])
+        sm[:k1] = CubicSpline(tmain[: k1 + 1], left, "not-a-knot")(mids[:k1])
     if k1 < g.n:
-        sm[k1:] = CubicSpline(tmain[k1:], right)(mids[k1:])
+        sm[k1:] = CubicSpline(tmain[k1:], right, "not-a-knot")(mids[k1:])
     ends_lo = np.concatenate([left[:-1], right[:-1]])
     ends_hi = np.concatenate([left[1:], right[1:]])
     # integrating the eta' terms by parts leaves a point contribution at the

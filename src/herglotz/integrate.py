@@ -41,8 +41,9 @@ invariance defect take them from the z-path, with z and lambda there and the
 Lagrangian partials filled in on first use, and are each a short formula
 over them. A direction eta is a sampled trajectory with zero history
 (trajectory.VariationDirection), so the first variation reads it through
-Panels.read too; the splines through node values, and their adjoint, live
-in trajectory.
+Panels.read too; the one spline through node values (trajectory.CubicSpline,
+which also carries z and lambda between nodes here) and its adjoint live in
+trajectory.
 All operations are pure (a fill-in on first use writes the same values
 whichever caller comes first); concurrent integrations are safe.
 """
@@ -54,12 +55,11 @@ from functools import cached_property
 from math import isfinite
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import expr
 from .errors import InvalidTrajectory, NonFinite, OutOfDomain
 from .reportio import csv_text
-from .trajectory import Grid, HerglotzProblem, Trajectory, VariationDirection
+from .trajectory import CubicSpline, Grid, HerglotzProblem, Trajectory, VariationDirection
 
 
 def _snap(ts: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
@@ -111,8 +111,9 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
 
 @dataclass
 class ZPath:
-    """z and lambda at the nodes of [a, b], with spline interpolation between,
-    plus the panel samples of the trajectory they were integrated on."""
+    """z and lambda at the nodes of [a, b], read between them through one
+    not-a-knot trajectory.CubicSpline over both columns, plus the panel
+    samples of the trajectory they were integrated on."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
@@ -134,8 +135,7 @@ class ZPath:
     @cached_property
     def _spline(self):
         """One spline over the columns (z, lambda)."""
-        bc = "not-a-knot" if len(self.z) >= 4 else "natural"
-        return CubicSpline(self.times, np.column_stack([self.z, self.lam]), bc_type=bc)
+        return CubicSpline(self.times, np.column_stack([self.z, self.lam]), "not-a-knot")
 
     def _check(self, ts: np.ndarray) -> None:
         g = self.grid
@@ -143,21 +143,17 @@ class ZPath:
         if np.any(ts < g.a - slack) or np.any(ts > g.b + slack):
             raise OutOfDomain(f"time outside [{g.a}, {g.b}]")
 
-    def _interp(self, col, stored, t):
+    def _interp(self, col, t):
         ts = np.asarray(t, dtype=float)
         self._check(np.atleast_1d(ts))
         out = self._spline(ts)[..., col]
-        nodes = self.times
-        idx = np.clip(np.searchsorted(nodes, ts), 0, len(nodes) - 1)
-        exact = nodes[idx] == ts
-        out = np.where(exact, stored[idx], out)
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def z_at(self, t):
-        return self._interp(0, self.z, t)
+        return self._interp(0, t)
 
     def lambda_at(self, t):
-        return self._interp(1, self.lam, t)
+        return self._interp(1, t)
 
     def csv(self) -> str:
         return csv_text(["t", "z", "lambda"], [self.times, self.z, self.lam])
@@ -170,8 +166,7 @@ class ZPath:
         if traj is not P.traj:
             raise InvalidTrajectory("z-path was integrated along a different trajectory")
         if "z" not in P.bind:
-            P.z = self.z_at(P.times)
-            P.lam = self.lambda_at(P.times)
+            P.z, P.lam = np.ascontiguousarray(self._spline(P.times).T)
             P.bind["z"] = P.z
         return P
 

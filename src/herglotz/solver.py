@@ -12,8 +12,9 @@ The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
 steps decrease the working objective strictly, a trial point whose
 integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
-of the natural spline through the node values (trajectory.spline_adjoint): a
-scatter of the Simpson-weighted partials plus one banded solve, O(n) per call.
+of the natural spline through the node values (trajectory.spline_adjoint, the
+transpose of the build and read of trajectory.CubicSpline): a scatter of the
+Simpson-weighted partials plus one banded solve, O(n) per call.
 
 The two-loop recursion is seeded with the H1 (Sobolev) metric:
 H0 = gamma K^-1 with K = tridiag(-1, 2, -1)/h on the free nodes

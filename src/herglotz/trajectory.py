@@ -12,9 +12,10 @@ Two backends:
   with a different slope. A single C2 spline across t=a would smear that
   corner and bias every downstream quantity at O(h). An admissible variation
   direction is a sampled trajectory too (VariationDirection), with zero node
-  values on [a-tau, a] and at b, and spline_adjoint is the transpose of the
-  [a, b] spline read; these are the package's only splines through node
-  values.
+  values on [a-tau, a] and at b. CubicSpline is the package's one spline
+  through node values (the z-path and the residual pairing of conditions use
+  it too), and spline_adjoint is the transpose of its natural-end build and
+  read, sharing the slope matrix and its end rows with it.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -29,10 +30,10 @@ returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import perm
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from . import expr
@@ -101,6 +102,88 @@ def _domain_check(grid: Grid, ts: np.ndarray) -> None:
         raise OutOfDomain(f"t={float(np.atleast_1d(bad)[0])} outside [{grid.nodes[0]}, {grid.b}]")
 
 
+def _slope_band(x: np.ndarray, bc: str):
+    """The matrix of the slope system of the cubic spline through nodes x, in
+    solve_banded's (1, 1) layout, and whether its end rows are not-a-knot:
+    the one place the end rows are chosen, for the build and its transpose.
+    Not-a-knot needs 4 nodes; with fewer the ends are natural."""
+    if bc not in ("natural", "not-a-knot"):
+        raise ValueError(f"unknown spline end condition {bc!r}")
+    dx = np.diff(x)
+    band = np.zeros((3, len(x)))
+    band[0, 2:] = dx[:-1]
+    band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    band[2, :-2] = dx[1:]
+    knot = bc == "not-a-knot" and len(x) >= 4
+    if knot:
+        band[1, 0], band[0, 1] = dx[1], x[2] - x[0]
+        band[1, -1], band[2, -2] = dx[-2], x[-1] - x[-3]
+    else:
+        band[1, 0], band[0, 1] = 2 * dx[0], dx[0]
+        band[1, -1], band[2, -2] = 2 * dx[-1], dx[-1]
+    return band, knot
+
+
+class CubicSpline:
+    """C2 cubic spline through (x, y) with "natural" or "not-a-knot" ends;
+    y holds one value, or one row of columns, per node.
+    CubicSpline(x, y, bc)(ts, nu) reads the nu-th derivative (nu = 0, 1, 2)
+    at ts; reads outside [x_0, x_n] extend the end pieces, and a value read
+    exactly at a node returns the stored value.
+
+    The build and the read are scipy.interpolate.CubicSpline's, step for step,
+    so they give its bits (its not-a-knot cases for 2 and 3 nodes aside): the C2
+    conditions give a tridiagonal system in the node slopes s, and piece i is
+    y_i + s_i z + c1 z^2 + c0 z^3 with z = t - x_i, summed by powers of z.
+    """
+
+    def __init__(self, x, y, bc: str):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._cols = y.shape[1:]
+        y = y.reshape(len(x), -1)
+        dx = np.diff(x)[:, None]
+        slope = np.diff(y, axis=0) / dx
+        band, knot = _slope_band(x, bc)
+        b = np.empty_like(y)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if knot:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
+            b[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        else:
+            b[0] = 3 * (y[1] - y[0])
+            b[-1] = 3 * (y[-1] - y[-2])
+        s = solve_banded((1, 1), band, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.y = y
+        # one row of coefficients (c0, c1, c2, c3) per piece
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]), axis=1)
+
+    def __call__(self, ts, nu: int = 0) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        t = ts.reshape(-1)
+        x = self.x
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+        xi = x[i]
+        z = (t - xi)[:, None]
+        c = np.take(self.c, i, axis=0)
+        # PPoly's sum by powers of z; Horner's scheme would round differently
+        res = np.zeros((len(t), c.shape[2]))
+        zk = 1.0
+        for k in range(nu, 4):
+            res += c[:, 3 - k] * zk * perm(k, nu)
+            zk = zk * z
+        if nu == 0:
+            # by an equality test, not z = 0, so a stored -0.0 stays -0.0;
+            # the right end x_n is the end of the last piece
+            at = i + (t == x[-1])
+            np.copyto(res, self.y[at], where=(t == x[at])[:, None])
+        return res.reshape(ts.shape + self._cols)
+
+
 class SampledTrajectory:
     """Node values; natural cubic splines over [a-tau, a] and [a, b]."""
 
@@ -117,12 +200,12 @@ class SampledTrajectory:
         m = grid.m
         if m >= 1:
             self._hist = _hist if _hist is not None else CubicSpline(
-                grid.nodes[: m + 1], values[: m + 1], bc_type="natural")
+                grid.nodes[: m + 1], values[: m + 1], "natural")
             self.breakpoints: tuple = (grid.a,)
         else:
             self._hist = None
             self.breakpoints = ()
-        self._main = CubicSpline(grid.main_nodes, values[m:], bc_type="natural")
+        self._main = CubicSpline(grid.main_nodes, values[m:], "natural")
 
     def _with_values(self, values: np.ndarray) -> "SampledTrajectory":
         return SampledTrajectory(self.grid, values, _hist=self._hist)
@@ -148,12 +231,6 @@ class SampledTrajectory:
             dx[mask] = spline(tm, 1)
             if want_ddx:
                 ddx[mask] = spline(tm, 2)
-        # node hits return the stored values exactly
-        idx = np.searchsorted(g.nodes, ts)
-        idx = np.clip(idx, 0, len(g.nodes) - 1)
-        exact = g.nodes[idx] == ts
-        if np.any(exact):
-            x[exact] = self.values[idx[exact]]
         return (x, dx, ddx) if want_ddx else (x, dx)
 
     def eval(self, t: float, side: str = "right"):
@@ -269,39 +346,45 @@ class VariationDirection(SampledTrajectory):
 def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
                    wd: np.ndarray) -> np.ndarray:
     """Node weights g with g . y = sum(wv * s(ts) + wd * s'(ts)) for the
-    natural cubic spline s through (nodes, y), i.e. the transpose of the
-    [a, b] spline read of SampledTrajectory.
-
-    On interval i, with A = (t_{i+1} - t)/h_i and B = 1 - A,
-        s  = A y_i + B y_{i+1} + h_i^2/6 [(A^3 - A) M_i + (B^3 - B) M_{i+1}]
-        s' = (y_{i+1} - y_i)/h_i + h_i/6 [(1 - 3A^2) M_i + (3B^2 - 1) M_{i+1}]
-    and the interior moments solve T M = R y with T symmetric tridiagonal
-    (M = 0 at both ends). So g is a scatter of the y-coefficients plus
-    R^T T^{-1} applied to the scattered M-coefficients: O(len(ts) + n).
+    spline s = CubicSpline(nodes, y, "natural"), i.e. the transpose of the
+    [a, b] spline read of SampledTrajectory. It runs the steps of the build
+    and the read transposed, in reverse order: O(len(ts) + n).
     """
-    n = len(nodes) - 1
-    h = np.diff(nodes)
-    i = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, n - 1)
-    hi = h[i]
-    B = (ts - nodes[i]) / hi
-    A = 1.0 - B
-    slope = wd / hi
-    g = (np.bincount(i, A * wv - slope, n + 1)
-         + np.bincount(i + 1, B * wv + slope, n + 1))
-    cm_lo = hi * (hi * (A**3 - A) * wv + (1.0 - 3.0 * A**2) * wd) / 6.0
-    cm_hi = hi * (hi * (B**3 - B) * wv + (3.0 * B**2 - 1.0) * wd) / 6.0
-    cm = np.bincount(i, cm_lo, n + 1) + np.bincount(i + 1, cm_hi, n + 1)
-    # row k of T M = R y: h_{k-1} M_{k-1} + 2(h_{k-1} + h_k) M_k + h_k M_{k+1}
-    #                     = 6 [(y_{k+1} - y_k)/h_k - (y_k - y_{k-1})/h_{k-1}]
-    # general banded solve: solveh_banded rejects the 1x1 system of n = 2
-    band = np.zeros((3, n - 1))
-    band[0, 1:] = band[2, :-1] = h[1:-1]
-    band[1] = 2.0 * (h[:-1] + h[1:])
-    q = 6.0 * solve_banded((1, 1), band, cm[1:-1])
-    g[2:] += q / h[1:]
-    g[1:-1] -= q * (1.0 / h[:-1] + 1.0 / h[1:])
-    g[:-2] += q / h[:-1]
-    return g
+    x = np.asarray(nodes, dtype=float)
+    n = len(x)
+    dx = np.diff(x)
+    i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, n - 2)
+    z = ts - x[i]
+    # the read: s = c3 + c2 z + c1 z^2 + c0 z^3, s' = c2 + 2 c1 z + 3 c0 z^2
+    gc0 = np.bincount(i, z * z * (z * wv + 3.0 * wd), n - 1)
+    gc1 = np.bincount(i, z * (z * wv + 2.0 * wd), n - 1)
+    gc2 = np.bincount(i, z * wv + wd, n - 1)
+    gc3 = np.bincount(i, wv, n - 1)
+    # the coefficients: c0 = t/dx, c1 = (slope - s_i)/dx - t, c2 = s_i, c3 = y_i
+    # with t = (s_i + s_{i+1} - 2 slope)/dx; gt is the t-weight over dx
+    gt = (gc0 / dx - gc1) / dx
+    gslope = gc1 / dx - 2.0 * gt
+    gs = np.zeros(n)
+    gs[:-1] = gc2 - gc1 / dx + gt
+    gs[1:] += gt
+    gy = np.zeros(n)
+    gy[:-1] = gc3
+    # the slope system A s = b, transposed
+    band, _ = _slope_band(x, "natural")
+    band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
+    gb = solve_banded((1, 1), band, gs, overwrite_ab=True, overwrite_b=True,
+                      check_finite=False)
+    # its right-hand side b, with the natural end rows b_0 = 3 (y_1 - y_0) and
+    # b_n = 3 (y_n - y_{n-1})
+    gslope[:-1] += 3 * dx[1:] * gb[1:-1]
+    gslope[1:] += 3 * dx[:-1] * gb[1:-1]
+    gy[:2] += np.array([-3.0, 3.0]) * gb[0]
+    gy[-2:] += np.array([-3.0, 3.0]) * gb[-1]
+    # slope = (y_{i+1} - y_i)/dx
+    gq = gslope / dx
+    gy[1:] += gq
+    gy[:-1] -= gq
+    return gy
 
 
 Trajectory = Union[SampledTrajectory, PiecewiseTrajectory]

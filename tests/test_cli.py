@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +282,13 @@ class TestConfigHandling:
         assert problem.grid.n == 100
         assert traj is not None
         assert group is not None
+
+
+def test_import_loads_no_scipy_interpolate():
+    # the package's own spline replaced scipy's, whose import was most of a
+    # CLI command's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, herglotz.cli; print('scipy.interpolate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert run.stdout.strip() == "False"

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 import herglotz as hg
 from herglotz import errors
 from herglotz.reportio import csv_text, write_text_atomic
 from herglotz.trajectory import (
+    CubicSpline,
     PiecewiseTrajectory,
     SampledTrajectory,
     build_grid,
     perturb,
     sampled_from_csv,
     seed_trajectory,
+    spline_adjoint,
     trajectory_csv,
 )
 
@@ -168,6 +171,53 @@ class TestSampled:
         g = build_grid(0.0, 1.0, 0.0, 10)
         traj = SampledTrajectory(g, g.nodes)
         assert traj.breakpoints == ()
+
+
+class TestCubicSpline:
+    @pytest.mark.parametrize("n", [*range(2, 12), 50, 101, 401, 2001])
+    def test_bitwise_equal_to_scipy(self, n):
+        # scipy's dense 3-point parabola and 2-point line are not carried
+        # over: below 4 nodes not-a-knot falls back to natural ends
+        rng = np.random.default_rng(n)
+        for x in (np.linspace(-0.3, 1.7, n), np.sort(rng.uniform(-1.0, 2.0, n))):
+            span = x[-1] - x[0]
+            ts = np.concatenate([x, [x[0] - 1e-3 * span, x[-1] + 1e-3 * span],
+                                 rng.uniform(x[0], x[-1], 40)])
+            for bc in ("natural", "not-a-knot"):
+                ref_bc = bc if n >= 4 else "natural"
+                for y in (rng.normal(size=n), rng.normal(size=(n, 2))):
+                    ours, ref = CubicSpline(x, y, bc), ScipyCubicSpline(x, y, bc_type=ref_bc)
+                    for nu in (0, 1, 2):
+                        want = ref(ts, nu)
+                        if nu == 0:
+                            want[:n] = y    # a read at a node returns the stored value
+                        np.testing.assert_array_equal(ours(ts, nu), want, strict=True)
+
+    def test_node_read_keeps_a_stored_negative_zero(self):
+        x = np.array([0.0, 0.5, 1.0, 2.0, 2.5])
+        y = np.array([-0.0, 1.0, -0.0, 3.0, -0.0])
+        got = CubicSpline(x, y, "not-a-knot")(x)
+        assert list(np.signbit(got)) == [True, False, True, False, True]
+
+
+class TestSplineAdjoint:
+    @pytest.mark.parametrize("n", [2, 3, 4, 17])
+    def test_equals_the_forward_spline_on_unit_vectors(self, n):
+        # at small n the end rows carry most of the weights
+        rng = np.random.default_rng(n)
+        x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, n - 2)), [2.0]])
+        ts = np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 25)])
+        wv, wd = rng.normal(size=(2, len(ts)))
+
+        def paired(y):
+            s = CubicSpline(x, y, "natural")
+            return np.sum(wv * s(ts) + wd * s(ts, 1))
+
+        brute = np.array([paired(e) for e in np.eye(n)])
+        g = spline_adjoint(x, ts, wv, wd)
+        np.testing.assert_allclose(g, brute, rtol=0, atol=1e-13 * np.max(np.abs(brute)))
+        y = rng.normal(size=n)
+        assert g @ y == pytest.approx(paired(y), rel=1e-13)
 
 
 class TestPerturb:
