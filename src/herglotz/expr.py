@@ -19,7 +19,10 @@ half of the same walk with no seed. Evaluation accepts floats or same-shaped
 numpy arrays and is pure; parsed trees are immutable, so concurrent use is
 safe. Scalar and array evaluation raise the same domain errors and agree in
 value, sin and cos of inf included (NaN), up to the last bit of ^ and the
-functions, where numpy's loops and libm may round apart.
+functions, where numpy's loops and libm may round apart. u^2 agrees bit for
+bit on every path: an exponent of exactly 2 is computed as u*u, the
+correctly rounded square (libm's pow(u, 2.0) can be 1 ulp off it, and
+numpy's power already computes u*u).
 
 A loop that changes one variable only, such as the RK4 stages in z, needs
 no walk per pass where the tree is affine in that variable: affine reads the
@@ -29,9 +32,9 @@ the tree once with hoist: every maximal subtree free of that variable is
 evaluated over the array bindings and becomes a Col leaf of per-sample
 values, so each pass walks only the paths to the variable. Both keep the
 float kernels for array samples (^ and the functions run through math
-sample by sample), so a var-free subtree has the bits the float walk gives
-it, and the split walk returns bit for bit what the whole walk returns on
-floats.
+sample by sample, ^2 aside, which is u*u on whole arrays), so a var-free
+subtree has the bits the float walk gives it, and the split walk returns
+bit for bit what the whole walk returns on floats.
 """
 
 from __future__ import annotations
@@ -318,7 +321,8 @@ class _Libm(np.ndarray):
     """Samples whose ^ and functions run through the float kernels one sample
     at a time, so every value has the bits the float walk gives it (numpy's
     SIMD power and transcendental loops round differently from libm). +, -,
-    * and / round alike either way and stay whole-array."""
+    * and / round alike either way and stay whole-array, and so does ^2,
+    which is u*u on every path."""
 
 
 def _by_sample(kernel, *args) -> _Libm:
@@ -367,6 +371,10 @@ def _apply(fn: str, u: Value) -> Value:
 
 
 def _pow_value(u: Value, v: Value) -> Value:
+    if not _is_array(v) and v == 2.0:
+        # the correctly rounded square, whole-array on every path; no domain
+        # test can fire for an exponent of 2
+        return u * u
     if _is_array(u) or _is_array(v):
         if np.any(np.equal(u, 0.0) & np.less(v, 0.0)):
             raise DomainError("zero raised to a negative power")

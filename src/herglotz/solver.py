@@ -14,7 +14,7 @@ integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (trajectory.spline_adjoint, the
 transpose of the build and read of trajectory.CubicSpline): a scatter of the
-Simpson-weighted partials plus one banded solve, O(n) per call.
+Simpson-weighted partials plus one tridiagonal solve, O(n) per call.
 
 The two-loop recursion is seeded with the H1 (Sobolev) metric:
 H0 = gamma K^-1 with K = tridiag(-1, 2, -1)/h on the free nodes
@@ -32,11 +32,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import BadInterval, DomainError, NonFinite
 from .integrate import ZPath, integrate_z
-from .trajectory import HerglotzProblem, SampledTrajectory, perturb, seed_trajectory, spline_adjoint
+from .trajectory import (
+    HerglotzProblem,
+    SampledTrajectory,
+    perturb,
+    seed_trajectory,
+    solve_tridiagonal,
+    spline_adjoint,
+)
 
 _LBFGS_MEMORY = 10
 _MAX_BACKTRACKS = 60
@@ -143,11 +149,12 @@ def fd_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
 
 def _h1_inverse(count: int, h: float):
     """v -> K^-1 v for K = tridiag(-1, 2, -1)/h on the free nodes, with
-    Dirichlet ends (a, b and the history are pinned): one banded solve, O(n)."""
+    Dirichlet ends (a, b and the history are pinned): one tridiagonal solve,
+    O(n)."""
     band = np.empty((3, count))
     band[0] = band[2] = -1.0 / h
     band[1] = 2.0 / h
-    return lambda v: solve_banded((1, 1), band, v, check_finite=False)
+    return lambda v: solve_tridiagonal(band, v)
 
 
 def _two_loop(grad, s_list, y_list, kinv):

@@ -34,7 +34,8 @@ from math import perm
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from . import expr
 from .errors import (
@@ -102,9 +103,26 @@ def _domain_check(grid: Grid, ts: np.ndarray) -> None:
         raise OutOfDomain(f"t={float(np.atleast_1d(bad)[0])} outside [{grid.nodes[0]}, {grid.b}]")
 
 
+def solve_tridiagonal(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with A x = rhs for the tridiagonal A held in band, in the (1, 1)
+    banded layout (band[0, 1:] the superdiagonal, band[1] the diagonal,
+    band[2, :-1] the subdiagonal); rhs has one or more columns. One call of
+    LAPACK's gtsv, as scipy.linalg.solve_banded makes for this layout, with
+    the same bits. Neither argument is modified; a singular A raises
+    numpy.linalg.LinAlgError."""
+    if len(rhs) == 1:  # gtsv rejects a 1x1 system
+        if band[1, 0] == 0.0:
+            raise LinAlgError("singular matrix")
+        return rhs / band[1, 0]
+    *_, x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)
+    if info != 0:
+        raise LinAlgError(f"singular matrix (gtsv info {info})")
+    return x
+
+
 def _slope_band(x: np.ndarray, bc: str):
     """The matrix of the slope system of the cubic spline through nodes x, in
-    solve_banded's (1, 1) layout, and whether its end rows are not-a-knot:
+    solve_tridiagonal's layout, and whether its end rows are not-a-knot:
     the one place the end rows are chosen, for the build and its transpose.
     Not-a-knot needs 4 nodes; with fewer the ends are natural."""
     if bc not in ("natural", "not-a-knot"):
@@ -128,8 +146,9 @@ class CubicSpline:
     """C2 cubic spline through (x, y) with "natural" or "not-a-knot" ends;
     y holds one value, or one row of columns, per node.
     CubicSpline(x, y, bc)(ts, nu) reads the nu-th derivative (nu = 0, 1, 2)
-    at ts; reads outside [x_0, x_n] extend the end pieces, and a value read
-    exactly at a node returns the stored value.
+    at ts, and .read(ts, nus) several derivatives after one interval search;
+    reads outside [x_0, x_n] extend the end pieces, and a value read exactly
+    at a node returns the stored value.
 
     The build and the read are scipy.interpolate.CubicSpline's, step for step,
     so they give its bits (its not-a-knot cases for 2 and 3 nodes aside): the C2
@@ -154,8 +173,7 @@ class CubicSpline:
         else:
             b[0] = 3 * (y[1] - y[0])
             b[-1] = 3 * (y[-1] - y[-2])
-        s = solve_banded((1, 1), band, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        s = solve_tridiagonal(band, b)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.y = y
@@ -163,25 +181,33 @@ class CubicSpline:
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]), axis=1)
 
     def __call__(self, ts, nu: int = 0) -> np.ndarray:
+        return self.read(ts, (nu,))[0]
+
+    def read(self, ts, nus) -> tuple:
+        """The derivatives of orders nus at ts, one array each, with the bits
+        of separate calls."""
         ts = np.asarray(ts, dtype=float)
         t = ts.reshape(-1)
         x = self.x
         i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-        xi = x[i]
-        z = (t - xi)[:, None]
+        z = (t - x[i])[:, None]
         c = np.take(self.c, i, axis=0)
-        # PPoly's sum by powers of z; Horner's scheme would round differently
-        res = np.zeros((len(t), c.shape[2]))
-        zk = 1.0
-        for k in range(nu, 4):
-            res += c[:, 3 - k] * zk * perm(k, nu)
-            zk = zk * z
-        if nu == 0:
-            # by an equality test, not z = 0, so a stored -0.0 stays -0.0;
-            # the right end x_n is the end of the last piece
-            at = i + (t == x[-1])
-            np.copyto(res, self.y[at], where=(t == x[at])[:, None])
-        return res.reshape(ts.shape + self._cols)
+        # the running product 1, z, z*z, (z*z)*z, shared by every order
+        z2 = z * z
+        powers = (1.0, z, z2, z2 * z)
+        out = []
+        for nu in nus:
+            # PPoly's sum by powers of z; Horner's scheme would round differently
+            res = np.zeros((len(t), c.shape[2]))
+            for k in range(nu, 4):
+                res += c[:, 3 - k] * powers[k - nu] * perm(k, nu)
+            if nu == 0:
+                # by an equality test, not z = 0, so a stored -0.0 stays -0.0;
+                # the right end x_n is the end of the last piece
+                at = i + (t == x[-1])
+                np.copyto(res, self.y[at], where=(t == x[at])[:, None])
+            out.append(res.reshape(ts.shape + self._cols))
+        return tuple(out)
 
 
 class SampledTrajectory:
@@ -223,14 +249,12 @@ class SampledTrajectory:
         x = np.empty_like(ts)
         dx = np.empty_like(ts)
         ddx = np.empty_like(ts) if want_ddx else None
+        nus = (0, 1, 2) if want_ddx else (0, 1)
         for mask, spline in ((use_main, self._main), (~use_main, self._hist)):
             if not np.any(mask):
                 continue
-            tm = ts[mask]
-            x[mask] = spline(tm)
-            dx[mask] = spline(tm, 1)
-            if want_ddx:
-                ddx[mask] = spline(tm, 2)
+            for out, val in zip((x, dx, ddx), spline.read(ts[mask], nus)):
+                out[mask] = val
         return (x, dx, ddx) if want_ddx else (x, dx)
 
     def eval(self, t: float, side: str = "right"):
@@ -372,8 +396,7 @@ def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
     # the slope system A s = b, transposed
     band, _ = _slope_band(x, "natural")
     band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
-    gb = solve_banded((1, 1), band, gs, overwrite_ab=True, overwrite_b=True,
-                      check_finite=False)
+    gb = solve_tridiagonal(band, gs)
     # its right-hand side b, with the natural end rows b_0 = 3 (y_1 - y_0) and
     # b_n = 3 (y_n - y_{n-1})
     gslope[:-1] += 3 * dx[1:] * gb[1:-1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz import errors
+from herglotz import errors, expr
 from herglotz.expr import (
     FUNCTIONS,
     SAMPLE,
@@ -467,3 +467,53 @@ class TestAffine:
             compared += 1
             with_z += "z" in variables_in(tree)
         assert compared > 1000 and with_z > 50
+
+
+class TestSquare:
+    # -0.0, a subnormal, squares that underflow to a subnormal and to zero,
+    # two where glibc's pow(x, 2.0) is 1 ulp off the rounded square, and one
+    # that overflows
+    X = np.array([-0.0, 0.0, 5e-324, 1.5e-160, -2.2250738585072014e-308,
+                  2.817595433862767, -0.8843031552730771, 3.0, 1e200])
+
+    def test_square_is_the_product_on_every_path(self):
+        with np.errstate(over="ignore"):
+            want = (self.X * self.X).tobytes()
+        e = parse("x^2 + z")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floats = np.array([evaluate(e.left, {"x": x}) for x in self.X.tolist()])
+            hoisted = np.array(hoist(e, "z", {"x": self.X}).left.values)
+            a, _ = affine(e, "z", {"x": self.X})
+        with np.errstate(over="ignore"):
+            plain = evaluate(e.left, {"x": self.X})
+        for got in (floats, hoisted, a, plain):
+            assert got.tobytes() == want
+
+    def test_integration_runs_no_per_sample_power(self, monkeypatch):
+        def per_sample(u, v):
+            raise AssertionError(f"per-sample power {u}^{v}")
+
+        problem, traj, _, _ = build_paper(2000)
+        monkeypatch.setattr(expr, "_pow", per_sample)
+        assert integrate_z(problem, traj).z_b == pytest.approx(math.e ** 2 - math.e, rel=1e-9)
+        assert math.isfinite(integrate_z(problem, wavy_sampled(problem)).z_b)
+
+    @pytest.mark.parametrize("exponent", [3.0, 0.5])
+    def test_other_exponents_keep_the_libm_bits(self, exponent):
+        xs = np.abs(self.X[2:-1])
+        want = np.array([x ** exponent for x in xs.tolist()]).tobytes()
+        e = parse(f"x^{exponent} + z")
+        floats = np.array([evaluate(e.left, {"x": x}) for x in xs.tolist()])
+        hoisted = np.array(hoist(e, "z", {"x": xs}).left.values)
+        a, _ = affine(e, "z", {"x": xs})
+        assert floats.tobytes() == hoisted.tobytes() == a.tobytes() == want
+        assert evaluate(e.left, {"x": xs}).tobytes() == np.power(xs, exponent).tobytes()
+
+    def test_variable_exponent_keeps_the_libm_bits(self):
+        xs = np.abs(self.X[2:-1])
+        zs = np.linspace(0.3, 3.7, len(xs)).tolist()
+        split = hoist(parse("x^z"), "z", {"x": xs})
+        got = [value_and_partial(split, "z", {SAMPLE: i, "z": z})[0] for i, z in enumerate(zs)]
+        assert np.array(got).tobytes() == np.array(
+            [x ** z for x, z in zip(xs.tolist(), zs)]).tobytes()

@@ -161,6 +161,14 @@ class TestSolveDirect:
         assert abs(result.z_b - 1.0) < 1e-4
         assert np.max(np.abs(result.trajectory.values - problem.grid.nodes)) < 1e-3
 
+    def test_one_free_node(self):
+        # n = 2 leaves one free node: the H1 metric is a 1x1 system
+        problem, _, _, opts = build_bundle("classical-line", n=2)
+        assert opts.seed_guess == "zero"
+        result = solve_direct(problem, opts)
+        assert result.converged and result.iterations >= 1
+        assert abs(result.trajectory.values[1] - problem.grid.nodes[1]) < 1e-6
+
     def test_stationary_seed_converges_immediately(self):
         problem, _, _, _ = build_bundle("classical-line", n=60)
         result = solve_direct(problem, SolveOptions(seed_guess="linear"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
+from scipy.linalg import solve_banded
 
 import herglotz as hg
 from herglotz import errors
@@ -13,6 +14,7 @@ from herglotz.trajectory import (
     perturb,
     sampled_from_csv,
     seed_trajectory,
+    solve_tridiagonal,
     spline_adjoint,
     trajectory_csv,
 )
@@ -187,17 +189,55 @@ class TestCubicSpline:
                 ref_bc = bc if n >= 4 else "natural"
                 for y in (rng.normal(size=n), rng.normal(size=(n, 2))):
                     ours, ref = CubicSpline(x, y, bc), ScipyCubicSpline(x, y, bc_type=ref_bc)
+                    together = ours.read(ts, (0, 1, 2))
                     for nu in (0, 1, 2):
                         want = ref(ts, nu)
                         if nu == 0:
                             want[:n] = y    # a read at a node returns the stored value
                         np.testing.assert_array_equal(ours(ts, nu), want, strict=True)
+                        np.testing.assert_array_equal(together[nu], want, strict=True)
+
+    @pytest.mark.parametrize("cols", [(), (2,)])
+    def test_several_orders_read_as_separate_reads(self, cols):
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(-1.0, 2.0, 9))
+        y = rng.normal(size=(9, *cols))
+        span = x[-1] - x[0]
+        ts = np.concatenate([x, [x[0] - 1e-3 * span, x[-1] + 1e-3 * span],
+                             rng.uniform(x[0], x[-1], 30)])
+        for bc in ("natural", "not-a-knot"):
+            spline = CubicSpline(x, y, bc)
+            for nus in ((0, 1, 2), (2, 1, 0), (0, 1), (1, 2), (0, 2)):
+                got = spline.read(ts, nus)
+                assert len(got) == len(nus)
+                for nu, values in zip(nus, got):
+                    np.testing.assert_array_equal(values, spline(ts, nu), strict=True)
 
     def test_node_read_keeps_a_stored_negative_zero(self):
         x = np.array([0.0, 0.5, 1.0, 2.0, 2.5])
         y = np.array([-0.0, 1.0, -0.0, 3.0, -0.0])
         got = CubicSpline(x, y, "not-a-knot")(x)
         assert list(np.signbit(got)) == [True, False, True, False, True]
+
+
+class TestSolveTridiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 2001])
+    def test_bitwise_equal_to_solve_banded(self, n):
+        rng = np.random.default_rng(n)
+        band = rng.uniform(-1.0, 1.0, (3, n))
+        band[1] += 3.0 * np.sign(band[1])
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 2))):
+            kept = band.copy(), rhs.copy()
+            got = solve_tridiagonal(band, rhs)
+            np.testing.assert_array_equal(got, solve_banded((1, 1), band, rhs), strict=True)
+            assert band.tobytes() == kept[0].tobytes() and rhs.tobytes() == kept[1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_singular_band_raises(self, n):
+        band = np.ones((3, n))
+        band[:, 0] = 0.0    # a zero first column
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_tridiagonal(band, np.ones(n))
 
 
 class TestSplineAdjoint:
