@@ -218,7 +218,28 @@ def cmd_paper_example(args) -> int:
     return 0 if not failures else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name, handler, help line, whether it takes a config, whether it takes --tol
+_COMMANDS = (
+    ("integrate", cmd_integrate, "integrate z and lambda along the config trajectory",
+     True, False),
+    ("check-el", cmd_check_residuals, "Euler-Lagrange residuals of the config trajectory",
+     True, True),
+    ("check-dbr", cmd_check_residuals, "DuBois-Reymond residuals of the config trajectory",
+     True, True),
+    ("check-hyp", cmd_check_hyp, "auxiliary hypothesis profiles", True, True),
+    ("invariance", cmd_invariance, "invariance defect of the config group", True, True),
+    ("noether", cmd_noether, "full conserved-quantity check with premises", True, True),
+    ("solve", cmd_solve, "extremize z(b) by direct transcription", True, False),
+    ("paper-example", cmd_paper_example,
+     "run the bundled delayed reference problem end to end", False, True),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The herglotz argument parser. Given a command name it registers that
+    command's subparser only, under the usage line of the full parser, which
+    parses that command's arguments alike and prints the same usage, help and
+    errors."""
     parser = argparse.ArgumentParser(
         prog="herglotz",
         description="Delayed Herglotz variational problems: integrate the "
@@ -227,9 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Config schema: {schema_path()}",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, config=True, tol=True):
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(
+            dest="command", required=True,
+            metavar="{" + ",".join(spec[0] for spec in _COMMANDS) + "}")
+    for name, fn, help_text, config, tol in _COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         if config:
             p.add_argument("config", help="problem config JSON path, or a bundle name "
@@ -239,22 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=None, help="override check tolerances")
         p.set_defaults(handler=fn)
-
-    add("integrate", cmd_integrate, "integrate z and lambda along the config trajectory",
-        tol=False)
-    add("check-el", cmd_check_residuals, "Euler-Lagrange residuals of the config trajectory")
-    add("check-dbr", cmd_check_residuals, "DuBois-Reymond residuals of the config trajectory")
-    add("check-hyp", cmd_check_hyp, "auxiliary hypothesis profiles")
-    add("invariance", cmd_invariance, "invariance defect of the config group")
-    add("noether", cmd_noether, "full conserved-quantity check with premises")
-    add("solve", cmd_solve, "extremize z(b) by direct transcription", tol=False)
-    add("paper-example", cmd_paper_example,
-        "run the bundled delayed reference problem end to end", config=False)
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line parsed; when it starts with a command name only that
+    command's subparser is built."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and any(argv[0] == spec[0] for spec in _COMMANDS) else None
+    return build_parser(command).parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.handler(args)
     except ExpressionSyntaxError as e:

@@ -36,14 +36,21 @@ breakpoint-aligned panels (grid intervals split at kinks, midpoint sampled).
 These panels are the RK4 substeps, so one sampler serves both: Panels.read
 reads a trajectory, one-sided, at the panel ends and midpoints and at their
 delayed images; integrate_z runs its RK4 stages on the reads of x and the
-z-path carries them on. The first variation, the solver gradient and the
-invariance defect take them from the z-path, with z and lambda there and the
-Lagrangian partials filled in on first use, and are each a short formula
-over them. A direction eta is a sampled trajectory with zero history
-(trajectory.VariationDirection), so the first variation reads it through
-Panels.read too; the one spline through node values (trajectory.CubicSpline,
-which also carries z and lambda between nodes here) and its adjoint live in
-trajectory.
+z-path carries them on. The panel geometry depends on the grid and the
+trajectory's breakpoints alone, so for the sampled trajectories of a grid it
+is computed once (PanelPlan, kept on the grid): node positions, steps, sample
+times, delayed images and inside mask, and the samples located once on the
+grid's nodes. Every sampled trajectory and direction on that grid, the
+z-path's read at the samples and the solver's spline adjoint reuse that one
+location; a solve, or a run of gradients on one problem, makes many
+integrations on one grid and locates its samples once. The first variation,
+the solver gradient and the invariance defect take the samples from the
+z-path, with z and lambda there and the Lagrangian partials filled in on
+first use, and are each a short formula over them. A direction eta is a
+sampled trajectory with zero history (trajectory.VariationDirection), so the
+first variation reads it through Panels.read too; the one spline through
+node values (trajectory.CubicSpline, which also carries z and lambda between
+nodes here) and its adjoint live in trajectory.
 All operations are pure (a fill-in on first use writes the same values
 whichever caller comes first); concurrent integrations are safe.
 """
@@ -53,13 +60,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
+from typing import Optional
 
 import numpy as np
 
 from . import expr
 from .errors import InvalidTrajectory, NonFinite, OutOfDomain
 from .reportio import csv_text
-from .trajectory import CubicSpline, Grid, HerglotzProblem, Trajectory, VariationDirection
+from .trajectory import (
+    CubicSpline,
+    Grid,
+    HerglotzProblem,
+    Located,
+    SampledTrajectory,
+    Trajectory,
+    VariationDirection,
+    adjoint_band,
+    locate,
+)
 
 
 def _snap(ts: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
@@ -166,7 +184,9 @@ class ZPath:
         if traj is not P.traj:
             raise InvalidTrajectory("z-path was integrated along a different trajectory")
         if "z" not in P.bind:
-            P.z, P.lam = np.ascontiguousarray(self._spline(P.times).T)
+            # the plan's located samples: P.times, on the nodes of the z-path
+            (zl,) = self._spline.read_located(P.plan.main.head(3 * P.k), (0,))
+            P.z, P.lam = np.ascontiguousarray(zl.T)
             P.bind["z"] = P.z
         return P
 
@@ -272,11 +292,76 @@ class Samples:
         return self._tables[name]
 
 
+class PanelPlan:
+    """The geometry of the Simpson panels of a grid for one set of trajectory
+    breakpoints, which every trajectory and direction read on those panels
+    shares (panel_plan): the node positions among the stops, the panel steps
+    hs, the sample times, their delayed images and the inside mask, and the
+    samples located once on the grid's nodes. Its arrays are read-only.
+
+    main locates the sample times, then the delayed images inside [a, b], on
+    the nodes of [a, b]: a sampled trajectory's [a, b] spline reads there,
+    the z-path at its first 3k rows, and the spline adjoint of the gradient
+    scatters there in that order. hist locates the other delayed images on
+    the history nodes (None when tau = 0). Both and the adjoint's band are
+    filled in on first use.
+    """
+
+    def __init__(self, problem: HerglotzProblem, traj: Trajectory):
+        g = self.grid = problem.grid
+        stops, node_pos = integration_stops(problem, traj)
+        lefts, rights = stops[:-1], stops[1:]
+        self.k = k = len(lefts)
+        times = np.concatenate([lefts, 0.5 * (lefts + rights), rights])
+        anchors = np.sort(np.concatenate(
+            [g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
+        delayed = _snap(times - g.tau, anchors, 1e-9 * g.h)
+        # delayed images that fall inside [a, b], where the solver's spline
+        # adjoint and the group generators act; rights take the left limit, so
+        # exactly s - tau = a counts as outside there and a kink at s = a + tau
+        # never leaks across its panel boundary
+        inside = delayed >= g.a
+        inside[2 * k:] = delayed[2 * k:] > g.a
+        self.node_pos, self.hs, self.times, self.delayed, self.inside = (
+            node_pos, rights - lefts, times, delayed, inside)
+        for arr in (node_pos, self.hs, times, delayed, inside):
+            arr.setflags(write=False)
+
+    @cached_property
+    def main(self) -> Located:
+        return locate(self.grid.main_nodes,
+                      np.concatenate([self.times, self.delayed[self.inside]]))
+
+    @cached_property
+    def hist(self) -> Optional[Located]:
+        g = self.grid
+        return locate(g.nodes[: g.m + 1], self.delayed[~self.inside]) if g.m else None
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        return adjoint_band(self.grid.main_nodes)
+
+
+def panel_plan(problem: HerglotzProblem, traj: Trajectory) -> PanelPlan:
+    """The panel plan of the problem's grid for the trajectory's breakpoints.
+    A sampled trajectory on the problem's very grid has the grid's own
+    breakpoints, so its plan is built on first use and kept on the grid
+    (Grid.plan_slot); any other trajectory gets a plan of its own."""
+    g = problem.grid
+    if not (isinstance(traj, SampledTrajectory) and traj.grid is g):
+        return PanelPlan(problem, traj)
+    if not g.plan_slot:
+        g.plan_slot[:] = [PanelPlan(problem, traj)]
+    return g.plan_slot[0]
+
+
 class Panels(Samples):
     """Breakpoint-aligned Simpson panels of [a, b] sampled once along a
     trajectory: the one sampler behind the RK4 stages of integrate_z, the
     first variation, the solver gradient and the invariance defect. The
-    z-path carries it (ZPath.samples), which fills in z and lambda here.
+    z-path carries it (ZPath.samples), which fills in z and lambda here. The
+    geometry comes from the grid's panel plan (plan), shared by every
+    trajectory on the grid.
 
     Sample arrays are ordered panel lefts, then midpoints, then rights (k of
     each). Trajectory reads are one-sided: lefts and midpoints take the right
@@ -285,31 +370,31 @@ class Panels(Samples):
     """
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory):
-        g = problem.grid
+        plan = self.plan = panel_plan(problem, traj)
         self.traj = traj
-        stops, self.node_pos = integration_stops(problem, traj)
-        lefts, rights = stops[:-1], stops[1:]
-        self.k = k = len(lefts)
-        self.hs = rights - lefts
-        self.times = np.concatenate([lefts, 0.5 * (lefts + rights), rights])
-        anchors = np.sort(np.concatenate(
-            [g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
-        self.delayed = _snap(self.times - g.tau, anchors, 1e-9 * g.h)
+        self.k, self.hs, self.node_pos = plan.k, plan.hs, plan.node_pos
+        self.times, self.delayed, self.inside = plan.times, plan.delayed, plan.inside
         self.x, self.dx, self.xtau, self.dxtau = self.read(traj)
         super().__init__(problem.lagrangian, {
             "t": self.times, "x": self.x, "dx": self.dx,
             "xtau": self.xtau, "dxtau": self.dxtau})
-        # delayed images that fall inside [a, b], where the solver's spline
-        # adjoint and the group generators act; rights take the left limit, so
-        # exactly s - tau = a counts as outside there and a kink at s = a + tau
-        # never leaks across its panel boundary
-        self.inside = self.delayed >= g.a
-        self.inside[2 * k:] = self.delayed[2 * k:] > g.a
 
     def read(self, traj: Trajectory):
         """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with
-        the one-sided limits of the class docstring."""
-        k = self.k
+        the one-sided limits of the class docstring. A sampled trajectory on
+        the plan's very grid reads at the plan's located samples, one read
+        per spline; any other trajectory is searched afresh."""
+        plan, k, inside = self.plan, self.k, self.inside
+        if isinstance(traj, SampledTrajectory) and traj.grid is plan.grid:
+            # on the sides above: every time reads the [a, b] spline, and a
+            # delayed image reads it exactly when it is inside
+            x, dx, xh, dxh = traj.read_located(plan.main, plan.hist)
+            out = [x[:3 * k], dx[:3 * k], np.empty(3 * k), np.empty(3 * k)]
+            for o, main, hist in ((out[2], x, xh), (out[3], dx, dxh)):
+                o[inside] = main[3 * k:]
+                if hist is not None:
+                    o[~inside] = hist
+            return out
         out = [np.empty_like(self.times) for _ in range(4)]
         for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
             out[0][sl], out[1][sl] = traj.eval_many(

@@ -14,7 +14,8 @@ integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (trajectory.spline_adjoint, the
 transpose of the build and read of trajectory.CubicSpline): a scatter of the
-Simpson-weighted partials plus one tridiagonal solve, O(n) per call.
+Simpson-weighted partials at the samples the grid's panel plan located once,
+plus one tridiagonal solve with the plan's band, O(n) per call.
 
 The two-loop recursion is seeded with the H1 (Sobolev) metric:
 H0 = gamma K^-1 with K = tridiag(-1, 2, -1)/h on the free nodes
@@ -33,15 +34,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadInterval, DomainError, NonFinite
+from .errors import BadInterval, DomainError, InvalidTrajectory, NonFinite
 from .integrate import ZPath, integrate_z
 from .trajectory import (
     HerglotzProblem,
     SampledTrajectory,
+    located_adjoint,
     perturb,
     seed_trajectory,
     solve_tridiagonal,
-    spline_adjoint,
 )
 
 _LBFGS_MEMORY = 10
@@ -112,8 +113,13 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     The solver drives sampled trajectories, but any trajectory backend is
     accepted: the entries are then the first variations along the unit node
     directions of the grid. zpath must come from integrate_z along this very
-    trajectory object, whose samples it carries."""
+    trajectory object, whose samples it carries, on a grid equal to the
+    problem's (equal grids have the same nodes, so the samples' location on
+    them holds)."""
     P = zpath.samples(traj)
+    plan = P.plan
+    if problem.grid != plan.grid:
+        raise InvalidTrajectory("z-path was integrated on a different grid")
     k, hs = P.k, P.hs
     w = np.empty(3 * k)
     w[:k] = hs / 6.0
@@ -122,10 +128,9 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     c0, c1, c2, c3 = (w * P.lam * P.table(name)
                       for name in ("x", "dx", "xtau", "dxtau"))
     inside = P.inside
-    g = spline_adjoint(problem.grid.main_nodes,
-                       np.concatenate([P.times, P.delayed[inside]]),
-                       np.concatenate([c0, c2[inside]]),
-                       np.concatenate([c1, c3[inside]]))[1:-1]
+    g = located_adjoint(plan.grid.main_nodes, plan.main, plan.band,
+                        np.concatenate([c0, c2[inside]]),
+                        np.concatenate([c1, c3[inside]]))[1:-1]
     g /= zpath.lambda_b
     if problem.sense == "maximize":
         g = -g

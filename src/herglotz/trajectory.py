@@ -15,7 +15,13 @@ Two backends:
   values on [a-tau, a] and at b. CubicSpline is the package's one spline
   through node values (the z-path and the residual pairing of conditions use
   it too), and spline_adjoint is the transpose of its natural-end build and
-  read, sharing the slope matrix and its end rows with it.
+  read, sharing the slope matrix and its end rows with it. A read locates its
+  samples on the nodes (locate: piece, offset, node hits) and then reads
+  there; a location depends on the nodes alone, so samples fixed by the grid
+  (integrate's panel plan) are located once and read through every spline on
+  the same nodes: all trajectories and directions on the grid
+  (SampledTrajectory.read_located), the z-path, and the adjoint
+  (located_adjoint, with the band of adjoint_band).
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import perm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -53,7 +59,10 @@ from .reportio import csv_text
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform mesh on [a-tau, b]: h=(b-a)/n, tau=m*h, nodes t_i = a + (i-m)h."""
+    """Uniform mesh on [a-tau, b]: h=(b-a)/n, tau=m*h, nodes t_i = a + (i-m)h.
+
+    plan_slot holds at most one integrate.PanelPlan, filled on first use: the
+    sample geometry that every sampled trajectory on this grid shares."""
 
     a: float
     b: float
@@ -62,6 +71,7 @@ class Grid:
     h: float
     m: int
     nodes: np.ndarray = field(repr=False, compare=False)
+    plan_slot: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def main_nodes(self) -> np.ndarray:
@@ -142,11 +152,45 @@ def _slope_band(x: np.ndarray, bc: str):
     return band, knot
 
 
+@dataclass(frozen=True)
+class Located:
+    """Samples t located on the nodes x of a spline: the piece i of each
+    (x[i] <= t < x[i+1], the end pieces extended), its offset z = t - x[i],
+    and the samples equal to a node (rows, ascending) with that node (at),
+    where a value read returns the stored value. It depends on x alone, so
+    one location serves every spline through the same nodes; its arrays are
+    read-only."""
+
+    i: np.ndarray
+    z: np.ndarray
+    rows: np.ndarray
+    at: np.ndarray
+
+    def head(self, count: int) -> "Located":
+        """The location of the first count samples."""
+        cut = int(np.searchsorted(self.rows, count))
+        return Located(self.i[:count], self.z[:count], self.rows[:cut], self.at[:cut])
+
+
+def locate(x: np.ndarray, t: np.ndarray) -> Located:
+    """Locate the samples t (one axis) on the ascending nodes x: one interval
+    search."""
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    # the right end x_n is the end of the last piece
+    at = i + (t == x[-1])
+    rows = np.flatnonzero(t == x[at])
+    loc = Located(i, t - x[i], rows, at[rows])
+    for arr in (loc.i, loc.z, loc.rows, loc.at):
+        arr.setflags(write=False)
+    return loc
+
+
 class CubicSpline:
     """C2 cubic spline through (x, y) with "natural" or "not-a-knot" ends;
     y holds one value, or one row of columns, per node.
     CubicSpline(x, y, bc)(ts, nu) reads the nu-th derivative (nu = 0, 1, 2)
-    at ts, and .read(ts, nus) several derivatives after one interval search;
+    at ts, and .read(ts, nus) several derivatives after one interval search
+    (locate), which .read_located reuses for samples located beforehand;
     reads outside [x_0, x_n] extend the end pieces, and a value read exactly
     at a node returns the stored value.
 
@@ -185,28 +229,29 @@ class CubicSpline:
 
     def read(self, ts, nus) -> tuple:
         """The derivatives of orders nus at ts, one array each, with the bits
-        of separate calls."""
+        of separate calls: locate ts on the nodes, then read there."""
         ts = np.asarray(ts, dtype=float)
-        t = ts.reshape(-1)
-        x = self.x
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-        z = (t - x[i])[:, None]
-        c = np.take(self.c, i, axis=0)
+        out = self.read_located(locate(self.x, ts.reshape(-1)), nus)
+        return tuple(r.reshape(ts.shape + self._cols) for r in out)
+
+    def read_located(self, loc: Located, nus) -> tuple:
+        """The derivatives of orders nus at samples located on this spline's
+        nodes, one array per order with a row per sample."""
+        c = np.take(self.c, loc.i, axis=0)
+        z = loc.z[:, None]
         # the running product 1, z, z*z, (z*z)*z, shared by every order
         z2 = z * z
         powers = (1.0, z, z2, z2 * z)
         out = []
         for nu in nus:
             # PPoly's sum by powers of z; Horner's scheme would round differently
-            res = np.zeros((len(t), c.shape[2]))
+            res = np.zeros((len(z), c.shape[2]))
             for k in range(nu, 4):
                 res += c[:, 3 - k] * powers[k - nu] * perm(k, nu)
             if nu == 0:
-                # by an equality test, not z = 0, so a stored -0.0 stays -0.0;
-                # the right end x_n is the end of the last piece
-                at = i + (t == x[-1])
-                np.copyto(res, self.y[at], where=(t == x[at])[:, None])
-            out.append(res.reshape(ts.shape + self._cols))
+                # a copy, not z = 0, so a stored -0.0 stays -0.0
+                res[loc.rows] = self.y[loc.at]
+            out.append(res.reshape((len(z),) + self._cols))
         return tuple(out)
 
 
@@ -256,6 +301,15 @@ class SampledTrajectory:
             for out, val in zip((x, dx, ddx), spline.read(ts[mask], nus)):
                 out[mask] = val
         return (x, dx, ddx) if want_ddx else (x, dx)
+
+    def read_located(self, main: Located, hist: Optional[Located]):
+        """x and x' at samples located on the nodes of [a, b] (main), then at
+        samples located on the history nodes (hist; None when tau = 0): one
+        read of each spline, with the bits of eval_many on the same sides."""
+        x, dx = self._main.read_located(main, (0, 1))
+        if hist is None:
+            return x, dx, None, None
+        return (x, dx) + self._hist.read_located(hist, (0, 1))
 
     def eval(self, t: float, side: str = "right"):
         x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
@@ -367,6 +421,16 @@ class VariationDirection(SampledTrajectory):
         return cls(grid, main)
 
 
+def adjoint_band(nodes: np.ndarray) -> np.ndarray:
+    """The slope matrix of the natural spline through nodes, transposed, in
+    solve_tridiagonal's layout and read-only: the system spline_adjoint
+    solves."""
+    band, _ = _slope_band(np.asarray(nodes, dtype=float), "natural")
+    band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
+    band.setflags(write=False)
+    return band
+
+
 def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
                    wd: np.ndarray) -> np.ndarray:
     """Node weights g with g . y = sum(wv * s(ts) + wd * s'(ts)) for the
@@ -375,10 +439,16 @@ def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
     and the read transposed, in reverse order: O(len(ts) + n).
     """
     x = np.asarray(nodes, dtype=float)
+    return located_adjoint(x, locate(x, ts), adjoint_band(x), wv, wd)
+
+
+def located_adjoint(x: np.ndarray, loc: Located, band: np.ndarray,
+                    wv: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """spline_adjoint at samples located on the nodes x beforehand, with the
+    transposed band of adjoint_band(x)."""
     n = len(x)
     dx = np.diff(x)
-    i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, n - 2)
-    z = ts - x[i]
+    i, z = loc.i, loc.z
     # the read: s = c3 + c2 z + c1 z^2 + c0 z^3, s' = c2 + 2 c1 z + 3 c0 z^2
     gc0 = np.bincount(i, z * z * (z * wv + 3.0 * wd), n - 1)
     gc1 = np.bincount(i, z * (z * wv + 2.0 * wd), n - 1)
@@ -394,8 +464,6 @@ def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
     gy = np.zeros(n)
     gy[:-1] = gc3
     # the slope system A s = b, transposed
-    band, _ = _slope_band(x, "natural")
-    band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
     gb = solve_tridiagonal(band, gs)
     # its right-hand side b, with the natural end rows b_0 = 3 (y_1 - y_0) and
     # b_n = 3 (y_n - y_{n-1})

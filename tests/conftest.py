@@ -1,5 +1,5 @@
 import sys
-from math import isfinite
+from math import isfinite, perm
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from herglotz import conditions, expr
 from herglotz.bundles import bundle
 from herglotz.errors import FixedNode
 from herglotz.integrate import Panels, VariationDirection
+from herglotz.trajectory import SampledTrajectory, _slope_band, solve_tridiagonal
 
 
 @pytest.fixture(scope="session")
@@ -148,3 +149,109 @@ def trajectory_reads(monkeypatch):
         monkeypatch.setattr(cls, "eval_many", recorded)
         return reads
     return watch
+
+
+# Per-call oracles: the reads and the adjoint as they were before the panel
+# samples were located once per grid, each searching its samples afresh.
+
+def per_call_spline_read(spline, ts, nus):
+    """CubicSpline.read with its own interval search and node-hit rule."""
+    ts = np.asarray(ts, dtype=float)
+    t = ts.reshape(-1)
+    x = spline.x
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    z = (t - x[i])[:, None]
+    c = np.take(spline.c, i, axis=0)
+    z2 = z * z
+    powers = (1.0, z, z2, z2 * z)
+    out = []
+    for nu in nus:
+        res = np.zeros((len(t), c.shape[2]))
+        for k in range(nu, 4):
+            res += c[:, 3 - k] * powers[k - nu] * perm(k, nu)
+        if nu == 0:
+            at = i + (t == x[-1])
+            np.copyto(res, spline.y[at], where=(t == x[at])[:, None])
+        out.append(res.reshape(ts.shape + spline._cols))
+    return tuple(out)
+
+
+def per_call_eval(traj, ts, side):
+    """x and x' of a trajectory at ts on the given side; a sampled one picks
+    its spline per sample and reads it with per_call_spline_read."""
+    if not isinstance(traj, SampledTrajectory):
+        return traj.eval_many(ts, side=side, want_ddx=False)
+    g = traj.grid
+    if traj._hist is None:
+        use_main = np.ones(ts.shape, dtype=bool)
+    elif side == "left":
+        use_main = ts > g.a
+    else:
+        use_main = ts >= g.a
+    x, dx = np.empty_like(ts), np.empty_like(ts)
+    for mask, spline in ((use_main, traj._main), (~use_main, traj._hist)):
+        if np.any(mask):
+            x[mask], dx[mask] = per_call_spline_read(spline, ts[mask], (0, 1))
+    return x, dx
+
+
+def per_call_panel_read(P, traj):
+    """x, x', x(s - tau), x'(s - tau) at the panel samples by four per-call
+    reads: lefts and midpoints from the right, rights from the left."""
+    k = P.k
+    out = [np.empty_like(P.times) for _ in range(4)]
+    for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
+        out[0][sl], out[1][sl] = per_call_eval(traj, P.times[sl], side)
+        out[2][sl], out[3][sl] = per_call_eval(traj, P.delayed[sl], side)
+    return out
+
+
+def per_call_adjoint(nodes, ts, wv, wd):
+    """spline_adjoint with its own interval search and transposed band."""
+    x = np.asarray(nodes, dtype=float)
+    n = len(x)
+    dx = np.diff(x)
+    i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, n - 2)
+    z = ts - x[i]
+    gc0 = np.bincount(i, z * z * (z * wv + 3.0 * wd), n - 1)
+    gc1 = np.bincount(i, z * (z * wv + 2.0 * wd), n - 1)
+    gc2 = np.bincount(i, z * wv + wd, n - 1)
+    gc3 = np.bincount(i, wv, n - 1)
+    gt = (gc0 / dx - gc1) / dx
+    gslope = gc1 / dx - 2.0 * gt
+    gs = np.zeros(n)
+    gs[:-1] = gc2 - gc1 / dx + gt
+    gs[1:] += gt
+    gy = np.zeros(n)
+    gy[:-1] = gc3
+    band, _ = _slope_band(x, "natural")
+    band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
+    gb = solve_tridiagonal(band, gs)
+    gslope[:-1] += 3 * dx[1:] * gb[1:-1]
+    gslope[1:] += 3 * dx[:-1] * gb[1:-1]
+    gy[:2] += np.array([-3.0, 3.0]) * gb[0]
+    gy[-2:] += np.array([-3.0, 3.0]) * gb[-1]
+    gq = gslope / dx
+    gy[1:] += gq
+    gy[:-1] -= gq
+    return gy
+
+
+def per_call_gradient(problem, traj, zpath):
+    """variational_gradient with z and lambda read at the panel samples and
+    the weights pulled back by the per-call oracles."""
+    P = zpath.samples(traj)
+    k, hs = P.k, P.hs
+    _, lam = per_call_spline_read(zpath._spline, P.times, (0,))[0].T
+    w = np.empty(3 * k)
+    w[:k] = hs / 6.0
+    w[k:2 * k] = 4.0 * hs / 6.0
+    w[2 * k:] = hs / 6.0
+    c0, c1, c2, c3 = (w * lam * P.table(name) for name in ("x", "dx", "xtau", "dxtau"))
+    inside = P.inside
+    g = per_call_adjoint(problem.grid.main_nodes,
+                         np.concatenate([P.times, P.delayed[inside]]),
+                         np.concatenate([c0, c2[inside]]),
+                         np.concatenate([c1, c3[inside]]))[1:-1]
+    g /= zpath.lambda_b
+    return -g if problem.sense == "maximize" else g

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from herglotz.bundles import bundle
+from herglotz import cli
 from herglotz.cli import main
 from herglotz.config import load_config, schema_path
 
@@ -292,3 +293,52 @@ def test_import_loads_no_scipy_interpolate():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert run.stdout.strip() == "False"
+
+
+def _parsed(parse, argv, capsys):
+    """What a parse prints and returns: (exit code, stdout, stderr), or the
+    parsed namespace."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as stop:
+        result = stop.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+COMMANDS = ("integrate", "check-el", "check-dbr", "check-hyp", "invariance", "noether",
+            "solve", "paper-example")
+
+
+class TestParser:
+    """A command line naming a command builds that subparser only; usage,
+    help, errors and the parsed arguments stay those of the full parser."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("rest", [["--help"], [], ["paper-s4", "--n", "q"],
+                                      ["paper-s4", "--bogus"], ["paper-s4", "extra"]],
+                             ids=["help", "no-config", "bad-n", "bogus", "extra"])
+    def test_one_command_parses_like_the_full_parser(self, command, rest, capsys):
+        argv = [command, *rest]
+        assert _parsed(cli.parse_args, argv, capsys) == \
+            _parsed(cli.build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"],
+                                      ["--n", "5", "integrate", "paper-s4"]],
+                             ids=["bare", "help", "version", "unknown", "option-first"])
+    def test_other_command_lines_use_the_full_parser(self, argv, capsys):
+        assert _parsed(cli.parse_args, argv, capsys) == \
+            _parsed(cli.build_parser().parse_args, argv, capsys)
+
+    def test_named_command_builds_one_subparser(self, monkeypatch, capsys):
+        built = []
+        original = cli.argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(cli.argparse._SubParsersAction, "add_parser", counted)
+        with pytest.raises(SystemExit):
+            main(["check-el", "--help"])
+        assert built == ["check-el"]

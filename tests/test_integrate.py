@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz import errors, expr
+from herglotz import errors, expr, integrate
 from herglotz.bundles import BUNDLE_NAMES
 from herglotz.integrate import (
     Panels,
@@ -17,13 +19,16 @@ from herglotz.integrate import (
     integration_stops,
 )
 from herglotz.noether import group_variation
-from herglotz.solver import variational_gradient
+from herglotz.solver import solve_direct, variational_gradient
 from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
 
 from conftest import (
     build_bundle,
     build_paper,
     masked_first_variation,
+    per_call_gradient,
+    per_call_panel_read,
+    per_call_spline_read,
     unit_direction,
     wavy_sampled,
     whole_tree_z,
@@ -295,23 +300,27 @@ class TestOrderOfAccuracy:
 
 class TestSamples:
     def test_one_trajectory_sampling_serves_every_consumer(self, monkeypatch):
+        # a sampled trajectory on the plan's grid is read once, at the located
+        # panel samples, and never through eval_many
         problem, _, group, _ = build_paper(100)
         traj = wavy_sampled(problem)
         eta = VariationDirection.from_free(problem.grid, np.ones(problem.grid.n - 1))
-        calls = []
-        original = SampledTrajectory.eval_many
+        calls = {"eval_many": [], "read_located": []}
+        for name, reads in calls.items():
+            original = getattr(SampledTrajectory, name)
 
-        def counted(self, *args, **kwargs):
-            if self is traj:    # directions are sampled trajectories too
-                calls.append(1)
-            return original(self, *args, **kwargs)
+            def counted(self, *args, _original=original, _reads=reads, **kwargs):
+                if self is traj:    # directions are sampled trajectories too
+                    _reads.append(1)
+                return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(SampledTrajectory, "eval_many", counted)
+            monkeypatch.setattr(SampledTrajectory, name, counted)
         zp = integrate_z(problem, traj)
         variational_gradient(problem, traj, zp)
         first_variation(problem, traj, zp, eta)
         group_variation(problem, traj, zp, group)
-        assert len(calls) == 4
+        assert len(calls["read_located"]) == 1
+        assert len(calls["eval_many"]) == 0
 
     def test_zpath_of_another_trajectory_is_rejected(self):
         problem, traj, group, _ = build_paper(40)
@@ -324,3 +333,148 @@ class TestSamples:
             first_variation(problem, other, zp, eta)
         with pytest.raises(errors.InvalidTrajectory):
             group_variation(problem, other, zp, group)
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+class TestPanelPlan:
+    """The panel samples of a grid's sampled trajectories are located once;
+    every trajectory and direction on that grid reads there."""
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    @pytest.mark.parametrize("n", [100, None], ids=["n100", "shipped"])
+    def test_planned_reads_equal_per_call_reads(self, name, n):
+        problem, traj, _, _ = build_bundle(name, n)
+        for tr in (traj, wavy_sampled(problem)):
+            zp = integrate_z(problem, tr)
+            P = zp.samples(tr)
+            assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
+            zl = per_call_spline_read(zp._spline, P.times, (0,))[0]
+            assert _bits(P.z, P.lam) == _bits(*zl.T)
+            assert _bits(variational_gradient(problem, tr, zp)) == \
+                _bits(per_call_gradient(problem, tr, zp))
+
+    def test_samples_located_once_per_grid_over_a_solve(self, monkeypatch):
+        problem, _, _, _ = build_paper(100)
+        counts = {"integration_stops": 0, "locate": 0}
+        for name in counts:
+            original = getattr(integrate, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(integrate, name, counted)
+        result = solve_direct(problem)
+        assert result.converged and result.iterations > 10
+        # one plan; its samples located on the [a, b] and the history nodes
+        assert counts == {"integration_stops": 1, "locate": 2}
+
+    def test_plan_arrays_are_read_only(self):
+        problem, _, _, _ = build_paper(40)
+        traj = wavy_sampled(problem)
+        zp = integrate_z(problem, traj)
+        before = variational_gradient(problem, traj, zp)
+        plan = zp.samples(traj).plan
+        shared = [plan.node_pos, plan.hs, plan.times, plan.delayed, plan.inside, plan.band]
+        for loc in (plan.main, plan.hist):
+            shared += [loc.i, loc.z, loc.rows, loc.at]
+        for arr in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+        again = integrate_z(problem, traj)
+        assert _bits(variational_gradient(problem, traj, again)) == _bits(before)
+
+    def test_direction_on_another_grid_is_read_afresh(self, monkeypatch):
+        # a grid with another n, and an equal but distinct grid object: neither
+        # reads through this grid's plan, and each gives the per-call value
+        problem, _, _, _ = build_paper(100)
+        g = problem.grid
+        traj = wavy_sampled(problem)
+        zp = integrate_z(problem, traj)
+        P = zp.samples(traj)
+        rng = np.random.default_rng(3)
+        coarse = build_grid(g.a, g.b, g.tau, 50)
+        twin = build_grid(g.a, g.b, g.tau, g.n)
+        assert twin == g and twin is not g
+        free = rng.normal(size=g.n - 1)
+        planned = first_variation(problem, traj, zp, VariationDirection.from_free(g, free))
+        located = []
+        original = SampledTrajectory.read_located
+        monkeypatch.setattr(SampledTrajectory, "read_located",
+                            lambda self, *a: located.append(1) or original(self, *a))
+        for eta in (VariationDirection.from_free(coarse, rng.normal(size=49)),
+                    VariationDirection.from_free(twin, free)):
+            eta_s, deta_s, eta_d, deta_d = per_call_panel_read(P, eta)
+            f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
+                         + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
+            expected = float(np.sum(P.simpson(f))) / zp.lambda_b
+            assert first_variation(problem, traj, zp, eta) == expected
+        assert expected == planned
+        assert located == []
+
+    def test_trajectory_and_problem_on_a_twin_grid(self):
+        problem, _, _, _ = build_paper(100)
+        g = problem.grid
+        traj = wavy_sampled(problem)
+        twin = build_grid(g.a, g.b, g.tau, g.n)
+        zp = integrate_z(problem, traj)
+        grad = variational_gradient(problem, traj, zp)
+        other = SampledTrajectory(twin, traj.values)
+        zp_other = integrate_z(problem, other)
+        assert _bits(zp_other.z, zp_other.lam) == _bits(zp.z, zp.lam)
+        assert _bits(variational_gradient(problem, other, zp_other)) == _bits(grad)
+        # the samples were located on the plan's grid, the problem names the twin
+        assert _bits(variational_gradient(replace(problem, grid=twin), traj, zp)) == \
+            _bits(grad)
+
+    def test_threads_share_one_fresh_plan(self):
+        # threads race to fill in the plan of a fresh grid; every result is
+        # the serial one, bit for bit
+        problem, _, _, _ = build_paper(100)
+        trajs = [wavy_sampled(problem, amplitude=0.1 * (j + 1)) for j in range(6)]
+
+        def run(tr):
+            zp = integrate_z(problem, tr)
+            return _bits(zp.z, zp.lam, variational_gradient(problem, tr, zp))
+
+        results = [None] * len(trajs)
+
+        def work(j):
+            results[j] = run(trajs[j])
+
+        assert problem.grid.plan_slot == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(len(trajs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [run(tr) for tr in trajs]
+
+    def test_only_the_grids_sampled_trajectories_share_its_plan(self):
+        problem, traj, _, _ = build_paper(40)
+        g = problem.grid
+        assert isinstance(traj, PiecewiseTrajectory)
+        first, again = integrate_z(problem, traj), integrate_z(problem, traj)
+        assert first.samples(traj).plan is not again.samples(traj).plan
+        assert g.plan_slot == []
+        plans = [integrate_z(problem, tr).samples(tr).plan
+                 for tr in (wavy_sampled(problem), hg.seed_trajectory(problem, "linear"))]
+        assert g.plan_slot == plans[:1] and plans[1] is plans[0]
+
+    def test_gradient_on_another_grid_is_rejected(self):
+        problem, _, _, _ = build_paper(100)
+        traj = wavy_sampled(problem)
+        zp = integrate_z(problem, traj)
+        g = problem.grid
+        coarse = replace(problem, grid=build_grid(g.a, g.b, g.tau, 50))
+        with pytest.raises(errors.InvalidTrajectory):
+            variational_gradient(coarse, traj, zp)
