@@ -55,7 +55,7 @@ def _built(args, need_traj=False, need_group=False):
 
 
 def _verdict_line(summary: dict) -> str:
-    return (f"{summary['label']}: sup_norm={fmt(summary.get('sup_norm', summary.get('drift', 0.0)))} "
+    return (f"{summary['label']}: sup_norm={fmt(summary['sup_norm'])} "
             f"tol={fmt(summary['tolerance'])} {summary['verdict'].upper()}")
 
 
@@ -72,10 +72,10 @@ def _emit(out: Path, reports: dict) -> list:
     return [rep.label for rep in reports.values() if not rep.passed]
 
 
-def _emit_invariance(out: Path, prof, tol: float) -> bool:
+def _emit_invariance(out: Path, prof) -> bool:
     write_text_atomic(out / "invariance.csv", prof.csv())
-    print(_verdict_line(prof.summary(tol)))
-    return prof.sup_norm <= tol
+    print(_verdict_line(prof.summary()))
+    return prof.passed
 
 
 def _emit_conservation(out: Path, cons) -> list:
@@ -124,12 +124,11 @@ def cmd_check_hyp(args) -> int:
 
 def cmd_invariance(args) -> int:
     problem, traj, group, _ = _built(args, need_traj=True, need_group=True)
-    tol = _tol(args, "inv")
     zpath = integrate_z(problem, traj)
-    prof = group_variation(problem, traj, zpath, group)
+    prof = group_variation(problem, traj, zpath, group, _tol(args, "inv"))
     out = Path(args.out)
-    ok = _emit_invariance(out, prof, tol)
-    write_json(out / "invariance.json", prof.summary(tol))
+    ok = _emit_invariance(out, prof)
+    write_json(out / "invariance.json", prof.summary())
     return 0 if ok else 1
 
 
@@ -196,11 +195,9 @@ def cmd_paper_example(args) -> int:
     if verdict.hyp_noether is not None:
         reports["hyp_noether"] = verdict.hyp_noether
     failures += _emit(out, reports)
-    inv, inv_tol = verdict.invariance, verdict.invariance_tolerance
-    if not _emit_invariance(out, inv, inv_tol):
+    if not _emit_invariance(out, verdict.invariance):
         failures.append("invariance")
-    cons = verdict.conservation
-    failures += _emit_conservation(out, cons)
+    failures += _emit_conservation(out, verdict.conservation)
     summary = {
         "z_b": zpath.z_b,
         "z_b_reference": expected["z_b"],
@@ -208,8 +205,8 @@ def cmd_paper_example(args) -> int:
         "z_mid_error": z_mid_err,
         "lambda_max_error": lam_err,
         "checks": [rep.summary() for rep in reports.values()],
-        "invariance": inv.summary(inv_tol),
-        "conservation": cons.summary(),
+        "invariance": verdict.invariance.summary(),
+        "conservation": verdict.conservation.summary(),
         "verdict": "pass" if not failures else "fail",
         "failures": failures,
     }

@@ -25,9 +25,12 @@ from .trajectory import (
 )
 
 _NUMBER = (int, float)
-# solver key -> JSON types the schema allows; seed_guess is further restricted below
-_SOLVER_KINDS = {"max_iters": int, "grad_tol": _NUMBER, "armijo_c": _NUMBER,
-                 "shrink": _NUMBER, "initial_step": _NUMBER, "seed_guess": (str, list)}
+# key -> JSON types the schema allows; seed_guess is further restricted below
+_SOLVER_KINDS = {"max_iters": int, "grad_tol": _NUMBER, "seed_guess": (str, list)}
+_PIECE_KINDS = {"from": _NUMBER, "to": _NUMBER, "expr": str}
+# the keys the schema allows at the top level
+_TOP_KEYS = ("interval", "tau", "n", "gamma", "beta", "history", "lagrangian",
+             "sense", "trajectory", "group", "solver")
 
 
 def schema_path() -> Path:
@@ -88,10 +91,19 @@ def _need(data: dict, key: str, kinds, where: str):
     return value
 
 
+def _only(data: dict, keys, where: str) -> None:
+    """Reject keys outside keys, as additionalProperties: false in the schema."""
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
 def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
+    _only(data, _TOP_KEYS, where)
     interval = _need(data, "interval", dict, where)
+    _only(interval, ("a", "b"), f"{where}.interval")
     a = float(_need(interval, "a", _NUMBER, f"{where}.interval"))
     b = float(_need(interval, "b", _NUMBER, f"{where}.interval"))
     tau = float(_need(data, "tau", _NUMBER, where))
@@ -109,9 +121,9 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
         if backend == "pieces":
             pieces = _need(trajectory, "pieces", list, f"{where}.trajectory")
             for i, p in enumerate(pieces):
-                for key, kinds in (("from", _NUMBER), ("to", _NUMBER),
-                                   ("expr", str)):
+                for key, kinds in _PIECE_KINDS.items():
                     _need(p, key, kinds, f"{where}.trajectory.pieces[{i}]")
+                _only(p, _PIECE_KINDS, f"{where}.trajectory.pieces[{i}]")
         elif backend == "samples":
             _need(trajectory, "path", str, f"{where}.trajectory")
         else:
@@ -120,13 +132,12 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
     if group is not None:
         _need(group, "sigma", str, f"{where}.group")
         _need(group, "xi", str, f"{where}.group")
+        _only(group, ("sigma", "xi"), f"{where}.group")
     solver = data.get("solver")
     if solver is not None:
         if not isinstance(solver, dict):
             raise ConfigError(f"{where}: solver must be an object")
-        unknown = set(solver) - set(_SOLVER_KINDS)
-        if unknown:
-            raise ConfigError(f"{where}.solver: unknown keys {sorted(unknown)}")
+        _only(solver, _SOLVER_KINDS, f"{where}.solver")
         for key in solver:
             _need(solver, key, _SOLVER_KINDS[key], f"{where}.solver")
         seed = solver.get("seed_guess", "linear")

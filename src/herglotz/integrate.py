@@ -65,7 +65,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import InvalidTrajectory, NonFinite, OutOfDomain
+from .errors import InvalidTrajectory, NonFinite
 from .reportio import csv_text
 from .trajectory import (
     CubicSpline,
@@ -76,6 +76,7 @@ from .trajectory import (
     Trajectory,
     VariationDirection,
     adjoint_band,
+    check_domain,
     locate,
 )
 
@@ -155,15 +156,9 @@ class ZPath:
         """One spline over the columns (z, lambda)."""
         return CubicSpline(self.times, np.column_stack([self.z, self.lam]), "not-a-knot")
 
-    def _check(self, ts: np.ndarray) -> None:
-        g = self.grid
-        slack = 1e-9 * (g.b - g.a)
-        if np.any(ts < g.a - slack) or np.any(ts > g.b + slack):
-            raise OutOfDomain(f"time outside [{g.a}, {g.b}]")
-
     def _interp(self, col, t):
         ts = np.asarray(t, dtype=float)
-        self._check(np.atleast_1d(ts))
+        check_domain(self.grid.a, self.grid.b, np.atleast_1d(ts))
         out = self._spline(ts)[..., col]
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 

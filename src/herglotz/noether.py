@@ -94,28 +94,28 @@ class SymmetryGroup:
 
 @dataclass
 class InvarianceProfile:
-    """Cumulative invariance defect h at the nodes of [a, b]."""
+    """Cumulative invariance defect h at the nodes of [a, b], with its verdict."""
 
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     sup_norm: float
+    tolerance: float
+    passed: bool
 
     def csv(self) -> str:
         return csv_text(["t", "h"], [self.times, self.values])
 
-    def summary(self, tolerance: Optional[float] = None) -> dict:
-        out = {"label": "invariance-h", "sup_norm": self.sup_norm}
-        if tolerance is not None:
-            out["tolerance"] = tolerance
-            out["verdict"] = "pass" if self.sup_norm <= tolerance else "fail"
-        return out
+    def summary(self) -> dict:
+        return {"label": "invariance-h", "sup_norm": self.sup_norm,
+                "tolerance": self.tolerance,
+                "verdict": "pass" if self.passed else "fail"}
 
 
 def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
-                    group: SymmetryGroup) -> InvarianceProfile:
-    """Invariance defect h(t) on [a, b]; identically zero iff the group leaves
-    the functional invariant. h(a) = 0 exactly."""
-    g = problem.grid
+                    group: SymmetryGroup,
+                    tol: float = TOLERANCES["inv"]) -> InvarianceProfile:
+    """Invariance defect h(t) on [a, b] and its sup-norm verdict at tol; zero
+    identically iff the group leaves the functional invariant. h(a) = 0 exactly."""
     P = zpath.samples(traj)
     sig, xi, dsig, dxi = group.along(P.times, P.x, P.dx)
     sig_d, xi_d, dsig_d, dxi_d = group.along(P.delayed, P.xtau, P.dxtau)
@@ -130,8 +130,9 @@ def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                  + P.table("L") * dsig)
     cum = np.concatenate([[0.0], np.cumsum(P.simpson(f))])
     h_nodes = cum[P.node_pos] / zpath.lam
-    return InvarianceProfile(times=g.main_nodes, values=h_nodes,
-                             sup_norm=float(np.max(np.abs(h_nodes))))
+    sup = float(np.max(np.abs(h_nodes)))
+    return InvarianceProfile(times=problem.grid.main_nodes, values=h_nodes,
+                             sup_norm=sup, tolerance=float(tol), passed=sup <= tol)
 
 
 @dataclass
@@ -240,7 +241,6 @@ class NoetherVerdict:
     hyp_extremal: ResidualReport
     hyp_noether: Optional[ResidualReport]
     invariance: InvarianceProfile
-    invariance_tolerance: float
     conservation: ConservationReport
 
     def summary(self) -> dict:
@@ -248,7 +248,7 @@ class NoetherVerdict:
             "EL-1": self.el1.summary(),
             "EL-2": self.el2.summary(),
             "H1": self.hyp_extremal.summary(),
-            "invariance": self.invariance.summary(self.invariance_tolerance),
+            "invariance": self.invariance.summary(),
         }
         if self.hyp_noether is not None:
             premises["H2"] = self.hyp_noether.summary()
@@ -261,32 +261,27 @@ class NoetherVerdict:
 
 
 def check_noether(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
-                  group: SymmetryGroup, tol: Optional[float] = None, *,
-                  el_tol: float = TOLERANCES["el"], hyp_tol: float = TOLERANCES["hyp"],
-                  inv_tol: float = TOLERANCES["inv"],
-                  drift_tol: float = TOLERANCES["drift"]) -> NoetherVerdict:
+                  group: SymmetryGroup, tol: Optional[float] = None) -> NoetherVerdict:
     """Check every premise of the conservation statement, then the drift.
 
-    A single tol overrides all four tolerances uniformly (the CLI --tol path);
-    otherwise each premise uses its own default. The node table behind the
+    Each premise uses its TOLERANCES default unless tol is given, which then
+    holds for all of them (the CLI --tol path). The node table behind the
     Euler-Lagrange, hypothesis and conserved-quantity samples is built once
     and shared by all three, and so are the generators at the nodes.
     """
-    if tol is not None:
-        el_tol = hyp_tol = inv_tol = drift_tol = tol
+    tols = TOLERANCES if tol is None else dict.fromkeys(TOLERANCES, tol)
     T = node_tables(problem, traj, zpath, want_ddx=True)
     gens = group.along(T.t, T.x, T.dx)
-    el1, el2 = _el_reports(T, el_tol)
-    h1, h2 = _hyp_reports(T, gens, hyp_tol)
-    inv = group_variation(problem, traj, zpath, group)
-    cons = _conservation(T, gens, drift_tol)
+    el1, el2 = _el_reports(T, tols["el"])
+    h1, h2 = _hyp_reports(T, gens, tols["hyp"])
+    inv = group_variation(problem, traj, zpath, group, tols["inv"])
+    cons = _conservation(T, gens, tols["drift"])
     checks = [("EL-1", el1.passed), ("EL-2", el2.passed), ("H1", h1.passed)]
     if h2 is not None:
         checks.append(("H2", h2.passed))
-    checks.append(("invariance", inv.sup_norm <= inv_tol))
+    checks.append(("invariance", inv.passed))
     checks += [(p.label.split(" ")[0], p.passed) for p in cons.profiles]
     first = next((name for name, ok in checks if not ok), None)
     return NoetherVerdict(passed=first is None, first_failure=first,
                           el1=el1, el2=el2, hyp_extremal=h1, hyp_noether=h2,
-                          invariance=inv, invariance_tolerance=inv_tol,
-                          conservation=cons)
+                          invariance=inv, conservation=cons)

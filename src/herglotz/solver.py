@@ -12,10 +12,10 @@ The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
 steps decrease the working objective strictly, a trial point whose
 integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
-of the natural spline through the node values (trajectory.spline_adjoint, the
-transpose of the build and read of trajectory.CubicSpline): a scatter of the
-Simpson-weighted partials at the samples the grid's panel plan located once,
-plus one tridiagonal solve with the plan's band, O(n) per call.
+of the natural spline through the node values (trajectory.located_adjoint,
+the transpose of the build and read of trajectory.CubicSpline): a scatter of
+the Simpson-weighted partials at the samples the grid's panel plan located
+once, plus one tridiagonal solve with the plan's band, O(n) per call.
 
 The two-loop recursion is seeded with the H1 (Sobolev) metric:
 H0 = gamma K^-1 with K = tridiag(-1, 2, -1)/h on the free nodes
@@ -47,28 +47,28 @@ from .trajectory import (
 
 _LBFGS_MEMORY = 10
 _MAX_BACKTRACKS = 60
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_INITIAL_STEP = 1.0
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Descent controls. Defaults: 1000 iterations, stop at gradient
-    inf-norm 1e-6, Armijo constant 1e-4, step shrink 0.5, unit initial step,
-    linear seed between delta(a) and beta."""
+    """Descent controls, the keys a config's solver section accepts (any
+    other exits 2): max_iters (1000), grad_tol (stop at gradient inf-norm
+    1e-6) and seed_guess ("linear" between delta(a) and beta, "zero" or node
+    values). The line search is fixed: _ARMIJO_C, _SHRINK, _INITIAL_STEP."""
 
     max_iters: int = 1000
     grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    initial_step: float = 1.0
     seed_guess: Union[str, Sequence[float]] = "linear"
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise BadInterval("max_iters must be >= 0")
-        if not (self.grad_tol > 0 and self.initial_step > 0):
-            raise BadInterval("grad_tol and initial_step must be positive")
-        if not (0.0 < self.armijo_c < 1.0 and 0.0 < self.shrink < 1.0):
-            raise BadInterval("armijo_c and shrink must lie in (0, 1)")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+            raise BadInterval(f"need an integer max_iters >= 0, got {m!r}")
+        if not self.grad_tol > 0:
+            raise BadInterval("grad_tol must be positive")
 
 
 @dataclass
@@ -230,7 +230,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         if dg >= 0.0:  # round-off cost the pairs their descent: step without them
             d = -_two_loop(grad, [], [], kinv)
             dg = float(d @ grad)
-        step = opts.initial_step
+        step = _INITIAL_STEP
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
             trial = x + step * d
@@ -239,10 +239,10 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
             except (NonFinite, DomainError):
                 f_new = np.inf  # overflow or a trip outside the real domain: reject
             # f_new < f: an Armijo term that rounds away must not pass an unchanged f
-            if f_new < f and f_new <= f + opts.armijo_c * step * dg:
+            if f_new < f and f_new <= f + _ARMIJO_C * step * dg:
                 accepted = (trial, f_new, traj_new, zpath_new)
                 break
-            step *= opts.shrink
+            step *= _SHRINK
         if accepted is None:
             stop_reason = "line_search_failed"
             break

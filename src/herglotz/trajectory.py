@@ -105,12 +105,13 @@ def build_grid(a: float, b: float, tau: float, n: int) -> Grid:
     return Grid(a=a, b=b, tau=tau, n=int(n), h=h, m=m, nodes=nodes)
 
 
-def _domain_check(grid: Grid, ts: np.ndarray) -> None:
-    slack = 1e-9 * (grid.b - grid.nodes[0])
-    lo, hi = grid.nodes[0] - slack, grid.b + slack
-    if np.any(ts < lo) or np.any(ts > hi):
-        bad = ts[(ts < lo) | (ts > hi)]
-        raise OutOfDomain(f"t={float(np.atleast_1d(bad)[0])} outside [{grid.nodes[0]}, {grid.b}]")
+def check_domain(lo: float, hi: float, ts: np.ndarray) -> None:
+    """Raise OutOfDomain unless every time in ts lies in [lo, hi], up to a
+    slack of 1e-9 (hi - lo); a NaN time lies outside."""
+    slack = 1e-9 * (hi - lo)
+    inside = (ts >= lo - slack) & (ts <= hi + slack)
+    if not np.all(inside):
+        raise OutOfDomain(f"t={float(ts[~inside][0])} outside [{lo}, {hi}]")
 
 
 def solve_tridiagonal(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -283,7 +284,7 @@ class SampledTrajectory:
 
     def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)
-        _domain_check(self.grid, ts)
+        check_domain(self.grid.nodes[0], self.grid.b, ts)
         g = self.grid
         if self._hist is None:
             use_main = np.ones(ts.shape, dtype=bool)
@@ -354,7 +355,7 @@ class PiecewiseTrajectory:
 
     def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)
-        _domain_check(self.grid, ts)
+        check_domain(self.grid.nodes[0], self.grid.b, ts)
         starts = np.array(self._starts)
         if side == "left":
             idx = np.searchsorted(starts, ts, side="left") - 1

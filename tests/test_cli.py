@@ -1,5 +1,9 @@
+import copy
+import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -11,7 +15,20 @@ import pytest
 from herglotz.bundles import bundle
 from herglotz import cli
 from herglotz.cli import main
-from herglotz.config import load_config, schema_path
+from herglotz.config import load_config, parse_config, schema_path
+from herglotz.errors import ConfigError
+from herglotz.solver import SolveOptions
+
+
+def _closed_objects(node, path=()):
+    """(path, node) for each object of a JSON schema with additionalProperties
+    false; the items of an array are reached through index 0."""
+    if node.get("additionalProperties") is False:
+        yield path, node
+    for key, sub in node.get("properties", {}).items():
+        yield from _closed_objects(sub, path + (key,))
+    if "items" in node:
+        yield from _closed_objects(node["items"], path + (0,))
 
 
 def write_config(tmp_path, **overrides):
@@ -258,6 +275,47 @@ class TestConfigHandling:
     def test_unknown_solver_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={"stepsize": 1.0})
         assert main(["solve", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key", ["armijo_c", "shrink", "initial_step"])
+    def test_line_search_constants_are_not_settable(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, solver={key: 0.5})
+        assert main(["solve", str(cfg), "--n", "10", "--out", str(tmp_path / "o")]) == 2
+        assert f".solver: unknown keys ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "sence"),
+        (("interval",), "c"),
+        (("group",), "eta"),
+        (("trajectory", "pieces", 1), "exp"),
+    ], ids=["top", "interval", "group", "piece"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, path, key):
+        data = json.loads(write_config(tmp_path).read_text())
+        functools.reduce(operator.getitem, path, data)[key] = "maximize"
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+    def test_schema_closes_the_objects_the_parser_closes(self, tmp_path):
+        # every object the schema closes with additionalProperties: false
+        # takes exactly its listed keys: a listed key set to a bad value is
+        # rejected for its value, any other key of the schema as unknown
+        schema = json.loads(schema_path().read_text())
+        closed = dict(_closed_objects(schema))
+        assert set(closed) == {(), ("interval",), ("trajectory", "pieces", 0),
+                               ("group",), ("solver",)}
+        names = {key for node in closed.values() for key in node["properties"]}
+        base = json.loads(write_config(tmp_path, solver={}).read_text())
+        for path, node in closed.items():
+            for key in sorted(names | {"bogus"}):
+                data = copy.deepcopy(base)
+                functools.reduce(operator.getitem, path, data)[key] = [[None]]
+                with pytest.raises(ConfigError) as info:
+                    parse_config(data)
+                unknown = f"unknown keys ['{key}']" in str(info.value)
+                assert unknown == (key not in node["properties"]), (path, key)
+        assert set(closed[("solver",)]["properties"]) == {
+            f.name for f in dataclasses.fields(SolveOptions)}
 
     @pytest.mark.parametrize("override", [
         {"solver": {"max_iters": "10"}},

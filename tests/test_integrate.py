@@ -192,6 +192,15 @@ class TestLambda:
         with pytest.raises(errors.OutOfDomain):
             zp.lambda_at(-0.5)
 
+    def test_nan_time_is_out_of_domain(self):
+        problem, traj, _, _ = build_paper(8)
+        zp = integrate_z(problem, traj)
+        for read in (zp.z_at, zp.lambda_at):
+            with pytest.raises(errors.OutOfDomain):
+                read(float("nan"))
+            with pytest.raises(errors.OutOfDomain):
+                read(np.array([1.0, np.nan]))
+
     def test_node_exactness(self):
         problem, traj, _, _ = build_paper(8)
         zp = integrate_z(problem, traj)

@@ -26,6 +26,7 @@ class TestGroupVariation:
         problem, traj, group, zp = paper400
         prof = group_variation(problem, traj, zp, group)
         assert prof.sup_norm < 1e-8
+        assert prof.passed and prof.tolerance == 1e-8
 
     def test_zero_generators_trivially_invariant(self, paper400):
         problem, traj, _, zp = paper400
@@ -41,6 +42,9 @@ class TestGroupVariation:
         prof = group_variation(problem, traj, zp, TIME_SHIFT)
         expected = np.exp(prof.times) - 1.0
         assert np.max(np.abs(prof.values - expected)) < 1e-6
+        assert not prof.passed
+        # sup |h| = e - 1
+        assert group_variation(problem, traj, zp, TIME_SHIFT, tol=2.0).passed
 
     def test_defect_starts_at_zero(self, paper400):
         problem, traj, _, zp = paper400
@@ -188,7 +192,7 @@ class TestCheckNoether:
         # collapse to one profile, and the whole chain still passes
         problem, traj, group, _ = build_bundle("classical-line", n=100)
         zp = integrate_z(problem, traj)
-        verdict = check_noether(problem, traj, zp, group, drift_tol=1e-8)
+        verdict = check_noether(problem, traj, zp, group, tol=1e-8)
         assert verdict.passed
         assert np.max(np.abs(verdict.hyp_extremal.values)) == 0.0
         assert len(verdict.conservation.profiles) == 1

@@ -216,11 +216,14 @@ class TestSolveDirect:
         assert starved.stop_reason == "max_iters"
         assert starved.iterations == 2
 
-    def test_failed_line_search_is_reported(self):
-        # sixty trials shrinking by 0.9 from a unit step of 1e6 all overshoot
+    def test_failed_line_search_is_reported(self, monkeypatch):
+        # sixty trials shrinking by 0.9 from a step of 1e6 all overshoot
+        from herglotz import solver
+
+        monkeypatch.setattr(solver, "_INITIAL_STEP", 1e6)
+        monkeypatch.setattr(solver, "_SHRINK", 0.9)
         problem, _, _, opts = build_bundle("classical-line", n=20)
-        result = solve_direct(problem, SolveOptions(initial_step=1e6, shrink=0.9,
-                                                    seed_guess=opts.seed_guess))
+        result = solve_direct(problem, opts)
         assert result.stop_reason == "line_search_failed"
         assert not result.converged
         assert result.iterations == 0
@@ -287,11 +290,11 @@ class TestSolveDirect:
 
     def test_option_validation(self):
         with pytest.raises(errors.BadInterval):
-            SolveOptions(armijo_c=1.5)
-        with pytest.raises(errors.BadInterval):
-            SolveOptions(shrink=0.0)
-        with pytest.raises(errors.BadInterval):
             SolveOptions(grad_tol=-1.0)
+        for bad in (2.5, float("nan"), -1, True, "10"):
+            with pytest.raises(errors.BadInterval, match="max_iters"):
+                SolveOptions(max_iters=bad)
+        assert SolveOptions(max_iters=np.int64(3)).max_iters == 3
 
     def test_explicit_seed_flows_through(self):
         problem, _, _, _ = build_bundle("classical-line", n=20)

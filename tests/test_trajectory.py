@@ -134,6 +134,11 @@ class TestPiecewise:
         with pytest.raises(errors.OutOfDomain):
             traj.eval(-1.5)
 
+    def test_nan_time_is_out_of_domain(self):
+        _, traj, _, _ = build_paper(40)
+        with pytest.raises(errors.OutOfDomain, match="nan"):
+            traj.eval_many(np.array([0.5, np.nan]))
+
 
 class TestSampled:
     def test_derivative_of_sampled_parabola(self):
@@ -141,6 +146,13 @@ class TestSampled:
         traj = SampledTrajectory(g, g.nodes ** 2)
         _, dx, _ = traj.eval(0.5)
         assert abs(dx - 1.0) < 1e-4   # exact derivative of t^2 at 0.5 is 1
+
+    def test_nan_time_is_out_of_domain(self):
+        g = build_grid(0.0, 2.0, 1.0, 20)
+        traj = SampledTrajectory(g, g.nodes ** 2)
+        for side in ("left", "right"):
+            with pytest.raises(errors.OutOfDomain, match="nan"):
+                traj.eval_many(np.array([0.5, np.nan]), side=side)
 
     def test_node_values_returned_exactly(self):
         g = build_grid(0.0, 2.0, 1.0, 20)
@@ -311,7 +323,7 @@ class TestPerturb:
 
     def test_direction_reads_outside_the_grid_raise(self):
         eta = unit_direction(build_grid(0.0, 2.0, 1.0, 8), 6)
-        for t in (-1.5, 2.5):
+        for t in (-1.5, 2.5, np.nan):
             with pytest.raises(errors.OutOfDomain):
                 eta.eval_many(np.array([t]))
 
