@@ -117,17 +117,22 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
         raise ConfigError(f"{where}: sense must be minimize or maximize")
     trajectory = data.get("trajectory")
     if trajectory is not None:
-        backend = _need(trajectory, "backend", str, f"{where}.trajectory")
+        at = f"{where}.trajectory"
+        backend = _need(trajectory, "backend", str, at)
+        _only(trajectory, ("backend", "pieces", "path"), at)
+        if backend not in ("pieces", "samples"):
+            raise ConfigError(f"{where}: trajectory backend must be pieces or samples")
+        stray = "path" if backend == "pieces" else "pieces"
+        if stray in trajectory:
+            raise ConfigError(f"{at}: key {stray!r} does not go with backend {backend!r}")
         if backend == "pieces":
-            pieces = _need(trajectory, "pieces", list, f"{where}.trajectory")
+            pieces = _need(trajectory, "pieces", list, at)
             for i, p in enumerate(pieces):
                 for key, kinds in _PIECE_KINDS.items():
-                    _need(p, key, kinds, f"{where}.trajectory.pieces[{i}]")
-                _only(p, _PIECE_KINDS, f"{where}.trajectory.pieces[{i}]")
-        elif backend == "samples":
-            _need(trajectory, "path", str, f"{where}.trajectory")
+                    _need(p, key, kinds, f"{at}.pieces[{i}]")
+                _only(p, _PIECE_KINDS, f"{at}.pieces[{i}]")
         else:
-            raise ConfigError(f"{where}: trajectory backend must be pieces or samples")
+            _need(trajectory, "path", str, at)
     group = data.get("group")
     if group is not None:
         _need(group, "sigma", str, f"{where}.group")

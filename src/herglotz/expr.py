@@ -25,16 +25,11 @@ correctly rounded square (libm's pow(u, 2.0) can be 1 ulp off it, and
 numpy's power already computes u*u).
 
 A loop that changes one variable only, such as the RK4 stages in z, needs
-no walk per pass where the tree is affine in that variable: affine reads the
-tree as A + B*var by a structural degree test and returns the per-sample
-columns A and B from one walk over the array bindings. Otherwise it splits
-the tree once with hoist: every maximal subtree free of that variable is
-evaluated over the array bindings and becomes a Col leaf of per-sample
-values, so each pass walks only the paths to the variable. Both keep the
-float kernels for array samples (^ and the functions run through math
-sample by sample, ^2 aside, which is u*u on whole arrays), so a var-free
-subtree has the bits the float walk gives it, and the split walk returns
-bit for bit what the whole walk returns on floats.
+no walk per pass where the tree is affine in that variable: affine reads it
+as A + B*var by a structural degree test and returns the per-sample columns
+A and B from one walk over the array bindings, whose ^ and functions run
+through the float kernels (see _Libm). Any other tree is walked whole on
+floats at every pass.
 """
 
 from __future__ import annotations
@@ -89,17 +84,7 @@ class Call:
     arg: "Expression"
 
 
-@dataclass(frozen=True, eq=False)
-class Col:
-    """A hoisted subtree (see hoist): its value at each sample, read at the
-    sample index bound under SAMPLE."""
-    values: list
-
-
-Expression = Union[Num, Var, Neg, Bin, Call, Col]
-
-# binding key of the sample index that Col leaves read
-SAMPLE = "sample"
+Expression = Union[Num, Var, Neg, Bin, Call]
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +397,6 @@ def _dual(e: Expression, b: Bindings, seed: Optional[str]):
         if e.name != seed:
             return v, None
         return v, (np.ones_like(v) if _is_array(v) else 1.0)
-    if kind is Col:
-        return e.values[b[SAMPLE]], None
     if kind is Neg:
         v, t = _dual(e.operand, b, seed)
         return -v, (None if t is None else -t)
@@ -491,45 +474,6 @@ def _pow_dual(uv, ut, vv, vt):
     return val, exp_term + base_term
 
 
-def hoist(e: Expression, var: str, bindings: Bindings) -> Expression:
-    """The tree with every maximal subtree free of var evaluated once, at
-    every sample of the array bindings, and put back as a Col leaf holding
-    those values (a constant subtree becomes a Num).
-
-    Walking the result under {SAMPLE: i, var: v} visits only the nodes on
-    the paths to var and gives, bit for bit, what walking e gives under
-    sample i of the bindings with var = v: a hoisted value has tangent None,
-    as the subtree had, and ^ and the functions keep the float kernels (see
-    _Libm). Raises what evaluating the hoisted subtrees raises, possibly at
-    a sample the caller would have reached only later; an overflow there
-    saturates silently to inf, as on floats.
-    """
-    cols, shape = _libm_views(bindings)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _split(e, var, cols, shape)
-
-
-def _libm_views(bindings: Bindings):
-    cols = {k: np.asarray(v, dtype=float).view(_Libm) for k, v in bindings.items()}
-    return cols, np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
-
-
-def _split(e, var, cols, shape):
-    # a module function, not a closure over itself: that would be a reference
-    # cycle holding the sample arrays until the cyclic collector runs
-    kind = type(e)
-    if var in variables_in(e):
-        if kind is Neg:
-            return Neg(_split(e.operand, var, cols, shape))
-        if kind is Bin:
-            return Bin(e.op, _split(e.left, var, cols, shape), _split(e.right, var, cols, shape))
-        if kind is Call:
-            return Call(e.fn, _split(e.arg, var, cols, shape))
-        return e
-    v = _dual(e, cols, None)[0]
-    return Col(np.broadcast_to(v, shape).tolist()) if _is_array(v) else Num(v)
-
-
 def _degree(e: Expression, var: str) -> int:
     """Structural degree of e in var: 0, 1, or 2 for anything not affine."""
     kind = type(e)
@@ -558,15 +502,16 @@ def affine(e: Expression, var: str, bindings: Bindings):
     Affine means var enters only through +, -, negation, products with at
     most one factor holding var, and numerators over var-free denominators;
     ^ and the functions must be var-free. A and B come from one walk seeded
-    on var with var bound to zero, over the same libm views and under the
-    same silent overflow as hoist, so a var-free subtree has the bits it has
+    on var with var bound to zero, over _Libm views of the bindings and with
+    overflow silent, as on floats, so a var-free subtree has the bits it has
     in the float walk. A + B*v rounds like the tree where the tree is A +- b*v
     itself; otherwise the two may differ in the last bits. Raises what the
     walk raises, possibly at a sample the caller would have reached later.
     """
     if _degree(e, var) > 1:
         return None
-    cols, shape = _libm_views(bindings)
+    cols = {k: np.asarray(v, dtype=float).view(_Libm) for k, v in bindings.items()}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
     cols[var] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = _dual(e, cols, var)

@@ -13,13 +13,13 @@ integrand stays smooth within each substep. Along the trajectory only z
 changes from stage to stage. Where L is affine in z, L = A + B z (expr.affine;
 every shipped bundle is), one walk over all the samples gives the columns A
 and B: log-lambda is then one running sum of -B, and z runs the stage
-formulas on floats with no tree walk. Otherwise the parts of L without z are
-evaluated once over the samples (expr.hoist) and a stage walks only the nodes
-on the paths to z. z and lambda are bit for bit those of the whole-tree walk,
-except that an affine L not written as A +- b*z may move z by a few ulps. A
-stage that meets a non-finite z, or a stop where z or log-lambda is one,
-raises NonFinite; where the affine stages meet a non-finite value, the stage
-walk runs instead, so the error names the same t.
+formulas on floats with no tree walk. Otherwise each stage binds the
+sample's t, x, dx, xtau and dxtau as floats, then z, and walks the whole tree
+of L. z and lambda are bit for bit those of that walk, except that an affine
+L not written as A +- b*z may move z by a few ulps. A stage that meets a
+non-finite z, or a stop where z or log-lambda is one, raises NonFinite; where
+the affine stages meet a non-finite value, the stage walk runs instead, so
+the error names the same t.
 
 The integrating factor lambda(t) = exp(-int_a^t dL/dz) is accumulated in the
 same pass as log-lambda (positivity by construction); if L does not depend on
@@ -202,18 +202,19 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
 
 
 def _stages(problem: HerglotzProblem, P: Panels):
-    """z and mu = log lambda at every stop, by RK4 stages that walk the
-    z-paths of L: only z changes between stages, so the z-free parts of L
-    are evaluated once over the samples and a stage binds the sample index
-    and z. A non-finite z or mu raises NonFinite at the first t it reaches."""
+    """z and mu = log lambda at every stop, by RK4 stages that walk the whole
+    tree of L on the floats of the stage's sample and z. A non-finite z or mu
+    raises NonFinite at the first t it reaches."""
     k, hs, ts = P.k, P.hs, P.times
-    L = expr.hoist(problem.lagrangian, "z", P.bind)
-    b: dict = {expr.SAMPLE: 0, "z": 0.0}
+    L = problem.lagrangian
+    cols = [(name, P.bind[name].tolist()) for name in ("t", "x", "dx", "xtau", "dxtau")]
+    b: dict = {}
 
     def stage(j, zv):
         if not isfinite(zv):
             raise NonFinite(f"z integration produced a non-finite value at t={ts[j]}")
-        b[expr.SAMPLE] = j
+        for name, col in cols:
+            b[name] = col[j]
         b["z"] = zv
         val, dz = expr.value_and_partial(L, "z", b)
         return float(val), -float(dz)

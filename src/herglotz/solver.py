@@ -30,6 +30,7 @@ raw gradient inf-norm against grad_tol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -55,9 +56,11 @@ _INITIAL_STEP = 1.0
 @dataclass(frozen=True)
 class SolveOptions:
     """Descent controls, the keys a config's solver section accepts (any
-    other exits 2): max_iters (1000), grad_tol (stop at gradient inf-norm
-    1e-6) and seed_guess ("linear" between delta(a) and beta, "zero" or node
-    values). The line search is fixed: _ARMIJO_C, _SHRINK, _INITIAL_STEP."""
+    other exits 2): max_iters (an integer >= 0, default 1000), grad_tol (stop
+    at this gradient inf-norm, a finite real > 0, default 1e-6) and
+    seed_guess ("linear" between delta(a) and beta, "zero" or node values);
+    a bool or other bad value raises BadInterval. The line search is fixed:
+    _ARMIJO_C, _SHRINK, _INITIAL_STEP."""
 
     max_iters: int = 1000
     grad_tol: float = 1e-6
@@ -67,8 +70,9 @@ class SolveOptions:
         m = self.max_iters
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
             raise BadInterval(f"need an integer max_iters >= 0, got {m!r}")
-        if not self.grad_tol > 0:
-            raise BadInterval("grad_tol must be positive")
+        g = self.grad_tol
+        if isinstance(g, bool) or not isinstance(g, Real) or not 0 < g < np.inf:
+            raise BadInterval(f"need a finite real grad_tol > 0, got {g!r}")
 
 
 @dataclass

@@ -286,8 +286,9 @@ class TestConfigHandling:
         ((), "sence"),
         (("interval",), "c"),
         (("group",), "eta"),
+        (("trajectory",), "pices"),
         (("trajectory", "pieces", 1), "exp"),
-    ], ids=["top", "interval", "group", "piece"])
+    ], ids=["top", "interval", "group", "trajectory", "piece"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, path, key):
         data = json.loads(write_config(tmp_path).read_text())
         functools.reduce(operator.getitem, path, data)[key] = "maximize"
@@ -296,14 +297,33 @@ class TestConfigHandling:
         assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trajectory, message", [
+        ({"path": "nowhere.csv"}, "key 'path' does not go with backend 'pieces'"),
+        ({"backend": "samples", "path": "nodes.csv"},
+         "key 'pieces' does not go with backend 'samples'"),
+    ], ids=["path-with-pieces", "pieces-with-path"])
+    def test_trajectory_takes_its_backends_key_only(self, tmp_path, capsys,
+                                                    trajectory, message):
+        data = json.loads(write_config(tmp_path).read_text())
+        data["trajectory"].update(trajectory)
+        cfg = tmp_path / "stray.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(schema_path().read_text())
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(data, schema)
+        jsonschema.validate(json.loads(write_config(tmp_path).read_text()), schema)
+
     def test_schema_closes_the_objects_the_parser_closes(self, tmp_path):
         # every object the schema closes with additionalProperties: false
         # takes exactly its listed keys: a listed key set to a bad value is
         # rejected for its value, any other key of the schema as unknown
         schema = json.loads(schema_path().read_text())
         closed = dict(_closed_objects(schema))
-        assert set(closed) == {(), ("interval",), ("trajectory", "pieces", 0),
-                               ("group",), ("solver",)}
+        assert set(closed) == {(), ("interval",), ("trajectory",),
+                               ("trajectory", "pieces", 0), ("group",), ("solver",)}
         names = {key for node in closed.values() for key in node["properties"]}
         base = json.loads(write_config(tmp_path, solver={}).read_text())
         for path, node in closed.items():
@@ -324,8 +344,14 @@ class TestConfigHandling:
         {"solver": {"seed_guess": {"a": 1}}},
         {"solver": {"max_iters": True}},
         {"interval": {"a": False, "b": 2.0}},
+        # written as Infinity, which json reads as the inf that 1e999 reads as
+        {"solver": {"grad_tol": float("inf")}},
+        {"solver": {"grad_tol": True}},
+        {"solver": {"grad_tol": "1"}},
+        {"solver": {"grad_tol": [1]}},
     ], ids=["string-int", "null-number", "string-seed", "object-seed",
-            "bool-int", "bool-number"])
+            "bool-int", "bool-number", "inf-grad-tol", "bool-grad-tol",
+            "string-grad-tol", "array-grad-tol"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["solve", str(cfg), "--n", "10", "--out", str(tmp_path / "o")]) == 2

@@ -1,7 +1,9 @@
+import gc
 import math
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,12 @@ from conftest import (
 E = math.e
 
 
+def tree_size(e):
+    """The number of nodes of an expression tree."""
+    return 1 + sum(tree_size(c) for c in vars(e).values()
+                   if not isinstance(c, (str, float)))
+
+
 class TestIntegrateZ:
     def test_reference_values_on_extremal(self):
         problem, traj, _, _ = build_paper(400)
@@ -69,10 +77,13 @@ class TestIntegrateZ:
         assert zp.lam[0] == 1.0
         assert np.all(zp.lam > 0.0)
 
-    def test_domain_error_propagates(self):
+    # x = -t reaches 0 at t = 0: a domain error (exit 3) on the affine path
+    # and in the stage walk alike
+    @pytest.mark.parametrize("text", ["log(x)", "log(x) + z^2"])
+    def test_domain_error_propagates(self, text):
         g = build_grid(0.0, 1.0, 0.0, 10)
         problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=-1.0,
-                                     history="0", lagrangian="log(x)")
+                                     history="0", lagrangian=text)
         traj = PiecewiseTrajectory(g, [(0.0, 1.0, "-t")])
         with pytest.raises(errors.DomainError):
             integrate_z(problem, traj)
@@ -89,8 +100,9 @@ class TestIntegrateZ:
         "exp(exp(exp(5 + x))) + z",
         "1e300*(2 + x)*1e300 + z",
         "(exp(exp(exp(5 + x))) - exp(exp(exp(5 + x))))*z",
+        "1e300*x*1e300 + exp(exp(exp(5 + x))) - z*z",
     ])
-    def test_hoisted_overflow_is_silent_and_non_finite(self, text):
+    def test_overflow_is_silent_and_non_finite(self, text):
         g = build_grid(0.0, 1.0, 0.0, 10)
         problem = hg.HerglotzProblem(grid=g, gamma=1.0, beta=1.0,
                                      history="0", lagrangian=text)
@@ -118,28 +130,58 @@ class TestIntegrateZ:
         assert zp.z.tobytes() == z.tobytes()
         assert zp.lam.tobytes() == lam.tobytes()
 
-    def test_stages_walk_only_the_z_path(self, monkeypatch):
-        # paper-s4, L = dxtau^2 + z, is affine in z: one walk over the
-        # samples (its 5 nodes) gives L = A + B z there, and no stage walks.
-        # A sampled trajectory reads no expression, so every visit is L's.
-        # L = dxtau^2 + sin(z) is not: dxtau^2 is hoisted (3 visits) and each
-        # stage visits +, the hoisted leaf, sin and z
-        problem, _, _, _ = build_paper(100)
-        traj = wavy_sampled(problem)
+    @staticmethod
+    def _count_walks(monkeypatch):
+        """Visits of expr._dual, split by bindings: a stage walk binds floats,
+        a walk over the samples binds arrays."""
         visits = {"stage": 0, "samples": 0}
         original = expr._dual
 
         def counted(e, b, seed):
-            visits["stage" if expr.SAMPLE in b else "samples"] += 1
+            visits["samples" if isinstance(b["t"], np.ndarray) else "stage"] += 1
             return original(e, b, seed)
 
         monkeypatch.setattr(expr, "_dual", counted)
+        return visits
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    def test_bundles_walk_no_stage(self, monkeypatch, name):
+        # every bundle's L is affine in z: one walk over the samples (every
+        # node of L once) gives L = A + B z there, and no stage walks. A
+        # sampled trajectory reads no expression, so every visit is L's
+        problem, _, _, _ = build_bundle(name, n=100)
+        traj = wavy_sampled(problem)
+        visits = self._count_walks(monkeypatch)
         integrate_z(problem, traj)
-        assert visits == {"stage": 0, "samples": 5}
-        visits.update(stage=0, samples=0)
-        integrate_z(replace(problem, lagrangian=expr.parse("dxtau^2 + sin(z)")), traj)
+        assert visits == {"stage": 0, "samples": tree_size(problem.lagrangian)}
+
+    def test_non_affine_stages_walk_the_whole_tree(self, monkeypatch):
+        # L = dxtau^2 + sin(z) is not affine: each of the 4 stages of each of
+        # the k steps walks all 6 nodes on floats, and nothing walks the samples
+        problem, _, _, _ = build_paper(100)
+        problem = replace(problem, lagrangian=expr.parse("dxtau^2 + sin(z)"))
+        traj = wavy_sampled(problem)
+        visits = self._count_walks(monkeypatch)
+        integrate_z(problem, traj)
         k = len(integration_stops(problem, traj)[0]) - 1
-        assert visits == {"stage": 4 * 4 * k, "samples": 3}
+        assert visits == {"stage": 6 * 4 * k, "samples": 0}
+
+    @pytest.mark.parametrize("text", ["dxtau^2 + z", "dxtau^2 + sin(z)"])
+    def test_integration_frees_the_samples_without_the_cycle_collector(self, text):
+        # a reference cycle would keep the sample arrays alive until the
+        # cyclic collector runs, and resident memory grows across integrations
+        problem, _, _, _ = build_paper(20)
+        problem = replace(problem, lagrangian=expr.parse(text))
+        traj = wavy_sampled(problem)
+        gc.disable()
+        try:
+            zp = integrate_z(problem, traj)
+            alive = [weakref.ref(zp.panels)] + [
+                weakref.ref(zp.panels.bind[name]) for name in ("x", "dx", "xtau", "dxtau")]
+            del zp
+            assert [ref() for ref in alive] == [None] * len(alive)
+        finally:
+            gc.enable()
 
     def test_affine_blow_up_is_non_finite_where_the_stages_say(self):
         # z' = 50 z from z(0) = 1 overflows before t = 20; the message names

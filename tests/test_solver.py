@@ -289,12 +289,15 @@ class TestSolveDirect:
         assert el1.passed and el2.passed
 
     def test_option_validation(self):
-        with pytest.raises(errors.BadInterval):
-            SolveOptions(grad_tol=-1.0)
+        for bad in (-1.0, 0, float("inf"), float("nan"), True, "1", [1]):
+            with pytest.raises(errors.BadInterval, match="grad_tol"):
+                SolveOptions(grad_tol=bad)
         for bad in (2.5, float("nan"), -1, True, "10"):
             with pytest.raises(errors.BadInterval, match="max_iters"):
                 SolveOptions(max_iters=bad)
         assert SolveOptions(max_iters=np.int64(3)).max_iters == 3
+        assert SolveOptions(grad_tol=np.float32(1e-3)).grad_tol == np.float32(1e-3)
+        assert SolveOptions(grad_tol=1).grad_tol == 1
 
     def test_explicit_seed_flows_through(self):
         problem, _, _, _ = build_bundle("classical-line", n=20)
