@@ -35,22 +35,21 @@ with eta identically zero left of a, evaluated by composite Simpson on
 breakpoint-aligned panels (grid intervals split at kinks, midpoint sampled).
 These panels are the RK4 substeps, so one sampler serves both: Panels.read
 reads a trajectory, one-sided, at the panel ends and midpoints and at their
-delayed images; integrate_z runs its RK4 stages on the reads of x and the
-z-path carries them on. The panel geometry depends on the grid and the
+delayed images; integrate_z runs its RK4 stages on the reads of x and keeps z
+and log-lambda at the stops, the panel ends, which the z-path carries on
+with the samples. The panel geometry depends on the grid and the
 trajectory's breakpoints alone, so for the sampled trajectories of a grid it
-is computed once (PanelPlan, kept on the grid): node positions, steps, sample
-times, delayed images and inside mask, and the samples located once on the
-grid's nodes. Every sampled trajectory and direction on that grid, the
-z-path's read at the samples and the solver's spline adjoint reuse that one
-location; a solve, or a run of gradients on one problem, makes many
-integrations on one grid and locates its samples once. The first variation,
-the solver gradient and the invariance defect take the samples from the
-z-path, with z and lambda there and the Lagrangian partials filled in on
-first use, and are each a short formula over them. A direction eta is a
-sampled trajectory with zero history (trajectory.VariationDirection), so the
-first variation reads it through Panels.read too; the one spline through
-node values (trajectory.CubicSpline, which also carries z and lambda between
-nodes here) and its adjoint live in trajectory.
+is computed once (PanelPlan, kept on the grid), with the samples located
+once on the grid's nodes: every sampled trajectory and direction on that
+grid and the solver's spline adjoint reuse that location. The first
+variation, the solver gradient and the invariance defect take the samples
+from the z-path, with z and lambda there (RK4's cubic Hermite dense output
+at the midpoints, ZPath.samples; no spline) and the Lagrangian partials
+filled in on first use, and are each a short formula over them. A
+direction eta is a sampled trajectory with zero history
+(trajectory.VariationDirection), so the first variation reads it through
+Panels.read too; the one spline through node values (trajectory.CubicSpline)
+and its adjoint live in trajectory.
 All operations are pure (a fill-in on first use writes the same values
 whichever caller comes first); concurrent integrations are safe.
 """
@@ -68,7 +67,6 @@ from . import expr
 from .errors import InvalidTrajectory, NonFinite
 from .reportio import csv_text
 from .trajectory import (
-    CubicSpline,
     Grid,
     HerglotzProblem,
     Located,
@@ -76,7 +74,6 @@ from .trajectory import (
     Trajectory,
     VariationDirection,
     adjoint_band,
-    check_domain,
     locate,
 )
 
@@ -130,14 +127,16 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
 
 @dataclass
 class ZPath:
-    """z and lambda at the nodes of [a, b], read between them through one
-    not-a-knot trajectory.CubicSpline over both columns, plus the panel
-    samples of the trajectory they were integrated on."""
+    """z and lambda at the nodes of [a, b], z and mu = log lambda at every
+    integration stop, and the panel samples of the trajectory they were
+    integrated on."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     panels: Panels = field(repr=False, compare=False)
+    stop_z: np.ndarray = field(repr=False, compare=False)
+    stop_mu: np.ndarray = field(repr=False, compare=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -151,37 +150,36 @@ class ZPath:
     def lambda_b(self) -> float:
         return float(self.lam[-1])
 
-    @cached_property
-    def _spline(self):
-        """One spline over the columns (z, lambda)."""
-        return CubicSpline(self.times, np.column_stack([self.z, self.lam]), "not-a-knot")
-
-    def _interp(self, col, t):
-        ts = np.asarray(t, dtype=float)
-        check_domain(self.grid.a, self.grid.b, np.atleast_1d(ts))
-        out = self._spline(ts)[..., col]
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-    def z_at(self, t):
-        return self._interp(0, t)
-
-    def lambda_at(self, t):
-        return self._interp(1, t)
-
     def csv(self) -> str:
         return csv_text(["t", "z", "lambda"], [self.times, self.z, self.lam])
 
     def samples(self, traj: Trajectory) -> Panels:
         """The panel samples this z-path was integrated on, with z and lambda
         there filled in on first use. traj must be the very trajectory object
-        it was integrated along; a z-path is never re-sampled."""
+        it was integrated along; a z-path is never re-sampled. At the panel
+        ends they are the stop values; at a midpoint, u = z and u = mu take
+        RK4's cubic Hermite dense output (u_i + u_{i+1})/2 + h/8 (u'_i -
+        u'_{i+1}) from z' = L and mu' = -L_z at the one-sided end samples."""
         P = self.panels
         if traj is not P.traj:
             raise InvalidTrajectory("z-path was integrated along a different trajectory")
         if "z" not in P.bind:
-            # the plan's located samples: P.times, on the nodes of the z-path
-            (zl,) = self._spline.read_located(P.plan.main.head(3 * P.k), (0,))
-            P.z, P.lam = np.ascontiguousarray(zl.T)
+            k, zs, mus = P.k, self.stop_z, self.stop_mu
+            ends = {name: np.concatenate([col[:k], col[2 * k:]])
+                    for name, col in P.bind.items()}
+            ends["z"] = np.concatenate([zs[:-1], zs[1:]])
+
+            def at_samples(u, du):
+                mid = 0.5 * (u[:-1] + u[1:]) + P.hs / 8.0 * (du[:k] - du[k:])
+                return np.concatenate([u[:-1], mid, u[1:]])
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                L, Lz = (np.broadcast_to(np.asarray(v, dtype=float), (2 * k,))
+                         for v in expr.value_and_partial(P.lagrangian, "z", ends))
+                z, lam = at_samples(zs, L), np.exp(at_samples(mus, -Lz))
+            if not all(np.all(np.isfinite(v)) for v in (L, Lz, z, lam)):
+                raise NonFinite("z-path is non-finite at a panel sample")
+            P.z, P.lam = z, lam
             P.bind["z"] = P.z
         return P
 
@@ -198,7 +196,7 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
         lam = np.exp(mus[P.node_pos])
     if not np.all(np.isfinite(lam)):
         raise NonFinite("integrating factor overflowed")
-    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P)
+    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P, stop_z=zs, stop_mu=mus)
 
 
 def _stages(problem: HerglotzProblem, P: Panels):
@@ -223,18 +221,21 @@ def _stages(problem: HerglotzProblem, P: Panels):
     mus = np.empty(k + 1)
     z = zs[0] = float(problem.gamma)
     mu = mus[0] = 0.0
-    for i in range(k):
-        h = hs[i]
-        z1, m1 = stage(i, z)
-        z2, m2 = stage(k + i, z + 0.5 * h * z1)
-        z3, m3 = stage(k + i, z + 0.5 * h * z2)
-        z4, m4 = stage(2 * k + i, z + h * z3)
-        z = z + h * (z1 + 2.0 * z2 + 2.0 * z3 + z4) / 6.0
-        mu = mu + h * (m1 + 2.0 * m2 + 2.0 * m3 + m4) / 6.0
-        if not (isfinite(z) and isfinite(mu)):
-            raise NonFinite(f"z integration produced a non-finite value at t={ts[2 * k + i]}")
-        zs[i + 1] = z
-        mus[i + 1] = mu
+    # the tangent of abs is a numpy scalar, which warns where a float overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            h = hs[i]
+            z1, m1 = stage(i, z)
+            z2, m2 = stage(k + i, z + 0.5 * h * z1)
+            z3, m3 = stage(k + i, z + 0.5 * h * z2)
+            z4, m4 = stage(2 * k + i, z + h * z3)
+            z = z + h * (z1 + 2.0 * z2 + 2.0 * z3 + z4) / 6.0
+            mu = mu + h * (m1 + 2.0 * m2 + 2.0 * m3 + m4) / 6.0
+            if not (isfinite(z) and isfinite(mu)):
+                raise NonFinite(
+                    f"z integration produced a non-finite value at t={ts[2 * k + i]}")
+            zs[i + 1] = z
+            mus[i + 1] = mu
     return zs, mus
 
 
@@ -297,10 +298,10 @@ class PanelPlan:
 
     main locates the sample times, then the delayed images inside [a, b], on
     the nodes of [a, b]: a sampled trajectory's [a, b] spline reads there,
-    the z-path at its first 3k rows, and the spline adjoint of the gradient
-    scatters there in that order. hist locates the other delayed images on
-    the history nodes (None when tau = 0). Both and the adjoint's band are
-    filled in on first use.
+    and the spline adjoint of the gradient scatters there in that order.
+    hist locates the other delayed images on the history nodes (None when
+    tau = 0). Both and the adjoint's band are filled in on first use, so a
+    trajectory that reads no spline locates nothing.
     """
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory):

@@ -13,15 +13,15 @@ Two backends:
   corner and bias every downstream quantity at O(h). An admissible variation
   direction is a sampled trajectory too (VariationDirection), with zero node
   values on [a-tau, a] and at b. CubicSpline is the package's one spline
-  through node values (the z-path and the residual pairing of conditions use
-  it too), and spline_adjoint is the transpose of its natural-end build and
-  read, sharing the slope matrix and its end rows with it. A read locates its
+  through node values (the residual pairing of conditions uses it too), and
+  spline_adjoint is the transpose of its natural-end build and read, sharing
+  the slope matrix and its end rows with it. A read locates its
   samples on the nodes (locate: piece, offset, node hits) and then reads
   there; a location depends on the nodes alone, so samples fixed by the grid
   (integrate's panel plan) are located once and read through every spline on
   the same nodes: all trajectories and directions on the grid
-  (SampledTrajectory.read_located), the z-path, and the adjoint
-  (located_adjoint, with the band of adjoint_band).
+  (SampledTrajectory.read_located) and the adjoint (located_adjoint, with
+  the band of adjoint_band).
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -41,7 +41,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from . import expr
 from .errors import (
@@ -120,7 +119,8 @@ def solve_tridiagonal(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     band[2, :-1] the subdiagonal); rhs has one or more columns. One call of
     LAPACK's gtsv, as scipy.linalg.solve_banded makes for this layout, with
     the same bits. Neither argument is modified; a singular A raises
-    numpy.linalg.LinAlgError."""
+    numpy.linalg.LinAlgError. A run that builds no spline never loads scipy."""
+    from scipy.linalg.lapack import dgtsv
     if len(rhs) == 1:  # gtsv rejects a 1x1 system
         if band[1, 0] == 0.0:
             raise LinAlgError("singular matrix")
@@ -166,11 +166,6 @@ class Located:
     z: np.ndarray
     rows: np.ndarray
     at: np.ndarray
-
-    def head(self, count: int) -> "Located":
-        """The location of the first count samples."""
-        cut = int(np.searchsorted(self.rows, count))
-        return Located(self.i[:count], self.z[:count], self.rows[:cut], self.at[:cut])
 
 
 def locate(x: np.ndarray, t: np.ndarray) -> Located:

@@ -237,12 +237,39 @@ def per_call_adjoint(nodes, ts, wv, wd):
     return gy
 
 
+def per_panel_hermite(problem, zpath):
+    """Oracle: z and lambda at the panel samples, one panel at a time: the
+    stop values at the ends, and RK4's cubic Hermite dense output at the
+    midpoint from slopes z' = L and mu' = -L_z that walk L on the floats of
+    each end sample. lambda is exp of mu over the whole sample column."""
+    P = zpath.panels
+    k = P.k
+    zs, mus = zpath.stop_z.tolist(), zpath.stop_mu.tolist()
+    cols = {name: P.bind[name].tolist() for name in ("t", "x", "dx", "xtau", "dxtau")}
+
+    def slopes(j, zv):
+        b = {name: col[j] for name, col in cols.items()}
+        b["z"] = zv
+        val, dz = expr.value_and_partial(problem.lagrangian, "z", b)
+        return float(val), -float(dz)
+
+    z, mu = np.empty(3 * k), np.empty(3 * k)
+    for i, h in enumerate(P.hs.tolist()):
+        zl, ml = slopes(i, zs[i])
+        zr, mr = slopes(2 * k + i, zs[i + 1])
+        z[i], z[k + i], z[2 * k + i] = (
+            zs[i], 0.5 * (zs[i] + zs[i + 1]) + h / 8.0 * (zl - zr), zs[i + 1])
+        mu[i], mu[k + i], mu[2 * k + i] = (
+            mus[i], 0.5 * (mus[i] + mus[i + 1]) + h / 8.0 * (ml - mr), mus[i + 1])
+    return z, np.exp(mu)
+
+
 def per_call_gradient(problem, traj, zpath):
-    """variational_gradient with z and lambda read at the panel samples and
-    the weights pulled back by the per-call oracles."""
+    """variational_gradient with z and lambda at the panel samples from the
+    per-panel oracle and the weights pulled back by the per-call oracles."""
     P = zpath.samples(traj)
     k, hs = P.k, P.hs
-    _, lam = per_call_spline_read(zpath._spline, P.times, (0,))[0].T
+    _, lam = per_panel_hermite(problem, zpath)
     w = np.empty(3 * k)
     w[:k] = hs / 6.0
     w[k:2 * k] = 4.0 * hs / 6.0

@@ -369,14 +369,30 @@ class TestConfigHandling:
         assert group is not None
 
 
-def test_import_loads_no_scipy_interpolate():
-    # the package's own spline replaced scipy's, whose import was most of a
-    # CLI command's start-up
+def _scipy_loaded_after(statements):
+    """Whether a fresh interpreter has loaded any scipy module after running
+    the statements, with the package on its path."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, herglotz.cli; print('scipy.interpolate' in sys.modules)"
+    probe = (f"import sys\n{statements}\n"
+             "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert run.stdout.strip() == "False"
+    return run.stdout.splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # scipy's import was most of a CLI command's start-up; only a spline
+    # build, on its slope solve, loads it
+    assert _scipy_loaded_after("import herglotz.cli") == "False"
+
+
+@pytest.mark.parametrize("argv", [["invariance", "paper-s4"], ["paper-example"]])
+def test_check_commands_load_no_scipy(tmp_path, argv):
+    # the piecewise bundles read no node-value spline, the z-path midpoints
+    # included
+    argv = argv + ["--out", str(tmp_path)]
+    assert _scipy_loaded_after(
+        f"import herglotz.cli\nassert herglotz.cli.main({argv!r}) == 0") == "False"
 
 
 def _parsed(parse, argv, capsys):

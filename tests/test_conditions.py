@@ -254,11 +254,15 @@ class TestWeakStrongConsistency:
         mids = 0.5 * (tmain[:-1] + tmain[1:])
         xm, dxm = traj.eval_many(mids, want_ddx=False)
         xtm, dxtm = traj.eval_many(mids - g.tau, want_ddx=False)
+        # one piece, so the panels are the grid intervals: z and lambda at
+        # the grid midpoints are the z-path's panel samples
+        P = zp.samples(traj)
+        assert P.k == n
+        z_m, lam_m = P.z[n:2 * n], P.lam[n:2 * n]
         bind_m = {"t": mids, "x": xm, "dx": dxm, "xtau": xtm, "dxtau": dxtm,
-                  "z": zp.z_at(mids)}
+                  "z": z_m}
         bind_n = {"t": tmain, "x": T.x, "dx": T.dx, "xtau": T.xtau,
                   "dxtau": T.dxtau, "z": T.z}
-        lam_m = zp.lambda_at(mids)
 
         def plain(name):
             pn = np.broadcast_to(np.asarray(
@@ -276,12 +280,14 @@ class TestWeakStrongConsistency:
             shm = np.zeros_like(mids)
             ok = mids < tmain[k1]
             ms = mids[ok] + g.tau
+            # tau = m h: the midpoint m panels to the right
+            at = np.flatnonzero(ok) + g.m
             xms, dxms = traj.eval_many(ms, want_ddx=False)
             binds = {"t": ms, "x": xms, "dx": dxms, "xtau": xm[ok],
-                     "dxtau": dxm[ok], "z": zp.z_at(ms)}
+                     "dxtau": dxm[ok], "z": z_m[at]}
             pms = np.broadcast_to(np.asarray(
                 hg.partial(problem.lagrangian, name, binds), float), ms.shape)
-            shm[ok] = zp.lambda_at(ms) * pms
+            shm[ok] = lam_m[at] * pms
             return shn, shm
 
         w0n, w0m = plain("x")

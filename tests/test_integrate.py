@@ -30,7 +30,7 @@ from conftest import (
     masked_first_variation,
     per_call_gradient,
     per_call_panel_read,
-    per_call_spline_read,
+    per_panel_hermite,
     unit_direction,
     wavy_sampled,
     whole_tree_z,
@@ -101,6 +101,7 @@ class TestIntegrateZ:
         "1e300*(2 + x)*1e300 + z",
         "(exp(exp(exp(5 + x))) - exp(exp(exp(5 + x))))*z",
         "1e300*x*1e300 + exp(exp(exp(5 + x))) - z*z",
+        "abs(z)*1e200*1e200",
     ])
     def test_overflow_is_silent_and_non_finite(self, text):
         g = build_grid(0.0, 1.0, 0.0, 10)
@@ -209,7 +210,8 @@ class TestLambda:
     def test_reference_integrating_factor(self):
         problem, traj, _, _ = build_paper(400)
         zp = integrate_z(problem, traj)
-        assert abs(zp.lambda_at(1.0) - math.exp(-1.0)) < 1e-8
+        (i1,) = np.flatnonzero(problem.grid.main_nodes == 1.0)
+        assert abs(zp.lam[i1] - math.exp(-1.0)) < 1e-8
 
     def test_z_free_lagrangian_gives_identity_factor(self):
         g = build_grid(0.0, 1.0, 0.0, 20)
@@ -227,28 +229,6 @@ class TestLambda:
         zp = integrate_z(problem, traj)
         expected = np.exp(-2.0 * (g.main_nodes - g.a))
         assert np.max(np.abs(zp.lam - expected)) < 1e-8
-
-    def test_out_of_domain(self):
-        problem, traj, _, _ = build_paper(8)
-        zp = integrate_z(problem, traj)
-        with pytest.raises(errors.OutOfDomain):
-            zp.lambda_at(-0.5)
-
-    def test_nan_time_is_out_of_domain(self):
-        problem, traj, _, _ = build_paper(8)
-        zp = integrate_z(problem, traj)
-        for read in (zp.z_at, zp.lambda_at):
-            with pytest.raises(errors.OutOfDomain):
-                read(float("nan"))
-            with pytest.raises(errors.OutOfDomain):
-                read(np.array([1.0, np.nan]))
-
-    def test_node_exactness(self):
-        problem, traj, _, _ = build_paper(8)
-        zp = integrate_z(problem, traj)
-        nodes = problem.grid.main_nodes
-        assert zp.z_at(nodes[3]) == zp.z[3]
-        assert zp.lambda_at(nodes[5]) == zp.lam[5]
 
 
 class TestFirstVariation:
@@ -386,6 +366,70 @@ class TestSamples:
             group_variation(problem, other, zp, group)
 
 
+class TestZPathSamples:
+    """z and lambda at the panel samples: the stop values at the panel ends,
+    RK4's cubic Hermite dense output at the midpoints."""
+
+    @pytest.mark.parametrize("name, lagrangian", [
+        ("paper-s4", None), ("paper-s4-nonextremal", None), ("herglotz-damped", None),
+        ("paper-s4", "dxtau^2 + sin(z)")])
+    def test_midpoints_agree_with_a_finer_integration(self, name, lagrangian):
+        # every midpoint at n = 100 is a node at 16 n, where z and lambda are
+        # the integration's own; z' jumps at the breakpoint t = 1 of paper-s4,
+        # which one spline through all the nodes read at O(h)
+        runs = []
+        for n in (100, 1600):
+            problem, traj, _, _ = build_bundle(name, n)
+            if lagrangian is not None:
+                problem = replace(problem, lagrangian=expr.parse(lagrangian))
+            runs.append((problem, integrate_z(problem, traj), traj))
+        (_, zp, traj), (fine, zf, _) = runs
+        P = zp.samples(traj)
+        mids = P.times[P.k: 2 * P.k]
+        at = np.rint((mids - fine.grid.a) / fine.grid.h).astype(int)
+        assert np.max(np.abs(fine.grid.main_nodes[at] - mids)) < 1e-12
+        assert np.max(np.abs(P.z[P.k: 2 * P.k] - zf.z[at])) <= 1e-7
+        assert np.max(np.abs(P.lam[P.k: 2 * P.k] - zf.lam[at])) <= 1e-7
+
+    def test_invariance_defect_is_fourth_order(self):
+        # the defect of sigma = t integrates L sigma_dot = L, whose z changes
+        # slope at t = 1; the midpoint z of each panel keeps RK4's order
+        group = hg.SymmetryGroup(sigma="t", xi="0")
+
+        def defect(n):
+            problem, traj, _, _ = build_paper(n)
+            return group_variation(problem, traj, integrate_z(problem, traj), group).values
+
+        ref = defect(3200)
+        errs = [np.max(np.abs(defect(n) - ref[:: 3200 // n])) for n in (100, 200, 400, 800)]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 3.8), orders
+
+    def test_piecewise_trajectory_locates_nothing(self, monkeypatch):
+        # a trajectory that reads no spline needs no location of its samples
+        problem, traj, group, _ = build_paper(100)
+        located = []
+        for module in (integrate, hg.trajectory):
+            original = module.locate
+            monkeypatch.setattr(module, "locate", lambda *a, _original=original:
+                                located.append(1) or _original(*a))
+        zp = integrate_z(problem, traj)
+        zp.samples(traj)
+        group_variation(problem, traj, zp, group)
+        assert located == []
+
+    def test_non_finite_slope_is_non_finite(self):
+        # stop values where L = dxtau^2 + 0.1 z^2 overflows at every panel end
+        problem, traj, _, _ = build_paper(20)
+        problem = replace(problem, lagrangian=expr.parse("dxtau^2 + 0.1*z*z"))
+        zp = integrate_z(problem, traj)
+        huge = replace(zp, stop_z=np.full_like(zp.stop_z, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NonFinite):
+                huge.samples(traj)
+
+
 def _bits(*arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
@@ -402,8 +446,7 @@ class TestPanelPlan:
             zp = integrate_z(problem, tr)
             P = zp.samples(tr)
             assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
-            zl = per_call_spline_read(zp._spline, P.times, (0,))[0]
-            assert _bits(P.z, P.lam) == _bits(*zl.T)
+            assert _bits(P.z, P.lam) == _bits(*per_panel_hermite(problem, zp))
             assert _bits(variational_gradient(problem, tr, zp)) == \
                 _bits(per_call_gradient(problem, tr, zp))
 
