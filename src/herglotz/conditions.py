@@ -39,7 +39,7 @@ TOLERANCES = MappingProxyType(
     {"el": 1e-4, "dbr": 1e-4, "hyp": 1e-6, "inv": 1e-8, "drift": 1e-6})
 
 
-@dataclass
+@dataclass(eq=False)
 class ResidualReport:
     """Sampled residual profile with a junction-aware sup-norm verdict."""
 

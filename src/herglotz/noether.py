@@ -92,7 +92,7 @@ class SymmetryGroup:
         return level(self.sigma), level(self.xi), total(self.sigma), total(self.xi)
 
 
-@dataclass
+@dataclass(eq=False)
 class InvarianceProfile:
     """Cumulative invariance defect h at the nodes of [a, b], with its verdict."""
 
@@ -135,7 +135,7 @@ def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                              sup_norm=sup, tolerance=float(tol), passed=sup <= tol)
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantityProfile:
     label: str
     times: np.ndarray = field(repr=False)
@@ -157,7 +157,7 @@ class QuantityProfile:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class ConservationReport:
     """Per-interval conserved-quantity profiles with drift verdicts."""
 
@@ -229,7 +229,7 @@ def _conservation(T: NodeTables, gens, tol: float) -> ConservationReport:
                                         _profile(Q2_LABEL, t2, q2, tol, T.traj)))
 
 
-@dataclass
+@dataclass(eq=False)
 class NoetherVerdict:
     """Composite conservation verdict; premises are checked in order so a
     drift failure is never blamed when an earlier premise already failed."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -24,8 +25,10 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     cols = [np.asarray(c).tolist() for c in columns]
     # one format per column: text as it is, numbers as fmt writes them
     row = ",".join("{}" if c and isinstance(c[0], (str, bytes)) else "{:.17g}"
-                   for c in cols)
-    return "\n".join([",".join(header), *(row.format(*r) for r in zip(*cols))]) + "\n"
+                   for c in cols) + "\n"
+    rows = list(zip(*cols))
+    # the whole table in one format call, the values flattened row by row
+    return ",".join(header) + "\n" + (row * len(rows)).format(*chain.from_iterable(rows))
 
 
 def json_text(obj) -> str:

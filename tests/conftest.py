@@ -1,4 +1,5 @@
 import sys
+from decimal import Decimal, localcontext
 from math import isfinite, perm
 
 import numpy as np
@@ -79,6 +80,34 @@ def whole_tree_z(problem, traj):
         zs[i + 1] = z
         mus[i + 1] = mu
     return zs[P.node_pos], np.exp(mus[P.node_pos])
+
+
+def affine_rk4(P, A, B, gamma, exact=True):
+    """Oracle: z at every stop by the RK4 stage formulas for L = A + B z on
+    the float columns A and B at the samples of P: in 40-digit decimals if
+    exact, else in floats on |A|, |B| and |gamma|, the magnitude M_i of the
+    terms that the float formulas round (every term is then non-negative)."""
+    k = P.k
+    if exact:
+        num = Decimal
+    else:
+        A, B, gamma = np.abs(A), np.abs(B), abs(gamma)
+        num = float
+    cols = [[num(v) for v in c.tolist()] for c in (P.hs, A, B)]
+    half, two, six = num(0.5), num(2), num(6)
+    z = num(float(gamma))
+    zs = [z]
+    with localcontext(prec=40):
+        for i, h in enumerate(cols[0]):
+            al, am, ar = (cols[1][j] for j in (i, k + i, 2 * k + i))
+            bl, bm, br = (cols[2][j] for j in (i, k + i, 2 * k + i))
+            z1 = al + bl * z
+            z2 = am + bm * (z + half * h * z1)
+            z3 = am + bm * (z + half * h * z2)
+            z4 = ar + br * (z + h * z3)
+            z = z + h * (z1 + two * z2 + two * z3 + z4) / six
+            zs.append(z)
+    return np.array([float(v) for v in zs])
 
 
 def masked_first_variation(problem, traj, zpath, eta):

@@ -25,6 +25,7 @@ from herglotz.solver import solve_direct, variational_gradient
 from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
 
 from conftest import (
+    affine_rk4,
     build_bundle,
     build_paper,
     masked_first_variation,
@@ -37,6 +38,7 @@ from conftest import (
 )
 
 E = math.e
+U = 2.0 ** -53
 
 
 def tree_size(e):
@@ -125,11 +127,27 @@ class TestIntegrateZ:
     @pytest.mark.parametrize("name", BUNDLE_NAMES)
     @pytest.mark.parametrize("n", [100, None])
     def test_bitwise_equal_to_the_whole_tree_stages(self, name, n):
+        # lambda, one running sum of -B, is bit for bit the whole-tree walk's;
+        # z is not (the scan rounds otherwise, see test_z_near_exact_rk4)
         problem, traj, _, _ = build_bundle(name, n=n)
-        zp = integrate_z(problem, traj)
-        z, lam = whole_tree_z(problem, traj)
-        assert zp.z.tobytes() == z.tobytes()
-        assert zp.lam.tobytes() == lam.tobytes()
+        for tr in (traj, wavy_sampled(problem)):
+            zp = integrate_z(problem, tr)
+            _, lam = whole_tree_z(problem, tr)
+            assert zp.lam.tobytes() == lam.tobytes()
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_z_near_exact_rk4(self, name, n):
+        # z is within 16 u M_i of exact RK4 on the same A and B columns at
+        # every stop, M_i the magnitude of the terms the formulas round
+        problem, traj, _, _ = build_bundle(name, n=n)
+        for tr in (traj, wavy_sampled(problem)):
+            zp = integrate_z(problem, tr)
+            P = Panels(problem, tr)
+            A, B = expr.affine(problem.lagrangian, "z", P.bind)
+            exact = affine_rk4(P, A, B, problem.gamma)
+            M = affine_rk4(P, A, B, problem.gamma, exact=False)
+            assert np.all(np.abs(zp.stop_z - exact) <= 16 * U * M)
 
     @staticmethod
     def _count_walks(monkeypatch):
@@ -192,6 +210,33 @@ class TestIntegrateZ:
                                      history="0", lagrangian="50*z")
         traj = PiecewiseTrajectory(g, [(0.0, 20.0, "t")])
         assert expr.affine(problem.lagrangian, "z", {"t": g.main_nodes}) is not None
+        with pytest.raises(errors.NonFinite) as affine:
+            integrate_z(problem, traj)
+        with pytest.raises(errors.NonFinite) as walked:
+            _stages(problem, Panels(problem, traj))
+        assert str(affine.value) == str(walked.value)
+
+    def test_overflowing_step_maps_fall_back_to_the_stages(self, monkeypatch):
+        # z' = 400 z from z(0) = 0: the composed maps' r overflows before
+        # t = 2 and r * 0 is NaN, so the scan gives up and the stage walk
+        # keeps z at exactly zero
+        g = build_grid(0.0, 2.0, 0.0, 400)
+        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0,
+                                     history="0", lagrangian="400*z")
+        traj = PiecewiseTrajectory(g, [(0.0, 2.0, "t")])
+        walks = []
+        monkeypatch.setattr(integrate, "_stages",
+                            lambda *a, _f=_stages: walks.append(1) or _f(*a))
+        zp = integrate_z(problem, traj)
+        assert walks == [1]
+        assert np.all(zp.z == 0.0) and np.all(zp.stop_z == 0.0)
+
+    def test_affine_overflow_with_an_offset_names_the_stages_t(self):
+        # z' = 1000 z + 1 from z(0) = 1 overflows inside [0, 2]
+        g = build_grid(0.0, 2.0, 0.0, 100)
+        problem = hg.HerglotzProblem(grid=g, gamma=1.0, beta=1.0,
+                                     history="0", lagrangian="1000*z + 1")
+        traj = PiecewiseTrajectory(g, [(0.0, 2.0, "t")])
         with pytest.raises(errors.NonFinite) as affine:
             integrate_z(problem, traj)
         with pytest.raises(errors.NonFinite) as walked:

@@ -203,3 +203,20 @@ class TestCheckNoether:
         zp = integrate_z(problem, traj)
         verdict = check_noether(problem, traj, zp, group)
         assert verdict.passed, verdict.first_failure
+
+
+def test_reports_compare_by_identity():
+    # the report dataclasses hold numpy arrays: == is identity, a bool,
+    # where field-wise comparison would raise on the arrays' truth value
+    problem, traj, group, _ = build_paper(20)
+
+    def run():
+        zp = integrate_z(problem, traj)
+        cons = conserved_quantities(problem, traj, zp, group)
+        return (zp, el_residuals(problem, traj, zp)[0],
+                group_variation(problem, traj, zp, group), cons.profiles[0],
+                cons, check_noether(problem, traj, zp, group))
+
+    for a, b in zip(run(), run()):
+        assert (a == b) is False and (a == a) is True
+        assert (a != b) is True

@@ -412,3 +412,20 @@ class TestCsv:
         text = csv_text(["v"], [vals])
         parsed = [float(line) for line in text.splitlines()[1:]]
         np.testing.assert_array_equal(parsed, vals)
+
+    @pytest.mark.parametrize("columns", [
+        [np.linspace(0.0, 2.0, 7), np.array([1.0 / 3.0, -0.0, 1e-300, 5e-324, -2.5, 1e300, 7.0])],
+        [np.array([0.5, 1.0, 1.5]), np.array([np.inf, -np.inf, np.nan]),
+         np.array(["Q1 on [a, b-tau]", "Q1 on [a, b-tau]", "Q2 on [b-tau, b]"], dtype=object)],
+        [np.array([]), np.array([]), np.array([], dtype=object)],
+        [np.arange(4)],
+    ])
+    def test_table_equals_the_per_row_format(self, columns):
+        # one format call over the whole table writes what a format call per
+        # row writes: numbers at 17 digits, text as it is, a header alone
+        # when there are no rows
+        header = [f"c{j}" for j in range(len(columns))]
+        cols = [c.tolist() for c in columns]
+        row = ",".join("{}" if c and isinstance(c[0], str) else "{:.17g}" for c in cols)
+        per_row = "\n".join([",".join(header), *(row.format(*r) for r in zip(*cols))]) + "\n"
+        assert csv_text(header, columns) == per_row
