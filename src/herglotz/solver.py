@@ -17,24 +17,29 @@ the transpose of the build and read of trajectory.CubicSpline): a scatter of
 the Simpson-weighted partials at the samples the grid's panel plan located
 once, plus one tridiagonal solve with the plan's band, O(n) per call.
 
-The two-loop recursion is seeded with the H1 (Sobolev) metric:
-H0 = gamma K^-1 with K = tridiag(-1, 2, -1)/h on the free nodes
-(Neuberger, Sobolev Gradients and Differential Equations, LNM 1670; Nocedal &
-Wright, Numerical Optimization, sec. 7.2). The Hessian of z(b) in the node
-values scales like K, so the iteration count does not grow with n. Before the
-first curvature pair the direction is -K^-1 g scaled to inf-norm at most 1,
-so a unit first step is bounded whatever the scale of z. The stop test is the
-raw gradient inf-norm against grad_tol.
+The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
+the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and
+Differential Equations, LNM 1670; Nocedal & Wright, Numerical Optimization,
+sec. 7.2): K_W is a stiffness on the free nodes whose weights follow lambda
+where x' enters z(b), read once per solve off the seed's z-path (_h1_band).
+The Hessian of z(b) in the node values scales like K_W, so the iteration
+count does not grow with n and L-BFGS need not learn how lambda weighs the
+nodes; with lambda = 1 and L reading dx, K_W = tridiag(-1, 2, -1)/h. Before
+the first curvature pair the direction is -K_W^-1 g scaled to inf-norm at
+most 1, so a unit first step is bounded whatever the scale of z. The stop
+test is the raw gradient inf-norm against grad_tol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import expr
 from .errors import BadInterval, DomainError, InvalidTrajectory, NonFinite
 from .integrate import ZPath, integrate_z
 from .trajectory import (
@@ -51,6 +56,7 @@ _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4
 _SHRINK = 0.5
 _INITIAL_STEP = 1.0
+_WEIGHT_FLOOR = 1e-3  # least H1 metric node weight, met where x' leaves z(b) alone
 
 
 @dataclass(frozen=True)
@@ -156,20 +162,41 @@ def fd_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     return g
 
 
-def _h1_inverse(count: int, h: float):
-    """v -> K^-1 v for K = tridiag(-1, 2, -1)/h on the free nodes, with
-    Dirichlet ends (a, b and the history are pinned): one tridiagonal solve,
-    O(n)."""
-    band = np.empty((3, count))
-    band[0] = band[2] = -1.0 / h
-    band[1] = 2.0 / h
-    return lambda v: solve_tridiagonal(band, v)
+def _h1_band(problem: HerglotzProblem, zpath: ZPath) -> np.ndarray:
+    """The lambda-weighted stiffness K_W on the free nodes, with Dirichlet
+    ends (a, b and the history are pinned), in solve_tridiagonal's layout:
+    applying K_W^-1 is one tridiagonal solve, O(n).
+
+    The node weights W are the leading coefficient of the delayed
+    Euler-Lagrange operator for an L quadratic in x': lambda(s) if L reads
+    dx, plus lambda(s + tau) on the nodes s <= b - tau if L reads dxtau (x'
+    on (b - tau, b) does not enter z(b) through dxtau), taken from zpath,
+    normalised by their maximum and floored at _WEIGHT_FLOOR; W = 1 if L
+    reads neither. Interval j between main nodes j and j + 1 weighs
+    w_j = (W_j + W_{j+1})/2, and K_W = sum_j w_j (e_j - e_{j+1})(e_j -
+    e_{j+1})^T / h. With lambda = 1 and L reading dx, w = 1 and K_W is
+    tridiag(-1, 2, -1)/h to the bit."""
+    g = problem.grid
+    reads = expr.variables_in(problem.lagrangian)
+    lam = zpath.lam
+    W = np.zeros(g.n + 1)
+    if "dx" in reads:
+        W += lam
+    if "dxtau" in reads:
+        W[:g.n + 1 - g.m] += lam[g.m:]
+    W = np.maximum(W / W.max(), _WEIGHT_FLOOR) if W.any() else np.ones_like(W)
+    w = 0.5 * (W[:-1] + W[1:])
+    band = np.empty((3, g.n - 1))
+    band[0] = -w[:-1] / g.h
+    band[1] = (w[:-1] + w[1:]) / g.h
+    band[2] = -w[1:] / g.h
+    return band
 
 
 def _two_loop(grad, s_list, y_list, kinv):
     """H grad for the L-BFGS inverse Hessian H built from the (s, y) pairs on
-    top of H0 = gamma K^-1, gamma = s'y / y'K^-1 y of the newest pair. With no
-    pairs it is K^-1 grad, shrunk to inf-norm at most 1."""
+    top of H0 = gamma K_W^-1 (kinv), gamma = s'y / y'K_W^-1 y of the newest
+    pair. With no pairs it is K_W^-1 grad, shrunk to inf-norm at most 1."""
     q = grad.copy()
     alphas = []
     for s, y in zip(reversed(s_list), reversed(y_list)):
@@ -201,7 +228,6 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
     g = problem.grid
     free = np.fromiter(g.free_indices, dtype=int)
     sign = -1.0 if problem.sense == "maximize" else 1.0
-    kinv = _h1_inverse(len(free), g.h)
 
     def build(xfree: np.ndarray) -> SampledTrajectory:
         values = base.values.copy()
@@ -218,6 +244,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         f, traj, zpath = objective(x)
     except NonFinite as e:
         raise NonFinite(f"objective failed at iteration 0: {e}") from e
+    kinv = partial(solve_tridiagonal, _h1_band(problem, zpath))
     grad = variational_gradient(problem, traj, zpath)
     history = [sign * f]
     s_list: list = []

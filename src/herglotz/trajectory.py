@@ -153,14 +153,14 @@ def _slope_band(x: np.ndarray, bc: str):
     return band, knot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Located:
     """Samples t located on the nodes x of a spline: the piece i of each
     (x[i] <= t < x[i+1], the end pieces extended), its offset z = t - x[i],
     and the samples equal to a node (rows, ascending) with that node (at),
     where a value read returns the stored value. It depends on x alone, so
     one location serves every spline through the same nodes; its arrays are
-    read-only."""
+    read-only, and it compares and hashes by identity."""
 
     i: np.ndarray
     z: np.ndarray

@@ -507,7 +507,7 @@ class TestPanelPlan:
 
             monkeypatch.setattr(integrate, name, counted)
         result = solve_direct(problem)
-        assert result.converged and result.iterations > 10
+        assert result.converged and result.iterations >= 5
         # one plan; its samples located on the [a, b] and the history nodes
         assert counts == {"integration_stops": 1, "locate": 2}
 

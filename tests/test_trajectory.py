@@ -11,6 +11,7 @@ from herglotz.trajectory import (
     PiecewiseTrajectory,
     SampledTrajectory,
     build_grid,
+    locate,
     perturb,
     sampled_from_csv,
     seed_trajectory,
@@ -230,6 +231,17 @@ class TestCubicSpline:
         y = np.array([-0.0, 1.0, -0.0, 3.0, -0.0])
         got = CubicSpline(x, y, "not-a-knot")(x)
         assert list(np.signbit(got)) == [True, False, True, False, True]
+
+
+class TestLocate:
+    def test_compares_and_hashes_by_identity(self):
+        # numpy fields: a field-wise == or hash would raise
+        x, t = np.linspace(0.0, 1.0, 5), np.array([0.1, 0.5])
+        loc, again = locate(x, t), locate(x, t)
+        assert loc == loc and loc != again
+        assert hash(loc) == hash(loc)
+        assert len({loc, again}) == 2
+        assert list(loc.i) == [0, 2] and list(loc.rows) == [1] and list(loc.at) == [2]
 
 
 class TestSolveTridiagonal:
