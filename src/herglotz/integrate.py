@@ -44,9 +44,15 @@ delayed images; integrate_z runs its RK4 stages on the reads of x and keeps z
 and log-lambda at the stops, the panel ends, which the z-path carries on
 with the samples. The panel geometry depends on the grid and the
 trajectory's breakpoints alone, so for the sampled trajectories of a grid it
-is computed once (PanelPlan, kept on the grid), with the samples located
-once on the grid's nodes: every sampled trajectory and direction on that
-grid and the solver's spline adjoint reuse that location. The first
+is computed once (PanelPlan, kept on the grid). Since tau is m steps, the
+panels of a sampled trajectory are the grid's intervals wherever the floats
+agree (a regular plan): every sample is then a node or an interval
+midpoint, and every delayed one the same point m panels back, so a sampled
+trajectory or direction on the grid reads its node values, its slope
+coefficients and one cubic per midpoint, with no interval search
+(SampledTrajectory.read_nodes), and the solver's spline adjoint sums its
+weights per piece in that structure (Panels.scatter), both with the bits of
+a search. The first
 variation, the solver gradient and the invariance defect take the samples
 from the z-path, with z and lambda there (RK4's cubic Hermite dense output
 at the midpoints, ZPath.samples; no spline) and the Lagrangian partials
@@ -74,13 +80,17 @@ from .reportio import csv_text
 from .trajectory import (
     Grid,
     HerglotzProblem,
-    Located,
     SampledTrajectory,
     Trajectory,
     VariationDirection,
     adjoint_band,
-    locate,
+    build_adjoint,
+    spline_adjoint,
 )
+
+# the factors p of z^(p-1) wd in the weight of the z^p coefficient, p = 1, 2, 3
+_POWER_RANKS = np.array([[1.0], [2.0], [3.0]])
+_POWER_RANKS.setflags(write=False)
 
 
 def _snap(ts: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
@@ -134,7 +144,8 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
 class ZPath:
     """z and lambda at the nodes of [a, b], z and mu = log lambda at every
     integration stop, and the panel samples of the trajectory they were
-    integrated on."""
+    integrated on; affine holds the columns (A, B) of L = A + B z at the
+    samples where the z-path composed its affine steps, else None."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
@@ -142,6 +153,7 @@ class ZPath:
     panels: Panels = field(repr=False)
     stop_z: np.ndarray = field(repr=False)
     stop_mu: np.ndarray = field(repr=False)
+    affine: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -164,23 +176,33 @@ class ZPath:
         it was integrated along; a z-path is never re-sampled. At the panel
         ends they are the stop values; at a midpoint, u = z and u = mu take
         RK4's cubic Hermite dense output (u_i + u_{i+1})/2 + h/8 (u'_i -
-        u'_{i+1}) from z' = L and mu' = -L_z at the one-sided end samples."""
+        u'_{i+1}) from z' = L and mu' = -L_z at the one-sided end samples:
+        A + B z and B where the z-path holds the affine columns (in the last
+        bits they may round otherwise than the tree of L where it is not A +-
+        b z itself), else a walk of the tree."""
         P = self.panels
         if traj is not P.traj:
             raise InvalidTrajectory("z-path was integrated along a different trajectory")
         if "z" not in P.bind:
             k, zs, mus = P.k, self.stop_z, self.stop_mu
-            ends = {name: np.concatenate([col[:k], col[2 * k:]])
-                    for name, col in P.bind.items()}
-            ends["z"] = np.concatenate([zs[:-1], zs[1:]])
+            z_ends = np.concatenate([zs[:-1], zs[1:]])
+
+            def ends(col):
+                return np.concatenate([col[:k], col[2 * k:]])
 
             def at_samples(u, du):
                 mid = 0.5 * (u[:-1] + u[1:]) + P.hs / 8.0 * (du[:k] - du[k:])
                 return np.concatenate([u[:-1], mid, u[1:]])
 
             with np.errstate(over="ignore", invalid="ignore"):
-                L, Lz = (np.broadcast_to(np.asarray(v, dtype=float), (2 * k,))
-                         for v in expr.value_and_partial(P.lagrangian, "z", ends))
+                if self.affine is None:
+                    bind = {name: ends(col) for name, col in P.bind.items()}
+                    bind["z"] = z_ends
+                    L, Lz = (np.broadcast_to(np.asarray(v, dtype=float), (2 * k,))
+                             for v in expr.value_and_partial(P.lagrangian, "z", bind))
+                else:
+                    A, Lz = (ends(col) for col in self.affine)
+                    L = A + Lz * z_ends
                 z, lam = at_samples(zs, L), np.exp(at_samples(mus, -Lz))
             if not all(np.all(np.isfinite(v)) for v in (L, Lz, z, lam)):
                 raise NonFinite("z-path is non-finite at a panel sample")
@@ -201,7 +223,8 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
         lam = np.exp(mus[P.node_pos])
     if not np.all(np.isfinite(lam)):
         raise NonFinite("integrating factor overflowed")
-    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P, stop_z=zs, stop_mu=mus)
+    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P, stop_z=zs, stop_mu=mus,
+                 affine=None if path is None else coeffs)
 
 
 def _stages(problem: HerglotzProblem, P: Panels):
@@ -309,15 +332,14 @@ class PanelPlan:
     """The geometry of the Simpson panels of a grid for one set of trajectory
     breakpoints, which every trajectory and direction read on those panels
     shares (panel_plan): the node positions among the stops, the panel steps
-    hs, the sample times, their delayed images and the inside mask, and the
-    samples located once on the grid's nodes. Its arrays are read-only.
+    hs, the sample times, their delayed images and the inside mask; filled
+    in on first use, the Simpson weights of the samples, the adjoint's band
+    and the structure of a regular plan (Structure; None on any other).
 
-    main locates the sample times, then the delayed images inside [a, b], on
-    the nodes of [a, b]: a sampled trajectory's [a, b] spline reads there,
-    and the spline adjoint of the gradient scatters there in that order.
-    hist locates the other delayed images on the history nodes (None when
-    tau = 0). Both and the adjoint's band are filled in on first use, so a
-    trajectory that reads no spline locates nothing.
+    The plan is regular when its panels are the grid's intervals: the panel
+    ends are the nodes of [a, b] bit for bit, their delayed images nodes of
+    the grid, and every midpoint and delayed midpoint lies strictly inside
+    a grid interval. Its arrays are read-only.
     """
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory):
@@ -341,18 +363,90 @@ class PanelPlan:
             arr.setflags(write=False)
 
     @cached_property
-    def main(self) -> Located:
-        return locate(self.grid.main_nodes,
-                      np.concatenate([self.times, self.delayed[self.inside]]))
-
-    @cached_property
-    def hist(self) -> Optional[Located]:
-        g = self.grid
-        return locate(g.nodes[: g.m + 1], self.delayed[~self.inside]) if g.m else None
+    def weights(self) -> np.ndarray:
+        hs = self.hs
+        w = np.concatenate([hs / 6.0, 4.0 * hs / 6.0, hs / 6.0])
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def band(self) -> np.ndarray:
         return adjoint_band(self.grid.main_nodes)
+
+    @cached_property
+    def structure(self) -> Optional[Structure]:
+        return _structure(self.grid, self.times, self.delayed)
+
+
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """How the samples of a regular panel plan sit on the grid. A sampled
+    trajectory on the grid reads, with no interval search, at its nodes and
+    at off_nodes (SampledTrajectory.read_nodes): the pieces and offsets of
+    the midpoints, of the delayed midpoints (one with its undelayed
+    midpoint's offset bit for bit takes that one's read) and of the right
+    ends b and a; gather picks x, x', x(s - tau) and x'(s - tau) at the
+    samples out of that read. terms holds the offset powers 1, z, z^2 and
+    the flat weight columns of x and x' or of x(s - tau) and x'(s - tau) at
+    the samples off the nodes of [a, b] (the midpoints, b, the delayed
+    midpoints inside and, if tau = 0, b again), which Panels.scatter
+    transposes the read with."""
+
+    off_nodes: tuple
+    gather: np.ndarray
+    terms: tuple
+
+
+def _structure(g: Grid, times: np.ndarray, delayed: np.ndarray) -> Optional[Structure]:
+    """The Structure of the panels with these sample times and delayed
+    images if they are the grid's intervals (PanelPlan), else None."""
+    n, m, nodes = g.n, g.m, g.nodes
+    if len(times) != 3 * n:
+        return None
+    lefts, rights = times[:n], times[2 * n:]
+    mid_t, dmid_t = times[n:2 * n], delayed[n:2 * n]
+    if not (np.array_equal(lefts, g.main_nodes[:-1]) and np.array_equal(rights, g.main_nodes[1:])
+            and np.array_equal(delayed[:n], nodes[:n])
+            and np.array_equal(delayed[2 * n:], nodes[1:n + 1])
+            and np.all((lefts < mid_t) & (mid_t < rights))
+            and np.all((nodes[:n] < dmid_t) & (dmid_t < nodes[1:n + 1]))):
+        return None
+    j = np.arange(n)
+    mids, dmids = mid_t - lefts, dmid_t - nodes[:n]
+    # the delayed midpoints that are not a midpoint m panels back, bit for bit
+    own = np.ones(n, dtype=bool)
+    own[m:] = dmids[m:] != mids[:n - m]
+    b, a = [nodes[-1] - nodes[-2]], ([nodes[m] - nodes[m - 1]] if m else [])
+    off_nodes = (np.concatenate([j, np.where(j < m, n + j, j - m)[own], [n - 1],
+                                 [n + m - 1] if m else []]).astype(int),
+                 np.concatenate([mids, dmids[own], b, a]))
+    count = len(off_nodes[1])
+    at_b, at_a = n + own.sum(), count - 1
+    mid_at = np.concatenate([j, np.where(own, n + np.cumsum(own) - 1, j - m)])
+    # where read_nodes puts the node values, the node slopes and the samples'
+    # values (their slopes follow count later)
+    slopes = n + 1 + (m + 1 if m else 0)
+    samples = slopes + n + m
+    main = (np.arange(n + 1), np.append(slopes + j, samples + count + at_b))
+    hist = ((n + 1 + np.arange(m + 1), np.append(slopes + n + j[:m], samples + count + at_a))
+            if m else (j[:0], j[:0]))
+
+    def at(side):
+        node, past, mid = main[side], hist[side], samples + count * side + mid_at
+        return (np.concatenate([node[:-1], mid[:n], node[1:]]),
+                np.concatenate([past[:-1], node[:n - m], mid[n:], past[1:], node[1:n - m + 1]]))
+
+    (x, xtau), (dx, dxtau) = at(0), at(1)
+    gather = np.concatenate([x, dx, xtau, dxtau])
+    # the columns of the scatter's weights in x's row and x(s - tau)'s (6n
+    # on); x' and x'(s - tau) follow 3n later
+    z = np.concatenate([mids, b, dmids[m:], b if m == 0 else []])
+    cols = np.concatenate([n + j, [3 * n - 1], 7 * n + j[m:],
+                           [9 * n - 1] if m == 0 else []]).astype(int)
+    terms = (np.stack([np.ones_like(z), z, z * z]), np.stack([cols, cols + 3 * n]))
+    for arr in (*off_nodes, gather, *terms):
+        arr.setflags(write=False)
+    return Structure(off_nodes, gather, terms)
 
 
 def panel_plan(problem: HerglotzProblem, traj: Trajectory) -> PanelPlan:
@@ -395,19 +489,14 @@ class Panels(Samples):
     def read(self, traj: Trajectory):
         """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with
         the one-sided limits of the class docstring. A sampled trajectory on
-        the plan's very grid reads at the plan's located samples, one read
-        per spline; any other trajectory is searched afresh."""
-        plan, k, inside = self.plan, self.k, self.inside
-        if isinstance(traj, SampledTrajectory) and traj.grid is plan.grid:
-            # on the sides above: every time reads the [a, b] spline, and a
-            # delayed image reads it exactly when it is inside
-            x, dx, xh, dxh = traj.read_located(plan.main, plan.hist)
-            out = [x[:3 * k], dx[:3 * k], np.empty(3 * k), np.empty(3 * k)]
-            for o, main, hist in ((out[2], x, xh), (out[3], dx, dxh)):
-                o[inside] = main[3 * k:]
-                if hist is not None:
-                    o[~inside] = hist
-            return out
+        a regular plan's very grid reads at its nodes and the off_nodes of
+        the plan's structure, with no interval search; any other trajectory
+        is searched afresh."""
+        plan, k = self.plan, self.k
+        if (isinstance(traj, SampledTrajectory) and traj.grid is plan.grid
+                and plan.structure is not None):
+            st = plan.structure
+            return list(np.take(traj.read_nodes(*st.off_nodes), st.gather).reshape(4, 3 * k))
         out = [np.empty_like(self.times) for _ in range(4)]
         for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
             out[0][sl], out[1][sl] = traj.eval_many(
@@ -415,6 +504,49 @@ class Panels(Samples):
             out[2][sl], out[3][sl] = traj.eval_many(
                 self.delayed[sl], side=side, want_ddx=False)
         return out
+
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """Node weights g on [a, b] with g . y = sum(w[0] x + w[1] x' + w[2]
+        x(s - tau) + w[3] x'(s - tau)) over the samples s, the reads of a
+        sampled trajectory on the plan's grid with node values y on [a, b]
+        (delayed reads left of a leave y alone): the transpose of read, the
+        spline adjoint of the solver gradient. On a regular plan the weights
+        are summed per piece of the [a, b] spline in the order of
+        trajectory.spline_adjoint's bincounts (lefts, midpoints, rights, then
+        the delayed samples inside [a, b], each in panel order), where a node
+        sample adds w[0] to the constant and w[1] to the linear coefficient
+        and exact zeros elsewhere, so the sums have its bits."""
+        plan, k = self.plan, self.k
+        nodes = plan.grid.main_nodes
+        if plan.structure is None:
+            inside = self.inside
+            return spline_adjoint(nodes, np.concatenate([self.times, self.delayed[inside]]),
+                                  np.concatenate([w[0], w[2][inside]]),
+                                  np.concatenate([w[1], w[3][inside]]))
+        m = plan.grid.m
+        powers, cols = plan.structure.terms
+        wv, wd = np.take(w, cols)
+        # the coefficient weights of the off-node samples, by power of z:
+        # wv, z wv + wd, z (z wv + 2 wd), z z (z wv + 3 wd)
+        t = np.empty((4, len(wv)))
+        t[0] = wv
+        np.multiply(powers, powers[1] * wv + _POWER_RANKS * wd, out=t[1:])
+        # per piece as the bincounts add: its left node, its midpoint, its
+        # right node as the next piece's left, b on the last piece; then the
+        # delayed samples, m pieces back. The first two terms of a sum from
+        # zero commute, bit for bit, so the midpoints start it
+        gc = t[:, :k] + 0.0
+        gc[:2] += w[:2, :k]
+        gc[:2, 1:] += w[:2, 2 * k:-1]
+        gc[:, -1] += t[:, k]
+        gc[:2, :k - m] += w[2:, m:k]
+        gc[:, :k - m] += t[:, k + 1:2 * k + 1 - m]
+        if m:
+            gc[:2, 1:k - m + 1] += w[2:, 2 * k + m:]
+        else:
+            gc[:2, 1:] += w[2:, 2 * k:-1]
+            gc[:, -1] += t[:, -1]
+        return build_adjoint(nodes, plan.band, gc)
 
     def simpson(self, f: np.ndarray) -> np.ndarray:
         """Composite Simpson integral of sampled f over each panel."""

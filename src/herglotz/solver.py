@@ -12,10 +12,12 @@ The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
 steps decrease the working objective strictly, a trial point whose
 integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
-of the natural spline through the node values (trajectory.located_adjoint,
-the transpose of the build and read of trajectory.CubicSpline): a scatter of
-the Simpson-weighted partials at the samples the grid's panel plan located
-once, plus one tridiagonal solve with the plan's band, O(n) per call.
+of the natural spline through the node values (integrate.Panels.scatter,
+the transpose of the read, then trajectory.build_adjoint, the transpose of
+the build of trajectory.CubicSpline): the Simpson-weighted partials at the
+panel samples summed per spline piece, by the grid's structure on a
+regular panel plan, plus one tridiagonal solve with the plan's band, O(n)
+per call.
 
 The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
 the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and
@@ -45,7 +47,6 @@ from .integrate import ZPath, integrate_z
 from .trajectory import (
     HerglotzProblem,
     SampledTrajectory,
-    located_adjoint,
     perturb,
     seed_trajectory,
     solve_tridiagonal,
@@ -118,29 +119,20 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
 
     The Simpson-weighted partials at the panel samples and at their delayed
     images inside [a, b] are pulled back onto the nodes through the spline
-    adjoint, so all unit directions are paired at once in O(n).
+    adjoint (Panels.scatter), so all unit directions are paired at once in
+    O(n).
 
     The solver drives sampled trajectories, but any trajectory backend is
     accepted: the entries are then the first variations along the unit node
     directions of the grid. zpath must come from integrate_z along this very
     trajectory object, whose samples it carries, on a grid equal to the
-    problem's (equal grids have the same nodes, so the samples' location on
-    them holds)."""
+    problem's (equal grids have the same nodes, so the panel plan holds for
+    them)."""
     P = zpath.samples(traj)
-    plan = P.plan
-    if problem.grid != plan.grid:
+    if problem.grid != P.plan.grid:
         raise InvalidTrajectory("z-path was integrated on a different grid")
-    k, hs = P.k, P.hs
-    w = np.empty(3 * k)
-    w[:k] = hs / 6.0
-    w[k:2 * k] = 4.0 * hs / 6.0
-    w[2 * k:] = hs / 6.0
-    c0, c1, c2, c3 = (w * P.lam * P.table(name)
-                      for name in ("x", "dx", "xtau", "dxtau"))
-    inside = P.inside
-    g = located_adjoint(plan.grid.main_nodes, plan.main, plan.band,
-                        np.concatenate([c0, c2[inside]]),
-                        np.concatenate([c1, c3[inside]]))[1:-1]
+    tables = np.array([P.table(name) for name in ("x", "dx", "xtau", "dxtau")])
+    g = P.scatter(P.plan.weights * P.lam * tables)[1:-1]
     g /= zpath.lambda_b
     if problem.sense == "maximize":
         g = -g

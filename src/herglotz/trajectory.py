@@ -15,13 +15,12 @@ Two backends:
   values on [a-tau, a] and at b. CubicSpline is the package's one spline
   through node values (the residual pairing of conditions uses it too), and
   spline_adjoint is the transpose of its natural-end build and read, sharing
-  the slope matrix and its end rows with it. A read locates its
-  samples on the nodes (locate: piece, offset, node hits) and then reads
-  there; a location depends on the nodes alone, so samples fixed by the grid
-  (integrate's panel plan) are located once and read through every spline on
-  the same nodes: all trajectories and directions on the grid
-  (SampledTrajectory.read_located) and the adjoint (located_adjoint, with
-  the band of adjoint_band).
+  the slope matrix and its end rows with it (build_adjoint, the build's
+  transpose, with the band of adjoint_band). A read locates its samples on
+  the nodes (locate: piece, offset, node hits) and then reads there. Samples
+  whose pieces and offsets the grid fixes (integrate's regular panel plan)
+  skip the search: SampledTrajectory.read_nodes reads the node values, the
+  slope coefficients and the given offsets with the same bits.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import perm
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -186,9 +185,8 @@ class CubicSpline:
     y holds one value, or one row of columns, per node.
     CubicSpline(x, y, bc)(ts, nu) reads the nu-th derivative (nu = 0, 1, 2)
     at ts, and .read(ts, nus) several derivatives after one interval search
-    (locate), which .read_located reuses for samples located beforehand;
-    reads outside [x_0, x_n] extend the end pieces, and a value read exactly
-    at a node returns the stored value.
+    (locate); reads outside [x_0, x_n] extend the end pieces, and a value
+    read exactly at a node returns the stored value.
 
     The build and the read are scipy.interpolate.CubicSpline's, step for step,
     so they give its bits (its not-a-knot cases for 2 and 3 nodes aside): the C2
@@ -227,28 +225,34 @@ class CubicSpline:
         """The derivatives of orders nus at ts, one array each, with the bits
         of separate calls: locate ts on the nodes, then read there."""
         ts = np.asarray(ts, dtype=float)
-        out = self.read_located(locate(self.x, ts.reshape(-1)), nus)
-        return tuple(r.reshape(ts.shape + self._cols) for r in out)
-
-    def read_located(self, loc: Located, nus) -> tuple:
-        """The derivatives of orders nus at samples located on this spline's
-        nodes, one array per order with a row per sample."""
-        c = np.take(self.c, loc.i, axis=0)
-        z = loc.z[:, None]
-        # the running product 1, z, z*z, (z*z)*z, shared by every order
-        z2 = z * z
-        powers = (1.0, z, z2, z2 * z)
-        out = []
-        for nu in nus:
-            # PPoly's sum by powers of z; Horner's scheme would round differently
-            res = np.zeros((len(z), c.shape[2]))
-            for k in range(nu, 4):
-                res += c[:, 3 - k] * powers[k - nu] * perm(k, nu)
+        loc = locate(self.x, ts.reshape(-1))
+        out = _power_sums(self.c, loc.i, loc.z, nus)
+        for nu, res in zip(nus, out):
             if nu == 0:
                 # a copy, not z = 0, so a stored -0.0 stays -0.0
                 res[loc.rows] = self.y[loc.at]
-            out.append(res.reshape((len(z),) + self._cols))
-        return tuple(out)
+        return tuple(r.reshape(ts.shape + self._cols) for r in out)
+
+
+def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
+    """The derivatives of orders nus at the offsets z into the pieces i of
+    the spline coefficients c, one array per order with a row per sample."""
+    c = np.take(c, i, axis=0)
+    z = z[:, None]
+    # the running product 1, z, z*z, (z*z)*z, shared by every order
+    z2 = z * z
+    powers = (1.0, z, z2, z2 * z)
+    out = []
+    for nu in nus:
+        # PPoly's sum by powers of z from zero, less its products by exactly 1;
+        # Horner's scheme would round differently
+        res = np.zeros((len(z), c.shape[2]))
+        for k in range(nu, 4):
+            term = c[:, 3 - k] if k == nu else c[:, 3 - k] * powers[k - nu]
+            factor = perm(k, nu)
+            res += term if factor == 1 else term * factor
+        out.append(res)
+    return out
 
 
 class SampledTrajectory:
@@ -298,14 +302,20 @@ class SampledTrajectory:
                 out[mask] = val
         return (x, dx, ddx) if want_ddx else (x, dx)
 
-    def read_located(self, main: Located, hist: Optional[Located]):
-        """x and x' at samples located on the nodes of [a, b] (main), then at
-        samples located on the history nodes (hist; None when tau = 0): one
-        read of each spline, with the bits of eval_many on the same sides."""
-        x, dx = self._main.read_located(main, (0, 1))
-        if hist is None:
-            return x, dx, None, None
-        return (x, dx) + self._hist.read_located(hist, (0, 1))
+    def read_nodes(self, i: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """In one array: x at the nodes of [a, b], then at the history nodes;
+        x' at the same nodes but the right ends b and a; then x, then x', at
+        the offsets z > 0 into the pieces i, those of [a, b] numbered first.
+        These are eval_many's bits with no interval search: a node reads its
+        stored value and, as the start of its piece, that piece's linear
+        coefficient for x'; x' at b and a is read at the last piece's length
+        into it, so those ends belong among the samples."""
+        splines = [self._main] + ([self._hist] if self._hist is not None else [])
+        c = self._main.c if len(splines) == 1 else np.concatenate([s.c for s in splines])
+        v, d = _power_sums(c, i, z, (0, 1))
+        # + 0.0: read's running sum from zero turns a slope of -0.0 into 0.0
+        return np.concatenate([s.y for s in splines] + [s.c[:, 2] + 0.0 for s in splines]
+                              + [v, d]).reshape(-1)
 
     def eval(self, t: float, side: str = "right"):
         x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
@@ -435,27 +445,35 @@ def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
     and the read transposed, in reverse order: O(len(ts) + n).
     """
     x = np.asarray(nodes, dtype=float)
-    return located_adjoint(x, locate(x, ts), adjoint_band(x), wv, wd)
-
-
-def located_adjoint(x: np.ndarray, loc: Located, band: np.ndarray,
-                    wv: np.ndarray, wd: np.ndarray) -> np.ndarray:
-    """spline_adjoint at samples located on the nodes x beforehand, with the
-    transposed band of adjoint_band(x)."""
-    n = len(x)
-    dx = np.diff(x)
-    i, z = loc.i, loc.z
+    loc = locate(x, ts)
+    i, z, pieces = loc.i, loc.z, len(x) - 1
     # the read: s = c3 + c2 z + c1 z^2 + c0 z^3, s' = c2 + 2 c1 z + 3 c0 z^2
-    gc0 = np.bincount(i, z * z * (z * wv + 3.0 * wd), n - 1)
-    gc1 = np.bincount(i, z * (z * wv + 2.0 * wd), n - 1)
-    gc2 = np.bincount(i, z * wv + wd, n - 1)
-    gc3 = np.bincount(i, wv, n - 1)
+    return build_adjoint(x, adjoint_band(x), (
+        np.bincount(i, wv, pieces),
+        np.bincount(i, z * wv + wd, pieces),
+        np.bincount(i, z * (z * wv + 2.0 * wd), pieces),
+        np.bincount(i, z * z * (z * wv + 3.0 * wd), pieces)))
+
+
+# the natural end rows of the slope system's right-hand side, in y_0, y_1
+_END_ROW = np.array([-3.0, 3.0])
+_END_ROW.setflags(write=False)
+
+
+def build_adjoint(x: np.ndarray, band: np.ndarray, gc) -> np.ndarray:
+    """Node weights g with g . y = sum_p gc[p] . c_p for the coefficients c_p
+    of z^p in the pieces of CubicSpline(x, y, "natural"), band its transposed
+    slope matrix (adjoint_band(x)): the transpose of the build."""
+    n = len(x)
+    dx = x[1:] - x[:-1]
+    gc3, gc2, gc1, gc0 = gc
     # the coefficients: c0 = t/dx, c1 = (slope - s_i)/dx - t, c2 = s_i, c3 = y_i
     # with t = (s_i + s_{i+1} - 2 slope)/dx; gt is the t-weight over dx
+    g1 = gc1 / dx
     gt = (gc0 / dx - gc1) / dx
-    gslope = gc1 / dx - 2.0 * gt
+    gslope = g1 - 2.0 * gt
     gs = np.zeros(n)
-    gs[:-1] = gc2 - gc1 / dx + gt
+    gs[:-1] = gc2 - g1 + gt
     gs[1:] += gt
     gy = np.zeros(n)
     gy[:-1] = gc3
@@ -463,10 +481,11 @@ def located_adjoint(x: np.ndarray, loc: Located, band: np.ndarray,
     gb = solve_tridiagonal(band, gs)
     # its right-hand side b, with the natural end rows b_0 = 3 (y_1 - y_0) and
     # b_n = 3 (y_n - y_{n-1})
-    gslope[:-1] += 3 * dx[1:] * gb[1:-1]
-    gslope[1:] += 3 * dx[:-1] * gb[1:-1]
-    gy[:2] += np.array([-3.0, 3.0]) * gb[0]
-    gy[-2:] += np.array([-3.0, 3.0]) * gb[-1]
+    dx3 = 3 * dx
+    gslope[:-1] += dx3[1:] * gb[1:-1]
+    gslope[1:] += dx3[:-1] * gb[1:-1]
+    gy[:2] += _END_ROW * gb[0]
+    gy[-2:] += _END_ROW * gb[-1]
     # slope = (y_{i+1} - y_i)/dx
     gq = gslope / dx
     gy[1:] += gq

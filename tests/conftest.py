@@ -235,6 +235,15 @@ def per_call_panel_read(P, traj):
     return out
 
 
+def per_call_first_variation(P, zpath, eta):
+    """first_variation with eta read by per_call_panel_read at the samples P
+    carries, z and lambda filled in."""
+    eta_s, deta_s, eta_d, deta_d = per_call_panel_read(P, eta)
+    f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
+                 + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
+    return float(np.sum(P.simpson(f))) / zpath.lambda_b
+
+
 def per_call_adjoint(nodes, ts, wv, wd):
     """spline_adjoint with its own interval search and transposed band."""
     x = np.asarray(nodes, dtype=float)

@@ -29,6 +29,7 @@ from conftest import (
     build_bundle,
     build_paper,
     masked_first_variation,
+    per_call_first_variation,
     per_call_gradient,
     per_call_panel_read,
     per_panel_hermite,
@@ -376,12 +377,12 @@ class TestOrderOfAccuracy:
 
 class TestSamples:
     def test_one_trajectory_sampling_serves_every_consumer(self, monkeypatch):
-        # a sampled trajectory on the plan's grid is read once, at the located
-        # panel samples, and never through eval_many
+        # a sampled trajectory on the regular plan's grid is read once, at its
+        # nodes and the plan's midpoints, and never through eval_many
         problem, _, group, _ = build_paper(100)
         traj = wavy_sampled(problem)
         eta = VariationDirection.from_free(problem.grid, np.ones(problem.grid.n - 1))
-        calls = {"eval_many": [], "read_located": []}
+        calls = {"eval_many": [], "read_nodes": []}
         for name, reads in calls.items():
             original = getattr(SampledTrajectory, name)
 
@@ -395,7 +396,7 @@ class TestSamples:
         variational_gradient(problem, traj, zp)
         first_variation(problem, traj, zp, eta)
         group_variation(problem, traj, zp, group)
-        assert len(calls["read_located"]) == 1
+        assert len(calls["read_nodes"]) == 1
         assert len(calls["eval_many"]) == 0
 
     def test_zpath_of_another_trajectory_is_rejected(self):
@@ -454,10 +455,8 @@ class TestZPathSamples:
         # a trajectory that reads no spline needs no location of its samples
         problem, traj, group, _ = build_paper(100)
         located = []
-        for module in (integrate, hg.trajectory):
-            original = module.locate
-            monkeypatch.setattr(module, "locate", lambda *a, _original=original:
-                                located.append(1) or _original(*a))
+        original = hg.trajectory.locate
+        monkeypatch.setattr(hg.trajectory, "locate", lambda *a: located.append(1) or original(*a))
         zp = integrate_z(problem, traj)
         zp.samples(traj)
         group_variation(problem, traj, zp, group)
@@ -480,36 +479,81 @@ def _bits(*arrays):
 
 
 class TestPanelPlan:
-    """The panel samples of a grid's sampled trajectories are located once;
-    every trajectory and direction on that grid reads there."""
+    """The panel plan of a grid is built once; where its panels are the
+    grid's intervals, every sampled trajectory and direction on that grid
+    reads by the grid's structure, with the bits of a per-call search."""
 
     @pytest.mark.parametrize("name", BUNDLE_NAMES)
-    @pytest.mark.parametrize("n", [100, None], ids=["n100", "shipped"])
+    @pytest.mark.parametrize("n", [2, 4, 20, 100, None],
+                             ids=["n2", "n4", "n20", "n100", "shipped"])
     def test_planned_reads_equal_per_call_reads(self, name, n):
         problem, traj, _, _ = build_bundle(name, n)
         for tr in (traj, wavy_sampled(problem)):
             zp = integrate_z(problem, tr)
             P = zp.samples(tr)
+            assert P.plan.structure is not None
             assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
             assert _bits(P.z, P.lam) == _bits(*per_panel_hermite(problem, zp))
             assert _bits(variational_gradient(problem, tr, zp)) == \
                 _bits(per_call_gradient(problem, tr, zp))
 
-    def test_samples_located_once_per_grid_over_a_solve(self, monkeypatch):
+    def test_irregular_grid_reads_afresh_with_the_same_bits(self):
+        # a + m h is one ulp off a + tau on [0, 1] at tau = 0.3, n = 10: the stop
+        # at a + tau is off its node, so the panels are not the grid's intervals
+        g = build_grid(0.0, 1.0, 0.3, 10)
+        assert g.main_nodes[3] == 0.30000000000000004
+        problem = hg.HerglotzProblem(grid=g, gamma=0.5, beta=1.0, history="-t",
+                                     lagrangian="dx^2 + dxtau^2 + x*xtau + 0.5*z")
+        tr = wavy_sampled(problem)
+        zp = integrate_z(problem, tr)
+        P = zp.samples(tr)
+        assert P.plan.structure is None
+        assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
+        assert _bits(P.z, P.lam) == _bits(*per_panel_hermite(problem, zp))
+        assert _bits(variational_gradient(problem, tr, zp)) == \
+            _bits(per_call_gradient(problem, tr, zp))
+
+    @pytest.mark.parametrize("kink", [None, 0.33], ids=["paper-s4-pieces", "kink-0.33"])
+    def test_plan_of_a_piecewise_trajectory(self, kink):
+        # paper-s4's pieces break at the node t = 1, so its plan is regular; a
+        # kink at 0.33 on n = 16 splits a panel, so that plan is not
+        if kink is None:
+            problem, traj, _, _ = build_paper(100)
+        else:
+            g = build_grid(0.0, 1.0, 0.0, 16)
+            problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="0",
+                                         lagrangian="dx^2 + x*dx + 0.5*z")
+            traj = PiecewiseTrajectory(
+                g, [(0.0, kink, "t"), (kink, 1.0, f"{kink} + 2*(t - {kink})")])
+        zp = integrate_z(problem, traj)
+        P = zp.samples(traj)
+        assert (P.plan.structure is not None) == (kink is None)
+        assert _bits(variational_gradient(problem, traj, zp)) == \
+            _bits(per_call_gradient(problem, traj, zp))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            eta = VariationDirection.from_free(problem.grid, rng.normal(size=problem.grid.n - 1))
+            assert first_variation(problem, traj, zp, eta) == \
+                per_call_first_variation(P, zp, eta)
+
+    def test_one_plan_and_no_interval_search_over_a_solve(self, monkeypatch):
+        # the plan is built once; on its regular grid no sample is located and
+        # no weight is scattered by bincount
         problem, _, _, _ = build_paper(100)
-        counts = {"integration_stops": 0, "locate": 0}
-        for name in counts:
-            original = getattr(integrate, name)
+        counts = {"integration_stops": 0, "locate": 0, "bincount": 0}
+        for module, name in ((integrate, "integration_stops"), (hg.trajectory, "locate"),
+                             (np, "bincount")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(integrate, name, counted)
+            monkeypatch.setattr(module, name, counted)
         result = solve_direct(problem)
         assert result.converged and result.iterations >= 5
-        # one plan; its samples located on the [a, b] and the history nodes
-        assert counts == {"integration_stops": 1, "locate": 2}
+        assert result.zpath.samples(result.trajectory).plan.structure is not None
+        assert counts == {"integration_stops": 1, "locate": 0, "bincount": 0}
 
     def test_plan_arrays_are_read_only(self):
         problem, _, _, _ = build_paper(40)
@@ -517,9 +561,9 @@ class TestPanelPlan:
         zp = integrate_z(problem, traj)
         before = variational_gradient(problem, traj, zp)
         plan = zp.samples(traj).plan
-        shared = [plan.node_pos, plan.hs, plan.times, plan.delayed, plan.inside, plan.band]
-        for loc in (plan.main, plan.hist):
-            shared += [loc.i, loc.z, loc.rows, loc.at]
+        st = plan.structure
+        shared = [plan.node_pos, plan.hs, plan.times, plan.delayed, plan.inside,
+                  plan.weights, plan.band, *st.off_nodes, st.gather, *st.terms]
         for arr in shared:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
@@ -541,8 +585,8 @@ class TestPanelPlan:
         free = rng.normal(size=g.n - 1)
         planned = first_variation(problem, traj, zp, VariationDirection.from_free(g, free))
         located = []
-        original = SampledTrajectory.read_located
-        monkeypatch.setattr(SampledTrajectory, "read_located",
+        original = SampledTrajectory.read_nodes
+        monkeypatch.setattr(SampledTrajectory, "read_nodes",
                             lambda self, *a: located.append(1) or original(self, *a))
         for eta in (VariationDirection.from_free(coarse, rng.normal(size=49)),
                     VariationDirection.from_free(twin, free)):
