@@ -44,20 +44,21 @@ delayed images; integrate_z runs its RK4 stages on the reads of x and keeps z
 and log-lambda at the stops, the panel ends, which the z-path carries on
 with the samples. The panel geometry depends on the grid and the
 trajectory's breakpoints alone, so for the sampled trajectories of a grid it
-is computed once (PanelPlan, kept on the grid). Since tau is m steps, the
-panels of a sampled trajectory are the grid's intervals wherever the floats
-agree (a regular plan): every sample is then a node or an interval
-midpoint, and every delayed one the same point m panels back, so a sampled
-trajectory or direction on the grid reads its node values, its slope
-coefficients and one cubic per midpoint, with no interval search
-(SampledTrajectory.read_nodes), and the solver's spline adjoint sums its
-weights per piece in that structure (Panels.scatter), both with the bits of
-a search. The first
-variation, the solver gradient and the invariance defect take the samples
-from the z-path, with z and lambda there (RK4's cubic Hermite dense output
-at the midpoints, ZPath.samples; no spline) and the Lagrangian partials
-filled in on first use, and are each a short formula over them. A
-direction eta is a sampled trajectory with zero history
+is computed once (PanelPlan, kept on the grid). Since tau is m steps, a
+panel's delayed samples are its delayed panel, and a breakpoint on a node
+has the node m panels on as its image; so the panels of a sampled
+trajectory are the grid's intervals (a regular plan): every sample is a
+node or an interval midpoint, and every delayed one the same point m
+panels back. A sampled trajectory or direction on the grid is then read
+once on the whole grid, at its nodes and one cubic per interval, with no
+interval search (SampledTrajectory.read_grid), each row a slice of that
+read, and the solver's spline adjoint sums its weights per piece by slices
+of the same grid order (Panels.scatter), both with the bits of a search.
+The first variation, the solver gradient and the invariance defect take
+the samples from the z-path, with z and lambda there (RK4's cubic Hermite
+dense output at the midpoints, ZPath.samples; no spline) and the
+Lagrangian partials filled in on first use, and are each a short formula
+over them. A direction eta is a sampled trajectory with zero history
 (trajectory.VariationDirection), so the first variation reads it through
 Panels.read too; the one spline through node values (trajectory.CubicSpline)
 and its adjoint live in trajectory.
@@ -117,14 +118,17 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
     Stops are the grid nodes on [a, b] merged with every trajectory
     breakpoint rho and its image rho + tau (both read by the integrand).
     A node within snapping tolerance of a kink is displaced onto the kink
-    value so float comparisons at the kink are exact.
+    value so float comparisons at the kink are exact. The image of a
+    breakpoint that is the node nodes[i], bit for bit, is the node
+    nodes[i + m] (tau = m h), already a stop; that of any other breakpoint
+    is the float rho + tau, whose delayed image is then the kink itself.
     """
     g = problem.grid
     vals = g.main_nodes.astype(float).copy()
     tol = 1e-9 * g.h
     extras = []
-    for rho in traj.breakpoints:
-        for p in (float(rho), float(rho) + g.tau):
+    for rho in map(float, traj.breakpoints):
+        for p in (rho,) if rho in g.nodes else (rho, rho + g.tau):
             if p <= g.a + tol or p >= g.b - tol:
                 continue
             j = int(round((p - g.a) / g.h))
@@ -332,35 +336,46 @@ class PanelPlan:
     """The geometry of the Simpson panels of a grid for one set of trajectory
     breakpoints, which every trajectory and direction read on those panels
     shares (panel_plan): the node positions among the stops, the panel steps
-    hs, the sample times, their delayed images and the inside mask; filled
-    in on first use, the Simpson weights of the samples, the adjoint's band
-    and the structure of a regular plan (Structure; None on any other).
+    hs, the sample times, their delayed images, the inside mask and, on a
+    regular plan, the midpoint offsets into every grid interval, history
+    first (else None); filled in on first use, the Simpson weights of the
+    samples, the adjoint's band, and on a regular plan the pieces and
+    offsets of the grid read and the scatter's offset powers.
 
-    The plan is regular when its panels are the grid's intervals: the panel
-    ends are the nodes of [a, b] bit for bit, their delayed images nodes of
-    the grid, and every midpoint and delayed midpoint lies strictly inside
-    a grid interval. Its arrays are read-only.
+    A panel's delayed samples are its delayed panel: the stops are shifted
+    by -tau and snapped once, and the delayed midpoint is the midpoint of the
+    snapped ends. The plan is regular when its panels are the grid's
+    intervals: the panel ends are the nodes of [a, b] bit for bit, the
+    delayed ends the nodes t_0 .. t_n, and every midpoint lies strictly
+    inside its interval. A delayed midpoint inside [a, b] is then the
+    midpoint m panels back, bit for bit. Its arrays are read-only.
     """
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory):
         g = self.grid = problem.grid
         stops, node_pos = integration_stops(problem, traj)
-        lefts, rights = stops[:-1], stops[1:]
-        self.k = k = len(lefts)
-        times = np.concatenate([lefts, 0.5 * (lefts + rights), rights])
         anchors = np.sort(np.concatenate(
             [g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
-        delayed = _snap(times - g.tau, anchors, 1e-9 * g.h)
+        dstops = _snap(stops - g.tau, anchors, 1e-9 * g.h)
+        self.k = k = len(stops) - 1
+        times, delayed = (np.concatenate([s[:-1], 0.5 * (s[:-1] + s[1:]), s[1:]])
+                          for s in (stops, dstops))
         # delayed images that fall inside [a, b], where the solver's spline
         # adjoint and the group generators act; rights take the left limit, so
         # exactly s - tau = a counts as outside there and a kink at s = a + tau
         # never leaks across its panel boundary
         inside = delayed >= g.a
         inside[2 * k:] = delayed[2 * k:] > g.a
+        nodes = g.nodes
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        regular = (np.array_equal(stops, g.main_nodes) and np.array_equal(dstops, nodes[:g.n + 1])
+                   and np.all((nodes[:-1] < mids) & (mids < nodes[1:])))
+        self.offsets = mids - nodes[:-1] if regular else None
         self.node_pos, self.hs, self.times, self.delayed, self.inside = (
-            node_pos, rights - lefts, times, delayed, inside)
-        for arr in (node_pos, self.hs, times, delayed, inside):
-            arr.setflags(write=False)
+            node_pos, stops[1:] - stops[:-1], times, delayed, inside)
+        for arr in (node_pos, self.hs, times, delayed, inside, self.offsets):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -374,79 +389,29 @@ class PanelPlan:
         return adjoint_band(self.grid.main_nodes)
 
     @cached_property
-    def structure(self) -> Optional[Structure]:
-        return _structure(self.grid, self.times, self.delayed)
+    def grid_read(self) -> tuple:
+        """The pieces and offsets of SampledTrajectory.read_grid on a regular
+        plan's grid: every interval at its midpoint, then the last pieces of
+        [a, b] and, if tau > 0, of the history at their lengths."""
+        m, nodes = self.grid.m, self.grid.nodes
+        ends = [len(nodes) - 2] + ([m - 1] if m else [])
+        pieces = np.append(np.arange(len(nodes) - 1), ends)
+        z = np.append(self.offsets, nodes[np.add(ends, 1)] - nodes[ends])
+        for arr in (pieces, z):
+            arr.setflags(write=False)
+        return pieces, z
 
-
-@dataclass(frozen=True, eq=False)
-class Structure:
-    """How the samples of a regular panel plan sit on the grid. A sampled
-    trajectory on the grid reads, with no interval search, at its nodes and
-    at off_nodes (SampledTrajectory.read_nodes): the pieces and offsets of
-    the midpoints, of the delayed midpoints (one with its undelayed
-    midpoint's offset bit for bit takes that one's read) and of the right
-    ends b and a; gather picks x, x', x(s - tau) and x'(s - tau) at the
-    samples out of that read. terms holds the offset powers 1, z, z^2 and
-    the flat weight columns of x and x' or of x(s - tau) and x'(s - tau) at
-    the samples off the nodes of [a, b] (the midpoints, b, the delayed
-    midpoints inside and, if tau = 0, b again), which Panels.scatter
-    transposes the read with."""
-
-    off_nodes: tuple
-    gather: np.ndarray
-    terms: tuple
-
-
-def _structure(g: Grid, times: np.ndarray, delayed: np.ndarray) -> Optional[Structure]:
-    """The Structure of the panels with these sample times and delayed
-    images if they are the grid's intervals (PanelPlan), else None."""
-    n, m, nodes = g.n, g.m, g.nodes
-    if len(times) != 3 * n:
-        return None
-    lefts, rights = times[:n], times[2 * n:]
-    mid_t, dmid_t = times[n:2 * n], delayed[n:2 * n]
-    if not (np.array_equal(lefts, g.main_nodes[:-1]) and np.array_equal(rights, g.main_nodes[1:])
-            and np.array_equal(delayed[:n], nodes[:n])
-            and np.array_equal(delayed[2 * n:], nodes[1:n + 1])
-            and np.all((lefts < mid_t) & (mid_t < rights))
-            and np.all((nodes[:n] < dmid_t) & (dmid_t < nodes[1:n + 1]))):
-        return None
-    j = np.arange(n)
-    mids, dmids = mid_t - lefts, dmid_t - nodes[:n]
-    # the delayed midpoints that are not a midpoint m panels back, bit for bit
-    own = np.ones(n, dtype=bool)
-    own[m:] = dmids[m:] != mids[:n - m]
-    b, a = [nodes[-1] - nodes[-2]], ([nodes[m] - nodes[m - 1]] if m else [])
-    off_nodes = (np.concatenate([j, np.where(j < m, n + j, j - m)[own], [n - 1],
-                                 [n + m - 1] if m else []]).astype(int),
-                 np.concatenate([mids, dmids[own], b, a]))
-    count = len(off_nodes[1])
-    at_b, at_a = n + own.sum(), count - 1
-    mid_at = np.concatenate([j, np.where(own, n + np.cumsum(own) - 1, j - m)])
-    # where read_nodes puts the node values, the node slopes and the samples'
-    # values (their slopes follow count later)
-    slopes = n + 1 + (m + 1 if m else 0)
-    samples = slopes + n + m
-    main = (np.arange(n + 1), np.append(slopes + j, samples + count + at_b))
-    hist = ((n + 1 + np.arange(m + 1), np.append(slopes + n + j[:m], samples + count + at_a))
-            if m else (j[:0], j[:0]))
-
-    def at(side):
-        node, past, mid = main[side], hist[side], samples + count * side + mid_at
-        return (np.concatenate([node[:-1], mid[:n], node[1:]]),
-                np.concatenate([past[:-1], node[:n - m], mid[n:], past[1:], node[1:n - m + 1]]))
-
-    (x, xtau), (dx, dxtau) = at(0), at(1)
-    gather = np.concatenate([x, dx, xtau, dxtau])
-    # the columns of the scatter's weights in x's row and x(s - tau)'s (6n
-    # on); x' and x'(s - tau) follow 3n later
-    z = np.concatenate([mids, b, dmids[m:], b if m == 0 else []])
-    cols = np.concatenate([n + j, [3 * n - 1], 7 * n + j[m:],
-                           [9 * n - 1] if m == 0 else []]).astype(int)
-    terms = (np.stack([np.ones_like(z), z, z * z]), np.stack([cols, cols + 3 * n]))
-    for arr in (*off_nodes, gather, *terms):
-        arr.setflags(write=False)
-    return Structure(off_nodes, gather, terms)
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """The offset powers 1, z, z^2 of the samples off the nodes of [a, b]
+        that Panels.scatter sums on a regular plan: the midpoints, b, the
+        delayed midpoints inside [a, b] and, if tau = 0, b again."""
+        m, mids, ends = self.grid.m, self.offsets[self.grid.m:], self.grid.main_nodes[-2:]
+        b = ends[1:] - ends[:1]
+        z = np.concatenate([mids, b, mids[:self.k - m], [] if m else b])
+        powers = np.stack([np.ones_like(z), z, z * z])
+        powers.setflags(write=False)
+        return powers
 
 
 def panel_plan(problem: HerglotzProblem, traj: Trajectory) -> PanelPlan:
@@ -489,14 +454,25 @@ class Panels(Samples):
     def read(self, traj: Trajectory):
         """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with
         the one-sided limits of the class docstring. A sampled trajectory on
-        a regular plan's very grid reads at its nodes and the off_nodes of
-        the plan's structure, with no interval search; any other trajectory
-        is searched afresh."""
+        a regular plan's very grid is read once on the whole grid
+        (SampledTrajectory.read_grid at the plan's grid_read), with no
+        interval search, and each row is sliced out of that read: the panel
+        ends are nodes, the midpoints interval midpoints, and the delayed
+        samples of panel i those of grid interval i, with x' at the delayed
+        right end a from the left; any other trajectory is searched afresh."""
         plan, k = self.plan, self.k
         if (isinstance(traj, SampledTrajectory) and traj.grid is plan.grid
-                and plan.structure is not None):
-            st = plan.structure
-            return list(np.take(traj.read_nodes(*st.off_nodes), st.gather).reshape(4, 3 * k))
+                and plan.offsets is not None):
+            m = plan.grid.m
+            node, mid, dx_a = traj.read_grid(*plan.grid_read)
+            out = np.empty((4, 3 * k))
+            # x and x' from interval m on, x(s - tau) and x'(s - tau) from 0
+            for rows, i in ((slice(0, 2), m), (slice(2, 4), 0)):
+                out[rows, :k], out[rows, k:2 * k], out[rows, 2 * k:] = (
+                    node[:, i:i + k], mid[:, i:i + k], node[:, i + 1:i + k + 1])
+            if m:
+                out[3, 2 * k + m - 1] = dx_a[0]
+            return list(out)
         out = [np.empty_like(self.times) for _ in range(4)]
         for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
             out[0][sl], out[1][sl] = traj.eval_many(
@@ -513,19 +489,26 @@ class Panels(Samples):
         spline adjoint of the solver gradient. On a regular plan the weights
         are summed per piece of the [a, b] spline in the order of
         trajectory.spline_adjoint's bincounts (lefts, midpoints, rights, then
-        the delayed samples inside [a, b], each in panel order), where a node
-        sample adds w[0] to the constant and w[1] to the linear coefficient
-        and exact zeros elsewhere, so the sums have its bits."""
+        the delayed samples inside [a, b], each in panel order), all by
+        slices of w: a node sample adds w[0] to the constant and w[1] to the
+        linear coefficient and exact zeros elsewhere, the samples off the
+        nodes their weights at the plan's offset powers, and the delayed
+        samples of panel i land on piece i - m, so the sums have its bits."""
         plan, k = self.plan, self.k
         nodes = plan.grid.main_nodes
-        if plan.structure is None:
+        if plan.offsets is None:
             inside = self.inside
             return spline_adjoint(nodes, np.concatenate([self.times, self.delayed[inside]]),
                                   np.concatenate([w[0], w[2][inside]]),
                                   np.concatenate([w[1], w[3][inside]]))
-        m = plan.grid.m
-        powers, cols = plan.structure.terms
-        wv, wd = np.take(w, cols)
+        m, powers = plan.grid.m, plan.powers
+        # x and x', then x(s - tau) and x'(s - tau), at the samples off the
+        # nodes: the midpoints, b, the delayed midpoints inside, b if tau = 0
+        wv, wd = w_off = np.empty((2, powers.shape[1]))
+        w_off[:, :k], w_off[:, k], w_off[:, k + 1:2 * k + 1 - m] = (
+            w[:2, k:2 * k], w[:2, -1], w[2:, k + m:2 * k])
+        if not m:
+            w_off[:, -1] = w[2:, -1]
         # the coefficient weights of the off-node samples, by power of z:
         # wv, z wv + wd, z (z wv + 2 wd), z z (z wv + 3 wd)
         t = np.empty((4, len(wv)))

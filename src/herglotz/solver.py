@@ -15,7 +15,7 @@ maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (integrate.Panels.scatter,
 the transpose of the read, then trajectory.build_adjoint, the transpose of
 the build of trajectory.CubicSpline): the Simpson-weighted partials at the
-panel samples summed per spline piece, by the grid's structure on a
+panel samples summed per spline piece, by slices in the grid's order on a
 regular panel plan, plus one tridiagonal solve with the plan's band, O(n)
 per call.
 

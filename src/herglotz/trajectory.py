@@ -17,10 +17,11 @@ Two backends:
   spline_adjoint is the transpose of its natural-end build and read, sharing
   the slope matrix and its end rows with it (build_adjoint, the build's
   transpose, with the band of adjoint_band). A read locates its samples on
-  the nodes (locate: piece, offset, node hits) and then reads there. Samples
-  whose pieces and offsets the grid fixes (integrate's regular panel plan)
-  skip the search: SampledTrajectory.read_nodes reads the node values, the
-  slope coefficients and the given offsets with the same bits.
+  the nodes (locate: piece, offset, node hits) and then reads there. A read
+  of the whole grid, one sample in every interval (integrate's regular
+  panel plan), skips the search: SampledTrajectory.read_grid reads the node
+  values, the slope coefficients at the nodes and one cubic per interval,
+  in the grid's order, with the same bits.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -302,20 +303,24 @@ class SampledTrajectory:
                 out[mask] = val
         return (x, dx, ddx) if want_ddx else (x, dx)
 
-    def read_nodes(self, i: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """In one array: x at the nodes of [a, b], then at the history nodes;
-        x' at the same nodes but the right ends b and a; then x, then x', at
-        the offsets z > 0 into the pieces i, those of [a, b] numbered first.
-        These are eval_many's bits with no interval search: a node reads its
-        stored value and, as the start of its piece, that piece's linear
-        coefficient for x'; x' at b and a is read at the last piece's length
-        into it, so those ends belong among the samples."""
-        splines = [self._main] + ([self._hist] if self._hist is not None else [])
-        c = self._main.c if len(splines) == 1 else np.concatenate([s.c for s in splines])
+    def read_grid(self, i: np.ndarray, z: np.ndarray) -> tuple:
+        """A read of the whole grid with eval_many's bits and no interval
+        search, at the offsets z > 0 into the pieces i, history first: one
+        in every interval, then the last pieces of [a, b] and, if tau > 0,
+        of the history at their lengths. Returns x and x' at the nodes (x'
+        from the right, at b from the left), x and x' in the intervals, and
+        x' at a from the left (empty if tau = 0). A node reads its stored
+        value and, as the start of its piece, that piece's linear
+        coefficient for x'."""
+        N = len(self.values) - 1
+        c = self._main.c if self._hist is None else np.concatenate([self._hist.c, self._main.c])
         v, d = _power_sums(c, i, z, (0, 1))
+        at_nodes = np.empty((2, N + 1))
+        at_nodes[0] = self.values
         # + 0.0: read's running sum from zero turns a slope of -0.0 into 0.0
-        return np.concatenate([s.y for s in splines] + [s.c[:, 2] + 0.0 for s in splines]
-                              + [v, d]).reshape(-1)
+        np.add(c[:, 2, 0], 0.0, out=at_nodes[1, :N])
+        at_nodes[1, N] = d[N, 0]
+        return at_nodes, np.concatenate((v[:N], d[:N]), axis=1).T, d[N + 1:, 0]
 
     def eval(self, t: float, side: str = "right"):
         x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)

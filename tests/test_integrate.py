@@ -382,7 +382,7 @@ class TestSamples:
         problem, _, group, _ = build_paper(100)
         traj = wavy_sampled(problem)
         eta = VariationDirection.from_free(problem.grid, np.ones(problem.grid.n - 1))
-        calls = {"eval_many": [], "read_nodes": []}
+        calls = {"eval_many": [], "read_grid": []}
         for name, reads in calls.items():
             original = getattr(SampledTrajectory, name)
 
@@ -396,7 +396,7 @@ class TestSamples:
         variational_gradient(problem, traj, zp)
         first_variation(problem, traj, zp, eta)
         group_variation(problem, traj, zp, group)
-        assert len(calls["read_nodes"]) == 1
+        assert len(calls["read_grid"]) == 1
         assert len(calls["eval_many"]) == 0
 
     def test_zpath_of_another_trajectory_is_rejected(self):
@@ -478,28 +478,48 @@ def _bits(*arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
+def assert_delayed_panels(plan):
+    """A panel's delayed samples are its delayed panel: the delayed midpoint
+    is the midpoint of the delayed ends, bit for bit, and on a regular plan
+    the delayed midpoint of panel i >= m is the midpoint of panel i - m."""
+    k, m, d = plan.k, plan.grid.m, plan.delayed
+    assert _bits(d[k:2 * k]) == _bits(0.5 * (d[:k] + d[2 * k:]))
+    if plan.offsets is not None:
+        assert _bits(d[k + m:2 * k]) == _bits(plan.times[k:2 * k - m])
+
+
 class TestPanelPlan:
     """The panel plan of a grid is built once; where its panels are the
     grid's intervals, every sampled trajectory and direction on that grid
-    reads by the grid's structure, with the bits of a per-call search."""
+    reads by slices of one read of the grid, with the bits of a per-call
+    search."""
 
     @pytest.mark.parametrize("name", BUNDLE_NAMES)
-    @pytest.mark.parametrize("n", [2, 4, 20, 100, None],
-                             ids=["n2", "n4", "n20", "n100", "shipped"])
+    @pytest.mark.parametrize("n", [2, 4, 20, 100, None, 98, 196, 206, 214, 322],
+                             ids=["n2", "n4", "n20", "n100", "shipped",
+                                  "n98", "n196", "n206", "n214", "n322"])
     def test_planned_reads_equal_per_call_reads(self, name, n):
+        # the plan is regular where every breakpoint is a node: always for a
+        # sampled trajectory, also on paper-s4 at n = 98, 196, 206, 214 and
+        # 322, where a + m h is not the float a + tau; paper-s4's pieces break
+        # at 1.0, off the node a + m h there
         problem, traj, _, _ = build_bundle(name, n)
         for tr in (traj, wavy_sampled(problem)):
             zp = integrate_z(problem, tr)
             P = zp.samples(tr)
-            assert P.plan.structure is not None
+            on_nodes = all(rho in problem.grid.nodes for rho in tr.breakpoints)
+            assert (P.plan.offsets is not None) == on_nodes
+            assert on_nodes or isinstance(tr, PiecewiseTrajectory)
+            assert_delayed_panels(P.plan)
             assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
             assert _bits(P.z, P.lam) == _bits(*per_panel_hermite(problem, zp))
             assert _bits(variational_gradient(problem, tr, zp)) == \
                 _bits(per_call_gradient(problem, tr, zp))
 
-    def test_irregular_grid_reads_afresh_with_the_same_bits(self):
-        # a + m h is one ulp off a + tau on [0, 1] at tau = 0.3, n = 10: the stop
-        # at a + tau is off its node, so the panels are not the grid's intervals
+    def test_grid_off_a_plus_tau_reads_by_the_grid_with_the_same_bits(self):
+        # a + m h is one ulp off a + tau on [0, 1] at tau = 0.3, n = 10: the
+        # image of the breakpoint a is the node a + m h all the same, so the
+        # panels are the grid's intervals
         g = build_grid(0.0, 1.0, 0.3, 10)
         assert g.main_nodes[3] == 0.30000000000000004
         problem = hg.HerglotzProblem(grid=g, gamma=0.5, beta=1.0, history="-t",
@@ -507,11 +527,27 @@ class TestPanelPlan:
         tr = wavy_sampled(problem)
         zp = integrate_z(problem, tr)
         P = zp.samples(tr)
-        assert P.plan.structure is None
+        assert P.plan.offsets is not None
         assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
         assert _bits(P.z, P.lam) == _bits(*per_panel_hermite(problem, zp))
         assert _bits(variational_gradient(problem, tr, zp)) == \
             _bits(per_call_gradient(problem, tr, zp))
+
+    def test_image_of_an_off_node_kink_is_its_float(self):
+        # the kink at 0.3 is not the node 0.30000000000000004, so the stops
+        # move that node onto 0.3 and the node at 0.6 onto the float 0.6: the
+        # delayed right end of panel 5 is the kink, read from its left piece
+        g = build_grid(0.0, 1.0, 0.3, 10)
+        problem = hg.HerglotzProblem(grid=g, gamma=0.5, beta=1.0, history="-t",
+                                     lagrangian="dx^2 + dxtau^2 + x*xtau + 0.5*z")
+        traj = PiecewiseTrajectory(g, [(-0.3, 0.3, "-t"), (0.3, 1.0, "-0.3 + 2*(t - 0.3)")])
+        stops, _ = integration_stops(problem, traj)
+        assert 0.6 in stops and g.main_nodes[6] not in stops
+        zp = integrate_z(problem, traj)
+        P = zp.samples(traj)
+        assert P.plan.offsets is None
+        assert P.dxtau[2 * P.k + 5] == -1.0
+        assert zp.z_b == 7.299614435209444
 
     @pytest.mark.parametrize("kink", [None, 0.33], ids=["paper-s4-pieces", "kink-0.33"])
     def test_plan_of_a_piecewise_trajectory(self, kink):
@@ -527,7 +563,8 @@ class TestPanelPlan:
                 g, [(0.0, kink, "t"), (kink, 1.0, f"{kink} + 2*(t - {kink})")])
         zp = integrate_z(problem, traj)
         P = zp.samples(traj)
-        assert (P.plan.structure is not None) == (kink is None)
+        assert (P.plan.offsets is not None) == (kink is None)
+        assert_delayed_panels(P.plan)
         assert _bits(variational_gradient(problem, traj, zp)) == \
             _bits(per_call_gradient(problem, traj, zp))
         rng = np.random.default_rng(5)
@@ -538,9 +575,8 @@ class TestPanelPlan:
 
     def test_one_plan_and_no_interval_search_over_a_solve(self, monkeypatch):
         # the plan is built once; on its regular grid no sample is located and
-        # no weight is scattered by bincount
-        problem, _, _, _ = build_paper(100)
-        counts = {"integration_stops": 0, "locate": 0, "bincount": 0}
+        # no weight is scattered by bincount (at n = 98, a + m h != a + tau)
+        counts = {}
         for module, name in ((integrate, "integration_stops"), (hg.trajectory, "locate"),
                              (np, "bincount")):
             original = getattr(module, name)
@@ -550,10 +586,13 @@ class TestPanelPlan:
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
-        result = solve_direct(problem)
-        assert result.converged and result.iterations >= 5
-        assert result.zpath.samples(result.trajectory).plan.structure is not None
-        assert counts == {"integration_stops": 1, "locate": 0, "bincount": 0}
+        for n in (100, 98):
+            problem, _, _, _ = build_paper(n)
+            counts.update(integration_stops=0, locate=0, bincount=0)
+            result = solve_direct(problem)
+            assert result.converged and result.iterations >= 5
+            assert result.zpath.samples(result.trajectory).plan.offsets is not None
+            assert counts == {"integration_stops": 1, "locate": 0, "bincount": 0}
 
     def test_plan_arrays_are_read_only(self):
         problem, _, _, _ = build_paper(40)
@@ -561,9 +600,8 @@ class TestPanelPlan:
         zp = integrate_z(problem, traj)
         before = variational_gradient(problem, traj, zp)
         plan = zp.samples(traj).plan
-        st = plan.structure
         shared = [plan.node_pos, plan.hs, plan.times, plan.delayed, plan.inside,
-                  plan.weights, plan.band, *st.off_nodes, st.gather, *st.terms]
+                  plan.weights, plan.band, plan.offsets, *plan.grid_read, plan.powers]
         for arr in shared:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
@@ -585,8 +623,8 @@ class TestPanelPlan:
         free = rng.normal(size=g.n - 1)
         planned = first_variation(problem, traj, zp, VariationDirection.from_free(g, free))
         located = []
-        original = SampledTrajectory.read_nodes
-        monkeypatch.setattr(SampledTrajectory, "read_nodes",
+        original = SampledTrajectory.read_grid
+        monkeypatch.setattr(SampledTrajectory, "read_grid",
                             lambda self, *a: located.append(1) or original(self, *a))
         for eta in (VariationDirection.from_free(coarse, rng.normal(size=49)),
                     VariationDirection.from_free(twin, free)):
