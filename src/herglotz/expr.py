@@ -22,7 +22,10 @@ value, sin and cos of inf included (NaN), up to the last bit of ^ and the
 functions, where numpy's loops and libm may round apart. u^2 agrees bit for
 bit on every path: an exponent of exactly 2 is computed as u*u, the
 correctly rounded square (libm's pow(u, 2.0) can be 1 ulp off it, and
-numpy's power already computes u*u).
+numpy's power already computes u*u). Its tangent is 2*u*u', with no domain
+test and no power: the general rule v*u^(v-1)*u' with u^1 = u exactly, and
+bit for bit what that rule gives, the exact zero where u' is zero and u
+infinite included.
 
 A loop that changes one variable only, such as the RK4 stages in z, needs
 no walk per pass where the tree is affine in that variable: affine reads it
@@ -463,10 +466,13 @@ def _pow_dual(uv, ut, vv, vt):
         exp_term = 0.0
     # base tangent term: v * u^(v-1) * ut, skipped where the seed is absent
     if ut is not None and _any(ut != 0.0):
-        if _any((uv == 0.0) & (vv < 1.0) & (ut != 0.0)):
-            raise DomainError("u^v is not differentiable in u at u=0 for v < 1")
-        base_pow = _pow_value(uv, vv - 1.0)
-        base_term = vv * base_pow * ut
+        if not _is_array(vv) and vv == 2.0:
+            # u^(2-1) is u itself, and no domain test can fire for v = 2
+            base_term = vv * uv * ut
+        else:
+            if _any((uv == 0.0) & (vv < 1.0) & (ut != 0.0)):
+                raise DomainError("u^v is not differentiable in u at u=0 for v < 1")
+            base_term = vv * _pow_value(uv, vv - 1.0) * ut
         if _is_array(base_term):
             base_term = np.where(ut == 0.0, 0.0, base_term)
     else:

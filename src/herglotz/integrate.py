@@ -313,20 +313,37 @@ class Samples:
     """The Lagrangian at a set of trajectory samples: L itself or one of its
     partials, evaluated by name under the bindings on first use and kept on
     the instance. The one place Lagrangian tables are filled; the panel
-    samples and the node tables of the condition checks are its two kinds."""
+    samples and the node tables of the condition checks are its two kinds.
+    A partial in a variable L does not read is an exact zero table, filled
+    with no walk of L."""
 
     def __init__(self, lagrangian: expr.Expression, bind: dict):
         self.lagrangian = lagrangian
         self.bind = bind
         self._tables: dict = {}
 
+    @cached_property
+    def variables(self) -> frozenset:
+        """The variables L reads."""
+        return expr.variables_in(self.lagrangian)
+
     def table(self, name: str) -> np.ndarray:
         """L itself (name "L") or its partial in name at the samples,
         contiguous even where the expression is constant, so sums and dot
-        products over it round the same way whatever its shape."""
+        products over it round the same way whatever its shape.
+
+        L and its partials in the variables it reads walk the tree and raise
+        what the walk raises. Any other partial is zero by structure and is
+        not walked: its seed never occurs in the tree, so its walk could
+        only have raised what L's own value raises at these samples."""
         if name not in self._tables:
             L, bind = self.lagrangian, self.bind
-            v = expr.evaluate(L, bind) if name == "L" else expr.partial(L, name, bind)
+            if name == "L":
+                v = expr.evaluate(L, bind)
+            elif name in self.variables:
+                v = expr.partial(L, name, bind)
+            else:
+                v = 0.0
             self._tables[name] = np.ascontiguousarray(np.broadcast_to(
                 np.asarray(v, dtype=float), bind["t"].shape))
         return self._tables[name]

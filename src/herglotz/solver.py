@@ -257,20 +257,22 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
             trial = x + step * d
+            # overflow or a trip outside the real domain, in z(b) or in the
+            # gradient of a trial that passes, rejects the trial
             try:
                 f_new, traj_new, zpath_new = objective(trial)
+                # f_new < f: an Armijo term that rounds away must not pass an unchanged f
+                if f_new < f and f_new <= f + _ARMIJO_C * step * dg:
+                    accepted = (trial, f_new, traj_new, zpath_new,
+                                variational_gradient(problem, traj_new, zpath_new))
+                    break
             except (NonFinite, DomainError):
-                f_new = np.inf  # overflow or a trip outside the real domain: reject
-            # f_new < f: an Armijo term that rounds away must not pass an unchanged f
-            if f_new < f and f_new <= f + _ARMIJO_C * step * dg:
-                accepted = (trial, f_new, traj_new, zpath_new)
-                break
+                pass
             step *= _SHRINK
         if accepted is None:
             stop_reason = "line_search_failed"
             break
-        x_new, f_new, traj, zpath = accepted
-        grad_new = variational_gradient(problem, traj, zpath)
+        x_new, f_new, traj, zpath, grad_new = accepted
         s = x_new - x
         y = grad_new - grad
         if (y @ s) > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):

@@ -320,3 +320,40 @@ def per_call_gradient(problem, traj, zpath):
                          np.concatenate([c1, c3[inside]]))[1:-1]
     g /= zpath.lambda_b
     return -g if problem.sense == "maximize" else g
+
+
+# Lagrangian tables as they were filled before a partial in a variable L does
+# not read was taken as an exact zero and u^2's tangent as 2 u u': a walk per
+# name, every ^ tangent by the generic power rule.
+
+def generic_pow_dual(uv, ut, vv, vt):
+    """expr._pow_dual with the generic rule v u^(v-1) u' for every exponent."""
+    val = expr._pow_value(uv, vv)
+    if vt is not None and expr._any(vt != 0.0):
+        if expr._any((uv <= 0.0) & (vt != 0.0)):
+            raise expr.DomainError("d/dv of u^v needs u > 0")
+        exp_term = val * expr._apply("log", uv) * vt
+    else:
+        exp_term = 0.0
+    if ut is not None and expr._any(ut != 0.0):
+        if expr._any((uv == 0.0) & (vv < 1.0) & (ut != 0.0)):
+            raise expr.DomainError("u^v is not differentiable in u at u=0 for v < 1")
+        base_pow = expr._pow_value(uv, vv - 1.0)
+        base_term = vv * base_pow * ut
+        if expr._is_array(base_term):
+            base_term = np.where(ut == 0.0, 0.0, base_term)
+    else:
+        base_term = 0.0
+    return val, exp_term + base_term
+
+
+def per_name_table(samples, name):
+    """The table name of a Samples by its own walk of L, with
+    generic_pow_dual in place of expr._pow_dual."""
+    L, bind = samples.lagrangian, samples.bind
+    fast, expr._pow_dual = expr._pow_dual, generic_pow_dual
+    try:
+        v = expr.evaluate(L, bind) if name == "L" else expr.partial(L, name, bind)
+    finally:
+        expr._pow_dual = fast
+    return np.ascontiguousarray(np.broadcast_to(np.asarray(v, dtype=float), bind["t"].shape))

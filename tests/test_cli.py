@@ -141,6 +141,20 @@ class TestExitCodes:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_trial_whose_gradient_overflows_is_a_rejected_step(self, tmp_path, capsys):
+        # maximizing z(b) with z' = dx^2/2 + z^2/2 drives z towards blow-up:
+        # some trials pass Armijo with a z-path finite at the stops but not
+        # at a panel sample, so their gradient raises NonFinite; the solve
+        # rejects them and ends on a stop reason instead of aborting
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({
+            "interval": {"a": 0.0, "b": 1.0}, "tau": 0.0, "n": 100, "gamma": 0.5,
+            "beta": 0.6931471805599453, "history": "0",
+            "lagrangian": "dx^2 / 2 + z^2 / 2", "sense": "maximize"}))
+        rc = main(["solve", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "stop_reason = line_search_failed" in capsys.readouterr().out
+
     def test_affine_blow_up_is_exit_3(self, tmp_path, capsys):
         # z' = 50 z from z(0) = 1 overflows before t = 20, on the affine path
         cfg = write_config(

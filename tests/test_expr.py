@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,9 +24,10 @@ from herglotz.expr import (
     value_and_partial,
     variables_in,
 )
-from herglotz.integrate import Panels, integrate_z
+from herglotz.integrate import Panels, Samples, integrate_z
 
-from conftest import affine_rk4, build_paper, wavy_sampled, whole_tree_z
+from conftest import (affine_rk4, build_paper, generic_pow_dual, per_name_table,
+                      wavy_sampled, whole_tree_z)
 
 
 def central_diff(f, x, h=1e-5):
@@ -461,3 +463,75 @@ class TestSquare:
         got = [value_and_partial(e, "z", {"x": x, "z": z})[0] for x, z in zip(xs.tolist(), zs)]
         assert np.array(got).tobytes() == np.array(
             [x ** z for x, z in zip(xs.tolist(), zs)]).tobytes()
+
+    # u' = 0 where u = +-inf and where u = 0, a -0.0 tangent, NaN, a
+    # subnormal, and products 2 u u' that overflow
+    U = np.array([math.inf, -math.inf, 0.0, -0.0, 0.0, 3.0, -1e200, 5e-324, math.nan,
+                  1e154, -2.5])
+    DU = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -0.0, 2.0, 1e300, 1.0, 1e154, -math.inf])
+
+    def test_square_tangent_is_the_generic_rule(self):
+        def outcome(rule, *args):
+            try:
+                with np.errstate(all="ignore"):
+                    val, tangent = rule(*args)
+            except errors.DomainError as err:
+                return str(err)
+            return [(type(v), np.asarray(v).tobytes()) for v in (val, tangent)]
+
+        cases = []
+        for u in (self.U, self.U.view(expr._Libm)):
+            for du in (self.DU, np.zeros_like(self.U), -np.zeros_like(self.U), None):
+                cases.append((u, du, None))
+        for u, du in zip(self.U.tolist(), self.DU.tolist()):
+            for vt in (None, 0.0, 0.5):
+                cases += [(u, du, vt), (u, None, vt), (u, 0.0, vt)]
+        for u, du, vt in cases:
+            for two in (2.0, np.float64(2.0)):
+                want = outcome(generic_pow_dual, u, du, two, vt)
+                assert outcome(expr._pow_dual, u, du, two, vt) == want
+
+
+# 0, -0.0, negatives, a subnormal and values whose squares and products
+# overflow, shuffled per variable
+TABLE_COLUMN = np.array([0.0, -0.0, -1.5, 2.0, 5e-324, -3.0, 0.7, 1e154, -1e200, 1e300])
+TABLE_NAMES = ("L", "t", "x", "dx", "xtau", "dxtau", "z")
+
+
+def squared(e):
+    """e with every exponent replaced by 2: a u^2 tangent at every ^."""
+    if isinstance(e, Neg):
+        return Neg(squared(e.operand))
+    if isinstance(e, Call):
+        return Call(e.fn, squared(e.arg))
+    if isinstance(e, Bin):
+        return Bin(e.op, squared(e.left), Num(2.0) if e.op == "^" else squared(e.right))
+    return e
+
+
+class TestTables:
+    def test_tables_equal_the_per_name_walk_on_random_trees(self):
+        # a table walks where L or its partial does and has the per-name
+        # walk's bits; an unread partial is zero, and where its walk raised,
+        # L's own value raises
+        rng = np.random.default_rng(5)
+        squares = [squared(Bin("^", t, Num(2.0))) for t in random_trees(19, 300)]
+        skipped_raises = 0
+        for tree in random_trees(17, 300) + squares:
+            S = Samples(tree, {v: rng.permutation(TABLE_COLUMN) for v in VARIABLES})
+            for name in TABLE_NAMES:
+                with np.errstate(all="ignore"):
+                    try:
+                        want = per_name_table(S, name)
+                    except errors.HerglotzError as err:
+                        raised = pytest.raises(type(err), match=re.escape(str(err)))
+                        if name == "L" or name in variables_in(tree):
+                            with raised:
+                                S.table(name)
+                            continue
+                        with raised:
+                            evaluate(tree, S.bind)
+                        skipped_raises += 1
+                        want = np.zeros(len(TABLE_COLUMN))
+                    assert S.table(name).tobytes() == want.tobytes()
+        assert skipped_raises > 400

@@ -12,6 +12,7 @@ import pytest
 import herglotz as hg
 from herglotz import errors, expr, integrate
 from herglotz.bundles import BUNDLE_NAMES
+from herglotz.conditions import node_tables
 from herglotz.integrate import (
     Panels,
     VariationDirection,
@@ -32,6 +33,7 @@ from conftest import (
     per_call_first_variation,
     per_call_gradient,
     per_call_panel_read,
+    per_name_table,
     per_panel_hermite,
     unit_direction,
     wavy_sampled,
@@ -398,6 +400,21 @@ class TestSamples:
         group_variation(problem, traj, zp, group)
         assert len(calls["read_grid"]) == 1
         assert len(calls["eval_many"]) == 0
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    def test_tables_equal_the_per_name_walk(self, name):
+        # panel samples of the bundle's trajectory and of a sampled one, and
+        # the node tables: every table has the bits of its own walk of L
+        problem, traj, _, _ = build_bundle(name, n=100)
+        kinds = []
+        for t in (traj, wavy_sampled(problem)):
+            zp = integrate_z(problem, t)
+            kinds += [zp.samples(t), node_tables(problem, t, zp)]
+        for S in kinds:
+            for table in ("L", "t", "x", "dx", "xtau", "dxtau", "z"):
+                got, want = S.table(table), per_name_table(S, table)
+                assert got.flags.c_contiguous and got.shape == S.bind["t"].shape
+                assert got.tobytes() == want.tobytes()
 
     def test_zpath_of_another_trajectory_is_rejected(self):
         problem, traj, group, _ = build_paper(40)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz import errors
+from herglotz import errors, expr
 from herglotz.integrate import integrate_z
 from herglotz.conditions import el_residuals
 from herglotz.solver import (
@@ -138,6 +138,24 @@ class TestGradients:
             fv = first_variation(problem, traj, zp,
                                  VariationDirection.from_free(problem.grid, eta))
             assert abs(gv @ eta - fv) <= 1e-9 * np.sum(np.abs(gv * eta))
+
+    @pytest.mark.parametrize("name, walked", [
+        ("paper-s4", ["dxtau"]), ("herglotz-damped", ["x", "dx"]), ("classical-line", ["dx"])])
+    def test_walks_l_once_per_partial_it_reads(self, monkeypatch, name, walked):
+        # of x, dx, xtau and dxtau, only the partials L reads are walked over
+        # the panel samples; the others are exact zeros
+        problem, _, _, _ = build_bundle(name, n=100)
+        traj = wavy_sampled(problem)
+        zp = integrate_z(problem, traj)
+        walks = []
+        for fn in ("evaluate", "partial"):
+            def counted(e, *args, original=getattr(expr, fn), fn=fn):
+                if e is problem.lagrangian:
+                    walks.append(fn if fn == "evaluate" else args[0])
+                return original(e, *args)
+            monkeypatch.setattr(expr, fn, counted)
+        variational_gradient(problem, traj, zp)
+        assert walks == walked
 
     def test_tail_entries_small_on_reference_problem(self):
         # free nodes past b - tau barely matter: only the weak spline
