@@ -21,10 +21,17 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NonFinite
 from .fdiff import derivative_on_segment
 from .integrate import Samples, ZPath, integrate_z
 from .reportio import csv_text
-from .trajectory import CubicSpline, HerglotzProblem, Trajectory, spline_adjoint
+from .trajectory import (
+    CubicSpline,
+    HerglotzProblem,
+    Trajectory,
+    adjoint_band,
+    build_adjoint,
+)
 
 EL1_LABEL = "EL-1 on [a, b-tau]"
 EL2_LABEL = "EL-2 on [b-tau, b]"
@@ -216,10 +223,11 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
 
     A unit direction is one at its node and zero at the others, so the
     node-sampled Simpson terms and the seam term land directly on the node
-    vector; the midpoint terms go through the spline adjoint. The
+    vector; the midpoint terms go through the transposed spline build
+    (trajectory.build_adjoint). The
     [b-tau, b] residual is displayed without its lambda weight, so it is
     multiplied back before pairing; the total is normalized by lambda(b) like
-    the gradient.
+    the gradient, and a lambda(b) that underflows to 0 raises NonFinite.
     """
     g = problem.grid
     tmain = g.main_nodes
@@ -246,5 +254,11 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     nodal[:-1] += w * ends_lo
     nodal[1:] += w * ends_hi
     nodal[k1] += zpath.lambda_b * p5_b
-    total = nodal + spline_adjoint(tmain, mids, 4.0 * w * sm, np.zeros(g.n))
+    # the midpoint of piece i lies at z into it: its value read weighs the
+    # coefficients of z^p by z^p wv, each summed from zero
+    z, wv = mids - tmain[:-1], 4.0 * w * sm
+    gc = np.stack((wv, z * wv, z * (z * wv), z * z * (z * wv))) + 0.0
+    total = nodal + build_adjoint(tmain, adjoint_band(tmain), gc)
+    if zpath.lambda_b == 0.0:
+        raise NonFinite("integrating factor lambda(b) underflowed to 0")
     return total[1:-1] / zpath.lambda_b

@@ -52,8 +52,10 @@ node or an interval midpoint, and every delayed one the same point m
 panels back. A sampled trajectory or direction on the grid is then read
 once on the whole grid, at its nodes and one cubic per interval, with no
 interval search (SampledTrajectory.read_grid), each row a slice of that
-read, and the solver's spline adjoint sums its weights per piece by slices
-of the same grid order (Panels.scatter), both with the bits of a search.
+read, with the bits of a search. The package's one spline adjoint, behind
+the solver gradient, sums its weights per piece by slices of the same grid
+order (Panels.scatter); a plan with a kink off the nodes is read by a
+search and has no adjoint.
 The first variation, the solver gradient and the invariance defect take
 the samples from the z-path, with z and lambda there (RK4's cubic Hermite
 dense output at the midpoints, ZPath.samples; no spline) and the
@@ -61,7 +63,7 @@ Lagrangian partials filled in on first use, and are each a short formula
 over them. A direction eta is a sampled trajectory with zero history
 (trajectory.VariationDirection), so the first variation reads it through
 Panels.read too; the one spline through node values (trajectory.CubicSpline)
-and its adjoint live in trajectory.
+and the transpose of its build (trajectory.build_adjoint) live in trajectory.
 All operations are pure (a fill-in on first use writes the same values
 whichever caller comes first); concurrent integrations are safe.
 """
@@ -86,7 +88,6 @@ from .trajectory import (
     VariationDirection,
     adjoint_band,
     build_adjoint,
-    spline_adjoint,
 )
 
 # the factors p of z^(p-1) wd in the weight of the z^p coefficient, p = 1, 2, 3
@@ -503,22 +504,22 @@ class Panels(Samples):
         x(s - tau) + w[3] x'(s - tau)) over the samples s, the reads of a
         sampled trajectory on the plan's grid with node values y on [a, b]
         (delayed reads left of a leave y alone): the transpose of read, the
-        spline adjoint of the solver gradient. On a regular plan the weights
-        are summed per piece of the [a, b] spline in the order of
-        trajectory.spline_adjoint's bincounts (lefts, midpoints, rights, then
-        the delayed samples inside [a, b], each in panel order), all by
-        slices of w: a node sample adds w[0] to the constant and w[1] to the
-        linear coefficient and exact zeros elsewhere, the samples off the
-        nodes their weights at the plan's offset powers, and the delayed
-        samples of panel i land on piece i - m, so the sums have its bits."""
+        package's one spline adjoint, behind the solver gradient. The plan
+        must be regular; one whose panels are not the grid's intervals
+        raises InvalidTrajectory. The weights are summed per piece of the
+        [a, b] spline in the order of a sum from zero over the samples one by
+        one (lefts, midpoints, rights, then the delayed samples inside [a,
+        b], each in panel order; tests/conftest.py::per_call_adjoint is its
+        oracle), all by slices of w: a node sample adds w[0] to the constant
+        and w[1] to the linear coefficient and exact zeros elsewhere, the
+        samples off the nodes their weights at the plan's offset powers, and
+        the delayed samples of panel i land on piece i - m, so the sums have
+        that order's bits."""
         plan, k = self.plan, self.k
-        nodes = plan.grid.main_nodes
         if plan.offsets is None:
-            inside = self.inside
-            return spline_adjoint(nodes, np.concatenate([self.times, self.delayed[inside]]),
-                                  np.concatenate([w[0], w[2][inside]]),
-                                  np.concatenate([w[1], w[3][inside]]))
-        m, powers = plan.grid.m, plan.powers
+            raise InvalidTrajectory(
+                "no gradient: a trajectory kink off the grid nodes splits a panel")
+        nodes, m, powers = plan.grid.main_nodes, plan.grid.m, plan.powers
         # x and x', then x(s - tau) and x'(s - tau), at the samples off the
         # nodes: the midpoints, b, the delayed midpoints inside, b if tau = 0
         wv, wd = w_off = np.empty((2, powers.shape[1]))
@@ -531,7 +532,7 @@ class Panels(Samples):
         t = np.empty((4, len(wv)))
         t[0] = wv
         np.multiply(powers, powers[1] * wv + _POWER_RANKS * wd, out=t[1:])
-        # per piece as the bincounts add: its left node, its midpoint, its
+        # per piece in that order: its left node, its midpoint, its
         # right node as the next piece's left, b on the last piece; then the
         # delayed samples, m pieces back. The first two terms of a sum from
         # zero commute, bit for bit, so the midpoints start it
@@ -566,4 +567,6 @@ def first_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     total = float(np.sum(P.simpson(f)))
     if not isfinite(total):
         raise NonFinite("first variation is non-finite")
+    if zpath.lambda_b == 0.0:
+        raise NonFinite("integrating factor lambda(b) underflowed to 0")
     return total / zpath.lambda_b

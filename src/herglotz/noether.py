@@ -45,7 +45,7 @@ from .conditions import (
     _masked,
     node_tables,
 )
-from .errors import InvalidTrajectory
+from .errors import InvalidTrajectory, NonFinite
 from .integrate import ZPath
 from .reportio import csv_text
 from .trajectory import HerglotzProblem, Trajectory
@@ -115,7 +115,8 @@ def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                     group: SymmetryGroup,
                     tol: float = TOLERANCES["inv"]) -> InvarianceProfile:
     """Invariance defect h(t) on [a, b] and its sup-norm verdict at tol; zero
-    identically iff the group leaves the functional invariant. h(a) = 0 exactly."""
+    identically iff the group leaves the functional invariant. h(a) = 0 exactly;
+    a lambda that underflows to 0 at a node raises NonFinite."""
     P = zpath.samples(traj)
     sig, xi, dsig, dxi = group.along(P.times, P.x, P.dx)
     sig_d, xi_d, dsig_d, dxi_d = group.along(P.delayed, P.xtau, P.dxtau)
@@ -129,6 +130,8 @@ def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                  + P.table("dxtau") * np.where(outside, 0.0, dxi_d - P.dxtau * dsig_d)
                  + P.table("L") * dsig)
     cum = np.concatenate([[0.0], np.cumsum(P.simpson(f))])
+    if not np.all(zpath.lam):
+        raise NonFinite("integrating factor lambda underflowed to 0")
     h_nodes = cum[P.node_pos] / zpath.lam
     sup = float(np.max(np.abs(h_nodes)))
     return InvarianceProfile(times=problem.grid.main_nodes, values=h_nodes,

@@ -15,9 +15,9 @@ maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (integrate.Panels.scatter,
 the transpose of the read, then trajectory.build_adjoint, the transpose of
 the build of trajectory.CubicSpline): the Simpson-weighted partials at the
-panel samples summed per spline piece, by slices in the grid's order on a
-regular panel plan, plus one tridiagonal solve with the plan's band, O(n)
-per call.
+panel samples summed per spline piece, by slices in the grid's order (every
+sampled trajectory on the grid has a regular panel plan), plus one
+tridiagonal solve with the plan's band, O(n) per call.
 
 The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
 the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and
@@ -122,15 +122,19 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     adjoint (Panels.scatter), so all unit directions are paired at once in
     O(n).
 
-    The solver drives sampled trajectories, but any trajectory backend is
-    accepted: the entries are then the first variations along the unit node
-    directions of the grid. zpath must come from integrate_z along this very
-    trajectory object, whose samples it carries, on a grid equal to the
-    problem's (equal grids have the same nodes, so the panel plan holds for
-    them)."""
+    The solver drives sampled trajectories, but any trajectory whose panels
+    are the grid's intervals is accepted (a piecewise one with its kinks on
+    the nodes); else InvalidTrajectory. The entries are the first variations
+    along the unit node directions of the grid. zpath must come from
+    integrate_z along this very trajectory object, whose samples it carries,
+    on a grid equal to the problem's (equal grids have the same nodes, so
+    the panel plan holds for them). A lambda(b) that underflows to 0 raises
+    NonFinite."""
     P = zpath.samples(traj)
     if problem.grid != P.plan.grid:
         raise InvalidTrajectory("z-path was integrated on a different grid")
+    if zpath.lambda_b == 0.0:
+        raise NonFinite("integrating factor lambda(b) underflowed to 0")
     tables = np.array([P.table(name) for name in ("x", "dx", "xtau", "dxtau")])
     g = P.scatter(P.plan.weights * P.lam * tables)[1:-1]
     g /= zpath.lambda_b

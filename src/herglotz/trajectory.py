@@ -14,14 +14,14 @@ Two backends:
   direction is a sampled trajectory too (VariationDirection), with zero node
   values on [a-tau, a] and at b. CubicSpline is the package's one spline
   through node values (the residual pairing of conditions uses it too), and
-  spline_adjoint is the transpose of its natural-end build and read, sharing
-  the slope matrix and its end rows with it (build_adjoint, the build's
-  transpose, with the band of adjoint_band). A read locates its samples on
-  the nodes (locate: piece, offset, node hits) and then reads there. A read
-  of the whole grid, one sample in every interval (integrate's regular
-  panel plan), skips the search: SampledTrajectory.read_grid reads the node
-  values, the slope coefficients at the nodes and one cubic per interval,
-  in the grid's order, with the same bits.
+  build_adjoint is the transpose of its natural-end build, sharing the slope
+  matrix and its end rows with it (with the band of adjoint_band). A read
+  searches the nodes for the piece and offset of each sample, and for the
+  samples on a node, and then reads there. A read of the whole grid, one
+  sample in every interval (integrate's regular panel plan), skips the
+  search: SampledTrajectory.read_grid reads the node values, the slope
+  coefficients at the nodes and one cubic per interval, in the grid's order,
+  with the same bits.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -153,41 +153,13 @@ def _slope_band(x: np.ndarray, bc: str):
     return band, knot
 
 
-@dataclass(frozen=True, eq=False)
-class Located:
-    """Samples t located on the nodes x of a spline: the piece i of each
-    (x[i] <= t < x[i+1], the end pieces extended), its offset z = t - x[i],
-    and the samples equal to a node (rows, ascending) with that node (at),
-    where a value read returns the stored value. It depends on x alone, so
-    one location serves every spline through the same nodes; its arrays are
-    read-only, and it compares and hashes by identity."""
-
-    i: np.ndarray
-    z: np.ndarray
-    rows: np.ndarray
-    at: np.ndarray
-
-
-def locate(x: np.ndarray, t: np.ndarray) -> Located:
-    """Locate the samples t (one axis) on the ascending nodes x: one interval
-    search."""
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    # the right end x_n is the end of the last piece
-    at = i + (t == x[-1])
-    rows = np.flatnonzero(t == x[at])
-    loc = Located(i, t - x[i], rows, at[rows])
-    for arr in (loc.i, loc.z, loc.rows, loc.at):
-        arr.setflags(write=False)
-    return loc
-
-
 class CubicSpline:
     """C2 cubic spline through (x, y) with "natural" or "not-a-knot" ends;
-    y holds one value, or one row of columns, per node.
+    y holds one value per node.
     CubicSpline(x, y, bc)(ts, nu) reads the nu-th derivative (nu = 0, 1, 2)
-    at ts, and .read(ts, nus) several derivatives after one interval search
-    (locate); reads outside [x_0, x_n] extend the end pieces, and a value
-    read exactly at a node returns the stored value.
+    at ts, and .read(ts, nus) several derivatives after one interval search;
+    reads outside [x_0, x_n] extend the end pieces, and a value read exactly
+    at a node returns the stored value.
 
     The build and the read are scipy.interpolate.CubicSpline's, step for step,
     so they give its bits (its not-a-knot cases for 2 and 3 nodes aside): the C2
@@ -198,10 +170,8 @@ class CubicSpline:
     def __init__(self, x, y, bc: str):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self._cols = y.shape[1:]
-        y = y.reshape(len(x), -1)
-        dx = np.diff(x)[:, None]
-        slope = np.diff(y, axis=0) / dx
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
         band, knot = _slope_band(x, bc)
         b = np.empty_like(y)
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
@@ -224,22 +194,27 @@ class CubicSpline:
 
     def read(self, ts, nus) -> tuple:
         """The derivatives of orders nus at ts, one array each, with the bits
-        of separate calls: locate ts on the nodes, then read there."""
+        of separate calls: one interval search for the piece i of each sample
+        (x[i] <= t < x[i+1], the end pieces extended), its offset and the
+        samples on a node, then a read there."""
         ts = np.asarray(ts, dtype=float)
-        loc = locate(self.x, ts.reshape(-1))
-        out = _power_sums(self.c, loc.i, loc.z, nus)
+        t, x = ts.reshape(-1), self.x
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+        # the right end x_n is the end of the last piece
+        at = i + (t == x[-1])
+        rows = np.flatnonzero(t == x[at])
+        out = _power_sums(self.c, i, t - x[i], nus)
         for nu, res in zip(nus, out):
             if nu == 0:
                 # a copy, not z = 0, so a stored -0.0 stays -0.0
-                res[loc.rows] = self.y[loc.at]
-        return tuple(r.reshape(ts.shape + self._cols) for r in out)
+                res[rows] = self.y[at[rows]]
+        return tuple(r.reshape(ts.shape) for r in out)
 
 
 def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
     """The derivatives of orders nus at the offsets z into the pieces i of
-    the spline coefficients c, one array per order with a row per sample."""
+    the spline coefficients c, one array per order with an entry per sample."""
     c = np.take(c, i, axis=0)
-    z = z[:, None]
     # the running product 1, z, z*z, (z*z)*z, shared by every order
     z2 = z * z
     powers = (1.0, z, z2, z2 * z)
@@ -247,7 +222,7 @@ def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
     for nu in nus:
         # PPoly's sum by powers of z from zero, less its products by exactly 1;
         # Horner's scheme would round differently
-        res = np.zeros((len(z), c.shape[2]))
+        res = np.zeros(len(z))
         for k in range(nu, 4):
             term = c[:, 3 - k] if k == nu else c[:, 3 - k] * powers[k - nu]
             factor = perm(k, nu)
@@ -318,9 +293,9 @@ class SampledTrajectory:
         at_nodes = np.empty((2, N + 1))
         at_nodes[0] = self.values
         # + 0.0: read's running sum from zero turns a slope of -0.0 into 0.0
-        np.add(c[:, 2, 0], 0.0, out=at_nodes[1, :N])
-        at_nodes[1, N] = d[N, 0]
-        return at_nodes, np.concatenate((v[:N], d[:N]), axis=1).T, d[N + 1:, 0]
+        np.add(c[:, 2], 0.0, out=at_nodes[1, :N])
+        at_nodes[1, N] = d[N]
+        return at_nodes, np.stack((v[:N], d[:N])), d[N + 1:]
 
     def eval(self, t: float, side: str = "right"):
         x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
@@ -434,30 +409,12 @@ class VariationDirection(SampledTrajectory):
 
 def adjoint_band(nodes: np.ndarray) -> np.ndarray:
     """The slope matrix of the natural spline through nodes, transposed, in
-    solve_tridiagonal's layout and read-only: the system spline_adjoint
+    solve_tridiagonal's layout and read-only: the system build_adjoint
     solves."""
     band, _ = _slope_band(np.asarray(nodes, dtype=float), "natural")
     band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
     band.setflags(write=False)
     return band
-
-
-def spline_adjoint(nodes: np.ndarray, ts: np.ndarray, wv: np.ndarray,
-                   wd: np.ndarray) -> np.ndarray:
-    """Node weights g with g . y = sum(wv * s(ts) + wd * s'(ts)) for the
-    spline s = CubicSpline(nodes, y, "natural"), i.e. the transpose of the
-    [a, b] spline read of SampledTrajectory. It runs the steps of the build
-    and the read transposed, in reverse order: O(len(ts) + n).
-    """
-    x = np.asarray(nodes, dtype=float)
-    loc = locate(x, ts)
-    i, z, pieces = loc.i, loc.z, len(x) - 1
-    # the read: s = c3 + c2 z + c1 z^2 + c0 z^3, s' = c2 + 2 c1 z + 3 c0 z^2
-    return build_adjoint(x, adjoint_band(x), (
-        np.bincount(i, wv, pieces),
-        np.bincount(i, z * wv + wd, pieces),
-        np.bincount(i, z * (z * wv + 2.0 * wd), pieces),
-        np.bincount(i, z * z * (z * wv + 3.0 * wd), pieces)))
 
 
 # the natural end rows of the slope system's right-hand side, in y_0, y_1

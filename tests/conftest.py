@@ -189,19 +189,19 @@ def per_call_spline_read(spline, ts, nus):
     t = ts.reshape(-1)
     x = spline.x
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    z = (t - x[i])[:, None]
+    z = t - x[i]
     c = np.take(spline.c, i, axis=0)
     z2 = z * z
     powers = (1.0, z, z2, z2 * z)
     out = []
     for nu in nus:
-        res = np.zeros((len(t), c.shape[2]))
+        res = np.zeros(len(t))
         for k in range(nu, 4):
             res += c[:, 3 - k] * powers[k - nu] * perm(k, nu)
         if nu == 0:
             at = i + (t == x[-1])
-            np.copyto(res, spline.y[at], where=(t == x[at])[:, None])
-        out.append(res.reshape(ts.shape + spline._cols))
+            np.copyto(res, spline.y[at], where=t == x[at])
+        out.append(res.reshape(ts.shape))
     return tuple(out)
 
 
@@ -245,7 +245,8 @@ def per_call_first_variation(P, zpath, eta):
 
 
 def per_call_adjoint(nodes, ts, wv, wd):
-    """spline_adjoint with its own interval search and transposed band."""
+    """The spline adjoint of Panels.scatter with an interval search of its
+    own, a bincount per coefficient and a transposed band of its own."""
     x = np.asarray(nodes, dtype=float)
     n = len(x)
     dx = np.diff(x)

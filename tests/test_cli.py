@@ -7,6 +7,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,26 @@ class TestExitCodes:
         cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps(data))
         assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command", ["solve", "invariance", "noether"])
+    def test_underflowed_integrating_factor_is_exit_3(self, tmp_path, capsys, command):
+        # z(b) = 0.87 is finite but lambda(b) = exp(-800) underflows to 0.0,
+        # which the gradient and the invariance defect divide by
+        data = {"interval": {"a": 0.0, "b": 1.0}, "tau": 0.0, "n": 2000, "gamma": 0.0,
+                "beta": 1.0, "history": "0", "lagrangian": "exp(800*(t - 1))*dx^2 + 800*z"}
+        if command != "solve":
+            data.update(trajectory={"backend": "pieces", "pieces": [
+                {"from": 0.0, "to": 1.0, "expr": "t"}]}, group={"sigma": "0", "xi": "1"})
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert "lambda" in capsys.readouterr().err
+        for report in out.glob("*"):
+            assert "NaN" not in report.read_text()
 
     @pytest.mark.parametrize("command", ["integrate", "solve"])
     def test_tol_is_a_usage_error_where_nothing_is_checked(self, tmp_path, capsys,

@@ -12,7 +12,7 @@ import pytest
 import herglotz as hg
 from herglotz import errors, expr, integrate
 from herglotz.bundles import BUNDLE_NAMES
-from herglotz.conditions import node_tables
+from herglotz.conditions import el_residuals, node_tables, weak_form_values
 from herglotz.integrate import (
     Panels,
     VariationDirection,
@@ -23,7 +23,7 @@ from herglotz.integrate import (
 )
 from herglotz.noether import group_variation
 from herglotz.solver import solve_direct, variational_gradient
-from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
+from herglotz.trajectory import CubicSpline, PiecewiseTrajectory, SampledTrajectory, build_grid
 
 from conftest import (
     affine_rk4,
@@ -278,6 +278,31 @@ class TestLambda:
         expected = np.exp(-2.0 * (g.main_nodes - g.a))
         assert np.max(np.abs(zp.lam - expected)) < 1e-8
 
+    @pytest.mark.parametrize("backend", ["sampled", "pieces"])
+    def test_underflowed_factor_is_non_finite(self, backend):
+        # z(b) is finite but lambda(b) = exp(-800) underflows to 0.0: every
+        # division by lambda raises NonFinite, with no RuntimeWarning
+        g = build_grid(0.0, 1.0, 0.0, 2000)
+        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="0",
+                                     lagrangian="exp(800*(t - 1))*dx^2 + 800*z")
+        if backend == "sampled":
+            traj = hg.seed_trajectory(problem, "linear")
+        else:
+            traj = PiecewiseTrajectory(g, [(0.0, 1.0, "t")])
+        zp = integrate_z(problem, traj)
+        assert math.isfinite(zp.z_b) and zp.lambda_b == 0.0
+        eta = VariationDirection.from_free(g, np.ones(g.n - 1))
+        group = hg.SymmetryGroup(sigma="0", xi="1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: variational_gradient(problem, traj, zp),
+                         lambda: first_variation(problem, traj, zp, eta),
+                         lambda: group_variation(problem, traj, zp, group),
+                         lambda: weak_form_values(problem, traj, zp,
+                                                  *el_residuals(problem, traj, zp))):
+                with pytest.raises(errors.NonFinite, match="underflowed to 0"):
+                    call()
+
 
 class TestFirstVariation:
     def test_zero_direction(self):
@@ -472,8 +497,9 @@ class TestZPathSamples:
         # a trajectory that reads no spline needs no location of its samples
         problem, traj, group, _ = build_paper(100)
         located = []
-        original = hg.trajectory.locate
-        monkeypatch.setattr(hg.trajectory, "locate", lambda *a: located.append(1) or original(*a))
+        original = CubicSpline.read
+        monkeypatch.setattr(CubicSpline, "read",
+                            lambda self, *a: located.append(1) or original(self, *a))
         zp = integrate_z(problem, traj)
         zp.samples(traj)
         group_variation(problem, traj, zp, group)
@@ -493,6 +519,17 @@ class TestZPathSamples:
 
 def _bits(*arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def assert_gradient_or_refusal(problem, traj, zpath):
+    """The gradient has the per-call oracle's bits on a regular plan; a plan
+    whose panels are not the grid's intervals has no gradient."""
+    if zpath.panels.plan.offsets is None:
+        with pytest.raises(errors.InvalidTrajectory, match="kink off the grid nodes"):
+            variational_gradient(problem, traj, zpath)
+    else:
+        assert _bits(variational_gradient(problem, traj, zpath)) == \
+            _bits(per_call_gradient(problem, traj, zpath))
 
 
 def assert_delayed_panels(plan):
@@ -530,8 +567,7 @@ class TestPanelPlan:
             assert_delayed_panels(P.plan)
             assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
             assert _bits(P.z, P.lam) == _bits(*per_panel_hermite(problem, zp))
-            assert _bits(variational_gradient(problem, tr, zp)) == \
-                _bits(per_call_gradient(problem, tr, zp))
+            assert_gradient_or_refusal(problem, tr, zp)
 
     def test_grid_off_a_plus_tau_reads_by_the_grid_with_the_same_bits(self):
         # a + m h is one ulp off a + tau on [0, 1] at tau = 0.3, n = 10: the
@@ -582,8 +618,7 @@ class TestPanelPlan:
         P = zp.samples(traj)
         assert (P.plan.offsets is not None) == (kink is None)
         assert_delayed_panels(P.plan)
-        assert _bits(variational_gradient(problem, traj, zp)) == \
-            _bits(per_call_gradient(problem, traj, zp))
+        assert_gradient_or_refusal(problem, traj, zp)
         rng = np.random.default_rng(5)
         for _ in range(3):
             eta = VariationDirection.from_free(problem.grid, rng.normal(size=problem.grid.n - 1))
@@ -591,25 +626,24 @@ class TestPanelPlan:
                 per_call_first_variation(P, zp, eta)
 
     def test_one_plan_and_no_interval_search_over_a_solve(self, monkeypatch):
-        # the plan is built once; on its regular grid no sample is located and
-        # no weight is scattered by bincount (at n = 98, a + m h != a + tau)
+        # the plan is built once; on its regular grid no spline is searched
+        # (at n = 98, a + m h != a + tau)
         counts = {}
-        for module, name in ((integrate, "integration_stops"), (hg.trajectory, "locate"),
-                             (np, "bincount")):
-            original = getattr(module, name)
+        for owner, name in ((integrate, "integration_stops"), (CubicSpline, "read")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         for n in (100, 98):
             problem, _, _, _ = build_paper(n)
-            counts.update(integration_stops=0, locate=0, bincount=0)
+            counts.update(integration_stops=0, read=0)
             result = solve_direct(problem)
             assert result.converged and result.iterations >= 5
             assert result.zpath.samples(result.trajectory).plan.offsets is not None
-            assert counts == {"integration_stops": 1, "locate": 0, "bincount": 0}
+            assert counts == {"integration_stops": 1, "read": 0}
 
     def test_plan_arrays_are_read_only(self):
         problem, _, _, _ = build_paper(40)

@@ -17,7 +17,7 @@ from herglotz.solver import (
 )
 from herglotz.trajectory import SampledTrajectory, build_grid
 
-from conftest import build_bundle, build_paper, unit_direction, wavy_sampled
+from conftest import build_bundle, build_paper, wavy_sampled
 
 E = math.e
 
@@ -104,25 +104,6 @@ class TestGradients:
         np.testing.assert_allclose(g_max, -g_min, atol=1e-15)
         np.testing.assert_allclose(fd_gradient(flipped, traj),
                                    -fd_gradient(problem, traj), atol=1e-15)
-
-    def test_basis_cache_distinguishes_kink_layouts(self):
-        # same grid, same stop count, different off-node kinks: the gradient
-        # must follow the kinks' panel times, not just their number
-        from herglotz.integrate import first_variation
-        from herglotz.trajectory import PiecewiseTrajectory
-
-        g = build_grid(0.0, 1.0, 0.0, 16)
-        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0,
-                                     history="0", lagrangian="dx^2")
-        for kink in (0.33, 0.41):
-            traj = PiecewiseTrajectory(
-                g, [(0.0, kink, "t"), (kink, 1.0, f"{kink} + (t - {kink})")])
-            zp = integrate_z(problem, traj)
-            gv = variational_gradient(problem, traj, zp)
-            fv = np.array([
-                first_variation(problem, traj, zp, unit_direction(g, j))
-                for j in g.free_indices])
-            assert np.max(np.abs(gv - fv)) < 1e-12
 
     @pytest.mark.parametrize("name", ["paper-s4", "herglotz-damped", "classical-line"])
     def test_matches_first_variation_at_large_n(self, name):

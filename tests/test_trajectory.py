@@ -10,13 +10,13 @@ from herglotz.trajectory import (
     CubicSpline,
     PiecewiseTrajectory,
     SampledTrajectory,
+    adjoint_band,
+    build_adjoint,
     build_grid,
-    locate,
     perturb,
     sampled_from_csv,
     seed_trajectory,
     solve_tridiagonal,
-    spline_adjoint,
     trajectory_csv,
 )
 
@@ -200,21 +200,20 @@ class TestCubicSpline:
                                  rng.uniform(x[0], x[-1], 40)])
             for bc in ("natural", "not-a-knot"):
                 ref_bc = bc if n >= 4 else "natural"
-                for y in (rng.normal(size=n), rng.normal(size=(n, 2))):
-                    ours, ref = CubicSpline(x, y, bc), ScipyCubicSpline(x, y, bc_type=ref_bc)
-                    together = ours.read(ts, (0, 1, 2))
-                    for nu in (0, 1, 2):
-                        want = ref(ts, nu)
-                        if nu == 0:
-                            want[:n] = y    # a read at a node returns the stored value
-                        np.testing.assert_array_equal(ours(ts, nu), want, strict=True)
-                        np.testing.assert_array_equal(together[nu], want, strict=True)
+                y = rng.normal(size=n)
+                ours, ref = CubicSpline(x, y, bc), ScipyCubicSpline(x, y, bc_type=ref_bc)
+                together = ours.read(ts, (0, 1, 2))
+                for nu in (0, 1, 2):
+                    want = ref(ts, nu)
+                    if nu == 0:
+                        want[:n] = y    # a read at a node returns the stored value
+                    np.testing.assert_array_equal(ours(ts, nu), want, strict=True)
+                    np.testing.assert_array_equal(together[nu], want, strict=True)
 
-    @pytest.mark.parametrize("cols", [(), (2,)])
-    def test_several_orders_read_as_separate_reads(self, cols):
+    def test_several_orders_read_as_separate_reads(self):
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(-1.0, 2.0, 9))
-        y = rng.normal(size=(9, *cols))
+        y = rng.normal(size=9)
         span = x[-1] - x[0]
         ts = np.concatenate([x, [x[0] - 1e-3 * span, x[-1] + 1e-3 * span],
                              rng.uniform(x[0], x[-1], 30)])
@@ -231,17 +230,6 @@ class TestCubicSpline:
         y = np.array([-0.0, 1.0, -0.0, 3.0, -0.0])
         got = CubicSpline(x, y, "not-a-knot")(x)
         assert list(np.signbit(got)) == [True, False, True, False, True]
-
-
-class TestLocate:
-    def test_compares_and_hashes_by_identity(self):
-        # numpy fields: a field-wise == or hash would raise
-        x, t = np.linspace(0.0, 1.0, 5), np.array([0.1, 0.5])
-        loc, again = locate(x, t), locate(x, t)
-        assert loc == loc and loc != again
-        assert hash(loc) == hash(loc)
-        assert len({loc, again}) == 2
-        assert list(loc.i) == [0, 2] and list(loc.rows) == [1] and list(loc.at) == [2]
 
 
 class TestSolveTridiagonal:
@@ -278,7 +266,13 @@ class TestSplineAdjoint:
             return np.sum(wv * s(ts) + wd * s(ts, 1))
 
         brute = np.array([paired(e) for e in np.eye(n)])
-        g = spline_adjoint(x, ts, wv, wd)
+        # the weights of the coefficients of z^p, summed per piece: a value
+        # read weighs z^p, a slope read p z^(p-1)
+        i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, n - 2)
+        z = ts - x[i]
+        gc = [np.bincount(i, w, n - 1) for w in (
+            wv, z * wv + wd, z * (z * wv + 2.0 * wd), z * z * (z * wv + 3.0 * wd))]
+        g = build_adjoint(x, adjoint_band(x), gc)
         np.testing.assert_allclose(g, brute, rtol=0, atol=1e-13 * np.max(np.abs(brute)))
         y = rng.normal(size=n)
         assert g @ y == pytest.approx(paired(y), rel=1e-13)
