@@ -232,6 +232,17 @@ _COMMANDS = (
 )
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite real >= 0; any other exits 2 as a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
+    return value
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The herglotz argument parser. Given a command name it registers that
     command's subparser only, under the usage line of the full parser, which
@@ -261,7 +272,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="report directory (default ./out)")
         p.add_argument("--n", type=int, default=None, help="override the grid resolution")
         if tol:
-            p.add_argument("--tol", type=float, default=None, help="override check tolerances")
+            p.add_argument("--tol", type=_tolerance, default=None,
+                           help="override check tolerances (a finite real >= 0)")
         p.set_defaults(handler=fn)
     return parser
 

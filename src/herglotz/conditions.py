@@ -255,9 +255,9 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     nodal[1:] += w * ends_hi
     nodal[k1] += zpath.lambda_b * p5_b
     # the midpoint of piece i lies at z into it: its value read weighs the
-    # coefficients of z^p by z^p wv, each summed from zero
+    # coefficients of z^p by z^p wv
     z, wv = mids - tmain[:-1], 4.0 * w * sm
-    gc = np.stack((wv, z * wv, z * (z * wv), z * z * (z * wv))) + 0.0
+    gc = (wv, z * wv, z * (z * wv), z * z * (z * wv))
     total = nodal + build_adjoint(tmain, adjoint_band(tmain), gc)
     if zpath.lambda_b == 0.0:
         raise NonFinite("integrating factor lambda(b) underflowed to 0")

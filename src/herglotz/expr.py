@@ -30,9 +30,8 @@ infinite included.
 A loop that changes one variable only, such as the RK4 stages in z, needs
 no walk per pass where the tree is affine in that variable: affine reads it
 as A + B*var by a structural degree test and returns the per-sample columns
-A and B from one walk over the array bindings, whose ^ and functions run
-through the float kernels (see _Libm). Any other tree is walked whole on
-floats at every pass.
+A and B from one array walk over the bindings, with numpy's kernels. Any
+other tree is walked whole on floats at every pass.
 """
 
 from __future__ import annotations
@@ -305,19 +304,6 @@ def _lookup(b: Bindings, name: str) -> Value:
     return v
 
 
-class _Libm(np.ndarray):
-    """Samples whose ^ and functions run through the float kernels one sample
-    at a time, so every value has the bits the float walk gives it (numpy's
-    SIMD power and transcendental loops round differently from libm). +, -,
-    * and / round alike either way and stay whole-array, and so does ^2,
-    which is u*u on every path."""
-
-
-def _by_sample(kernel, *args) -> _Libm:
-    cols = (a.tolist() for a in np.broadcast_arrays(*args))
-    return np.array(list(map(kernel, *cols)), dtype=float).view(_Libm)
-
-
 def _sin(u: float) -> float:
     return math.nan if math.isinf(u) else math.sin(u)  # as np.sin; math.sin raises
 
@@ -350,11 +336,9 @@ _ARRAY_KERNELS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
 
 def _apply(fn: str, u: Value) -> Value:
     """The function fn at u, after its domain check has run: math on a float,
-    numpy on an array, math sample by sample on a _Libm column."""
+    numpy on an array."""
     if not _is_array(u):
         return _FLOAT_KERNELS[fn](u)
-    if type(u) is _Libm:
-        return _by_sample(_FLOAT_KERNELS[fn], u)
     return _ARRAY_KERNELS[fn](u)
 
 
@@ -368,8 +352,6 @@ def _pow_value(u: Value, v: Value) -> Value:
             raise DomainError("zero raised to a negative power")
         if np.any(np.less(u, 0.0) & np.not_equal(v, np.round(v))):
             raise DomainError("negative base with a fractional exponent")
-        if type(u) is _Libm or type(v) is _Libm:
-            return _by_sample(_pow, u, v)
         return np.power(u, v)
     # the same tests on plain floats: np.round(inf) == inf, nan is no integer
     if u == 0.0 and v < 0.0:
@@ -507,16 +489,17 @@ def affine(e: Expression, var: str, bindings: Bindings):
 
     Affine means var enters only through +, -, negation, products with at
     most one factor holding var, and numerators over var-free denominators;
-    ^ and the functions must be var-free. A and B come from one walk seeded
-    on var with var bound to zero, over _Libm views of the bindings and with
-    overflow silent, as on floats, so a var-free subtree has the bits it has
-    in the float walk. A + B*v rounds like the tree where the tree is A +- b*v
-    itself; otherwise the two may differ in the last bits. Raises what the
-    walk raises, possibly at a sample the caller would have reached later.
+    ^ and the functions must be var-free. A and B come from one array walk
+    seeded on var with var bound to zero and overflow silent, as on floats,
+    so they have the float walk's bits up to the last bits of ^ and the
+    functions, where numpy's loops and libm may round apart. A + B*v rounds
+    like the tree where the tree is A +- b*v itself; otherwise the two may
+    differ in the last bits. Raises what the walk raises, possibly at a
+    sample the caller would have reached later.
     """
     if _degree(e, var) > 1:
         return None
-    cols = {k: np.asarray(v, dtype=float).view(_Libm) for k, v in bindings.items()}
+    cols = {k: np.asarray(v, dtype=float) for k, v in bindings.items()}
     shape = np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
     cols[var] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,15 +11,16 @@ trajectory; since tau sits exactly on the grid, delayed reads at nodes land
 on nodes. Stage times at substep ends use one-sided trajectory limits so the
 integrand stays smooth within each substep. Along the trajectory only z
 changes from stage to stage. Where L is affine in z, L = A + B z (expr.affine;
-every shipped bundle is), one walk over all the samples gives the columns A
-and B: log-lambda is then one running sum of -B, bit for bit the stage
-walk's, and each RK4 step is an affine map z -> z + p + r z, its p and r the
-stage formulas on the whole columns. A scan composes the k maps in
-ceil(log2 k) whole-array rounds, with no Python loop over the panels; z then
-rounds otherwise than a stage loop, and lies within 16 u M of exact RK4 on
-the same columns at every stop (u = 2^-53, M the same formulas run on |A|,
-|B| and |gamma|). Otherwise each stage binds the sample's t, x, dx, xtau and
-dxtau as floats, then z, and walks the whole tree of L; z and lambda are bit
+every shipped bundle is), one array walk over all the samples gives the
+columns A and B: log-lambda is then one running sum of -B, bit for bit the
+stage walk's up to the last bits of ^ (other than ^2) and the functions,
+which numpy's kernels and libm may round apart, and each RK4 step is an
+affine map z -> z + p + r z, its p and r the stage formulas on the whole
+columns. A scan composes the k maps in ceil(log2 k) whole-array rounds,
+with no Python loop over the panels; z then rounds otherwise than a stage
+loop, and lies within 16 u M of exact RK4 on the same columns at every stop
+(u = 2^-53, M the same formulas run on |A|, |B| and |gamma|). Otherwise each
+stage binds the sample's t, x, dx, xtau and dxtau as floats, then z, and walks the whole tree of L; z and lambda are bit
 for bit those of that walk. A stage that meets a non-finite z, or a stop
 where z or log-lambda is one, raises NonFinite; where the scan meets a
 non-finite value, the stage walk runs instead, so the error names the same
@@ -53,9 +54,10 @@ panels back. A sampled trajectory or direction on the grid is then read
 once on the whole grid, at its nodes and one cubic per interval, with no
 interval search (SampledTrajectory.read_grid), each row a slice of that
 read, with the bits of a search. The package's one spline adjoint, behind
-the solver gradient, sums its weights per piece by slices of the same grid
-order (Panels.scatter); a plan with a kink off the nodes is read by a
-search and has no adjoint.
+the solver gradient, is the transpose of that read (Panels.scatter): it
+folds each delayed sample onto the panel m back and sums the weights per
+piece by slices; a plan with a kink off the nodes is read by a search and
+has no adjoint.
 The first variation, the solver gradient and the invariance defect take
 the samples from the z-path, with z and lambda there (RK4's cubic Hermite
 dense output at the midpoints, ZPath.samples; no spline) and the
@@ -421,12 +423,11 @@ class PanelPlan:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """The offset powers 1, z, z^2 of the samples off the nodes of [a, b]
-        that Panels.scatter sums on a regular plan: the midpoints, b, the
-        delayed midpoints inside [a, b] and, if tau = 0, b again."""
-        m, mids, ends = self.grid.m, self.offsets[self.grid.m:], self.grid.main_nodes[-2:]
-        b = ends[1:] - ends[:1]
-        z = np.concatenate([mids, b, mids[:self.k - m], [] if m else b])
+        """The offset powers 1, z, z^2 of the k + 1 samples of [a, b] off its
+        nodes that Panels.scatter weighs on a regular plan: the midpoints,
+        then b on the last piece."""
+        nodes = self.grid.main_nodes
+        z = np.append(self.offsets[self.grid.m:], nodes[-1] - nodes[-2])
         powers = np.stack([np.ones_like(z), z, z * z])
         powers.setflags(write=False)
         return powers
@@ -506,48 +507,33 @@ class Panels(Samples):
         (delayed reads left of a leave y alone): the transpose of read, the
         package's one spline adjoint, behind the solver gradient. The plan
         must be regular; one whose panels are not the grid's intervals
-        raises InvalidTrajectory. The weights are summed per piece of the
-        [a, b] spline in the order of a sum from zero over the samples one by
-        one (lefts, midpoints, rights, then the delayed samples inside [a,
-        b], each in panel order; tests/conftest.py::per_call_adjoint is its
-        oracle), all by slices of w: a node sample adds w[0] to the constant
-        and w[1] to the linear coefficient and exact zeros elsewhere, the
-        samples off the nodes their weights at the plan's offset powers, and
-        the delayed samples of panel i land on piece i - m, so the sums have
-        that order's bits."""
+        raises InvalidTrajectory. A panel's delayed samples are those of the
+        panel m back, so the delayed weights first fold onto them, by one
+        slice-add over lefts, midpoints and rights alike. Then, per piece of
+        the [a, b] spline, a node sample adds its weights to the constant
+        and the linear coefficient, and the midpoints and b add theirs at
+        the plan's offset powers."""
         plan, k = self.plan, self.k
         if plan.offsets is None:
             raise InvalidTrajectory(
                 "no gradient: a trajectory kink off the grid nodes splits a panel")
-        nodes, m, powers = plan.grid.main_nodes, plan.grid.m, plan.powers
-        # x and x', then x(s - tau) and x'(s - tau), at the samples off the
-        # nodes: the midpoints, b, the delayed midpoints inside, b if tau = 0
-        wv, wd = w_off = np.empty((2, powers.shape[1]))
-        w_off[:, :k], w_off[:, k], w_off[:, k + 1:2 * k + 1 - m] = (
-            w[:2, k:2 * k], w[:2, -1], w[2:, k + m:2 * k])
-        if not m:
-            w_off[:, -1] = w[2:, -1]
-        # the coefficient weights of the off-node samples, by power of z:
+        m, powers = plan.grid.m, plan.powers
+        # x and x' at the lefts, midpoints and rights, with the delayed
+        # samples of panel i >= m folded onto panel i - m
+        v = w[:2].reshape(2, 3, k).copy()
+        v[:, :, :k - m] += w[2:].reshape(2, 3, k)[:, :, m:]
+        lefts, mids, rights = v[:, 0], v[:, 1], v[:, 2]
+        # the coefficient weights of the midpoints and b, by power of z:
         # wv, z wv + wd, z (z wv + 2 wd), z z (z wv + 3 wd)
-        t = np.empty((4, len(wv)))
-        t[0] = wv
-        np.multiply(powers, powers[1] * wv + _POWER_RANKS * wd, out=t[1:])
-        # per piece in that order: its left node, its midpoint, its
-        # right node as the next piece's left, b on the last piece; then the
-        # delayed samples, m pieces back. The first two terms of a sum from
-        # zero commute, bit for bit, so the midpoints start it
-        gc = t[:, :k] + 0.0
-        gc[:2] += w[:2, :k]
-        gc[:2, 1:] += w[:2, 2 * k:-1]
-        gc[:, -1] += t[:, k]
-        gc[:2, :k - m] += w[2:, m:k]
-        gc[:, :k - m] += t[:, k + 1:2 * k + 1 - m]
-        if m:
-            gc[:2, 1:k - m + 1] += w[2:, 2 * k + m:]
-        else:
-            gc[:2, 1:] += w[2:, 2 * k:-1]
-            gc[:, -1] += t[:, -1]
-        return build_adjoint(nodes, plan.band, gc)
+        wv, wd = np.concatenate([mids, rights[:, -1:]], axis=1)
+        gc = np.empty((4, k + 1))
+        gc[0] = wv
+        np.multiply(powers, powers[1] * wv + _POWER_RANKS * wd, out=gc[1:])
+        gc[:, -2] += gc[:, -1]
+        gc = gc[:, :k]
+        gc[:2] += lefts
+        gc[:2, 1:] += rights[:, :-1]
+        return build_adjoint(plan.grid.main_nodes, plan.band, gc)
 
     def simpson(self, f: np.ndarray) -> np.ndarray:
         """Composite Simpson integral of sampled f over each panel."""

@@ -15,9 +15,9 @@ maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (integrate.Panels.scatter,
 the transpose of the read, then trajectory.build_adjoint, the transpose of
 the build of trajectory.CubicSpline): the Simpson-weighted partials at the
-panel samples summed per spline piece, by slices in the grid's order (every
-sampled trajectory on the grid has a regular panel plan), plus one
-tridiagonal solve with the plan's band, O(n) per call.
+panel samples, each delayed one folded onto the panel m back, summed per
+spline piece by slices (every sampled trajectory on the grid has a regular
+panel plan), plus one tridiagonal solve with the plan's band, O(n) per call.
 
 The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
 the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and

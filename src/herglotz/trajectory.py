@@ -21,7 +21,8 @@ Two backends:
   sample in every interval (integrate's regular panel plan), skips the
   search: SampledTrajectory.read_grid reads the node values, the slope
   coefficients at the nodes and one cubic per interval, in the grid's order,
-  with the same bits.
+  with the same bits (a zero slope's sign aside). Every read runs Horner's
+  rule on its piece.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -161,10 +162,15 @@ class CubicSpline:
     reads outside [x_0, x_n] extend the end pieces, and a value read exactly
     at a node returns the stored value.
 
-    The build and the read are scipy.interpolate.CubicSpline's, step for step,
-    so they give its bits (its not-a-knot cases for 2 and 3 nodes aside): the C2
-    conditions give a tridiagonal system in the node slopes s, and piece i is
-    y_i + s_i z + c1 z^2 + c0 z^3 with z = t - x_i, summed by powers of z.
+    The build is scipy.interpolate.CubicSpline's, step for step, so the
+    coefficients have its bits (its not-a-knot cases for 2 and 3 nodes aside):
+    the C2 conditions give a tridiagonal system in the node slopes s, and
+    piece i is y_i + s_i z + c1 z^2 + c0 z^3 with z = t - x_i. A read runs
+    Horner's rule in z, so its error in the nu-th derivative of the piece is
+    at most gamma_6 = 6u / (1 - 6u) times sum_k |perm(k, nu) c_k z^(k - nu)|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    5.1); a read at a node starts its piece, so x' there is s_i, up to the
+    sign of a zero.
     """
 
     def __init__(self, x, y, bc: str):
@@ -213,20 +219,15 @@ class CubicSpline:
 
 def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
     """The derivatives of orders nus at the offsets z into the pieces i of
-    the spline coefficients c, one array per order with an entry per sample."""
+    the spline coefficients c, one array per order with an entry per sample,
+    each by Horner's rule in z; at z = 0 the order nu reads the coefficient
+    of z^nu times nu!, up to the sign of a zero."""
     c = np.take(c, i, axis=0)
-    # the running product 1, z, z*z, (z*z)*z, shared by every order
-    z2 = z * z
-    powers = (1.0, z, z2, z2 * z)
     out = []
     for nu in nus:
-        # PPoly's sum by powers of z from zero, less its products by exactly 1;
-        # Horner's scheme would round differently
-        res = np.zeros(len(z))
-        for k in range(nu, 4):
-            term = c[:, 3 - k] if k == nu else c[:, 3 - k] * powers[k - nu]
-            factor = perm(k, nu)
-            res += term if factor == 1 else term * factor
+        res = perm(3, nu) * c[:, 0]
+        for k in range(2, nu - 1, -1):
+            res = res * z + perm(k, nu) * c[:, 3 - k]
         out.append(res)
     return out
 
@@ -279,21 +280,20 @@ class SampledTrajectory:
         return (x, dx, ddx) if want_ddx else (x, dx)
 
     def read_grid(self, i: np.ndarray, z: np.ndarray) -> tuple:
-        """A read of the whole grid with eval_many's bits and no interval
-        search, at the offsets z > 0 into the pieces i, history first: one
-        in every interval, then the last pieces of [a, b] and, if tau > 0,
-        of the history at their lengths. Returns x and x' at the nodes (x'
-        from the right, at b from the left), x and x' in the intervals, and
-        x' at a from the left (empty if tau = 0). A node reads its stored
-        value and, as the start of its piece, that piece's linear
-        coefficient for x'."""
+        """A read of the whole grid with eval_many's bits (a zero slope's
+        sign aside) and no interval search, at the offsets z > 0 into the
+        pieces i, history first: one in every interval, then the last pieces
+        of [a, b] and, if tau > 0, of the history at their lengths. Returns
+        x and x' at the nodes (x' from the right, at b from the left), x and
+        x' in the intervals, and x' at a from the left (empty if tau = 0). A
+        node reads its stored value and, as the start of its piece, that
+        piece's linear coefficient for x'."""
         N = len(self.values) - 1
         c = self._main.c if self._hist is None else np.concatenate([self._hist.c, self._main.c])
         v, d = _power_sums(c, i, z, (0, 1))
         at_nodes = np.empty((2, N + 1))
         at_nodes[0] = self.values
-        # + 0.0: read's running sum from zero turns a slope of -0.0 into 0.0
-        np.add(c[:, 2], 0.0, out=at_nodes[1, :N])
+        at_nodes[1, :N] = c[:, 2]
         at_nodes[1, N] = d[N]
         return at_nodes, np.stack((v[:N], d[:N])), d[N + 1:]
 
@@ -309,13 +309,17 @@ class PiecewiseTrajectory:
         self.grid = grid
         parsed = []
         for t0, t1, e in pieces:
+            t0, t1 = float(t0), float(t1)
+            if not (np.isfinite(t0) and np.isfinite(t1)):
+                raise InvalidTrajectory(
+                    f"piece {len(parsed)} has a non-finite end: [{t0}, {t1}]")
             if isinstance(e, str):
                 e = expr.parse(e)
             extra = expr.variables_in(e) - {"t"}
             if extra:
                 raise InvalidTrajectory(
                     f"piece expressions may only use t, found {sorted(extra)}")
-            parsed.append((float(t0), float(t1), e))
+            parsed.append((t0, t1, e))
         if not parsed:
             raise InvalidTrajectory("no pieces given")
         span = grid.b - grid.nodes[0]
@@ -557,6 +561,6 @@ def sampled_from_csv(grid: Grid, path) -> SampledTrajectory:
     if len(ts) != len(grid.nodes):
         raise InvalidTrajectory(
             f"{path}: {len(ts)} samples but the grid has {len(grid.nodes)} nodes")
-    if np.max(np.abs(ts - grid.nodes)) > 1e-9 * max(1.0, grid.b - grid.nodes[0]):
+    if not np.all(np.abs(ts - grid.nodes) <= 1e-9 * max(1.0, grid.b - grid.nodes[0])):
         raise InvalidTrajectory(f"{path}: sample times do not match the grid nodes")
     return SampledTrajectory(grid, xs)

@@ -11,7 +11,7 @@ from herglotz import conditions, expr
 from herglotz.bundles import bundle
 from herglotz.errors import FixedNode
 from herglotz.integrate import Panels, VariationDirection
-from herglotz.trajectory import SampledTrajectory, _slope_band, solve_tridiagonal
+from herglotz.trajectory import SampledTrajectory
 
 
 @pytest.fixture(scope="session")
@@ -180,24 +180,23 @@ def trajectory_reads(monkeypatch):
     return watch
 
 
-# Per-call oracles: the reads and the adjoint as they were before the panel
-# samples were located once per grid, each searching its samples afresh.
+# Per-call oracles: the reads as they were before the panel samples were
+# located once per grid, each searching its samples afresh.
 
 def per_call_spline_read(spline, ts, nus):
-    """CubicSpline.read with its own interval search and node-hit rule."""
+    """CubicSpline.read with its own interval search and node-hit rule, each
+    order by Horner's rule on the coefficients times perm(k, nu)."""
     ts = np.asarray(ts, dtype=float)
     t = ts.reshape(-1)
     x = spline.x
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
     z = t - x[i]
     c = np.take(spline.c, i, axis=0)
-    z2 = z * z
-    powers = (1.0, z, z2, z2 * z)
     out = []
     for nu in nus:
-        res = np.zeros(len(t))
-        for k in range(nu, 4):
-            res += c[:, 3 - k] * powers[k - nu] * perm(k, nu)
+        res = perm(3, nu) * c[:, 0]
+        for k in (2, 1, 0)[:3 - nu]:
+            res = res * z + perm(k, nu) * c[:, 3 - k]
         if nu == 0:
             at = i + (t == x[-1])
             np.copyto(res, spline.y[at], where=t == x[at])
@@ -244,38 +243,6 @@ def per_call_first_variation(P, zpath, eta):
     return float(np.sum(P.simpson(f))) / zpath.lambda_b
 
 
-def per_call_adjoint(nodes, ts, wv, wd):
-    """The spline adjoint of Panels.scatter with an interval search of its
-    own, a bincount per coefficient and a transposed band of its own."""
-    x = np.asarray(nodes, dtype=float)
-    n = len(x)
-    dx = np.diff(x)
-    i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, n - 2)
-    z = ts - x[i]
-    gc0 = np.bincount(i, z * z * (z * wv + 3.0 * wd), n - 1)
-    gc1 = np.bincount(i, z * (z * wv + 2.0 * wd), n - 1)
-    gc2 = np.bincount(i, z * wv + wd, n - 1)
-    gc3 = np.bincount(i, wv, n - 1)
-    gt = (gc0 / dx - gc1) / dx
-    gslope = gc1 / dx - 2.0 * gt
-    gs = np.zeros(n)
-    gs[:-1] = gc2 - gc1 / dx + gt
-    gs[1:] += gt
-    gy = np.zeros(n)
-    gy[:-1] = gc3
-    band, _ = _slope_band(x, "natural")
-    band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
-    gb = solve_tridiagonal(band, gs)
-    gslope[:-1] += 3 * dx[1:] * gb[1:-1]
-    gslope[1:] += 3 * dx[:-1] * gb[1:-1]
-    gy[:2] += np.array([-3.0, 3.0]) * gb[0]
-    gy[-2:] += np.array([-3.0, 3.0]) * gb[-1]
-    gq = gslope / dx
-    gy[1:] += gq
-    gy[:-1] -= gq
-    return gy
-
-
 def per_panel_hermite(problem, zpath):
     """Oracle: z and lambda at the panel samples, one panel at a time: the
     stop values at the ends, and RK4's cubic Hermite dense output at the
@@ -301,26 +268,6 @@ def per_panel_hermite(problem, zpath):
         mu[i], mu[k + i], mu[2 * k + i] = (
             mus[i], 0.5 * (mus[i] + mus[i + 1]) + h / 8.0 * (ml - mr), mus[i + 1])
     return z, np.exp(mu)
-
-
-def per_call_gradient(problem, traj, zpath):
-    """variational_gradient with z and lambda at the panel samples from the
-    per-panel oracle and the weights pulled back by the per-call oracles."""
-    P = zpath.samples(traj)
-    k, hs = P.k, P.hs
-    _, lam = per_panel_hermite(problem, zpath)
-    w = np.empty(3 * k)
-    w[:k] = hs / 6.0
-    w[k:2 * k] = 4.0 * hs / 6.0
-    w[2 * k:] = hs / 6.0
-    c0, c1, c2, c3 = (w * lam * P.table(name) for name in ("x", "dx", "xtau", "dxtau"))
-    inside = P.inside
-    g = per_call_adjoint(problem.grid.main_nodes,
-                         np.concatenate([P.times, P.delayed[inside]]),
-                         np.concatenate([c0, c2[inside]]),
-                         np.concatenate([c1, c3[inside]]))[1:-1]
-    g /= zpath.lambda_b
-    return -g if problem.sense == "maximize" else g
 
 
 # Lagrangian tables as they were filled before a partial in a variable L does

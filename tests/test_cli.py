@@ -215,6 +215,33 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf", "x"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-el", "paper-s4", f"--tol={tol}", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "need a finite tolerance >= 0" in capsys.readouterr().err
+
+    def test_sample_time_nan_is_config_error(self, tmp_path, capsys):
+        nodes = np.linspace(0.0, 1.0, 11)
+        rows = [f"{t!r},{t * t!r}" for t in nodes]
+        rows[4] = f"nan,{nodes[4] ** 2!r}"
+        (tmp_path / "s.csv").write_text("t,x\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, interval={"a": 0.0, "b": 1.0}, tau=0.0, n=10,
+                           beta=1.0, history="0", lagrangian="dx^2",
+                           trajectory={"backend": "samples", "path": "s.csv"})
+        assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "sample times do not match the grid nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("end", ["from", "to"])
+    def test_non_finite_piece_end_is_config_error(self, tmp_path, capsys, end):
+        data = json.loads(write_config(tmp_path).read_text())
+        data["trajectory"]["pieces"][1][end] = float("nan")
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "piece 1 has a non-finite end" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_integrate_outputs(self, tmp_path, capsys):

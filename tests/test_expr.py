@@ -53,6 +53,18 @@ def random_trees(seed, count, depth=4):
     return [rand_tree(depth) for _ in range(count)]
 
 
+def has_kernel(e):
+    """Whether e calls a function or raises to a power other than 2: where
+    numpy's loops and libm may round apart."""
+    if isinstance(e, Call):
+        return True
+    if isinstance(e, Bin):
+        if e.op == "^" and e.right != Num(2.0):
+            return True
+        return has_kernel(e.left) or has_kernel(e.right)
+    return isinstance(e, Neg) and has_kernel(e.operand)
+
+
 def exit_code(err):
     """The exit code herglotz.cli.main gives an evaluation error."""
     return 3 if isinstance(err, (errors.DomainError, errors.NonFinite)) else 2
@@ -379,18 +391,19 @@ class TestAffine:
         assert np.all(np.isnan(a2)) and list(b2) == [math.inf] * 2
 
     def test_integration_matches_the_stage_walk_on_random_trees(self):
-        # lambda bit for bit (B is the z-partial the stages take); z within
-        # 16 u M of the walk where L is affine in z, M the magnitude of the
-        # terms the stage formulas round (a relative bound cannot hold where
-        # z crosses zero), and bit for bit where it is not affine,
-        # transcendental subtrees included. Where the stage walk raises or
-        # meets a non-finite value, so does integrate_z
+        # where L is affine in z, z lies within 16 u M of exact RK4 on
+        # integrate_z's own columns (M the magnitude of the terms the stage
+        # formulas round; a relative bound cannot hold where z crosses zero),
+        # and lambda is the stage walk's bit for bit where the columns round
+        # alike, with no function and no ^ but ^2 in L; where L is not
+        # affine, z and lambda are the stage walk's bit for bit. Where the
+        # stage walk raises or meets a non-finite value, so does integrate_z
         problem, _, _, _ = build_paper(8)
         traj = wavy_sampled(problem)
         P = Panels(problem, traj)
         names = {"t", "x", "dx", "xtau", "dxtau", "z"}
         compared = {1: 0, 2: 0}
-        with_z = 0
+        with_z = kernel_free = 0
         for tree in random_trees(11, 1500):
             if not variables_in(tree) <= names:
                 continue
@@ -404,17 +417,39 @@ class TestAffine:
                     integrate_z(p, traj)
                 continue
             zp = integrate_z(p, traj)
-            assert zp.lam.tobytes() == lam.tobytes()
             degree = max(_degree(tree, "z"), 1)
             if degree == 1:
-                A, B = expr.affine(tree, "z", P.bind)
+                with np.errstate(all="ignore"):
+                    A, B = expr.affine(tree, "z", P.bind)
+                exact = affine_rk4(P, A, B, p.gamma)[P.node_pos]
                 M = affine_rk4(P, A, B, p.gamma, exact=False)[P.node_pos]
-                assert np.all(np.abs(zp.z - z) <= 16 * 2.0 ** -53 * M)
+                assert np.all(np.abs(zp.z - exact) <= 16 * 2.0 ** -53 * M)
                 with_z += "z" in variables_in(tree)
+                if not has_kernel(tree):
+                    assert zp.lam.tobytes() == lam.tobytes()
+                    kernel_free += 1
             else:
-                assert zp.z.tobytes() == z.tobytes()
+                assert zp.z.tobytes() == z.tobytes() and zp.lam.tobytes() == lam.tobytes()
             compared[degree] += 1
-        assert compared[1] > 1000 and with_z > 50 and compared[2] > 40
+        assert compared[1] > 1000 and with_z > 50 and compared[2] > 40 and kernel_free > 200
+
+    @pytest.mark.parametrize("fn", FUNCTIONS + ("^3", "^0.5", "^-1.7", "^x"))
+    def test_columns_match_the_float_walk_at_kernel_accuracy(self, fn):
+        # the columns come from numpy's kernels, the float walk from libm's:
+        # each within a few ulp of the exact value (glibc under 1, numpy's
+        # SIMD loops up to 4), so a column of one kernel lies within 8 u of
+        # the float walk's, sample by sample
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.05, 4.0, 400)
+        xtau = rng.uniform(-3.0, 3.0, 400)
+        arg = "x" if fn in ("log", "sqrt") else "xtau"
+        text = f"x{fn} + 2*x{fn}*z" if fn.startswith("^") else f"{fn}({arg}) + {fn}(x)*z"
+        tree = parse(text)
+        A, B = affine(tree, "z", {"x": x, "xtau": xtau})
+        floats = np.array([value_and_partial(tree, "z", {"x": u, "xtau": v, "z": 0.0})
+                           for u, v in zip(x.tolist(), xtau.tolist())])
+        for col, want in zip((A, B), floats.T):
+            assert np.all(np.abs(col - want) <= 8 * 2.0 ** -53 * np.abs(want))
 
 
 class TestSquare:
@@ -448,13 +483,15 @@ class TestSquare:
 
     @pytest.mark.parametrize("exponent", [3.0, 0.5])
     def test_other_exponents_keep_the_libm_bits(self, exponent):
+        # the float walk has libm's bits, the array walk and the affine
+        # column numpy's
         xs = np.abs(self.X[2:-1])
-        want = np.array([x ** exponent for x in xs.tolist()]).tobytes()
         e = parse(f"x^{exponent} + z")
         floats = np.array([evaluate(e.left, {"x": x}) for x in xs.tolist()])
+        assert floats.tobytes() == np.array([x ** exponent for x in xs.tolist()]).tobytes()
         a, _ = affine(e, "z", {"x": xs})
-        assert floats.tobytes() == a.tobytes() == want
-        assert evaluate(e.left, {"x": xs}).tobytes() == np.power(xs, exponent).tobytes()
+        arrays = evaluate(e.left, {"x": xs})
+        assert a.tobytes() == arrays.tobytes() == np.power(xs, exponent).tobytes()
 
     def test_variable_exponent_keeps_the_libm_bits(self):
         xs = np.abs(self.X[2:-1])
@@ -480,9 +517,8 @@ class TestSquare:
             return [(type(v), np.asarray(v).tobytes()) for v in (val, tangent)]
 
         cases = []
-        for u in (self.U, self.U.view(expr._Libm)):
-            for du in (self.DU, np.zeros_like(self.U), -np.zeros_like(self.U), None):
-                cases.append((u, du, None))
+        for du in (self.DU, np.zeros_like(self.U), -np.zeros_like(self.U), None):
+            cases.append((self.U, du, None))
         for u, du in zip(self.U.tolist(), self.DU.tolist()):
             for vt in (None, 0.0, 0.5):
                 cases += [(u, du, vt), (u, None, vt), (u, 0.0, vt)]

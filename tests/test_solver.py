@@ -192,12 +192,12 @@ class TestH1Metric:
         result = solve_direct(problem, opts)
         assert result.iterations == 9 and result.z_b == 1.0000000000000004
         assert result.objective_history == [
-            110.94555433772314, 2.6470387178225274, 1.026824617840833,
+            110.94555433772312, 2.6470387178225243, 1.0268246178408333,
             1.000249604619469, 1.0000060893392475, 1.0000000346604097,
             1.000000002144962, 1.0000000000076947, 1.0000000000004277,
             1.0000000000000004]
         digest = hashlib.sha256(result.trajectory.values.tobytes()).hexdigest()
-        assert digest == "c803f9cc5be7fbb930a3fb55232d1a7bbea18567122acc3da360ee3e562a18bf"
+        assert digest == "7244e44c03142d496ba629ec647c7e50bafa6ac4a0a4acf44c9f0565d5fb8130"
 
 
 class TestSolveDirect:

@@ -1,3 +1,5 @@
+from math import perm
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
@@ -21,6 +23,8 @@ from herglotz.trajectory import (
 )
 
 from conftest import build_paper, unit_direction
+
+U = 2.0 ** -53
 
 
 class TestGrid:
@@ -191,24 +195,32 @@ class TestSampled:
 class TestCubicSpline:
     @pytest.mark.parametrize("n", [*range(2, 12), 50, 101, 401, 2001])
     def test_bitwise_equal_to_scipy(self, n):
-        # scipy's dense 3-point parabola and 2-point line are not carried
-        # over: below 4 nodes not-a-knot falls back to natural ends
+        # the coefficients are scipy's, bit for bit; scipy's dense 3-point
+        # parabola and 2-point line are not carried over: below 4 nodes
+        # not-a-knot falls back to natural ends. A read runs Horner's rule
+        # where scipy sums by powers, so the two agree within 8 u of the
+        # magnitude of the piece's terms
         rng = np.random.default_rng(n)
         for x in (np.linspace(-0.3, 1.7, n), np.sort(rng.uniform(-1.0, 2.0, n))):
             span = x[-1] - x[0]
             ts = np.concatenate([x, [x[0] - 1e-3 * span, x[-1] + 1e-3 * span],
                                  rng.uniform(x[0], x[-1], 40)])
+            i = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, n - 2)
+            z = ts - x[i]
             for bc in ("natural", "not-a-knot"):
                 ref_bc = bc if n >= 4 else "natural"
                 y = rng.normal(size=n)
                 ours, ref = CubicSpline(x, y, bc), ScipyCubicSpline(x, y, bc_type=ref_bc)
+                np.testing.assert_array_equal(ours.c.T, ref.c, strict=True)
                 together = ours.read(ts, (0, 1, 2))
                 for nu in (0, 1, 2):
                     want = ref(ts, nu)
                     if nu == 0:
                         want[:n] = y    # a read at a node returns the stored value
-                    np.testing.assert_array_equal(ours(ts, nu), want, strict=True)
-                    np.testing.assert_array_equal(together[nu], want, strict=True)
+                    terms = sum(np.abs(perm(k, nu) * ours.c[i, 3 - k] * z ** (k - nu))
+                                for k in range(nu, 4))
+                    np.testing.assert_array_equal(together[nu], ours(ts, nu), strict=True)
+                    assert np.all(np.abs(together[nu] - want) <= 8 * U * terms)
 
     def test_several_orders_read_as_separate_reads(self):
         rng = np.random.default_rng(5)
