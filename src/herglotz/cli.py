@@ -37,7 +37,8 @@ _PAPER_Z_TOL = 1e-8
 
 def _load(config_arg: str):
     p = Path(config_arg)
-    if p.exists():
+    # a directory named like a bundle (an --out of an earlier run) is no config
+    if p.is_file():
         return load_config(p)
     if config_arg in BUNDLE_NAMES:
         return bundle(config_arg).config()

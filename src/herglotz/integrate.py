@@ -17,19 +17,22 @@ stage walk's up to the last bits of ^ (other than ^2) and the functions,
 which numpy's kernels and libm may round apart, and each RK4 step is an
 affine map z -> z + p + r z, its p and r the stage formulas on the whole
 columns. A scan composes the k maps in ceil(log2 k) whole-array rounds,
-with no Python loop over the panels; z then rounds otherwise than a stage
-loop, and lies within 16 u M of exact RK4 on the same columns at every stop
-(u = 2^-53, M the same formulas run on |A|, |B| and |gamma|). Otherwise each
-stage binds the sample's t, x, dx, xtau and dxtau as floats, then z, and walks the whole tree of L; z and lambda are bit
-for bit those of that walk. A stage that meets a non-finite z, or a stop
-where z or log-lambda is one, raises NonFinite; where the scan meets a
-non-finite value, the stage walk runs instead, so the error names the same
-t, and a composed map that overflows where z does not (r * 0) costs only
-time.
+in place in preallocated buffers, with no Python loop over the panels; z
+then rounds otherwise than a stage loop, and lies within 16 u M of exact
+RK4 on the same columns at every stop (u = 2^-53, M the same formulas run
+on |A|, |B| and |gamma|). Otherwise each stage binds the sample's t, x, dx,
+xtau and dxtau as floats, then z, and walks the whole tree of L; z and
+lambda are bit for bit those of that walk. A stage that meets a non-finite
+z, or a stop where z or log-lambda is one, raises NonFinite; where the scan
+meets a non-finite value, the stage walk runs instead, so the error names
+the same t, and a composed map that overflows where z does not (r * 0)
+costs only time.
 
 The integrating factor lambda(t) = exp(-int_a^t dL/dz) is accumulated in the
-same pass as log-lambda (positivity by construction); if L does not depend on
-z the integrand is exactly zero and lambda is exactly one at every node.
+same pass as log-lambda (positivity by construction) and exponentiated once
+at every stop (ZPath.stop_lam; the node values are a slice of it); if L does
+not depend on z the integrand is exactly zero and lambda is exactly one at
+every node.
 
 The first variation zeta(b) of z(b) along an admissible direction eta is the
 closed integral
@@ -59,10 +62,11 @@ folds each delayed sample onto the panel m back and sums the weights per
 piece by slices; a plan with a kink off the nodes is read by a search and
 has no adjoint.
 The first variation, the solver gradient and the invariance defect take
-the samples from the z-path, with z and lambda there (RK4's cubic Hermite
-dense output at the midpoints, ZPath.samples; no spline) and the
-Lagrangian partials filled in on first use, and are each a short formula
-over them. A direction eta is a sampled trajectory with zero history
+the samples from the z-path, with z and lambda there (ZPath.samples; no
+spline): the stop values at the panel ends, and RK4's cubic Hermite dense
+output, with its one exp, only at the k midpoints. The Lagrangian partials
+are filled in on first use, and each consumer is a short formula over
+them. A direction eta is a sampled trajectory with zero history
 (trajectory.VariationDirection), so the first variation reads it through
 Panels.read too; the one spline through node values (trajectory.CubicSpline)
 and the transpose of its build (trajectory.build_adjoint) live in trajectory.
@@ -149,10 +153,11 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
 
 @dataclass(eq=False)
 class ZPath:
-    """z and lambda at the nodes of [a, b], z and mu = log lambda at every
-    integration stop, and the panel samples of the trajectory they were
-    integrated on; affine holds the columns (A, B) of L = A + B z at the
-    samples where the z-path composed its affine steps, else None."""
+    """z and lambda at the nodes of [a, b], z, mu = log lambda and lambda =
+    exp(mu) at every integration stop (lam is a slice of stop_lam, the one
+    exp of the z-path's mu), and the panel samples of the trajectory they
+    were integrated on; affine holds the columns (A, B) of L = A + B z at
+    the samples where the z-path composed its affine steps, else None."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
@@ -160,6 +165,7 @@ class ZPath:
     panels: Panels = field(repr=False)
     stop_z: np.ndarray = field(repr=False)
     stop_mu: np.ndarray = field(repr=False)
+    stop_lam: np.ndarray = field(repr=False)
     affine: Optional[tuple] = field(default=None, repr=False)
 
     @property
@@ -186,32 +192,33 @@ class ZPath:
         u'_{i+1}) from z' = L and mu' = -L_z at the one-sided end samples:
         A + B z and B where the z-path holds the affine columns (in the last
         bits they may round otherwise than the tree of L where it is not A +-
-        b z itself), else a walk of the tree."""
+        b z itself), else a walk of the tree at the ends. Only the k
+        midpoints are computed and exponentiated here."""
         P = self.panels
         if traj is not P.traj:
             raise InvalidTrajectory("z-path was integrated along a different trajectory")
         if "z" not in P.bind:
             k, zs, mus = P.k, self.stop_z, self.stop_mu
-            z_ends = np.concatenate([zs[:-1], zs[1:]])
-
-            def ends(col):
-                return np.concatenate([col[:k], col[2 * k:]])
-
-            def at_samples(u, du):
-                mid = 0.5 * (u[:-1] + u[1:]) + P.hs / 8.0 * (du[:k] - du[k:])
-                return np.concatenate([u[:-1], mid, u[1:]])
-
             with np.errstate(over="ignore", invalid="ignore"):
                 if self.affine is None:
-                    bind = {name: ends(col) for name, col in P.bind.items()}
-                    bind["z"] = z_ends
+                    bind = {name: np.concatenate([col[:k], col[2 * k:]])
+                            for name, col in P.bind.items()}
+                    bind["z"] = np.concatenate([zs[:-1], zs[1:]])
                     L, Lz = (np.broadcast_to(np.asarray(v, dtype=float), (2 * k,))
                              for v in expr.value_and_partial(P.lagrangian, "z", bind))
+                    (L0, L1), (Lz0, Lz1) = (v.reshape(2, k) for v in (L, Lz))
                 else:
-                    A, Lz = (ends(col) for col in self.affine)
-                    L = A + Lz * z_ends
-                z, lam = at_samples(zs, L), np.exp(at_samples(mus, -Lz))
-            if not all(np.all(np.isfinite(v)) for v in (L, Lz, z, lam)):
+                    A, B = self.affine
+                    Lz0, Lz1 = B[:k], B[2 * k:]
+                    L0, L1 = A[:k] + Lz0 * zs[:-1], A[2 * k:] + Lz1 * zs[1:]
+                # mu' = -L_z, and -Lz0 - (-Lz1) is Lz1 - Lz0 to the bit
+                h8 = P.hs / 8.0
+                z_mid = 0.5 * (zs[:-1] + zs[1:]) + h8 * (L0 - L1)
+                lam_mid = np.exp(0.5 * (mus[:-1] + mus[1:]) + h8 * (Lz1 - Lz0))
+                lams = self.stop_lam
+                z = np.concatenate([zs[:-1], z_mid, zs[1:]])
+                lam = np.concatenate([lams[:-1], lam_mid, lams[1:]])
+            if not all(np.all(np.isfinite(v)) for v in (L0, L1, Lz0, Lz1, z, lam)):
                 raise NonFinite("z-path is non-finite at a panel sample")
             P.z, P.lam = z, lam
             P.bind["z"] = P.z
@@ -227,11 +234,12 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     # L not affine in z, or a non-finite value on the way: the stage walk decides
     zs, mus = _stages(problem, P) if path is None else path
     with np.errstate(over="ignore"):
-        lam = np.exp(mus[P.node_pos])
+        lams = np.exp(mus)
+    lam = lams[P.node_pos]
     if not np.all(np.isfinite(lam)):
         raise NonFinite("integrating factor overflowed")
     return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P, stop_z=zs, stop_mu=mus,
-                 affine=None if path is None else coeffs)
+                 stop_lam=lams, affine=None if path is None else coeffs)
 
 
 def _stages(problem: HerglotzProblem, P: Panels):
@@ -284,29 +292,57 @@ def _affine_stages(P: Panels, gamma: float, A: np.ndarray, B: np.ndarray):
     r_j + r + r_j r), so ceil(log2 k) whole-array rounds (k log2 k
     multiply-adds) give every stop as gamma + p + r gamma. r stays apart from
     the identity's 1: q = 1 + r would round off the low bits of h B on every
-    step alike."""
+    step alike. The stage sums and the rounds run in place, in three (2, k)
+    buffers; every operation keeps its operands and association (x * y and
+    x + y are y * x and y + x to the bit), so the bits are those of the same
+    formulas written out, temporaries and all."""
     k, hs = P.k, P.hs
     lo, mid, hi = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     m = -B
     with np.errstate(over="ignore", invalid="ignore"):
         mus = np.cumsum(np.concatenate(
             ([0.0], hs * (m[lo] + 2.0 * m[mid] + 2.0 * m[mid] + m[hi]) / 6.0)))
-        # stage j of step i is p_j + r_j z, with (p, r) one stacked row each
+        # stage j of step i is p_j + r_j z, with (p, r) one stacked row each:
+        # s2 = AB_mid + bm (h/2 s1), s3 = AB_mid + bm (h/2 s2),
+        # s4 = AB_hi + br (h s3) and pr = h (s1 + 2 s2 + 2 s3 + s4) / 6,
+        # the stage in st, the running sum in pr and 2 s3 in tmp
         half = 0.5 * hs
         AB = np.stack([A, B])
         bm, br = B[mid], B[hi]
-        s1 = AB[:, lo]
-        s2 = AB[:, mid] + bm * (half * s1)
-        s3 = AB[:, mid] + bm * (half * s2)
-        s4 = AB[:, hi] + br * (hs * s3)
-        pr = hs * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
-        # after the round of shift s, column i composes steps i - 2s + 1 .. i
+        s1, ab_mid = AB[:, lo], AB[:, mid]
+        st, pr, tmp = np.empty((3, 2, k))
+        np.multiply(half, s1, out=st)
+        st *= bm
+        st += ab_mid
+        np.multiply(2.0, st, out=pr)
+        pr += s1
+        st *= half
+        st *= bm
+        st += ab_mid
+        np.multiply(2.0, st, out=tmp)
+        pr += tmp
+        st *= hs
+        st *= br
+        st += AB[:, hi]
+        pr += st
+        pr *= hs
+        pr /= 6.0
+        # after the round of shift s, column i composes steps i - 2s + 1 .. i:
+        # pr[:, s:] += pr[:, :-s] + pr[1, s:] pr[:, :-s], the sum in tmp first
         s = 1
         while s < k:
-            pr[:, s:] += pr[:, :-s] + pr[1, s:] * pr[:, :-s]
+            t = tmp[:, :k - s]
+            np.multiply(pr[1, s:], pr[:, :-s], out=t)
+            t += pr[:, :-s]
+            pr[:, s:] += t
             s *= 2
+        # every stop is gamma + p + r gamma
         z0 = float(gamma)
-        zs = np.concatenate(([z0], z0 + pr[0] + pr[1] * z0))
+        zs = np.empty(k + 1)
+        zs[0] = z0
+        pr[1] *= z0
+        np.add(z0, pr[0], out=zs[1:])
+        zs[1:] += pr[1]
     if np.all(np.isfinite(zs)) and np.all(np.isfinite(mus)):
         return zs, mus
     return None

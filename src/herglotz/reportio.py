@@ -1,15 +1,16 @@
 """Deterministic report serialization: CSV/JSON writers, atomic file output.
 
 CSV numbers carry 17 significant digits ('.' decimal separator, '\\n' line
-endings) so values round-trip exactly; identical inputs produce bit-identical
-files (no timestamps or environment-dependent content).
+endings) so values round-trip exactly; text fields are quoted as RFC 4180
+says where they hold a comma, a quote or a line break. Identical inputs
+produce bit-identical files (no timestamps or environment-dependent
+content); their permissions follow the umask, as for open().
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -21,11 +22,27 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _field(text: str) -> str:
+    """A CSV text field as RFC 4180 writes it: in double quotes, each quote
+    doubled, when it holds a comma, a quote or a line break; else as it is."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
     cols = [np.asarray(c).tolist() for c in columns]
-    # one format per column: text as it is, numbers as fmt writes them
-    row = ",".join("{}" if c and isinstance(c[0], (str, bytes)) else "{:.17g}"
-                   for c in cols) + "\n"
+    # one format per column: text quoted by _field, each distinct value once,
+    # numbers as fmt writes them
+    fmts = []
+    for j, c in enumerate(cols):
+        if c and isinstance(c[0], (str, bytes)):
+            fields = {v: _field(str(v)) for v in set(c)}
+            cols[j] = [fields[v] for v in c]
+            fmts.append("{}")
+        else:
+            fmts.append("{:.17g}")
+    row = ",".join(fmts) + "\n"
     rows = list(zip(*cols))
     # the whole table in one format call, the values flattened row by row
     return ",".join(header) + "\n" + (row * len(rows)).format(*chain.from_iterable(rows))
@@ -36,9 +53,13 @@ def json_text(obj) -> str:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
+    """Write text to path through a fresh file in the same directory, renamed
+    over path once complete. The file is created with mode 0o666, so the
+    umask decides the report's permissions, as for open()."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
             f.write(text)

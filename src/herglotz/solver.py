@@ -120,7 +120,8 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     The Simpson-weighted partials at the panel samples and at their delayed
     images inside [a, b] are pulled back onto the nodes through the spline
     adjoint (Panels.scatter), so all unit directions are paired at once in
-    O(n).
+    O(n). Only the weight rows of the partials L reads are formed; the rest
+    stay +0.0, what weights times lambda times a zero table gives.
 
     The solver drives sampled trajectories, but any trajectory whose panels
     are the grid's intervals is accepted (a piecewise one with its kinks on
@@ -135,8 +136,12 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
         raise InvalidTrajectory("z-path was integrated on a different grid")
     if zpath.lambda_b == 0.0:
         raise NonFinite("integrating factor lambda(b) underflowed to 0")
-    tables = np.array([P.table(name) for name in ("x", "dx", "xtau", "dxtau")])
-    g = P.scatter(P.plan.weights * P.lam * tables)[1:-1]
+    wl = P.plan.weights * P.lam
+    w = np.zeros((4, len(wl)))
+    for row, name in zip(w, ("x", "dx", "xtau", "dxtau")):
+        if name in P.variables:
+            np.multiply(wl, P.table(name), out=row)
+    g = P.scatter(w)[1:-1]
     g /= zpath.lambda_b
     if problem.sense == "maximize":
         g = -g

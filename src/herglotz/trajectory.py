@@ -223,11 +223,17 @@ def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
     each by Horner's rule in z; at z = 0 the order nu reads the coefficient
     of z^nu times nu!, up to the sign of a zero."""
     c = np.take(c, i, axis=0)
+
+    def term(k, nu):
+        # a unit factor is skipped: 1 x is x, bit for bit
+        f = perm(k, nu)
+        return c[:, 3 - k] if f == 1 else f * c[:, 3 - k]
+
     out = []
     for nu in nus:
-        res = perm(3, nu) * c[:, 0]
+        res = term(3, nu)
         for k in range(2, nu - 1, -1):
-            res = res * z + perm(k, nu) * c[:, 3 - k]
+            res = res * z + term(k, nu)
         out.append(res)
     return out
 

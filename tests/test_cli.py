@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import functools
 import json
@@ -261,6 +262,25 @@ class TestSubcommands:
         assert verdict["verdict"] == "pass"
         assert verdict["first_failure"] is None
         assert main(["invariance", "paper-s4", "--n", "200", "--out", str(out)]) == 0
+
+    def test_qpath_csv_has_three_fields_per_row(self, tmp_path, capsys):
+        # the interval labels hold a comma, so they are quoted
+        out = tmp_path / "o"
+        assert main(["noether", "paper-s4", "--n", "100", "--out", str(out)]) == 0
+        with open(out / "qpath.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["t", "Q", "interval_label"]
+        assert len(rows) > 100 and all(len(r) == 3 for r in rows)
+        assert {r[2] for r in rows[1:]} == {"Q1 on [a, b-tau]", "Q2 on [b-tau, b]"}
+
+    def test_a_directory_named_like_a_bundle_is_no_config(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # an --out directory named after the bundle leaves the bundle reachable
+        monkeypatch.chdir(tmp_path)
+        assert main(["integrate", "paper-s4", "--n", "100", "--out", "paper-s4"]) == 0
+        assert (tmp_path / "paper-s4").is_dir()
+        assert main(["check-el", "paper-s4", "--n", "100", "--out", "o"]) == 0
+        assert "EL" in capsys.readouterr().out
 
     def test_check_hyp(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -816,3 +816,170 @@ class TestScatter:
         w = np.random.default_rng(n).normal(size=(4, 3 * P.k))
         err = np.abs(P.scatter(w) - R.T @ w.ravel())
         assert np.all(err <= 32 * U * (np.abs(R).T @ np.abs(w.ravel())))
+
+
+# The z-path and the gradient with every operation written out, a temporary
+# per operation: the formulas that the in-place stage scan, the midpoint-only
+# dense output and the gradient's rows for the partials L reads must keep
+# bit for bit.
+
+def written_out_affine_stages(k, hs, gamma, A, B):
+    """integrate._affine_stages with a fresh array per operation."""
+    lo, mid, hi = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+    m = -B
+    with np.errstate(over="ignore", invalid="ignore"):
+        mus = np.cumsum(np.concatenate(
+            ([0.0], hs * (m[lo] + 2.0 * m[mid] + 2.0 * m[mid] + m[hi]) / 6.0)))
+        half = 0.5 * hs
+        AB = np.stack([A, B])
+        bm, br = B[mid], B[hi]
+        s1 = AB[:, lo]
+        s2 = AB[:, mid] + bm * (half * s1)
+        s3 = AB[:, mid] + bm * (half * s2)
+        s4 = AB[:, hi] + br * (hs * s3)
+        pr = hs * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+        s = 1
+        while s < k:
+            pr[:, s:] += pr[:, :-s] + pr[1, s:] * pr[:, :-s]
+            s *= 2
+        z0 = float(gamma)
+        zs = np.concatenate(([z0], z0 + pr[0] + pr[1] * z0))
+    return zs, mus
+
+
+def written_out_samples(zpath):
+    """z and lambda at the panel samples: both columns built at all 3k
+    samples from the 2k end slopes, and exp taken over the whole mu column."""
+    P = zpath.panels
+    k, zs, mus = P.k, zpath.stop_z, zpath.stop_mu
+    z_ends = np.concatenate([zs[:-1], zs[1:]])
+
+    def ends(col):
+        return np.concatenate([col[:k], col[2 * k:]])
+
+    def at_samples(u, du):
+        mid = 0.5 * (u[:-1] + u[1:]) + P.hs / 8.0 * (du[:k] - du[k:])
+        return np.concatenate([u[:-1], mid, u[1:]])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if zpath.affine is None:
+            bind = {name: ends(P.bind[name]) for name in ("t", "x", "dx", "xtau", "dxtau")}
+            bind["z"] = z_ends
+            L, Lz = (np.broadcast_to(np.asarray(v, dtype=float), (2 * k,))
+                     for v in expr.value_and_partial(P.lagrangian, "z", bind))
+        else:
+            A, Lz = (ends(col) for col in zpath.affine)
+            L = A + Lz * z_ends
+        return at_samples(zs, L), np.exp(at_samples(mus, -Lz))
+
+
+def written_out_gradient(problem, traj, zpath):
+    """variational_gradient with all four weight rows multiplied out."""
+    P = zpath.samples(traj)
+    tables = np.array([P.table(name) for name in ("x", "dx", "xtau", "dxtau")])
+    g = P.scatter(P.plan.weights * P.lam * tables)[1:-1]
+    g /= zpath.lambda_b
+    return -g if problem.sense == "maximize" else g
+
+
+NOT_AFFINE = ["dxtau^2 + sin(z)", "dx^2 + x*z^2 + 0.1*t"]
+
+
+def lean_path_cases():
+    """(problem, trajectory) for every bundle at n = 2, 4 and 100, and for L
+    not affine in z, on the bundle's trajectory and a wavy sampled one."""
+    for name in BUNDLE_NAMES:
+        for n in (2, 4, 100):
+            problem, traj, _, _ = build_bundle(name, n)
+            for tr in (traj, wavy_sampled(problem), wavy_sampled(problem, 1.1, 5.0)):
+                yield problem, tr
+    for text in NOT_AFFINE:
+        problem, traj, _, _ = build_paper(100)
+        problem = replace(problem, lagrangian=expr.parse(text))
+        for tr in (traj, wavy_sampled(problem)):
+            yield problem, tr
+
+
+class TestLeanPathBits:
+    @staticmethod
+    def _columns(rng, k):
+        """A and B columns: random, B identically +0.0 (classical-line's
+        L does not read z), zeros of both signs and an all-zero pair."""
+        A, B = rng.standard_normal((2, 3 * k))
+        signed = np.where(rng.random(3 * k) < 0.5, -0.0, 0.0)
+        return [(A, B), (A, np.zeros(3 * k)), (A, signed), (signed, -B),
+                (np.zeros(3 * k), np.zeros(3 * k))]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 100, 2000])
+    def test_in_place_stages_keep_the_bits(self, k):
+        # z and mu, signs of zero included, are those of the formulas written
+        # out; where B is zero, mu is +0.0 at every stop
+        rng = np.random.default_rng(k)
+        hs = rng.uniform(0.5, 1.5, k) / k
+        P = type("P", (), {"k": k, "hs": hs})
+        for A, B in self._columns(rng, k):
+            for gamma in (0.5, -0.0, 0.0, -3.25):
+                got = integrate._affine_stages(P, gamma, A, B)
+                want = written_out_affine_stages(k, hs, gamma, A, B)
+                assert _bits(*got) == _bits(*want)
+            if not np.any(B):
+                assert not np.any(np.signbit(got[1]))
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_in_place_stages_on_the_bundles(self, name, n):
+        problem, traj, _, _ = build_bundle(name, n)
+        for tr in (traj, wavy_sampled(problem)):
+            zp = integrate_z(problem, tr)
+            P = zp.panels
+            want = written_out_affine_stages(P.k, P.hs, problem.gamma, *zp.affine)
+            assert _bits(zp.stop_z, zp.stop_mu) == _bits(*want)
+            assert _bits(zp.stop_lam, zp.lam) == _bits(np.exp(want[1]),
+                                                       np.exp(want[1][P.node_pos]))
+
+    def test_samples_keep_the_bits(self):
+        seen = set()
+        for problem, tr in lean_path_cases():
+            zp = integrate_z(problem, tr)
+            seen.add(zp.affine is None)
+            want = written_out_samples(zp)
+            P = zp.samples(tr)
+            assert _bits(P.z, P.lam) == _bits(*want)
+        assert seen == {True, False}
+
+    def test_gradient_keeps_the_bits(self):
+        checked = 0
+        for problem, tr in lean_path_cases():
+            if not isinstance(tr, SampledTrajectory):
+                continue
+            zp = integrate_z(problem, tr)
+            got = variational_gradient(problem, tr, zp)
+            assert _bits(got) == _bits(written_out_gradient(problem, tr, zp))
+            checked += 1
+        assert checked == 2 * 3 * len(BUNDLE_NAMES) + len(NOT_AFFINE)
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    def test_gradient_keeps_the_bits_at_n_2000(self, name):
+        problem, _, _, _ = build_bundle(name, 2000)
+        tr = wavy_sampled(problem)
+        zp = integrate_z(problem, tr)
+        got = variational_gradient(problem, tr, zp)
+        assert _bits(got) == _bits(written_out_gradient(problem, tr, zp))
+
+    @pytest.mark.parametrize("text", ["dxtau^2 + z", "dx^2 / 2 - x^2 / 2 - 0.2 * z", "dx^2",
+                                      "x*xtau + dx*dxtau + z", "t + z"])
+    def test_gradient_reads_only_the_partials_L_reads(self, monkeypatch, text):
+        # one table per partial in a variable L reads, none for the others
+        problem, _, _, _ = build_paper(100)
+        problem = replace(problem, lagrangian=expr.parse(text))
+        tr = wavy_sampled(problem)
+        zp = integrate_z(problem, tr)
+        zp.samples(tr)
+        calls = []
+        original = integrate.Samples.table
+        monkeypatch.setattr(integrate.Samples, "table",
+                            lambda self, name: calls.append(name) or original(self, name))
+        variational_gradient(problem, tr, zp)
+        partials = ("x", "dx", "xtau", "dxtau")
+        reads = expr.variables_in(problem.lagrangian)
+        assert calls == [v for v in partials if v in reads]

@@ -1,3 +1,7 @@
+import csv
+import io
+import os
+import stat
 from math import perm
 
 import numpy as np
@@ -6,7 +10,7 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 from scipy.linalg import solve_banded
 
 import herglotz as hg
-from herglotz import errors
+from herglotz import errors, reportio
 from herglotz.reportio import csv_text, write_text_atomic
 from herglotz.trajectory import (
     CubicSpline,
@@ -437,13 +441,51 @@ class TestCsv:
          np.array(["Q1 on [a, b-tau]", "Q1 on [a, b-tau]", "Q2 on [b-tau, b]"], dtype=object)],
         [np.array([]), np.array([]), np.array([], dtype=object)],
         [np.arange(4)],
+        [np.array([0.0, 1.0, 2.0, 3.0]),
+         np.array(['say "hi"', "two\nlines", "cr\rhere", "plain"], dtype=object)],
     ])
     def test_table_equals_the_per_row_format(self, columns):
         # one format call over the whole table writes what a format call per
-        # row writes: numbers at 17 digits, text as it is, a header alone
-        # when there are no rows
+        # row writes: numbers at 17 digits, text as the csv module quotes it
+        # (RFC 4180: quoted where it holds a comma, a quote or a line break),
+        # a header alone when there are no rows
         header = [f"c{j}" for j in range(len(columns))]
         cols = [c.tolist() for c in columns]
+
+        def quoted(text):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow([text])
+            return buf.getvalue()[:-2]
+
+        cols = [[quoted(v) for v in c] if c and isinstance(c[0], str) else c for c in cols]
         row = ",".join("{}" if c and isinstance(c[0], str) else "{:.17g}" for c in cols)
         per_row = "\n".join([",".join(header), *(row.format(*r) for r in zip(*cols))]) + "\n"
-        assert csv_text(header, columns) == per_row
+        text = csv_text(header, columns)
+        assert text == per_row
+        # and the csv module reads the text fields back as they were
+        rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        assert all(len(r) == len(columns) for r in rows)
+        for j, c in enumerate(columns):
+            if c.dtype == object:
+                assert [r[j] for r in rows] == c.tolist()
+
+    def test_each_distinct_label_is_quoted_once(self, monkeypatch):
+        calls = []
+        original = reportio._field
+        monkeypatch.setattr(reportio, "_field", lambda v: calls.append(v) or original(v))
+        labels = np.array(["Q1 on [a, b-tau]"] * 50 + ["Q2 on [b-tau, b]"] * 30, dtype=object)
+        text = csv_text(["t", "label"], [np.arange(80.0), labels])
+        assert sorted(calls) == ["Q1 on [a, b-tau]", "Q2 on [b-tau, b]"]
+        assert text.count('"Q1 on [a, b-tau]"') == 50
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002])
+    def test_reports_follow_the_umask(self, tmp_path, umask):
+        # the file gets 0o666 less the umask, as open() would give it, and
+        # no temporary file is left beside it
+        old = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "r.csv", "a\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "r.csv").stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
