@@ -17,9 +17,12 @@ pair) evaluation seeded on one variable gives a partial exact to machine
 precision, never a finite difference, and a plain evaluation is the value
 half of the same walk with no seed. Evaluation accepts floats or same-shaped
 numpy arrays and is pure; parsed trees are immutable, so concurrent use is
-safe. Scalar and array evaluation raise the same domain errors and agree in
-value, sin and cos of inf included (NaN), up to the last bit of ^ and the
-functions, where numpy's loops and libm may round apart. u^2 agrees bit for
+safe. A walk checks each binding it looks up finite (InvalidBinding), an
+array at every visit unless the bindings are a CheckedBindings, whose maker
+checked its arrays once where it made them. Scalar and array evaluation
+raise the same domain errors and agree in value, sin and cos of inf
+included (NaN), up to the last bit of ^ and the functions, where numpy's
+loops and libm may round apart. u^2 agrees bit for
 bit on every path: an exponent of exactly 2 is computed as u*u, the
 correctly rounded square (libm's pow(u, 2.0) can be 1 ulp off it, and
 numpy's power already computes u*u). Its tangent is 2*u*u', with no domain
@@ -289,14 +292,28 @@ def _any(cond) -> bool:
     return bool(np.any(cond)) if _is_array(cond) else bool(cond)
 
 
+class CheckedBindings(dict):
+    """Bindings for walks of one expression whose arrays, for the variables
+    that expression reads, their maker has checked finite (check_finite)
+    where it made them: a walk over them scans no array. Float bindings are
+    checked at every lookup, as in any other mapping."""
+
+
+def check_finite(name: str, v: np.ndarray) -> None:
+    """Raise InvalidBinding unless every entry of the array v, the binding
+    for name, is finite: the check a lookup makes of an unchecked array."""
+    if not np.isfinite(v).all():
+        raise InvalidBinding(f"binding for {name!r} contains non-finite values")
+
+
 def _lookup(b: Bindings, name: str) -> Value:
     try:
         v = b[name]
     except KeyError:
         raise UnboundVariable(name) from None
     if _is_array(v):
-        if not np.all(np.isfinite(v)):
-            raise InvalidBinding(f"binding for {name!r} contains non-finite values")
+        if type(b) is not CheckedBindings:
+            check_finite(name, v)
         return v
     v = float(v)
     if not math.isfinite(v):
@@ -485,7 +502,9 @@ def _degree(e: Expression, var: str) -> int:
 
 def affine(e: Expression, var: str, bindings: Bindings):
     """The columns (A, B) with e = A + B*var at every sample of the array
-    bindings, if the tree is affine in var by structure, else None.
+    bindings, if the tree is affine in var by structure, else None. They
+    come as the rows of one array, AB[0] = A and AB[1] = B, which unpacks
+    as A, B.
 
     Affine means var enters only through +, -, negation, products with at
     most one factor holding var, and numerators over var-free denominators;
@@ -499,13 +518,18 @@ def affine(e: Expression, var: str, bindings: Bindings):
     """
     if _degree(e, var) > 1:
         return None
-    cols = {k: np.asarray(v, dtype=float) for k, v in bindings.items()}
-    shape = np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
+    kind = CheckedBindings if type(bindings) is CheckedBindings else dict
+    cols = kind((k, np.asarray(v, dtype=float)) for k, v in bindings.items())
+    # a sample set binds arrays of one shape, the broadcast of them all
+    shapes = {v.shape for v in cols.values()}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     cols[var] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = _dual(e, cols, var)
-    return tuple(np.ascontiguousarray(np.broadcast_to(
-        np.asarray(v, dtype=float), shape)) for v in (a, 0.0 if b is None else b))
+    AB = np.empty((2,) + shape)
+    AB[0] = a
+    AB[1] = 0.0 if b is None else b
+    return AB
 
 
 def value_and_partial(e: Expression, var: str, bindings: Bindings):

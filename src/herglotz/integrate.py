@@ -70,6 +70,14 @@ them. A direction eta is a sampled trajectory with zero history
 (trajectory.VariationDirection), so the first variation reads it through
 Panels.read too; the one spline through node values (trajectory.CubicSpline)
 and the transpose of its build (trajectory.build_adjoint) live in trajectory.
+Each array is checked finite once, where it is made: a read of the
+trajectory that L walks over where Panels makes it (a non-finite one raises
+InvalidBinding, as a lookup of it would), z and lambda at the samples where
+ZPath.samples makes them, z and log-lambda at the stops where the
+integration makes them. The panel bindings are an expr.CheckedBindings, so
+no walk of L over them scans an array again. The affine columns A and B are
+the two rows of one array (expr.affine), on which the stage formulas run
+at once.
 All operations are pure (a fill-in on first use writes the same values
 whichever caller comes first); concurrent integrations are safe.
 """
@@ -157,7 +165,8 @@ class ZPath:
     exp(mu) at every integration stop (lam is a slice of stop_lam, the one
     exp of the z-path's mu), and the panel samples of the trajectory they
     were integrated on; affine holds the columns (A, B) of L = A + B z at
-    the samples where the z-path composed its affine steps, else None."""
+    the samples where the z-path composed its affine steps, as the rows of
+    one array (expr.affine), else None."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
@@ -166,7 +175,7 @@ class ZPath:
     stop_z: np.ndarray = field(repr=False)
     stop_mu: np.ndarray = field(repr=False)
     stop_lam: np.ndarray = field(repr=False)
-    affine: Optional[tuple] = field(default=None, repr=False)
+    affine: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -193,7 +202,15 @@ class ZPath:
         A + B z and B where the z-path holds the affine columns (in the last
         bits they may round otherwise than the tree of L where it is not A +-
         b z itself), else a walk of the tree at the ends. Only the k
-        midpoints are computed and exponentiated here."""
+        midpoints are computed and exponentiated here.
+
+        z and lambda are checked finite here, where they are made, as the
+        reads were where Panels made them, so no walk over the samples scans
+        its bindings again. On the affine path that check covers the end
+        slopes too: the columns are finite wherever the scan's z and mu are,
+        and an A + B z that overflows makes z at the midpoint non-finite. The
+        tree walk checks its slopes as well, since an infinite L_z can give
+        lambda = exp(-inf) = 0."""
         P = self.panels
         if traj is not P.traj:
             raise InvalidTrajectory("z-path was integrated along a different trajectory")
@@ -201,16 +218,19 @@ class ZPath:
             k, zs, mus = P.k, self.stop_z, self.stop_mu
             with np.errstate(over="ignore", invalid="ignore"):
                 if self.affine is None:
-                    bind = {name: np.concatenate([col[:k], col[2 * k:]])
-                            for name, col in P.bind.items()}
+                    bind = expr.CheckedBindings(
+                        (name, np.concatenate([col[:k], col[2 * k:]]))
+                        for name, col in P.bind.items())
                     bind["z"] = np.concatenate([zs[:-1], zs[1:]])
                     L, Lz = (np.broadcast_to(np.asarray(v, dtype=float), (2 * k,))
                              for v in expr.value_and_partial(P.lagrangian, "z", bind))
                     (L0, L1), (Lz0, Lz1) = (v.reshape(2, k) for v in (L, Lz))
+                    slopes = (L0, L1, Lz0, Lz1)
                 else:
                     A, B = self.affine
                     Lz0, Lz1 = B[:k], B[2 * k:]
                     L0, L1 = A[:k] + Lz0 * zs[:-1], A[2 * k:] + Lz1 * zs[1:]
+                    slopes = ()
                 # mu' = -L_z, and -Lz0 - (-Lz1) is Lz1 - Lz0 to the bit
                 h8 = P.hs / 8.0
                 z_mid = 0.5 * (zs[:-1] + zs[1:]) + h8 * (L0 - L1)
@@ -218,7 +238,7 @@ class ZPath:
                 lams = self.stop_lam
                 z = np.concatenate([zs[:-1], z_mid, zs[1:]])
                 lam = np.concatenate([lams[:-1], lam_mid, lams[1:]])
-            if not all(np.all(np.isfinite(v)) for v in (L0, L1, Lz0, Lz1, z, lam)):
+            if not all(np.isfinite(v).all() for v in (*slopes, z, lam)):
                 raise NonFinite("z-path is non-finite at a panel sample")
             P.z, P.lam = z, lam
             P.bind["z"] = P.z
@@ -230,13 +250,13 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     g = problem.grid
     P = Panels(problem, traj)
     coeffs = expr.affine(problem.lagrangian, "z", P.bind)
-    path = None if coeffs is None else _affine_stages(P, problem.gamma, *coeffs)
+    path = None if coeffs is None else _affine_stages(P, problem.gamma, coeffs)
     # L not affine in z, or a non-finite value on the way: the stage walk decides
     zs, mus = _stages(problem, P) if path is None else path
     with np.errstate(over="ignore"):
         lams = np.exp(mus)
     lam = lams[P.node_pos]
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise NonFinite("integrating factor overflowed")
     return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P, stop_z=zs, stop_mu=mus,
                  stop_lam=lams, affine=None if path is None else coeffs)
@@ -282,12 +302,12 @@ def _stages(problem: HerglotzProblem, P: Panels):
     return zs, mus
 
 
-def _affine_stages(P: Panels, gamma: float, A: np.ndarray, B: np.ndarray):
-    """The same stages for L = A + B z, from the columns A and B at the
-    samples, with no tree walk; None if z or mu meets a non-finite value.
-    mu' = -B does not depend on z, so its RK4 sums are one running sum. Each
-    RK4 step is the affine map z -> z + p_i + r_i z, (p, r) the stage
-    formulas run on the stacked A and B columns. An inclusive Hillis-Steele
+def _affine_stages(P: Panels, gamma: float, AB: np.ndarray):
+    """The same stages for L = A + B z, from the columns A = AB[0] and B =
+    AB[1] at the samples, with no tree walk; None if z or mu meets a
+    non-finite value. mu' = -B does not depend on z, so its RK4 sums are one
+    running sum. Each RK4 step is the affine map z -> z + p_i + r_i z, (p, r)
+    the stage formulas run on both rows of AB at once. An inclusive Hillis-Steele
     scan composes them: step j after a map (p, r) is (p_j + p + r_j p,
     r_j + r + r_j r), so ceil(log2 k) whole-array rounds (k log2 k
     multiply-adds) give every stop as gamma + p + r gamma. r stays apart from
@@ -298,6 +318,7 @@ def _affine_stages(P: Panels, gamma: float, A: np.ndarray, B: np.ndarray):
     formulas written out, temporaries and all."""
     k, hs = P.k, P.hs
     lo, mid, hi = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+    B = AB[1]
     m = -B
     with np.errstate(over="ignore", invalid="ignore"):
         mus = np.cumsum(np.concatenate(
@@ -307,7 +328,6 @@ def _affine_stages(P: Panels, gamma: float, A: np.ndarray, B: np.ndarray):
         # s4 = AB_hi + br (h s3) and pr = h (s1 + 2 s2 + 2 s3 + s4) / 6,
         # the stage in st, the running sum in pr and 2 s3 in tmp
         half = 0.5 * hs
-        AB = np.stack([A, B])
         bm, br = B[mid], B[hi]
         s1, ab_mid = AB[:, lo], AB[:, mid]
         st, pr, tmp = np.empty((3, 2, k))
@@ -343,7 +363,7 @@ def _affine_stages(P: Panels, gamma: float, A: np.ndarray, B: np.ndarray):
         pr[1] *= z0
         np.add(z0, pr[0], out=zs[1:])
         zs[1:] += pr[1]
-    if np.all(np.isfinite(zs)) and np.all(np.isfinite(mus)):
+    if np.isfinite(zs).all() and np.isfinite(mus).all():
         return zs, mus
     return None
 
@@ -369,7 +389,9 @@ class Samples:
     def table(self, name: str) -> np.ndarray:
         """L itself (name "L") or its partial in name at the samples,
         contiguous even where the expression is constant, so sums and dot
-        products over it round the same way whatever its shape.
+        products over it round the same way whatever its shape. A table the
+        walk made as a whole array is read-only, and is that array itself;
+        where L is a bare variable, it is a read-only view of its binding.
 
         L and its partials in the variables it reads walk the tree and raise
         what the walk raises. Any other partial is zero by structure and is
@@ -383,8 +405,16 @@ class Samples:
                 v = expr.partial(L, name, bind)
             else:
                 v = 0.0
-            self._tables[name] = np.ascontiguousarray(np.broadcast_to(
-                np.asarray(v, dtype=float), bind["t"].shape))
+            v = np.asarray(v, dtype=float)
+            if v.shape != bind["t"].shape or not v.flags.c_contiguous:
+                v = np.ascontiguousarray(np.broadcast_to(v, bind["t"].shape))
+            else:
+                # an array table is read-only, and a binding (L a bare
+                # variable) is handed out as a read-only view of itself
+                if any(v is b for b in bind.values()):
+                    v = v.view()
+                v.flags.writeable = False
+            self._tables[name] = v
         return self._tables[name]
 
 
@@ -488,7 +518,8 @@ class Panels(Samples):
     first variation, the solver gradient and the invariance defect. The
     z-path carries it (ZPath.samples), which fills in z and lambda here. The
     geometry comes from the grid's panel plan (plan), shared by every
-    trajectory on the grid.
+    trajectory on the grid. The reads of the variables L reads are checked
+    finite here, once; a non-finite one raises InvalidBinding.
 
     Sample arrays are ordered panel lefts, then midpoints, then rights (k of
     each). Trajectory reads are one-sided: lefts and midpoints take the right
@@ -502,9 +533,14 @@ class Panels(Samples):
         self.k, self.hs, self.node_pos = plan.k, plan.hs, plan.node_pos
         self.times, self.delayed, self.inside = plan.times, plan.delayed, plan.inside
         self.x, self.dx, self.xtau, self.dxtau = self.read(traj)
-        super().__init__(problem.lagrangian, {
-            "t": self.times, "x": self.x, "dx": self.dx,
-            "xtau": self.xtau, "dxtau": self.dxtau})
+        reads = {"x": self.x, "dx": self.dx, "xtau": self.xtau, "dxtau": self.dxtau}
+        super().__init__(problem.lagrangian,
+                         expr.CheckedBindings(t=self.times, **reads))
+        # the one finiteness check of each read L walks over; the times are
+        # finite with the grid
+        for name, v in reads.items():
+            if name in self.variables:
+                expr.check_finite(name, v)
 
     def read(self, traj: Trajectory):
         """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with

@@ -33,19 +33,19 @@ def _field(text: str) -> str:
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
     cols = [np.asarray(c).tolist() for c in columns]
     # one format per column: text quoted by _field, each distinct value once,
-    # numbers as fmt writes them
+    # numbers as fmt writes them ('%.17g' % v is '{:.17g}'.format(v))
     fmts = []
     for j, c in enumerate(cols):
         if c and isinstance(c[0], (str, bytes)):
             fields = {v: _field(str(v)) for v in set(c)}
             cols[j] = [fields[v] for v in c]
-            fmts.append("{}")
+            fmts.append("%s")
         else:
-            fmts.append("{:.17g}")
+            fmts.append("%.17g")
     row = ",".join(fmts) + "\n"
     rows = list(zip(*cols))
-    # the whole table in one format call, the values flattened row by row
-    return ",".join(header) + "\n" + (row * len(rows)).format(*chain.from_iterable(rows))
+    # the whole table in one % over a tuple, the values flattened row by row
+    return ",".join(header) + "\n" + (row * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def json_text(obj) -> str:

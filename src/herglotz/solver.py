@@ -28,14 +28,21 @@ The Hessian of z(b) in the node values scales like K_W, so the iteration
 count does not grow with n and L-BFGS need not learn how lambda weighs the
 nodes; with lambda = 1 and L reading dx, K_W = tridiag(-1, 2, -1)/h. Before
 the first curvature pair the direction is -K_W^-1 g scaled to inf-norm at
-most 1, so a unit first step is bounded whatever the scale of z. The stop
-test is the raw gradient inf-norm against grad_tol.
+most 1, so a unit first step is bounded whatever the scale of z. Each
+stored (s, y) pair carries its y's (1/rho of Nocedal & Wright, Algorithm
+7.4), formed once for the pair test and reused by both loops and the gamma
+scaling. The stop test is the raw gradient inf-norm against grad_tol.
+
+A trial is built from the seed by SampledTrajectory._with_values, which
+reuses the history spline and the main spline's node spacings and slope
+matrix, so a trial builds only what depends on its node values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import sqrt
 from numbers import Real
 from typing import Optional, Sequence, Union
 
@@ -194,24 +201,26 @@ def _h1_band(problem: HerglotzProblem, zpath: ZPath) -> np.ndarray:
     return band
 
 
-def _two_loop(grad, s_list, y_list, kinv):
-    """H grad for the L-BFGS inverse Hessian H built from the (s, y) pairs on
-    top of H0 = gamma K_W^-1 (kinv), gamma = s'y / y'K_W^-1 y of the newest
-    pair. With no pairs it is K_W^-1 grad, shrunk to inf-norm at most 1."""
+def _two_loop(grad, pairs, kinv):
+    """H grad for the L-BFGS inverse Hessian H built from the (s, y, y's)
+    pairs on top of H0 = gamma K_W^-1 (kinv), gamma = s'y / y'K_W^-1 y of
+    the newest pair. With no pairs it is K_W^-1 grad, shrunk to inf-norm at
+    most 1. Each pair carries its y's = 1/rho (Nocedal & Wright, Algorithm
+    7.4), formed once when the pair is stored; s'y is the same dot product."""
     q = grad.copy()
     alphas = []
-    for s, y in zip(reversed(s_list), reversed(y_list)):
-        a = (s @ q) / (y @ s)
+    for s, y, ys in reversed(pairs):
+        a = (s @ q) / ys
         alphas.append(a)
         q -= a * y
     q = kinv(q)
-    if s_list:
-        y = y_list[-1]
-        q *= (s_list[-1] @ y) / (y @ kinv(y))
+    if pairs:
+        _, y, ys = pairs[-1]
+        q *= ys / (y @ kinv(y))
     else:
         q /= max(1.0, float(np.max(np.abs(q))))
-    for (s, y), a in zip(zip(s_list, y_list), reversed(alphas)):
-        b = (y @ q) / (y @ s)
+    for (s, y, ys), a in zip(pairs, reversed(alphas)):
+        b = (y @ q) / ys
         q += (a - b) * s
     return q
 
@@ -248,8 +257,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
     kinv = partial(solve_tridiagonal, _h1_band(problem, zpath))
     grad = variational_gradient(problem, traj, zpath)
     history = [sign * f]
-    s_list: list = []
-    y_list: list = []
+    pairs: list = []
     iterations = 0
     stop_reason = "max_iters"
     for it in range(1, opts.max_iters + 1):
@@ -257,10 +265,10 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         if gnorm <= opts.grad_tol:
             stop_reason = "converged"
             break
-        d = -_two_loop(grad, s_list, y_list, kinv)
+        d = -_two_loop(grad, pairs, kinv)
         dg = float(d @ grad)
         if dg >= 0.0:  # round-off cost the pairs their descent: step without them
-            d = -_two_loop(grad, [], [], kinv)
+            d = -_two_loop(grad, [], kinv)
             dg = float(d @ grad)
         step = _INITIAL_STEP
         accepted = None
@@ -284,12 +292,12 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         x_new, f_new, traj, zpath, grad_new = accepted
         s = x_new - x
         y = grad_new - grad
-        if (y @ s) > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):
-            s_list.append(s)
-            y_list.append(y)
-            if len(s_list) > _LBFGS_MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
+        ys = y @ s
+        # sqrt(v @ v) is np.linalg.norm(v) for a 1-D float array, bit for bit
+        if ys > 1e-12 * sqrt(y @ y) * sqrt(s @ s):
+            pairs.append((s, y, ys))
+            if len(pairs) > _LBFGS_MEMORY:
+                pairs.pop(0)
         x, f, grad = x_new, f_new, grad_new
         iterations = it
         history.append(sign * f)

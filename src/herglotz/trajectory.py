@@ -37,6 +37,7 @@ returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import perm
 from typing import Sequence, Union
 
@@ -154,6 +155,16 @@ def _slope_band(x: np.ndarray, bc: str):
     return band, knot
 
 
+def _spline_geometry(x: np.ndarray, bc: str) -> tuple:
+    """The node spacings, the slope matrix and its end kind (_slope_band) of
+    the spline through nodes x with ends bc, read-only."""
+    dx = np.diff(x)
+    band, knot = _slope_band(x, bc)
+    for arr in (dx, band):
+        arr.setflags(write=False)
+    return dx, band, knot
+
+
 class CubicSpline:
     """C2 cubic spline through (x, y) with "natural" or "not-a-knot" ends;
     y holds one value per node.
@@ -161,6 +172,11 @@ class CubicSpline:
     at ts, and .read(ts, nus) several derivatives after one interval search;
     reads outside [x_0, x_n] extend the end pieces, and a value read exactly
     at a node returns the stored value.
+
+    A spline built with _geometry=other._geometry, other a spline on the
+    same nodes with the same ends, reuses its node spacings and slope
+    matrix (read-only, computed once and kept on other) and builds only
+    what depends on y.
 
     The build is scipy.interpolate.CubicSpline's, step for step, so the
     coefficients have its bits (its not-a-knot cases for 2 and 3 nodes aside):
@@ -173,12 +189,17 @@ class CubicSpline:
     sign of a zero.
     """
 
-    def __init__(self, x, y, bc: str):
+    def __init__(self, x, y, bc: str, _geometry=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        dx = np.diff(x)
+        self.x, self.bc = x, bc
+        if _geometry is None:
+            _geometry = _spline_geometry(x, bc)
+        else:
+            # kept, so that splines derived from this one reuse it too
+            self._geometry = _geometry
+        dx, band, knot = _geometry
         slope = np.diff(y) / dx
-        band, knot = _slope_band(x, bc)
         b = np.empty_like(y)
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         if knot:
@@ -190,10 +211,16 @@ class CubicSpline:
             b[-1] = 3 * (y[-1] - y[-2])
         s = solve_tridiagonal(band, b)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x = x
         self.y = y
         # one row of coefficients (c0, c1, c2, c3) per piece
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]), axis=1)
+
+    @cached_property
+    def _geometry(self) -> tuple:
+        """What the build takes from the nodes alone, for a spline on the
+        same nodes with the same ends: kept once asked for, so a spline
+        that nothing derives from holds only its coefficients."""
+        return _spline_geometry(self.x, self.bc)
 
     def __call__(self, ts, nu: int = 0) -> np.ndarray:
         return self.read(ts, (nu,))[0]
@@ -241,12 +268,12 @@ def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
 class SampledTrajectory:
     """Node values; natural cubic splines over [a-tau, a] and [a, b]."""
 
-    def __init__(self, grid: Grid, values: Sequence[float], _hist=None):
+    def __init__(self, grid: Grid, values: Sequence[float], _hist=None, _geometry=None):
         values = np.asarray(values, dtype=float).copy()
         if values.shape != grid.nodes.shape:
             raise InvalidTrajectory(
                 f"expected {grid.nodes.shape[0]} node values, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidTrajectory("node values must be finite")
         values.setflags(write=False)
         self.grid = grid
@@ -259,10 +286,16 @@ class SampledTrajectory:
         else:
             self._hist = None
             self.breakpoints = ()
-        self._main = CubicSpline(grid.main_nodes, values[m:], "natural")
+        self._main = CubicSpline(grid.main_nodes, values[m:], "natural", _geometry)
 
     def _with_values(self, values: np.ndarray) -> "SampledTrajectory":
-        return SampledTrajectory(self.grid, values, _hist=self._hist)
+        """A trajectory on the same grid with the node values values, whose
+        history values must equal this one's: it reuses this trajectory's
+        history spline as it is, and the node spacings and slope matrix of
+        its main spline, so only what depends on the values on [a, b] is
+        built. Every solver trial and perturb is built here."""
+        return SampledTrajectory(self.grid, values, _hist=self._hist,
+                                 _geometry=self._main._geometry)
 
     def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)

@@ -157,6 +157,20 @@ class TestExitCodes:
         assert rc == 1
         assert "stop_reason = line_search_failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("lagrangian, code", [
+        ("x + z", 2), ("dx*dx + z", 2), ("z^2 + 0*x", 2), ("t + z", 0), ("z^2", 0)])
+    def test_non_finite_read_is_exit_2_where_L_reads_it(self, tmp_path, lagrangian, code):
+        # x = exp(1000 t) overflows from t = 0.71 on: a bad binding for an L
+        # that reads x or x', nothing for one that reads neither
+        cfg = write_config(
+            tmp_path, interval={"a": 0.0, "b": 1.0}, tau=0.0, n=20, gamma=0.5,
+            history="1", lagrangian=lagrangian,
+            trajectory={"backend": "pieces",
+                        "pieces": [{"from": 0.0, "to": 1.0, "expr": "exp(1000*t)"}]})
+        with np.errstate(over="ignore"):
+            rc = main(["integrate", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == code
+
     def test_affine_blow_up_is_exit_3(self, tmp_path, capsys):
         # z' = 50 z from z(0) = 1 overflows before t = 20, on the affine path
         cfg = write_config(

@@ -459,6 +459,95 @@ class TestSamples:
             group_variation(problem, other, zp, group)
 
 
+def overflowing_read_problem(lagrangian):
+    """A problem on [0, 1] with tau = 0 along x = exp(1000 t), whose reads
+    x and x' are infinite from t = 0.71 on (reading them overflows, which
+    numpy warns of: callers silence it)."""
+    g = build_grid(0.0, 1.0, 0.0, 20)
+    problem = hg.HerglotzProblem(grid=g, gamma=0.5, beta=1.0, history="1",
+                                 lagrangian=lagrangian)
+    return problem, PiecewiseTrajectory(g, [(0.0, 1.0, "exp(1000*t)")])
+
+
+class TestCheckedBindings:
+    """Each read of the panel samples that L walks over is checked finite
+    once, where Panels makes it, and z and lambda where ZPath.samples makes
+    them; the walks over those bindings scan no array again."""
+
+    @pytest.fixture
+    def isfinite_calls(self, monkeypatch):
+        calls = []
+        original = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda v, *a, **k: calls.append(np.shape(v))
+                            or original(v, *a, **k))
+        return calls
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    @pytest.mark.parametrize("text", [None, "dxtau^2 + sin(z)", "x*dx + t*xtau + dxtau^2*z"])
+    def test_walks_over_the_panel_bindings_scan_nothing(self, isfinite_calls, name, text):
+        problem, _, _, _ = build_bundle(name, 100)
+        if text is not None:
+            problem = replace(problem, lagrangian=expr.parse(text))
+        traj = wavy_sampled(problem)
+        P = integrate_z(problem, traj).samples(traj)
+        isfinite_calls.clear()
+        expr.affine(P.lagrangian, "z", P.bind)
+        for table in ("L", "t", "x", "dx", "xtau", "dxtau", "z"):
+            P.table(table)
+        assert isfinite_calls == []
+        # the same walk over a plain mapping scans each array it looks up
+        expr.value_and_partial(P.lagrangian, "z", dict(P.bind))
+        assert len(isfinite_calls) >= len(P.variables)
+
+    @pytest.mark.parametrize("text", ["x + z", "dx*dx + z", "xtau + 0.5*z",
+                                      "exp(-t)*dxtau + z", "z^2 + 0*x", "sin(dx)*z*z",
+                                      "exp(-x) + z", "tanh(dx)*z"])
+    def test_non_finite_read_L_reads_is_an_invalid_binding(self, text):
+        # affine in z or not, the read is refused as a lookup refuses it, also
+        # where L maps it to a finite value (exp(-inf) = 0, tanh(inf) = 1)
+        problem, traj = overflowing_read_problem(text)
+        with np.errstate(over="ignore"), pytest.raises(errors.InvalidBinding):
+            integrate_z(problem, traj)
+
+    @pytest.mark.parametrize("text", ["t + z", "t*t - z", "z^2", "1"])
+    def test_non_finite_read_L_does_not_read_raises_nothing(self, text):
+        problem, traj = overflowing_read_problem(text)
+        with np.errstate(over="ignore"):
+            zp = integrate_z(problem, traj)
+        P = zp.samples(traj)
+        assert not np.all(np.isfinite(P.x))
+        assert np.all(np.isfinite(P.z)) and np.all(np.isfinite(P.lam))
+        for table in ("L", "t", "x", "dx", "xtau", "dxtau", "z"):
+            assert np.all(np.isfinite(P.table(table)))
+
+    @pytest.mark.parametrize("text", ["dx", "z"])
+    def test_table_of_a_binding_is_read_only(self, text):
+        # L a bare variable: its table is that binding's values, and writing
+        # into it raises, while the binding itself is left as it was
+        problem, _, _, _ = build_paper(20)
+        problem = replace(problem, lagrangian=expr.parse(text))
+        traj = wavy_sampled(problem)
+        P = integrate_z(problem, traj).samples(traj)
+        binding = P.bind[text]
+        writeable = binding.flags.writeable
+        table = P.table("L")
+        assert _bits(table) == _bits(binding)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        assert binding.flags.writeable == writeable
+
+    def test_affine_columns_are_one_array(self):
+        problem, _, _, _ = build_paper(20)
+        traj = wavy_sampled(problem)
+        zp = integrate_z(problem, traj)
+        P = zp.panels
+        AB = expr.affine(problem.lagrangian, "z", dict(P.bind))
+        assert AB.shape == (2, 3 * P.k) and AB.flags.c_contiguous
+        assert _bits(zp.affine) == _bits(AB)
+        A, B = zp.affine
+        assert _bits(A, B) == _bits(AB[0], AB[1])
+
+
 class TestZPathSamples:
     """z and lambda at the panel samples: the stop values at the panel ends,
     RK4's cubic Hermite dense output at the midpoints."""
@@ -919,7 +1008,7 @@ class TestLeanPathBits:
         P = type("P", (), {"k": k, "hs": hs})
         for A, B in self._columns(rng, k):
             for gamma in (0.5, -0.0, 0.0, -3.25):
-                got = integrate._affine_stages(P, gamma, A, B)
+                got = integrate._affine_stages(P, gamma, np.stack([A, B]))
                 want = written_out_affine_stages(k, hs, gamma, A, B)
                 assert _bits(*got) == _bits(*want)
             if not np.any(B):

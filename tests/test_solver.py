@@ -8,9 +8,11 @@ import herglotz as hg
 from herglotz import errors, expr
 from herglotz.integrate import integrate_z
 from herglotz.conditions import el_residuals
+from herglotz import trajectory
 from herglotz.solver import (
     SolveOptions,
     _h1_band,
+    _two_loop,
     fd_gradient,
     solve_direct,
     variational_gradient,
@@ -198,6 +200,80 @@ class TestH1Metric:
             1.0000000000000004]
         digest = hashlib.sha256(result.trajectory.values.tobytes()).hexdigest()
         assert digest == "7244e44c03142d496ba629ec647c7e50bafa6ac4a0a4acf44c9f0565d5fb8130"
+
+
+def written_out_two_loop(grad, s_list, y_list, kinv):
+    """The two-loop recursion with every y's formed where it is used."""
+    q = grad.copy()
+    alphas = []
+    for s, y in zip(reversed(s_list), reversed(y_list)):
+        a = (s @ q) / (y @ s)
+        alphas.append(a)
+        q -= a * y
+    q = kinv(q)
+    if s_list:
+        y = y_list[-1]
+        q *= (s_list[-1] @ y) / (y @ kinv(y))
+    else:
+        q /= max(1.0, float(np.max(np.abs(q))))
+    for (s, y), a in zip(zip(s_list, y_list), reversed(alphas)):
+        b = (y @ q) / (y @ s)
+        q += (a - b) * s
+    return q
+
+
+class TestHoistedInvariants:
+    """What a solve computes once: the y's of each L-BFGS pair, and the
+    spline geometry its trials share."""
+
+    @pytest.mark.parametrize("n", [1, 3, 99, 1999])
+    def test_stored_ys_keeps_the_bits(self, n):
+        rng = np.random.default_rng(n)
+        band = np.empty((3, n))
+        band[0] = band[2] = -rng.uniform(0.5, 1.5, n)
+        band[1] = 4.0
+
+        def kinv(v):
+            return trajectory.solve_tridiagonal(band, v)
+
+        for scale in (1e-150, 1.0, 1e150):
+            grad = rng.standard_normal(n) * scale
+            s_list = [rng.standard_normal(n) * scale for _ in range(10)]
+            y_list = [rng.standard_normal(n) for _ in range(10)]
+            for used in (0, 1, 10):
+                pairs = [(s, y, y @ s) for s, y in zip(s_list[:used], y_list[:used])]
+                want = written_out_two_loop(grad, s_list[:used], y_list[:used], kinv)
+                assert _two_loop(grad, pairs, kinv).tobytes() == want.tobytes()
+
+    def test_norm_is_the_square_root_of_the_dot(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 100, 2000):
+            for e in (-200, -3, 0, 3, 200):
+                v = rng.standard_normal(n) * 10.0 ** e
+                with np.errstate(over="ignore", under="ignore"):
+                    assert math.sqrt(v @ v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("name", ["paper-s4", "herglotz-damped", "classical-line"])
+    def test_slope_bands_do_not_grow_with_the_iterations(self, monkeypatch, name):
+        # per solve on a fresh grid, slope matrices on the n + 1 main nodes:
+        # the seed's build, the geometry its trials share and the adjoint's
+        # band; on the m + 1 history nodes, the seed's build, which every
+        # trial reuses
+        sizes = []
+        original = trajectory._slope_band
+        monkeypatch.setattr(trajectory, "_slope_band",
+                            lambda x, bc: sizes.append(len(x)) or original(x, bc))
+        counts = []
+        for max_iters in (1, 2, 1000):
+            problem, _, _, opts = build_bundle(name, n=100)
+            sizes.clear()
+            result = solve_direct(problem, SolveOptions(
+                max_iters=max_iters, seed_guess=opts.seed_guess))
+            counts.append((result.iterations, sorted(sizes)))
+        g = problem.grid
+        want = sorted([g.n + 1] * 3 + ([g.m + 1] if g.m else []))
+        assert [c[1] for c in counts] == [want] * 3
+        assert counts[0][0] == 1 and counts[2][0] > 2
 
 
 class TestSolveDirect:

@@ -469,6 +469,34 @@ class TestCsv:
             if c.dtype == object:
                 assert [r[j] for r in rows] == c.tolist()
 
+    def test_percent_fill_writes_what_str_format_writes(self):
+        # the table is filled by one % over a tuple: numbers must come out as
+        # '{:.17g}'.format writes them, ints, bools, signed zeros, infinities,
+        # NaN and subnormals included, and text holding %, { or a comma must
+        # pass through untouched (quoted where it holds the comma)
+        nums = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                1e-310, 1.7976931348623157e308, 1.0 / 3.0, -2.5, 1e16, 123456789012345680.0]
+        ints = list(range(-6, 7))
+        bools = [True, False] * 6 + [True]
+        text = ["100%", "%s", "%(x)s", "{}", "{0:.3g}", "a,b", "%%", "{", "}", "%d,{}",
+                "plain", "%.17g", "50% of {n}"]
+        columns = [np.array(nums), np.array(ints), np.array(bools), np.array(text, dtype=object)]
+        header = ["nums", "ints", "bools", "text"]
+
+        def field(v):
+            return '"' + v + '"' if "," in v else v
+
+        want = "\n".join(
+            [",".join(header)]
+            + ["{:.17g},{:.17g},{:.17g},{}".format(a, b, c, field(d))
+               for a, b, c, d in zip(nums, ints, bools, text)]) + "\n"
+        assert csv_text(header, columns) == want
+        # and on random bit patterns, one number per row
+        bits = np.random.default_rng(3).integers(0, 2**64, 20000, dtype=np.uint64)
+        vals = bits.view(np.float64)
+        want = "v\n" + "".join("{:.17g}\n".format(v) for v in vals.tolist())
+        assert csv_text(["v"], [vals]) == want
+
     def test_each_distinct_label_is_quoted_once(self, monkeypatch):
         calls = []
         original = reportio._field
