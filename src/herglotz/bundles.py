@@ -37,12 +37,16 @@ def _bundle_dir() -> Path:
     return Path(str(resources.files("herglotz").joinpath("bundles")))
 
 
-def bundle(name: str) -> BundleInfo:
+def bundle_config_path(name: str) -> Path:
+    """The config file of a shipped bundle; its expected values are not read."""
     if name not in BUNDLE_NAMES:
         raise ConfigError(f"unknown bundle {name!r}; available: {', '.join(BUNDLE_NAMES)}")
-    base = _bundle_dir()
-    cfg = base / f"{name}.json"
-    expected = json.loads((base / f"{name}.expected.json").read_text())
+    return _bundle_dir() / f"{name}.json"
+
+
+def bundle(name: str) -> BundleInfo:
+    cfg = bundle_config_path(name)
+    expected = json.loads(cfg.with_name(f"{name}.expected.json").read_text())
     return BundleInfo(name=name, config_path=cfg, expected=expected)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundles import BUNDLE_NAMES, bundle
+from .bundles import BUNDLE_NAMES, bundle, bundle_config_path
 from .conditions import TOLERANCES, dbr_residuals, el_residuals, hypothesis_profiles
 from .config import load_config, schema_path
 from .errors import (
@@ -41,7 +41,7 @@ def _load(config_arg: str):
     if p.is_file():
         return load_config(p)
     if config_arg in BUNDLE_NAMES:
-        return bundle(config_arg).config()
+        return load_config(bundle_config_path(config_arg))
     raise ConfigError(f"no such config file or bundle: {config_arg}")
 
 
@@ -244,11 +244,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The herglotz argument parser. Given a command name it registers that
-    command's subparser only, under the usage line of the full parser, which
-    parses that command's arguments alike and prints the same usage, help and
-    errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The herglotz argument parser, every command registered. main parses
+    with the one built at import, _PARSER, which any thread may share, since
+    no parse changes it: argparse's parse path (parse_known_args, the
+    subparsers, type, help and version actions) writes only to the Namespace
+    it returns and formats usage, help and errors anew at each call."""
     parser = argparse.ArgumentParser(
         prog="herglotz",
         description="Delayed Herglotz variational problems: integrate the "
@@ -257,15 +258,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         epilog=f"Config schema: {schema_path()}",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        sub = parser.add_subparsers(
-            dest="command", required=True,
-            metavar="{" + ",".join(spec[0] for spec in _COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, help_text, config, tol in _COMMANDS:
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         if config:
             p.add_argument("config", help="problem config JSON path, or a bundle name "
@@ -279,12 +273,13 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """The command line parsed; when it starts with a command name only that
-    command's subparser is built."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and any(argv[0] == spec[0] for spec in _COMMANDS) else None
-    return build_parser(command).parse_args(argv)
+    """The command line (sys.argv[1:] when argv is None) parsed by the shared
+    parser, which builds nothing."""
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ Grammar (EBNF, also documented in the README):
     atom   := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
 "^" binds tighter than unary minus, so "-x^2" is -(x^2) and "x^-2" parses.
-Variables are fixed: t, x, dx, xtau, dxtau, z, plus the reserved eps.
+Variables are fixed: t, x, dx, xtau, dxtau, z.
 Functions: sin, cos, exp, log, sqrt, abs, tanh.
 
 One tree walk serves values and partials: dual-number (first-order Taylor
@@ -54,7 +54,7 @@ from .errors import (
     UnknownIdentifier,
 )
 
-VARIABLES = ("t", "x", "dx", "xtau", "dxtau", "z", "eps")
+VARIABLES = ("t", "x", "dx", "xtau", "dxtau", "z")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
 
 Value = Union[float, np.ndarray]

@@ -33,8 +33,8 @@ stored (s, y) pair carries its y's (1/rho of Nocedal & Wright, Algorithm
 7.4), formed once for the pair test and reused by both loops and the gamma
 scaling. The stop test is the raw gradient inf-norm against grad_tol.
 
-A trial is built from the seed by SampledTrajectory._with_values, which
-reuses the history spline and the main spline's node spacings and slope
+A trial is built from the seed by SampledTrajectory._with_values: it reuses
+the seed's history spline and its main spline's node spacings and slope
 matrix, so a trial builds only what depends on its node values.
 """
 

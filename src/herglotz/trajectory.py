@@ -536,9 +536,6 @@ class HerglotzProblem:
         extra = expr.variables_in(self.history) - {"t"}
         if extra:
             raise InvalidTrajectory(f"history may only use t, found {sorted(extra)}")
-        bad = expr.variables_in(self.lagrangian) - {"t", "x", "dx", "xtau", "dxtau", "z"}
-        if bad:
-            raise InvalidTrajectory(f"Lagrangian may not use {sorted(bad)}")
         if not (np.isfinite(self.gamma) and np.isfinite(self.beta)):
             raise BadInterval("gamma and beta must be finite")
         if self.sense not in ("minimize", "maximize"):
@@ -571,16 +568,18 @@ def seed_trajectory(problem: HerglotzProblem, guess="linear") -> SampledTrajecto
             raise BadGuess(f"unknown seed {guess!r}")
         values[g.m] = xa
         values[-1] = problem.beta
-        return SampledTrajectory(g, values)
-    explicit = np.asarray(guess, dtype=float)
-    if explicit.shape != values.shape:
-        raise BadGuess(f"explicit seed needs {values.shape[0]} values")
-    scale = max(1.0, float(np.max(np.abs(explicit))))
-    if np.max(np.abs(explicit[: g.m + 1] - hist)) > 1e-12 * scale:
-        raise BadGuess("explicit seed disagrees with the history on [a - tau, a]")
-    if abs(explicit[-1] - problem.beta) > 1e-12 * scale:
-        raise BadGuess("explicit seed disagrees with x(b) = beta")
-    return SampledTrajectory(g, explicit)
+    else:
+        explicit = np.asarray(guess, dtype=float)
+        if explicit.shape != values.shape:
+            raise BadGuess(f"explicit seed needs {values.shape[0]} values")
+        scale = max(1.0, float(np.max(np.abs(explicit))))
+        if np.max(np.abs(explicit[: g.m + 1] - hist)) > 1e-12 * scale:
+            raise BadGuess("explicit seed disagrees with the history on [a - tau, a]")
+        if abs(explicit[-1] - problem.beta) > 1e-12 * scale:
+            raise BadGuess("explicit seed disagrees with x(b) = beta")
+        values = explicit
+    # a solve derives its trials from the seed, so the seed keeps its geometry
+    return SampledTrajectory(g, values, _geometry=_spline_geometry(g.main_nodes, "natural"))
 
 
 def trajectory_csv(traj: Trajectory) -> str:

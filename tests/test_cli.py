@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,11 @@ class TestExitCodes:
     def test_unaligned_n_override(self, tmp_path, capsys):
         rc = main(["integrate", "paper-s4", "--n", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_lagrangian_naming_eps_is_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, lagrangian="dxtau^2 + eps*z")
+        assert main(["check-el", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown identifier 'eps' (byte offset 10)" in capsys.readouterr().err
 
     def test_unknown_config_path(self, tmp_path, capsys):
         rc = main(["integrate", str(tmp_path / "nope.json"),
@@ -504,37 +511,102 @@ def _parsed(parse, argv, capsys):
 
 COMMANDS = ("integrate", "check-el", "check-dbr", "check-hyp", "invariance", "noether",
             "solve", "paper-example")
+COMMAND_RESTS = {"help": ["--help"], "no-config": [], "bad-n": ["paper-s4", "--n", "q"],
+                 "bogus": ["paper-s4", "--bogus"], "extra": ["paper-s4", "extra"]}
+OTHER_ARGVS = {"bare": [], "help": ["--help"], "version": ["--version"], "unknown": ["bogus"],
+               "option-first": ["--n", "5", "integrate", "paper-s4"]}
+# every command line of the parity tests, then one that parses on each command
+ARGVS = ([[command, *rest] for command in COMMANDS for rest in COMMAND_RESTS.values()]
+         + list(OTHER_ARGVS.values())
+         + [[name, *(["paper-s4"] if config else []), "--n", "200", "--out", "o",
+             *(["--tol", "1e-3"] if tol else [])] for name, _, _, config, tol in cli._COMMANDS])
+
+
+def _fingerprint(parser):
+    """What a parse could change in a parser and the parsers under it: each
+    one's help text and defaults, and each action's dest, default, option
+    strings and choices (the parsers of a subparsers action, in turn)."""
+    actions = []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            choices = {name: _fingerprint(sub) for name, sub in choices.items()}
+        actions.append((action.dest, repr(action.default), tuple(action.option_strings),
+                        repr(choices)))
+    return parser.format_help(), repr(parser._defaults), actions
 
 
 class TestParser:
-    """A command line naming a command builds that subparser only; usage,
-    help, errors and the parsed arguments stay those of the full parser."""
+    """cli.main parses with one parser, built at import (_PARSER): it builds
+    none per call, parses as a fresh parser does, and no parse changes it."""
 
     @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("rest", [["--help"], [], ["paper-s4", "--n", "q"],
-                                      ["paper-s4", "--bogus"], ["paper-s4", "extra"]],
-                             ids=["help", "no-config", "bad-n", "bogus", "extra"])
+    @pytest.mark.parametrize("rest", COMMAND_RESTS.values(), ids=COMMAND_RESTS)
     def test_one_command_parses_like_the_full_parser(self, command, rest, capsys):
         argv = [command, *rest]
         assert _parsed(cli.parse_args, argv, capsys) == \
             _parsed(cli.build_parser().parse_args, argv, capsys)
 
-    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"],
-                                      ["--n", "5", "integrate", "paper-s4"]],
-                             ids=["bare", "help", "version", "unknown", "option-first"])
+    @pytest.mark.parametrize("argv", OTHER_ARGVS.values(), ids=OTHER_ARGVS)
     def test_other_command_lines_use_the_full_parser(self, argv, capsys):
         assert _parsed(cli.parse_args, argv, capsys) == \
             _parsed(cli.build_parser().parse_args, argv, capsys)
 
-    def test_named_command_builds_one_subparser(self, monkeypatch, capsys):
+    def test_main_builds_no_parser(self, monkeypatch, tmp_path, capsys):
         built = []
-        original = cli.argparse._SubParsersAction.add_parser
+        original = argparse.ArgumentParser.__init__
 
-        def counted(self, name, **kwargs):
-            built.append(name)
-            return original(self, name, **kwargs)
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli.argparse._SubParsersAction, "add_parser", counted)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         with pytest.raises(SystemExit):
             main(["check-el", "--help"])
-        assert built == ["check-el"]
+        assert main(["check-el", "paper-s4", "--out", str(tmp_path)]) == 0
+        assert built == []
+        # the counter sees a build: the parser and one subparser per command
+        cli.build_parser()
+        assert len(built) == 1 + len(COMMANDS)
+
+    def test_no_parse_changes_the_shared_parser(self, capsys):
+        before = _fingerprint(cli._PARSER)
+        assert before == _fingerprint(cli.build_parser())
+        codes = [_parsed(cli.parse_args, argv, capsys)[0] for argv in ARGVS]
+        # help, version, usage errors and parses that succeed were all run
+        assert {c for c in codes if not isinstance(c, dict)} == {0, 2}
+        assert any(isinstance(c, dict) for c in codes)
+        assert _fingerprint(cli._PARSER) == before
+
+    def test_threads_parse_as_one_thread_does(self, capsys):
+        def parsed(argv):
+            try:
+                return vars(cli.parse_args(argv))
+            except SystemExit as stop:
+                return stop.code
+
+        argvs = [a for a in ARGVS if "--help" not in a and "--version" not in a] * 20
+        want = [parsed(argv) for argv in argvs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the parses
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(parsed, argvs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+
+def test_bundle_name_reads_the_config_only(monkeypatch, tmp_path):
+    read = []
+    original = Path.read_text
+
+    def recorded(self, *args, **kwargs):
+        read.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", recorded)
+    assert main(["integrate", "paper-s4", "--out", str(tmp_path / "i")]) == 0
+    assert read == ["paper-s4.json"]
+    assert main(["paper-example", "--n", "200", "--out", str(tmp_path / "p")]) == 0
+    assert read[1:] == ["paper-s4.expected.json", "paper-s4.json"]

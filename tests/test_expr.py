@@ -114,8 +114,11 @@ class TestParse:
         assert evaluate(parse("2+3*4"), {}) == 14.0
         assert evaluate(parse("(2+3)*4"), {}) == 20.0
 
-    def test_eps_is_reserved_but_parseable(self):
-        assert parse("eps") == Var("eps")
+    def test_eps_is_an_unknown_identifier(self):
+        # nothing binds eps, so an L naming it fails where it is parsed
+        with pytest.raises(errors.UnknownIdentifier) as exc:
+            parse("eps")
+        assert exc.value.name == "eps" and exc.value.offset == 0
 
     def test_syntax_error_offset(self):
         with pytest.raises(errors.ExpressionSyntaxError) as exc:

@@ -256,9 +256,9 @@ class TestHoistedInvariants:
     @pytest.mark.parametrize("name", ["paper-s4", "herglotz-damped", "classical-line"])
     def test_slope_bands_do_not_grow_with_the_iterations(self, monkeypatch, name):
         # per solve on a fresh grid, slope matrices on the n + 1 main nodes:
-        # the seed's build, the geometry its trials share and the adjoint's
-        # band; on the m + 1 history nodes, the seed's build, which every
-        # trial reuses
+        # the seed's build, whose geometry its trials share, and the
+        # adjoint's band; on the m + 1 history nodes, the seed's build, which
+        # every trial reuses
         sizes = []
         original = trajectory._slope_band
         monkeypatch.setattr(trajectory, "_slope_band",
@@ -271,7 +271,7 @@ class TestHoistedInvariants:
                 max_iters=max_iters, seed_guess=opts.seed_guess))
             counts.append((result.iterations, sorted(sizes)))
         g = problem.grid
-        want = sorted([g.n + 1] * 3 + ([g.m + 1] if g.m else []))
+        want = sorted([g.n + 1] * 2 + ([g.m + 1] if g.m else []))
         assert [c[1] for c in counts] == [want] * 3
         assert counts[0][0] == 1 and counts[2][0] > 2
 

@@ -370,7 +370,7 @@ class TestProblem:
 
     def test_lagrangian_may_not_use_eps(self):
         g = build_grid(0.0, 2.0, 1.0, 4)
-        with pytest.raises(errors.InvalidTrajectory):
+        with pytest.raises(errors.UnknownIdentifier):
             hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="-t",
                                lagrangian="z + eps")
 
