@@ -6,7 +6,8 @@ time derivatives of sampled coefficient functions use 5-point differencing at
 the grid step with one-sided closure at interval ends, matching the 4th-order
 accuracy of the z integration. Sup-norms skip samples within 2h of any
 trajectory breakpoint or of its +-tau images (delayed reads kink there); the
-conditions hold classically only on the open smooth subintervals.
+conditions hold classically only on the open smooth subintervals; a report
+with no sample left (n too coarse) raises BadInterval, CLI exit 2.
 
 Sign convention: left-hand side minus right-hand side exactly as the
 conditions are usually displayed, so residual magnitudes are comparable
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import BadInterval, NonFinite
 from .fdiff import derivative_on_segment
 from .integrate import Samples, ZPath, integrate_z
 from .reportio import csv_text
@@ -83,8 +84,9 @@ def exclusion_zones(traj: Trajectory, lo: float, hi: float) -> list:
     return [(p - r, p + r) for p in sorted(points)]
 
 
-def _masked(traj: Trajectory, times: np.ndarray):
-    """Exclusion zones of the sampled span and the mask of samples outside them."""
+def _masked(label: str, traj: Trajectory, times: np.ndarray):
+    """Exclusion zones of the sampled span and the mask of samples outside
+    them, at least one (else BadInterval, naming the report label)."""
     zones = exclusion_zones(traj, times[0], times[-1])
     keep = np.ones(len(times), dtype=bool)
     pad = 1e-9 * (times[-1] - times[0])
@@ -92,12 +94,16 @@ def _masked(traj: Trajectory, times: np.ndarray):
     # window touching the kink, so it is excluded too
     for lo, hi in zones:
         keep &= ~((times >= lo - pad) & (times <= hi + pad))
+    if not np.any(keep):
+        raise BadInterval(
+            f"{label}: every sample lies within 2h of a breakpoint or of its +-tau images; "
+            f"n = {traj.grid.n} is too coarse for this check")
     return zones, keep
 
 
 def _report(label, times, values, tol, traj) -> ResidualReport:
-    zones, keep = _masked(traj, times)
-    sup = float(np.max(np.abs(values[keep]))) if np.any(keep) else 0.0
+    zones, keep = _masked(label, traj, times)
+    sup = float(np.max(np.abs(values[keep])))
     return ResidualReport(label=label, times=times, values=np.asarray(values),
                           tolerance=float(tol), sup_norm=sup,
                           passed=sup <= tol, excluded_zones=zones)
@@ -258,7 +264,7 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     # coefficients of z^p by z^p wv
     z, wv = mids - tmain[:-1], 4.0 * w * sm
     gc = (wv, z * wv, z * (z * wv), z * z * (z * wv))
-    total = nodal + build_adjoint(tmain, adjoint_band(tmain), gc)
+    total = nodal + build_adjoint(tmain, adjoint_band(g.spline_geometry[1][1]), gc)
     if zpath.lambda_b == 0.0:
         raise NonFinite("integrating factor lambda(b) underflowed to 0")
     return total[1:-1] / zpath.lambda_b

@@ -60,7 +60,8 @@ class NonFinite(HerglotzError):
 
 
 class BadInterval(HerglotzError):
-    """Grid construction inputs violate a < b, 0 <= tau < b - a, or n >= 2."""
+    """Grid construction inputs violate a < b, 0 <= tau < b - a, or n >= 2;
+    or n is too coarse for a check: a report has every sample excluded."""
 
 
 class DelayNotAligned(HerglotzError):

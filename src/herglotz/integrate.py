@@ -472,7 +472,7 @@ class PanelPlan:
 
     @cached_property
     def band(self) -> np.ndarray:
-        return adjoint_band(self.grid.main_nodes)
+        return adjoint_band(self.grid.spline_geometry[1][1])
 
     @cached_property
     def grid_read(self) -> tuple:

@@ -183,12 +183,9 @@ class ConservationReport:
 
 
 def _profile(label, times, values, tol, traj) -> QuantityProfile:
-    zones, keep = _masked(traj, times)
-    if np.any(keep):
-        mean = float(np.mean(values[keep]))
-        drift = float(np.max(np.abs(values[keep] - mean)))
-    else:
-        mean, drift = 0.0, 0.0
+    zones, keep = _masked(label, traj, times)
+    mean = float(np.mean(values[keep]))
+    drift = float(np.max(np.abs(values[keep] - mean)))
     return QuantityProfile(label=label, times=times, values=values, mean=mean,
                            drift=drift, tolerance=float(tol),
                            passed=drift <= tol, excluded_zones=zones)

@@ -34,8 +34,8 @@ stored (s, y) pair carries its y's (1/rho of Nocedal & Wright, Algorithm
 scaling. The stop test is the raw gradient inf-norm against grad_tol.
 
 A trial is built from the seed by SampledTrajectory._with_values: it reuses
-the seed's history spline and its main spline's node spacings and slope
-matrix, so a trial builds only what depends on its node values.
+the seed's history rows and the grid's slope matrices (Grid.spline_geometry),
+so a trial builds only what depends on its node values.
 """
 
 from __future__ import annotations

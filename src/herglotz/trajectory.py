@@ -10,19 +10,21 @@ Two backends:
   split keeps the slope break at t=a representable: the problems this package
   targets pin x on the history, and their minimizers generically enter [a, b]
   with a different slope. A single C2 spline across t=a would smear that
-  corner and bias every downstream quantity at O(h). An admissible variation
-  direction is a sampled trajectory too (VariationDirection), with zero node
-  values on [a-tau, a] and at b. CubicSpline is the package's one spline
-  through node values (the residual pairing of conditions uses it too), and
-  build_adjoint is the transpose of its natural-end build, sharing the slope
-  matrix and its end rows with it (with the band of adjoint_band). A read
-  searches the nodes for the piece and offset of each sample, and for the
-  samples on a node, and then reads there. A read of the whole grid, one
-  sample in every interval (integrate's regular panel plan), skips the
-  search: SampledTrajectory.read_grid reads the node values, the slope
-  coefficients at the nodes and one cubic per interval, in the grid's order,
-  with the same bits (a zero slope's sign aside). Every read runs Horner's
-  rule on its piece.
+  corner and bias every downstream quantity at O(h). A trajectory keeps both
+  as one table of cubic pieces, one row per grid interval, history rows
+  first, with t=a a breakpoint of the table (de Boor's piecewise-polynomial
+  form); so does an admissible variation direction (VariationDirection),
+  with zero node values on [a-tau, a] and at b. CubicSpline is the package's
+  one spline through node values, build_adjoint the transpose of its
+  natural-end build, and the grid holds the slope matrices of its two
+  segments (Grid.spline_geometry). One rule, _read, reads a spline or a
+  trajectory: an interval search for the piece and offset of each sample,
+  and for the samples on a node, then a read there. A read of the whole
+  grid, one sample in every interval (integrate's regular panel plan),
+  skips the search: SampledTrajectory.read_grid reads the node values, the
+  slope coefficients at the nodes and one cubic per interval, in the grid's
+  order, with the same bits (a zero slope's sign aside). Every read runs
+  Horner's rule on its piece.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -63,7 +65,8 @@ class Grid:
     """Uniform mesh on [a-tau, b]: h=(b-a)/n, tau=m*h, nodes t_i = a + (i-m)h.
 
     plan_slot holds at most one integrate.PanelPlan, filled on first use: the
-    sample geometry that every sampled trajectory on this grid shares."""
+    sample geometry that every sampled trajectory on this grid shares;
+    spline_geometry, also computed on first use, is their spline geometry."""
 
     a: float
     b: float
@@ -83,6 +86,14 @@ class Grid:
     def free_indices(self) -> range:
         """Indices of decision nodes: strictly between a and b."""
         return range(self.m + 1, self.n + self.m)
+
+    @cached_property
+    def spline_geometry(self) -> tuple:
+        """(history geometry, or None if tau = 0; main geometry): the
+        natural-end _spline_geometry of the nodes of [a-tau, a] and of
+        [a, b]."""
+        hist = _spline_geometry(self.nodes[: self.m + 1], "natural") if self.m else None
+        return hist, _spline_geometry(self.main_nodes, "natural")
 
 
 def build_grid(a: float, b: float, tau: float, n: int) -> Grid:
@@ -171,12 +182,11 @@ class CubicSpline:
     CubicSpline(x, y, bc)(ts, nu) reads the nu-th derivative (nu = 0, 1, 2)
     at ts, and .read(ts, nus) several derivatives after one interval search;
     reads outside [x_0, x_n] extend the end pieces, and a value read exactly
-    at a node returns the stored value.
+    at a node returns the stored value (_read).
 
-    A spline built with _geometry=other._geometry, other a spline on the
-    same nodes with the same ends, reuses its node spacings and slope
-    matrix (read-only, computed once and kept on other) and builds only
-    what depends on y.
+    A spline built with _geometry, the _spline_geometry of its nodes and
+    ends computed once elsewhere (Grid.spline_geometry), builds only what
+    depends on y.
 
     The build is scipy.interpolate.CubicSpline's, step for step, so the
     coefficients have its bits (its not-a-knot cases for 2 and 3 nodes aside):
@@ -192,13 +202,7 @@ class CubicSpline:
     def __init__(self, x, y, bc: str, _geometry=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self.x, self.bc = x, bc
-        if _geometry is None:
-            _geometry = _spline_geometry(x, bc)
-        else:
-            # kept, so that splines derived from this one reuse it too
-            self._geometry = _geometry
-        dx, band, knot = _geometry
+        dx, band, knot = _spline_geometry(x, bc) if _geometry is None else _geometry
         slope = np.diff(y) / dx
         b = np.empty_like(y)
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
@@ -211,37 +215,38 @@ class CubicSpline:
             b[-1] = 3 * (y[-1] - y[-2])
         s = solve_tridiagonal(band, b)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.y = y
+        self.x, self.y = x, y
         # one row of coefficients (c0, c1, c2, c3) per piece
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]), axis=1)
-
-    @cached_property
-    def _geometry(self) -> tuple:
-        """What the build takes from the nodes alone, for a spline on the
-        same nodes with the same ends: kept once asked for, so a spline
-        that nothing derives from holds only its coefficients."""
-        return _spline_geometry(self.x, self.bc)
 
     def __call__(self, ts, nu: int = 0) -> np.ndarray:
         return self.read(ts, (nu,))[0]
 
     def read(self, ts, nus) -> tuple:
-        """The derivatives of orders nus at ts, one array each, with the bits
-        of separate calls: one interval search for the piece i of each sample
-        (x[i] <= t < x[i+1], the end pieces extended), its offset and the
-        samples on a node, then a read there."""
-        ts = np.asarray(ts, dtype=float)
-        t, x = ts.reshape(-1), self.x
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-        # the right end x_n is the end of the last piece
-        at = i + (t == x[-1])
-        rows = np.flatnonzero(t == x[at])
-        out = _power_sums(self.c, i, t - x[i], nus)
-        for nu, res in zip(nus, out):
-            if nu == 0:
-                # a copy, not z = 0, so a stored -0.0 stays -0.0
-                res[rows] = self.y[at[rows]]
-        return tuple(r.reshape(ts.shape) for r in out)
+        """The derivatives of orders nus at ts, one array each (_read)."""
+        return _read(self.x, self.y, self.c, ts, nus)
+
+
+def _read(x, y, c, ts, nus, kinks=()) -> tuple:
+    """The derivatives of orders nus at ts, one array each with the bits of
+    separate calls, of the cubic pieces c (one row each) between breakpoints
+    x with node values y: piece i holds x[i] <= t < x[i+1], but a sample on
+    one of the kinks takes the piece that ends there (a left limit), and the
+    end pieces extend past the ends; a value read on a node is stored."""
+    ts = np.asarray(ts, dtype=float)
+    t = ts.reshape(-1)
+    i = np.searchsorted(x, t, side="right") - 1
+    if kinks:
+        i -= np.isin(t, kinks)
+    i = np.clip(i, 0, len(x) - 2)
+    at = i + (t == x[i + 1])
+    rows = np.flatnonzero(t == x[at])
+    out = _power_sums(c, i, t - x[i], nus)
+    for nu, res in zip(nus, out):
+        if nu == 0:
+            # a copy, not z = 0, so a stored -0.0 stays -0.0
+            res[rows] = y[at[rows]]
+    return tuple(r.reshape(ts.shape) for r in out)
 
 
 def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
@@ -266,9 +271,12 @@ def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
 
 
 class SampledTrajectory:
-    """Node values; natural cubic splines over [a-tau, a] and [a, b]."""
+    """Node values; natural cubic splines over [a-tau, a] and [a, b], built
+    with the grid's spline geometry and kept as one table c of cubic pieces,
+    one row per grid interval, history rows first; t=a is a breakpoint of
+    the table when tau > 0."""
 
-    def __init__(self, grid: Grid, values: Sequence[float], _hist=None, _geometry=None):
+    def __init__(self, grid: Grid, values: Sequence[float], _hist=None):
         values = np.asarray(values, dtype=float).copy()
         if values.shape != grid.nodes.shape:
             raise InvalidTrajectory(
@@ -279,44 +287,28 @@ class SampledTrajectory:
         self.grid = grid
         self.values = values
         m = grid.m
-        if m >= 1:
-            self._hist = _hist if _hist is not None else CubicSpline(
-                grid.nodes[: m + 1], values[: m + 1], "natural")
-            self.breakpoints: tuple = (grid.a,)
-        else:
-            self._hist = None
-            self.breakpoints = ()
-        self._main = CubicSpline(grid.main_nodes, values[m:], "natural", _geometry)
+        hist_geo, main_geo = grid.spline_geometry
+        if m and _hist is None:
+            _hist = CubicSpline(grid.nodes[: m + 1], values[: m + 1], "natural", hist_geo).c
+        main = CubicSpline(grid.main_nodes, values[m:], "natural", main_geo).c
+        self._hist = _hist
+        self.c = main if _hist is None else np.concatenate([_hist, main])
+        self.c.setflags(write=False)
+        self.breakpoints: tuple = (grid.a,) if m else ()
 
     def _with_values(self, values: np.ndarray) -> "SampledTrajectory":
         """A trajectory on the same grid with the node values values, whose
         history values must equal this one's: it reuses this trajectory's
-        history spline as it is, and the node spacings and slope matrix of
-        its main spline, so only what depends on the values on [a, b] is
-        built. Every solver trial and perturb is built here."""
-        return SampledTrajectory(self.grid, values, _hist=self._hist,
-                                 _geometry=self._main._geometry)
+        history rows as they are, so only what depends on the values on
+        [a, b] is built. Every solver trial and perturb is built here."""
+        return SampledTrajectory(self.grid, values, _hist=self._hist)
 
     def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)
         check_domain(self.grid.nodes[0], self.grid.b, ts)
-        g = self.grid
-        if self._hist is None:
-            use_main = np.ones(ts.shape, dtype=bool)
-        elif side == "left":
-            use_main = ts > g.a
-        else:
-            use_main = ts >= g.a
-        x = np.empty_like(ts)
-        dx = np.empty_like(ts)
-        ddx = np.empty_like(ts) if want_ddx else None
         nus = (0, 1, 2) if want_ddx else (0, 1)
-        for mask, spline in ((use_main, self._main), (~use_main, self._hist)):
-            if not np.any(mask):
-                continue
-            for out, val in zip((x, dx, ddx), spline.read(ts[mask], nus)):
-                out[mask] = val
-        return (x, dx, ddx) if want_ddx else (x, dx)
+        kinks = self.breakpoints if side == "left" else ()
+        return _read(self.grid.nodes, self.values, self.c, ts, nus, kinks)
 
     def read_grid(self, i: np.ndarray, z: np.ndarray) -> tuple:
         """A read of the whole grid with eval_many's bits (a zero slope's
@@ -327,8 +319,7 @@ class SampledTrajectory:
         x' in the intervals, and x' at a from the left (empty if tau = 0). A
         node reads its stored value and, as the start of its piece, that
         piece's linear coefficient for x'."""
-        N = len(self.values) - 1
-        c = self._main.c if self._hist is None else np.concatenate([self._hist.c, self._main.c])
+        N, c = len(self.values) - 1, self.c
         v, d = _power_sums(c, i, z, (0, 1))
         at_nodes = np.empty((2, N + 1))
         at_nodes[0] = self.values
@@ -450,14 +441,14 @@ class VariationDirection(SampledTrajectory):
         return cls(grid, main)
 
 
-def adjoint_band(nodes: np.ndarray) -> np.ndarray:
-    """The slope matrix of the natural spline through nodes, transposed, in
-    solve_tridiagonal's layout and read-only: the system build_adjoint
-    solves."""
-    band, _ = _slope_band(np.asarray(nodes, dtype=float), "natural")
-    band[0, 1:], band[2, :-1] = band[2, :-1].copy(), band[0, 1:].copy()
-    band.setflags(write=False)
-    return band
+def adjoint_band(band: np.ndarray) -> np.ndarray:
+    """The transpose of a slope matrix band in solve_tridiagonal's layout,
+    as a read-only copy: given the natural spline's forward band
+    (Grid.spline_geometry), the system build_adjoint solves."""
+    t = band.copy()
+    t[0, 1:], t[2, :-1] = band[2, :-1], band[0, 1:]
+    t.setflags(write=False)
+    return t
 
 
 # the natural end rows of the slope system's right-hand side, in y_0, y_1
@@ -468,7 +459,7 @@ _END_ROW.setflags(write=False)
 def build_adjoint(x: np.ndarray, band: np.ndarray, gc) -> np.ndarray:
     """Node weights g with g . y = sum_p gc[p] . c_p for the coefficients c_p
     of z^p in the pieces of CubicSpline(x, y, "natural"), band its transposed
-    slope matrix (adjoint_band(x)): the transpose of the build."""
+    slope matrix (adjoint_band): the transpose of the build."""
     n = len(x)
     dx = x[1:] - x[:-1]
     gc3, gc2, gc1, gc0 = gc
@@ -578,8 +569,7 @@ def seed_trajectory(problem: HerglotzProblem, guess="linear") -> SampledTrajecto
         if abs(explicit[-1] - problem.beta) > 1e-12 * scale:
             raise BadGuess("explicit seed disagrees with x(b) = beta")
         values = explicit
-    # a solve derives its trials from the seed, so the seed keeps its geometry
-    return SampledTrajectory(g, values, _geometry=_spline_geometry(g.main_nodes, "natural"))
+    return SampledTrajectory(g, values)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

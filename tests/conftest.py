@@ -11,6 +11,7 @@ from herglotz import conditions, expr
 from herglotz.bundles import bundle
 from herglotz.errors import FixedNode
 from herglotz.integrate import Panels, VariationDirection
+from herglotz.trajectory import CubicSpline as NodeSpline
 from herglotz.trajectory import SampledTrajectory
 
 
@@ -205,21 +206,25 @@ def per_call_spline_read(spline, ts, nus):
 
 
 def per_call_eval(traj, ts, side):
-    """x and x' of a trajectory at ts on the given side; a sampled one picks
-    its spline per sample and reads it with per_call_spline_read."""
+    """x and x' of a trajectory at ts on the given side; a sampled one is
+    read from its own natural splines through the node values of
+    [a - tau, a] and [a, b], built here, picked per sample and read with
+    per_call_spline_read."""
     if not isinstance(traj, SampledTrajectory):
         return traj.eval_many(ts, side=side, want_ddx=False)
     g = traj.grid
-    if traj._hist is None:
+    main = NodeSpline(g.main_nodes, traj.values[g.m:], "natural")
+    if g.m == 0:
         use_main = np.ones(ts.shape, dtype=bool)
     elif side == "left":
         use_main = ts > g.a
     else:
         use_main = ts >= g.a
     x, dx = np.empty_like(ts), np.empty_like(ts)
-    for mask, spline in ((use_main, traj._main), (~use_main, traj._hist)):
-        if np.any(mask):
-            x[mask], dx[mask] = per_call_spline_read(spline, ts[mask], (0, 1))
+    if np.any(~use_main):
+        hist = NodeSpline(g.nodes[: g.m + 1], traj.values[: g.m + 1], "natural")
+        x[~use_main], dx[~use_main] = per_call_spline_read(hist, ts[~use_main], (0, 1))
+    x[use_main], dx[use_main] = per_call_spline_read(main, ts[use_main], (0, 1))
     return x, dx
 
 

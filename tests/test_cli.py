@@ -98,6 +98,20 @@ class TestExitCodes:
         sup = json.loads((tmp_path / "o" / "check_el.json").read_text())[0]["sup_norm"]
         assert abs(sup - 2.0 / math.e) < 0.02
 
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("cmd", ["check-el", "check-dbr", "check-hyp", "noether"])
+    def test_grid_too_coarse_for_a_report_is_exit_2(self, tmp_path, capsys, cmd, n):
+        # every node of a report lies within 2h of a kink of x(t) = t or of
+        # its tau images, so no sample is left to judge
+        rc = main([cmd, "paper-s4-nonextremal", "--n", str(n), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"n = {n} is too coarse for this check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["check-el", "check-dbr", "noether"])
+    def test_coarse_grid_with_samples_left_fails_the_non_extremal(self, tmp_path, cmd):
+        assert main([cmd, "paper-s4-nonextremal", "--n", "12",
+                     "--out", str(tmp_path / "o")]) == 1
+
     def test_tolerance_override_flips_verdicts(self, tmp_path):
         out = str(tmp_path / "o")
         assert main(["check-dbr", "paper-s4", "--n", "100", "--out", out,

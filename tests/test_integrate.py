@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz import errors, expr, integrate
+from herglotz import errors, expr, integrate, trajectory
 from herglotz.bundles import BUNDLE_NAMES
 from herglotz.conditions import el_residuals, node_tables, weak_form_values
 from herglotz.integrate import (
@@ -23,7 +23,7 @@ from herglotz.integrate import (
 )
 from herglotz.noether import group_variation
 from herglotz.solver import solve_direct, variational_gradient
-from herglotz.trajectory import CubicSpline, PiecewiseTrajectory, SampledTrajectory, build_grid
+from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
 
 from conftest import (
     affine_rk4,
@@ -591,9 +591,9 @@ class TestZPathSamples:
         # a trajectory that reads no spline needs no location of its samples
         problem, traj, group, _ = build_paper(100)
         located = []
-        original = CubicSpline.read
-        monkeypatch.setattr(CubicSpline, "read",
-                            lambda self, *a: located.append(1) or original(self, *a))
+        original = trajectory._read
+        monkeypatch.setattr(trajectory, "_read",
+                            lambda *a: located.append(1) or original(*a))
         zp = integrate_z(problem, traj)
         zp.samples(traj)
         group_variation(problem, traj, zp, group)
@@ -741,7 +741,7 @@ class TestPanelPlan:
         # the plan is built once; on its regular grid no spline is searched
         # (at n = 98, a + m h != a + tau)
         counts = {}
-        for owner, name in ((integrate, "integration_stops"), (CubicSpline, "read")):
+        for owner, name in ((integrate, "integration_stops"), (trajectory, "_read")):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
@@ -751,11 +751,11 @@ class TestPanelPlan:
             monkeypatch.setattr(owner, name, counted)
         for n in (100, 98):
             problem, _, _, _ = build_paper(n)
-            counts.update(integration_stops=0, read=0)
+            counts.update(integration_stops=0, _read=0)
             result = solve_direct(problem)
             assert result.converged and result.iterations >= 5
             assert result.zpath.samples(result.trajectory).plan.offsets is not None
-            assert counts == {"integration_stops": 1, "read": 0}
+            assert counts == {"integration_stops": 1, "_read": 0}
 
     def test_plan_arrays_are_read_only(self):
         problem, _, _, _ = build_paper(40)

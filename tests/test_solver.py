@@ -255,10 +255,9 @@ class TestHoistedInvariants:
 
     @pytest.mark.parametrize("name", ["paper-s4", "herglotz-damped", "classical-line"])
     def test_slope_bands_do_not_grow_with_the_iterations(self, monkeypatch, name):
-        # per solve on a fresh grid, slope matrices on the n + 1 main nodes:
-        # the seed's build, whose geometry its trials share, and the
-        # adjoint's band; on the m + 1 history nodes, the seed's build, which
-        # every trial reuses
+        # per solve on a fresh grid, one slope matrix on the n + 1 main nodes
+        # and one on the m + 1 history nodes: the grid's spline geometry,
+        # which the seed, every trial and the adjoint's band share
         sizes = []
         original = trajectory._slope_band
         monkeypatch.setattr(trajectory, "_slope_band",
@@ -271,7 +270,7 @@ class TestHoistedInvariants:
                 max_iters=max_iters, seed_guess=opts.seed_guess))
             counts.append((result.iterations, sorted(sizes)))
         g = problem.grid
-        want = sorted([g.n + 1] * 2 + ([g.m + 1] if g.m else []))
+        want = sorted([g.n + 1] + ([g.m + 1] if g.m else []))
         assert [c[1] for c in counts] == [want] * 3
         assert counts[0][0] == 1 and counts[2][0] > 2
 

@@ -16,6 +16,8 @@ from herglotz.trajectory import (
     CubicSpline,
     PiecewiseTrajectory,
     SampledTrajectory,
+    VariationDirection,
+    _slope_band,
     adjoint_band,
     build_adjoint,
     build_grid,
@@ -168,8 +170,9 @@ class TestSampled:
         rng = np.random.default_rng(5)
         vals = rng.normal(size=len(g.nodes))
         traj = SampledTrajectory(g, vals)
-        x, _, _ = traj.eval_many(g.nodes)
-        np.testing.assert_array_equal(x, vals)
+        for side in ("right", "left"):
+            x, _, _ = traj.eval_many(g.nodes, side=side)
+            np.testing.assert_array_equal(x, vals)
 
     def test_spline_interpolation_order_on_sine(self):
         errs = []
@@ -189,6 +192,19 @@ class TestSampled:
         _, dx_right, _ = traj.eval(0.0)
         assert dx_left == pytest.approx(-1.0, abs=1e-12)   # history slope
         assert dx_right == pytest.approx(0.5, abs=1e-12)   # linear seed slope
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_trajectories_on_one_grid_share_its_slope_matrices(self, monkeypatch, tau):
+        # one slope matrix per segment of the grid, whatever is built on it
+        sizes = []
+        monkeypatch.setattr("herglotz.trajectory._slope_band",
+                            lambda x, bc: sizes.append(len(x)) or _slope_band(x, bc))
+        g = build_grid(0.0, 2.0, tau, 40)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            SampledTrajectory(g, rng.normal(size=len(g.nodes)))
+            VariationDirection(g, rng.normal(size=g.n + 1))
+        assert sorted(sizes) == sorted([g.n + 1] + ([g.m + 1] if g.m else []))
 
     def test_no_junction_without_delay(self):
         g = build_grid(0.0, 1.0, 0.0, 10)
@@ -288,7 +304,7 @@ class TestSplineAdjoint:
         z = ts - x[i]
         gc = [np.bincount(i, w, n - 1) for w in (
             wv, z * wv + wd, z * (z * wv + 2.0 * wd), z * z * (z * wv + 3.0 * wd))]
-        g = build_adjoint(x, adjoint_band(x), gc)
+        g = build_adjoint(x, adjoint_band(_slope_band(x, "natural")[0]), gc)
         np.testing.assert_allclose(g, brute, rtol=0, atol=1e-13 * np.max(np.abs(brute)))
         y = rng.normal(size=n)
         assert g @ y == pytest.approx(paired(y), rel=1e-13)
