@@ -30,7 +30,6 @@ from .trajectory import (
     CubicSpline,
     HerglotzProblem,
     Trajectory,
-    adjoint_band,
     build_adjoint,
 )
 
@@ -230,10 +229,11 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     A unit direction is one at its node and zero at the others, so the
     node-sampled Simpson terms and the seam term land directly on the node
     vector; the midpoint terms go through the transposed spline build
-    (trajectory.build_adjoint). The
-    [b-tau, b] residual is displayed without its lambda weight, so it is
-    multiplied back before pairing; the total is normalized by lambda(b) like
-    the gradient, and a lambda(b) that underflows to 0 raises NonFinite.
+    (trajectory.build_adjoint) with the panel plan's factored transposed
+    slope matrix. The [b-tau, b] residual is displayed without its lambda
+    weight, so it is multiplied back before pairing; the total is normalized
+    by lambda(b) like the gradient, and a lambda(b) that underflows to 0
+    raises NonFinite.
     """
     g = problem.grid
     tmain = g.main_nodes
@@ -254,7 +254,8 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     # integrating the eta' terms by parts leaves a point contribution at the
     # seam where the shifted coefficient drops out of the first integral: L_dxtau
     # at b with left limits, which is the last panel right of the z-path samples
-    p5_b = zpath.samples(traj).table("dxtau")[-1]
+    P = zpath.samples(traj)
+    p5_b = P.table("dxtau")[-1]
     w = g.h / 6.0
     nodal = np.zeros(g.n + 1)
     nodal[:-1] += w * ends_lo
@@ -264,7 +265,7 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     # coefficients of z^p by z^p wv
     z, wv = mids - tmain[:-1], 4.0 * w * sm
     gc = (wv, z * wv, z * (z * wv), z * z * (z * wv))
-    total = nodal + build_adjoint(tmain, adjoint_band(g.spline_geometry[1][1]), gc)
+    total = nodal + build_adjoint(g.spline_geometry[1][0], P.plan.adjoint, gc)
     if zpath.lambda_b == 0.0:
         raise NonFinite("integrating factor lambda(b) underflowed to 0")
     return total[1:-1] / zpath.lambda_b

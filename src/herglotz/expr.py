@@ -388,7 +388,9 @@ def evaluate(e: Expression, bindings: Bindings) -> Value:
 # overflow there (0 * inf) cannot turn a partial NaN; the tangent-only checks
 # of "^", sqrt and abs run only on a real tangent. Unseeded, every tangent is
 # None and evaluate raises exactly what values raise. Domain checks compare
-# with plain operators, which serve floats and arrays alike.
+# with plain operators, which serve floats and arrays alike. The seed's own
+# tangent is the float 1.0 over arrays too: it broadcasts like an array of
+# ones, with its bits, and builds none.
 
 def _dual(e: Expression, b: Bindings, seed: Optional[str]):
     kind = type(e)
@@ -398,7 +400,7 @@ def _dual(e: Expression, b: Bindings, seed: Optional[str]):
         v = _lookup(b, e.name)
         if e.name != seed:
             return v, None
-        return v, (np.ones_like(v) if _is_array(v) else 1.0)
+        return v, 1.0
     if kind is Neg:
         v, t = _dual(e.operand, b, seed)
         return -v, (None if t is None else -t)
@@ -472,7 +474,7 @@ def _pow_dual(uv, ut, vv, vt):
             if _any((uv == 0.0) & (vv < 1.0) & (ut != 0.0)):
                 raise DomainError("u^v is not differentiable in u at u=0 for v < 1")
             base_term = vv * _pow_value(uv, vv - 1.0) * ut
-        if _is_array(base_term):
+        if _is_array(ut):
             base_term = np.where(ut == 0.0, 0.0, base_term)
     else:
         base_term = 0.0
@@ -533,7 +535,10 @@ def affine(e: Expression, var: str, bindings: Bindings):
 
 
 def value_and_partial(e: Expression, var: str, bindings: Bindings):
-    """Evaluate the tree and its exact partial derivative with respect to var."""
+    """Evaluate the tree and its exact partial derivative with respect to var.
+    The seed's tangent is the float 1.0, so over array bindings a partial
+    that is constant in the bindings (L = 2*dx in dx, say) may come back
+    as a float."""
     if var not in VARIABLES:
         raise UnboundVariable(var)
     v, t = _dual(e, bindings, var)

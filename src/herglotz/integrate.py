@@ -99,6 +99,7 @@ from .trajectory import (
     HerglotzProblem,
     SampledTrajectory,
     Trajectory,
+    Tridiagonal,
     VariationDirection,
     adjoint_band,
     build_adjoint,
@@ -425,8 +426,9 @@ class PanelPlan:
     hs, the sample times, their delayed images, the inside mask and, on a
     regular plan, the midpoint offsets into every grid interval, history
     first (else None); filled in on first use, the Simpson weights of the
-    samples, the adjoint's band, and on a regular plan the pieces and
-    offsets of the grid read and the scatter's offset powers.
+    samples, the adjoint's transposed slope matrix factored once
+    (Tridiagonal), and on a regular plan the pieces and offsets of the grid
+    read and the scatter's offset powers.
 
     A panel's delayed samples are its delayed panel: the stops are shifted
     by -tau and snapped once, and the delayed midpoint is the midpoint of the
@@ -471,8 +473,10 @@ class PanelPlan:
         return w
 
     @cached_property
-    def band(self) -> np.ndarray:
-        return adjoint_band(self.grid.spline_geometry[1][1])
+    def adjoint(self) -> Tridiagonal:
+        """The transpose of the grid's [a, b] slope matrix, factored: the
+        system of every build_adjoint on the grid."""
+        return Tridiagonal(adjoint_band(self.grid.spline_geometry[1][1].band))
 
     @cached_property
     def grid_read(self) -> tuple:
@@ -605,7 +609,7 @@ class Panels(Samples):
         gc = gc[:, :k]
         gc[:2] += lefts
         gc[:2, 1:] += rights[:, :-1]
-        return build_adjoint(plan.grid.main_nodes, plan.band, gc)
+        return build_adjoint(plan.grid.spline_geometry[1][0], plan.adjoint, gc)
 
     def simpson(self, f: np.ndarray) -> np.ndarray:
         """Composite Simpson integral of sampled f over each panel."""

@@ -17,13 +17,15 @@ the transpose of the read, then trajectory.build_adjoint, the transpose of
 the build of trajectory.CubicSpline): the Simpson-weighted partials at the
 panel samples, each delayed one folded onto the panel m back, summed per
 spline piece by slices (every sampled trajectory on the grid has a regular
-panel plan), plus one tridiagonal solve with the plan's band, O(n) per call.
+panel plan), plus one solve with the plan's transposed slope matrix,
+factored once per grid (trajectory.Tridiagonal), O(n) per call.
 
 The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
 the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and
 Differential Equations, LNM 1670; Nocedal & Wright, Numerical Optimization,
 sec. 7.2): K_W is a stiffness on the free nodes whose weights follow lambda
-where x' enters z(b), read once per solve off the seed's z-path (_h1_band).
+where x' enters z(b), read once per solve off the seed's z-path and factored
+then (_h1_band).
 The Hessian of z(b) in the node values scales like K_W, so the iteration
 count does not grow with n and L-BFGS need not learn how lambda weighs the
 nodes; with lambda = 1 and L reading dx, K_W = tridiag(-1, 2, -1)/h. Before
@@ -34,14 +36,14 @@ stored (s, y) pair carries its y's (1/rho of Nocedal & Wright, Algorithm
 scaling. The stop test is the raw gradient inf-norm against grad_tol.
 
 A trial is built from the seed by SampledTrajectory._with_values: it reuses
-the seed's history rows and the grid's slope matrices (Grid.spline_geometry),
-so a trial builds only what depends on its node values.
+the seed's history columns and the grid's factored slope matrices
+(Grid.spline_geometry), so a trial builds only what depends on its node
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import sqrt
 from numbers import Real
 from typing import Optional, Sequence, Union
@@ -54,9 +56,9 @@ from .integrate import ZPath, integrate_z
 from .trajectory import (
     HerglotzProblem,
     SampledTrajectory,
+    Tridiagonal,
     perturb,
     seed_trajectory,
-    solve_tridiagonal,
 )
 
 _LBFGS_MEMORY = 10
@@ -173,7 +175,8 @@ def fd_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
 def _h1_band(problem: HerglotzProblem, zpath: ZPath) -> np.ndarray:
     """The lambda-weighted stiffness K_W on the free nodes, with Dirichlet
     ends (a, b and the history are pinned), in solve_tridiagonal's layout:
-    applying K_W^-1 is one tridiagonal solve, O(n).
+    factored once per solve (Tridiagonal), applying K_W^-1 is one
+    tridiagonal solve, O(n).
 
     The node weights W are the leading coefficient of the delayed
     Euler-Lagrange operator for an L quadratic in x': lambda(s) if L reads
@@ -254,7 +257,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         f, traj, zpath = objective(x)
     except NonFinite as e:
         raise NonFinite(f"objective failed at iteration 0: {e}") from e
-    kinv = partial(solve_tridiagonal, _h1_band(problem, zpath))
+    kinv = Tridiagonal(_h1_band(problem, zpath)).solve
     grad = variational_gradient(problem, traj, zpath)
     history = [sign * f]
     pairs: list = []

@@ -11,20 +11,22 @@ Two backends:
   targets pin x on the history, and their minimizers generically enter [a, b]
   with a different slope. A single C2 spline across t=a would smear that
   corner and bias every downstream quantity at O(h). A trajectory keeps both
-  as one table of cubic pieces, one row per grid interval, history rows
-  first, with t=a a breakpoint of the table (de Boor's piecewise-polynomial
-  form); so does an admissible variation direction (VariationDirection),
+  as one table of cubic pieces (de Boor's piecewise-polynomial form, in the
+  layout of scipy's PPoly.c): a row per power of z, from z^3 down, and a
+  column per grid interval, history columns first, with t=a a breakpoint of
+  the table; so does an admissible variation direction (VariationDirection),
   with zero node values on [a-tau, a] and at b. CubicSpline is the package's
   one spline through node values, build_adjoint the transpose of its
   natural-end build, and the grid holds the slope matrices of its two
-  segments (Grid.spline_geometry). One rule, _read, reads a spline or a
-  trajectory: an interval search for the piece and offset of each sample,
-  and for the samples on a node, then a read there. A read of the whole
-  grid, one sample in every interval (integrate's regular panel plan),
-  skips the search: SampledTrajectory.read_grid reads the node values, the
-  slope coefficients at the nodes and one cubic per interval, in the grid's
-  order, with the same bits (a zero slope's sign aside). Every read runs
-  Horner's rule on its piece.
+  segments, each factored once (Grid.spline_geometry, Tridiagonal). One
+  rule, _read, reads a spline or a trajectory: an interval search for the
+  piece and offset of each sample, and for the samples on a node, then a
+  read there. A read of the whole grid, one sample in every interval
+  (integrate's regular panel plan), skips the search:
+  SampledTrajectory.read_grid reads the node values, the slope coefficients
+  at the nodes and one cubic per interval, in the grid's order, with the
+  same bits (a zero slope's sign aside). Every read runs Horner's rule on
+  its piece, over contiguous rows of the columns it takes.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
@@ -91,7 +93,8 @@ class Grid:
     def spline_geometry(self) -> tuple:
         """(history geometry, or None if tau = 0; main geometry): the
         natural-end _spline_geometry of the nodes of [a-tau, a] and of
-        [a, b]."""
+        [a, b], each slope matrix factored once for the builds of every
+        trajectory on the grid."""
         hist = _spline_geometry(self.nodes[: self.m + 1], "natural") if self.m else None
         return hist, _spline_geometry(self.main_nodes, "natural")
 
@@ -144,6 +147,35 @@ def solve_tridiagonal(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+class Tridiagonal:
+    """A tridiagonal matrix, band in solve_tridiagonal's layout: LAPACK's
+    gttrf factors it once, here, and each solve(rhs) is one gttrs call with
+    the bits of solve_tridiagonal, since gtsv runs the same elimination with
+    partial pivoting and the same substitutions (LAPACK Users' Guide, 3rd
+    ed., SIAM 1999, sec. 2.4). Below 3 rows it solves by solve_tridiagonal,
+    as scipy's gttrf wrapper rejects 2 rows. A singular matrix raises
+    numpy.linalg.LinAlgError here. The band is kept as given and must not
+    change; the factors (gttrf's dl, d, du, du2 and ipiv, None below 3 rows)
+    are read-only."""
+
+    def __init__(self, band: np.ndarray):
+        self.band, self.factors = band, None
+        if band.shape[1] > 2:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+            *factors, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+            if info != 0:
+                raise LinAlgError(f"singular matrix (gttrf info {info})")
+            for arr in factors:
+                arr.setflags(write=False)
+            self.factors, self._gttrs = tuple(factors), dgttrs
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with A x = rhs, rhs one or more columns, left unmodified."""
+        if self.factors is None:
+            return solve_tridiagonal(self.band, rhs)
+        return self._gttrs(*self.factors, rhs)[0]
+
+
 def _slope_band(x: np.ndarray, bc: str):
     """The matrix of the slope system of the cubic spline through nodes x, in
     solve_tridiagonal's layout, and whether its end rows are not-a-knot:
@@ -167,13 +199,14 @@ def _slope_band(x: np.ndarray, bc: str):
 
 
 def _spline_geometry(x: np.ndarray, bc: str) -> tuple:
-    """The node spacings, the slope matrix and its end kind (_slope_band) of
-    the spline through nodes x with ends bc, read-only."""
+    """The node spacings, the slope matrix, factored (Tridiagonal), and its
+    end kind (_slope_band) of the spline through nodes x with ends bc,
+    read-only."""
     dx = np.diff(x)
     band, knot = _slope_band(x, bc)
     for arr in (dx, band):
         arr.setflags(write=False)
-    return dx, band, knot
+    return dx, Tridiagonal(band), knot
 
 
 class CubicSpline:
@@ -186,23 +219,24 @@ class CubicSpline:
 
     A spline built with _geometry, the _spline_geometry of its nodes and
     ends computed once elsewhere (Grid.spline_geometry), builds only what
-    depends on y.
+    depends on y: one solve with the factored slope matrix.
 
     The build is scipy.interpolate.CubicSpline's, step for step, so the
     coefficients have its bits (its not-a-knot cases for 2 and 3 nodes aside):
     the C2 conditions give a tridiagonal system in the node slopes s, and
-    piece i is y_i + s_i z + c1 z^2 + c0 z^3 with z = t - x_i. A read runs
-    Horner's rule in z, so its error in the nu-th derivative of the piece is
-    at most gamma_6 = 6u / (1 - 6u) times sum_k |perm(k, nu) c_k z^(k - nu)|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
-    5.1); a read at a node starts its piece, so x' there is s_i, up to the
-    sign of a zero.
+    piece i is y_i + s_i z + c1 z^2 + c0 z^3 with z = t - x_i; the table c
+    holds c0, c1, s and y in its four rows, one column per piece, the layout
+    of scipy's PPoly.c. A read runs Horner's rule in z, so its error in the
+    nu-th derivative of the piece is at most gamma_6 = 6u / (1 - 6u) times
+    sum_k |perm(k, nu) c_k z^(k - nu)| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 5.1); a read at a node starts its
+    piece, so x' there is s_i, up to the sign of a zero.
     """
 
     def __init__(self, x, y, bc: str, _geometry=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        dx, band, knot = _spline_geometry(x, bc) if _geometry is None else _geometry
+        dx, slope_matrix, knot = _spline_geometry(x, bc) if _geometry is None else _geometry
         slope = np.diff(y) / dx
         b = np.empty_like(y)
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
@@ -213,11 +247,11 @@ class CubicSpline:
         else:
             b[0] = 3 * (y[1] - y[0])
             b[-1] = 3 * (y[-1] - y[-2])
-        s = solve_tridiagonal(band, b)
+        s = slope_matrix.solve(b)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x, self.y = x, y
-        # one row of coefficients (c0, c1, c2, c3) per piece
-        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]), axis=1)
+        # the coefficients c0 .. c3 of z^3 .. z^0, one row each
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
     def __call__(self, ts, nu: int = 0) -> np.ndarray:
         return self.read(ts, (nu,))[0]
@@ -229,10 +263,11 @@ class CubicSpline:
 
 def _read(x, y, c, ts, nus, kinks=()) -> tuple:
     """The derivatives of orders nus at ts, one array each with the bits of
-    separate calls, of the cubic pieces c (one row each) between breakpoints
-    x with node values y: piece i holds x[i] <= t < x[i+1], but a sample on
-    one of the kinks takes the piece that ends there (a left limit), and the
-    end pieces extend past the ends; a value read on a node is stored."""
+    separate calls, of the cubic pieces c (one column each) between
+    breakpoints x with node values y: piece i holds x[i] <= t < x[i+1], but
+    a sample on one of the kinks takes the piece that ends there (a left
+    limit), and the end pieces extend past the ends; a value read on a node
+    is stored."""
     ts = np.asarray(ts, dtype=float)
     t = ts.reshape(-1)
     i = np.searchsorted(x, t, side="right") - 1
@@ -254,12 +289,12 @@ def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
     the spline coefficients c, one array per order with an entry per sample,
     each by Horner's rule in z; at z = 0 the order nu reads the coefficient
     of z^nu times nu!, up to the sign of a zero."""
-    c = np.take(c, i, axis=0)
+    c = np.take(c, i, axis=1)
 
     def term(k, nu):
         # a unit factor is skipped: 1 x is x, bit for bit
         f = perm(k, nu)
-        return c[:, 3 - k] if f == 1 else f * c[:, 3 - k]
+        return c[3 - k] if f == 1 else f * c[3 - k]
 
     out = []
     for nu in nus:
@@ -272,9 +307,9 @@ def _power_sums(c: np.ndarray, i: np.ndarray, z: np.ndarray, nus) -> list:
 
 class SampledTrajectory:
     """Node values; natural cubic splines over [a-tau, a] and [a, b], built
-    with the grid's spline geometry and kept as one table c of cubic pieces,
-    one row per grid interval, history rows first; t=a is a breakpoint of
-    the table when tau > 0."""
+    with the grid's spline geometry and kept as one table c of cubic pieces
+    in CubicSpline's layout, one column per grid interval, history columns
+    first; t=a is a breakpoint of the table when tau > 0."""
 
     def __init__(self, grid: Grid, values: Sequence[float], _hist=None):
         values = np.asarray(values, dtype=float).copy()
@@ -292,14 +327,14 @@ class SampledTrajectory:
             _hist = CubicSpline(grid.nodes[: m + 1], values[: m + 1], "natural", hist_geo).c
         main = CubicSpline(grid.main_nodes, values[m:], "natural", main_geo).c
         self._hist = _hist
-        self.c = main if _hist is None else np.concatenate([_hist, main])
+        self.c = main if _hist is None else np.concatenate([_hist, main], axis=1)
         self.c.setflags(write=False)
         self.breakpoints: tuple = (grid.a,) if m else ()
 
     def _with_values(self, values: np.ndarray) -> "SampledTrajectory":
         """A trajectory on the same grid with the node values values, whose
         history values must equal this one's: it reuses this trajectory's
-        history rows as they are, so only what depends on the values on
+        history columns as they are, so only what depends on the values on
         [a, b] is built. Every solver trial and perturb is built here."""
         return SampledTrajectory(self.grid, values, _hist=self._hist)
 
@@ -323,7 +358,7 @@ class SampledTrajectory:
         v, d = _power_sums(c, i, z, (0, 1))
         at_nodes = np.empty((2, N + 1))
         at_nodes[0] = self.values
-        at_nodes[1, :N] = c[:, 2]
+        at_nodes[1, :N] = c[2]
         at_nodes[1, N] = d[N]
         return at_nodes, np.stack((v[:N], d[:N])), d[N + 1:]
 
@@ -456,12 +491,13 @@ _END_ROW = np.array([-3.0, 3.0])
 _END_ROW.setflags(write=False)
 
 
-def build_adjoint(x: np.ndarray, band: np.ndarray, gc) -> np.ndarray:
+def build_adjoint(dx: np.ndarray, adjoint: Tridiagonal, gc) -> np.ndarray:
     """Node weights g with g . y = sum_p gc[p] . c_p for the coefficients c_p
-    of z^p in the pieces of CubicSpline(x, y, "natural"), band its transposed
-    slope matrix (adjoint_band): the transpose of the build."""
-    n = len(x)
-    dx = x[1:] - x[:-1]
+    of z^p in the pieces of CubicSpline(x, y, "natural"), given the node
+    spacing dx of its geometry (_spline_geometry) and its transposed slope
+    matrix (adjoint_band) factored: the transpose of the build, one
+    Tridiagonal.solve."""
+    n = len(dx) + 1
     gc3, gc2, gc1, gc0 = gc
     # the coefficients: c0 = t/dx, c1 = (slope - s_i)/dx - t, c2 = s_i, c3 = y_i
     # with t = (s_i + s_{i+1} - 2 slope)/dx; gt is the t-weight over dx
@@ -474,7 +510,7 @@ def build_adjoint(x: np.ndarray, band: np.ndarray, gc) -> np.ndarray:
     gy = np.zeros(n)
     gy[:-1] = gc3
     # the slope system A s = b, transposed
-    gb = solve_tridiagonal(band, gs)
+    gb = adjoint.solve(gs)
     # its right-hand side b, with the natural end rows b_0 = 3 (y_1 - y_0) and
     # b_n = 3 (y_n - y_{n-1})
     dx3 = 3 * dx

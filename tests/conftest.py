@@ -192,12 +192,12 @@ def per_call_spline_read(spline, ts, nus):
     x = spline.x
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
     z = t - x[i]
-    c = np.take(spline.c, i, axis=0)
+    c = np.take(spline.c, i, axis=1)
     out = []
     for nu in nus:
-        res = perm(3, nu) * c[:, 0]
+        res = perm(3, nu) * c[0]
         for k in (2, 1, 0)[:3 - nu]:
-            res = res * z + perm(k, nu) * c[:, 3 - k]
+            res = res * z + perm(k, nu) * c[3 - k]
         if nu == 0:
             at = i + (t == x[-1])
             np.copyto(res, spline.y[at], where=t == x[at])

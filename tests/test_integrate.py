@@ -764,7 +764,11 @@ class TestPanelPlan:
         before = variational_gradient(problem, traj, zp)
         plan = zp.samples(traj).plan
         shared = [plan.node_pos, plan.hs, plan.times, plan.delayed, plan.inside,
-                  plan.weights, plan.band, plan.offsets, *plan.grid_read, plan.powers]
+                  plan.weights, plan.adjoint.band, *plan.adjoint.factors, plan.offsets,
+                  *plan.grid_read, plan.powers]
+        # and the grid's factored slope matrices, which every trajectory shares
+        for _, slope, _ in problem.grid.spline_geometry:
+            shared += [slope.band, *slope.factors]
         for arr in shared:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import herglotz as hg
 from herglotz import errors, expr
+from herglotz.bundles import BUNDLE_NAMES
 from herglotz.integrate import integrate_z
 from herglotz.conditions import el_residuals
 from herglotz import trajectory
@@ -223,8 +225,9 @@ def written_out_two_loop(grad, s_list, y_list, kinv):
 
 
 class TestHoistedInvariants:
-    """What a solve computes once: the y's of each L-BFGS pair, and the
-    spline geometry its trials share."""
+    """What a solve computes once: the y's of each L-BFGS pair, the spline
+    geometry its trials share, and the factors of its fixed tridiagonal
+    matrices."""
 
     @pytest.mark.parametrize("n", [1, 3, 99, 1999])
     def test_stored_ys_keeps_the_bits(self, n):
@@ -273,6 +276,46 @@ class TestHoistedInvariants:
         want = sorted([g.n + 1] + ([g.m + 1] if g.m else []))
         assert [c[1] for c in counts] == [want] * 3
         assert counts[0][0] == 1 and counts[2][0] > 2
+
+    @pytest.mark.parametrize("name", ["paper-s4", "herglotz-damped", "classical-line"])
+    def test_fixed_matrices_are_factored_once(self, monkeypatch, name):
+        # per solve on a fresh grid, one gttrf per slope matrix of a segment,
+        # one for the panel plan's transposed matrix and one for the H1
+        # metric; every later solve with them is a gttrs
+        import scipy.linalg.lapack as lapack
+        sizes = []
+        original = lapack.dgttrf
+        monkeypatch.setattr(lapack, "dgttrf",
+                            lambda dl, d, du: sizes.append(len(d)) or original(dl, d, du))
+        counts = []
+        for max_iters in (1, 2, 1000):
+            problem, _, _, opts = build_bundle(name, n=100)
+            sizes.clear()
+            result = solve_direct(problem, SolveOptions(
+                max_iters=max_iters, seed_guess=opts.seed_guess))
+            counts.append((result.iterations, sorted(sizes)))
+        g = problem.grid
+        want = sorted([g.n + 1, g.n + 1, g.n - 1] + ([g.m + 1] if g.m + 1 > 2 else []))
+        assert [c[1] for c in counts] == [want] * 3
+        assert counts[0][0] == 1 and counts[2][0] > 2
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    def test_gradient_seeds_its_variable_without_a_ones_array(self, monkeypatch, name):
+        # the seed's tangent is the float 1.0, which broadcasts like ones
+        problem, _, _, opts = build_bundle(name, n=100)
+        traj = hg.seed_trajectory(problem, opts.seed_guess)
+        zp = integrate_z(problem, traj)
+        built = []
+        original = np.ones_like
+
+        def counted(*args, **kwargs):
+            if sys._getframe(1).f_code is expr._dual.__code__:
+                built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ones_like", counted)
+        grad = variational_gradient(problem, traj, zp)
+        assert built == [] and len(grad) == problem.grid.n - 1
 
 
 class TestSolveDirect:

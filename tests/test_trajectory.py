@@ -16,6 +16,7 @@ from herglotz.trajectory import (
     CubicSpline,
     PiecewiseTrajectory,
     SampledTrajectory,
+    Tridiagonal,
     VariationDirection,
     _slope_band,
     adjoint_band,
@@ -231,13 +232,13 @@ class TestCubicSpline:
                 ref_bc = bc if n >= 4 else "natural"
                 y = rng.normal(size=n)
                 ours, ref = CubicSpline(x, y, bc), ScipyCubicSpline(x, y, bc_type=ref_bc)
-                np.testing.assert_array_equal(ours.c.T, ref.c, strict=True)
+                np.testing.assert_array_equal(ours.c, ref.c, strict=True)
                 together = ours.read(ts, (0, 1, 2))
                 for nu in (0, 1, 2):
                     want = ref(ts, nu)
                     if nu == 0:
                         want[:n] = y    # a read at a node returns the stored value
-                    terms = sum(np.abs(perm(k, nu) * ours.c[i, 3 - k] * z ** (k - nu))
+                    terms = sum(np.abs(perm(k, nu) * ours.c[3 - k, i] * z ** (k - nu))
                                 for k in range(nu, 4))
                     np.testing.assert_array_equal(together[nu], ours(ts, nu), strict=True)
                     assert np.all(np.abs(together[nu] - want) <= 8 * U * terms)
@@ -283,6 +284,30 @@ class TestSolveTridiagonal:
         with pytest.raises(np.linalg.LinAlgError):
             solve_tridiagonal(band, np.ones(n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 2001])
+    def test_factored_solve_is_bitwise_equal_to_solve_banded(self, n):
+        # gttrf once, then gttrs per solve; at n <= 2 the gtsv route
+        rng = np.random.default_rng(n)
+        band = rng.uniform(-1.0, 1.0, (3, n))
+        band[1] += 3.0 * np.sign(band[1])
+        kept = band.copy()
+        matrix = Tridiagonal(band)
+        assert (matrix.factors is None) == (n <= 2)
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 2))):
+            before = rhs.copy()
+            for _ in range(2):
+                got = matrix.solve(rhs)
+                np.testing.assert_array_equal(got, solve_banded((1, 1), band, rhs), strict=True)
+            assert rhs.tobytes() == before.tobytes()
+        assert band.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_singular_band_raises_when_factored(self, n):
+        band = np.ones((3, n))
+        band[:, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            Tridiagonal(band).solve(np.ones(n))
+
 
 class TestSplineAdjoint:
     @pytest.mark.parametrize("n", [2, 3, 4, 17])
@@ -304,7 +329,8 @@ class TestSplineAdjoint:
         z = ts - x[i]
         gc = [np.bincount(i, w, n - 1) for w in (
             wv, z * wv + wd, z * (z * wv + 2.0 * wd), z * z * (z * wv + 3.0 * wd))]
-        g = build_adjoint(x, adjoint_band(_slope_band(x, "natural")[0]), gc)
+        adjoint = Tridiagonal(adjoint_band(_slope_band(x, "natural")[0]))
+        g = build_adjoint(np.diff(x), adjoint, gc)
         np.testing.assert_allclose(g, brute, rtol=0, atol=1e-13 * np.max(np.abs(brute)))
         y = rng.normal(size=n)
         assert g @ y == pytest.approx(paired(y), rel=1e-13)
