@@ -22,16 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadInterval, NonFinite
+from .errors import BadInterval, InvalidTrajectory, NonFinite
 from .fdiff import derivative_on_segment
 from .integrate import Samples, ZPath, integrate_z
 from .reportio import csv_text
-from .trajectory import (
-    CubicSpline,
-    HerglotzProblem,
-    Trajectory,
-    build_adjoint,
-)
+from .trajectory import CubicSpline, HerglotzProblem, Trajectory
 
 EL1_LABEL = "EL-1 on [a, b-tau]"
 EL2_LABEL = "EL-2 on [b-tau, b]"
@@ -226,46 +221,41 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     node's unit variation direction: the weak form whose entries the exact
     first-variation gradient must reproduce.
 
-    A unit direction is one at its node and zero at the others, so the
-    node-sampled Simpson terms and the seam term land directly on the node
-    vector; the midpoint terms go through the transposed spline build
-    (trajectory.build_adjoint) with the panel plan's factored transposed
-    slope matrix. The [b-tau, b] residual is displayed without its lambda
-    weight, so it is multiplied back before pairing; the total is normalized
-    by lambda(b) like the gradient, and a lambda(b) that underflows to 0
-    raises NonFinite.
+    The plan's Simpson weights times the residual at the panel samples (the
+    reports' node values, and not-a-knot splines through them at the
+    midpoints) pair with every unit direction at once as weights of x, by
+    the gradient's transposed read (Panels.scatter; the panels must be the
+    grid's intervals, else InvalidTrajectory). The [b-tau, b] residual is
+    displayed without its lambda weight, so it is multiplied back before
+    pairing; the total is normalized by lambda(b) like the gradient, and a
+    lambda(b) that underflows to 0 raises NonFinite.
     """
     g = problem.grid
+    P = zpath.samples(traj)
+    if P.plan.offsets is None:
+        raise InvalidTrajectory("no weak form: a kink off the grid nodes splits a panel")
     tmain = g.main_nodes
-    k1 = g.n - g.m
+    k1 = g.n - g.m  # >= 1, as tau < b - a
     # the strong density jumps at the seam (the shifted terms stop applying),
     # so panels left of it sample the [a, b-tau] residual and panels right of
     # it sample lambda times the [b-tau, b] residual, each one-sided
     left = r1.values
     right = zpath.lam[k1:] * r2.values
     mids = 0.5 * (tmain[:-1] + tmain[1:])
-    sm = np.empty(g.n)
-    if k1 > 0:
-        sm[:k1] = CubicSpline(tmain[: k1 + 1], left, "not-a-knot")(mids[:k1])
+    # the residual at the panel lefts, midpoints and rights
+    res = np.empty((3, g.n))
+    res[0] = np.concatenate([left[:-1], right[:-1]])
+    res[2] = np.concatenate([left[1:], right[1:]])
+    res[1, :k1] = CubicSpline(tmain[: k1 + 1], left, "not-a-knot")(mids[:k1])
     if k1 < g.n:
-        sm[k1:] = CubicSpline(tmain[k1:], right, "not-a-knot")(mids[k1:])
-    ends_lo = np.concatenate([left[:-1], right[:-1]])
-    ends_hi = np.concatenate([left[1:], right[1:]])
+        res[1, k1:] = CubicSpline(tmain[k1:], right, "not-a-knot")(mids[k1:])
+    w = np.zeros((4, 3 * g.n))
+    w[0] = P.plan.weights * res.ravel()
+    total = P.scatter(w)
     # integrating the eta' terms by parts leaves a point contribution at the
     # seam where the shifted coefficient drops out of the first integral: L_dxtau
     # at b with left limits, which is the last panel right of the z-path samples
-    P = zpath.samples(traj)
-    p5_b = P.table("dxtau")[-1]
-    w = g.h / 6.0
-    nodal = np.zeros(g.n + 1)
-    nodal[:-1] += w * ends_lo
-    nodal[1:] += w * ends_hi
-    nodal[k1] += zpath.lambda_b * p5_b
-    # the midpoint of piece i lies at z into it: its value read weighs the
-    # coefficients of z^p by z^p wv
-    z, wv = mids - tmain[:-1], 4.0 * w * sm
-    gc = (wv, z * wv, z * (z * wv), z * z * (z * wv))
-    total = nodal + build_adjoint(g.spline_geometry[1][0], P.plan.adjoint, gc)
+    total[k1] += zpath.lambda_b * P.table("dxtau")[-1]
     if zpath.lambda_b == 0.0:
         raise NonFinite("integrating factor lambda(b) underflowed to 0")
     return total[1:-1] / zpath.lambda_b

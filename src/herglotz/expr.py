@@ -9,6 +9,8 @@ Grammar (EBNF, also documented in the README):
     atom   := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
 "^" binds tighter than unary minus, so "-x^2" is -(x^2) and "x^-2" parses.
+An expression nests at most _MAX_DEPTH levels deep, and a number literal
+that overflows to inf is a syntax error.
 Variables are fixed: t, x, dx, xtau, dxtau, z.
 Functions: sin, cos, exp, log, sqrt, abs, tanh.
 
@@ -124,6 +126,9 @@ def _tokenize(text: str):
             try:
                 val = float(lit)
             except ValueError:
+                val = math.nan
+            # a malformed literal, or one that overflows to inf
+            if not math.isfinite(val):
                 raise ExpressionSyntaxError(f"bad number {lit!r}", _byte_offset(text, i))
             toks.append(("num", val, i))
             i = j
@@ -144,11 +149,34 @@ def _tokenize(text: str):
     return toks
 
 
+# the binding power of each binary operator; unary minus binds at _NEG,
+# tighter than * and / and looser than ^, which is right-associative
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG = 3
+
+# The deepest expression parse accepts. Its depth is the number of levels of
+# its tree, an operand one level below its operator, minus or function,
+# counting a parenthesized group as a level too. The parser recurses once
+# per level it enters, and every walk of a tree (variables_in, _degree,
+# _dual, to_text) once per level, so any accepted expression stays far
+# inside Python's default recursion limit of 1000, while a sum of 256
+# variables still parses.
+_MAX_DEPTH = 256
+
+
 class _Parser:
+    """Precedence climbing over the token list (Pratt, "Top down operator
+    precedence", POPL 1973): one _expr call per level of the expression, so
+    a long sum or product is a loop, not a recursion. An expression deeper
+    than _MAX_DEPTH raises ExpressionSyntaxError at the token where its
+    depth passes the bound; the nesting is counted on the way in, so a deep
+    one is rejected before it can exhaust the stack."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.level = 0
 
     def _peek(self):
         return self.toks[self.i]
@@ -161,64 +189,60 @@ class _Parser:
     def _err(self, msg, pos):
         raise ExpressionSyntaxError(msg, _byte_offset(self.text, pos))
 
+    def _deeper(self, depth: int, pos) -> int:
+        """depth + 1, the depth of a level over one of this depth, which
+        starts at the token at pos; past _MAX_DEPTH raises."""
+        if depth >= _MAX_DEPTH:
+            self._err(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
+        return depth + 1
+
+    def _close(self):
+        kind, _, pos = self._next()
+        if kind != ")":
+            self._err("expected ')'", pos)
+
     def parse(self) -> Expression:
-        e = self._expr()
+        e, _ = self._expr(0)
         kind, _, pos = self._peek()
         if kind != "end":
             self._err(f"unexpected {kind!r} after expression", pos)
         return e
 
-    def _expr(self):
-        left = self._term()
-        while self._peek()[0] in ("+", "-"):
-            op = self._next()[0]
-            left = Bin(op, left, self._term())
-        return left
-
-    def _term(self):
-        left = self._unary()
-        while self._peek()[0] in ("*", "/"):
-            op = self._next()[0]
-            left = Bin(op, left, self._unary())
-        return left
-
-    def _unary(self):
-        if self._peek()[0] == "-":
-            self._next()
-            return Neg(self._unary())
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._peek()[0] == "^":
-            self._next()
-            return Bin("^", base, self._unary())
-        return base
-
-    def _atom(self):
+    def _expr(self, min_bp: int):
+        """The expression at the cursor whose binary operators bind tighter
+        than min_bp, and its depth."""
         kind, value, pos = self._next()
-        if kind == "num":
-            return Num(value)
-        if kind == "ident":
-            if self._peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise UnknownIdentifier(value, _byte_offset(self.text, pos))
-                self._next()
-                arg = self._expr()
-                k2, _, p2 = self._next()
-                if k2 != ")":
-                    self._err("expected ')'", p2)
-                return Call(value, arg)
+        self.level = self._deeper(self.level, pos)
+        if kind == "-":
+            operand, depth = self._expr(_NEG)
+            left = Neg(operand)
+        elif kind == "(":
+            left, depth = self._expr(0)
+            self._close()
+        elif kind == "ident" and self._peek()[0] == "(":
+            if value not in FUNCTIONS:
+                raise UnknownIdentifier(value, _byte_offset(self.text, pos))
+            self._next()
+            arg, depth = self._expr(0)
+            self._close()
+            left = Call(value, arg)
+        elif kind == "ident":
             if value not in VARIABLES:
                 raise UnknownIdentifier(value, _byte_offset(self.text, pos))
-            return Var(value)
-        if kind == "(":
-            e = self._expr()
-            k2, _, p2 = self._next()
-            if k2 != ")":
-                self._err("expected ')'", p2)
-            return e
-        self._err(f"expected a value, got {kind!r}", pos)
+            left, depth = Var(value), 0
+        elif kind == "num":
+            left, depth = Num(value), 0
+        else:
+            self._err(f"expected a value, got {kind!r}", pos)
+        depth = self._deeper(depth, pos)
+        while _BINARY.get(self._peek()[0], 0) > min_bp:
+            op, _, op_pos = self._next()
+            # the right operand takes the operators binding tighter, and a
+            # right-associative ^ takes another ^
+            right, right_depth = self._expr(_BINARY[op] - (op == "^"))
+            left, depth = Bin(op, left, right), self._deeper(max(depth, right_depth), op_pos)
+        self.level -= 1
+        return left, depth
 
 
 def parse(text: str) -> Expression:
@@ -241,7 +265,8 @@ def _prec(e: Expression) -> int:
 
 
 def to_text(e: Expression) -> str:
-    """Render a tree so that parse(to_text(e)) == e."""
+    """Render a tree so that parse(to_text(e)) == e, where the text it
+    writes nests at most _MAX_DEPTH deep; the parentheses it adds count."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):

@@ -57,10 +57,12 @@ panels back. A sampled trajectory or direction on the grid is then read
 once on the whole grid, at its nodes and one cubic per interval, with no
 interval search (SampledTrajectory.read_grid), each row a slice of that
 read, with the bits of a search. The package's one spline adjoint, behind
-the solver gradient, is the transpose of that read (Panels.scatter): it
-folds each delayed sample onto the panel m back and sums the weights per
-piece by slices; a plan with a kink off the nodes is read by a search and
-has no adjoint.
+the solver gradient and the weak form, is the transpose of that read
+(Panels.scatter): it folds each delayed sample onto the panel m back and
+sums the weights per piece by slices; a plan with a kink off the nodes is
+read by a search and has no adjoint. The first variation's one weight
+table (variation_weights) is read by first_variation and scattered by the
+gradient.
 The first variation, the solver gradient and the invariance defect take
 the samples from the z-path, with z and lambda there (ZPath.samples; no
 spline): the stop values at the panel ends, and RK4's cubic Hermite dense
@@ -467,6 +469,7 @@ class PanelPlan:
 
     @cached_property
     def weights(self) -> np.ndarray:
+        """The package's one Simpson rule: h/6, 4h/6, h/6 per panel."""
         hs = self.hs
         w = np.concatenate([hs / 6.0, 4.0 * hs / 6.0, hs / 6.0])
         w.setflags(write=False)
@@ -581,11 +584,11 @@ class Panels(Samples):
         x(s - tau) + w[3] x'(s - tau)) over the samples s, the reads of a
         sampled trajectory on the plan's grid with node values y on [a, b]
         (delayed reads left of a leave y alone): the transpose of read, the
-        package's one spline adjoint, behind the solver gradient. The plan
-        must be regular; one whose panels are not the grid's intervals
-        raises InvalidTrajectory. A panel's delayed samples are those of the
-        panel m back, so the delayed weights first fold onto them, by one
-        slice-add over lefts, midpoints and rights alike. Then, per piece of
+        package's one spline adjoint, behind the gradient and the weak form.
+        The plan must be regular; one whose panels are not the grid's
+        intervals raises InvalidTrajectory. A panel's delayed samples are
+        those of the panel m back, so the delayed weights first fold onto
+        them, by one slice-add over lefts, midpoints and rights. Then, per piece of
         the [a, b] spline, a node sample adds its weights to the constant
         and the linear coefficient, and the midpoints and b add theirs at
         the plan's offset powers."""
@@ -612,23 +615,33 @@ class Panels(Samples):
         return build_adjoint(plan.grid.spline_geometry[1][0], plan.adjoint, gc)
 
     def simpson(self, f: np.ndarray) -> np.ndarray:
-        """Composite Simpson integral of sampled f over each panel."""
-        k = self.k
-        return self.hs / 6.0 * (f[:k] + 4.0 * f[k:2 * k] + f[2 * k:])
+        """Composite Simpson integral of sampled f over each panel (weights)."""
+        return (self.plan.weights * f).reshape(3, self.k).sum(axis=0)
+
+
+def variation_weights(zpath: ZPath, traj: Trajectory) -> tuple:
+    """The z-path's panel samples P along traj, and w, Simpson weight times
+    lambda times L_x, L_dx, L_xtau and L_dxtau, a row each (+0.0 for a
+    partial L does not read): the first variation along eta is sum(w *
+    P.read(eta)) / lambda(b). A lambda(b) that underflows raises NonFinite."""
+    P = zpath.samples(traj)
+    if zpath.lambda_b == 0.0:
+        raise NonFinite("integrating factor lambda(b) underflowed to 0")
+    wl = P.plan.weights * P.lam
+    w = np.zeros((4, len(wl)))
+    for row, name in zip(w, ("x", "dx", "xtau", "dxtau")):
+        if name in P.variables:
+            np.multiply(wl, P.table(name), out=row)
+    return P, w
 
 
 def first_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                     eta: VariationDirection) -> float:
     """Directional derivative zeta(b) of z(b) along the admissible direction,
-    read by the panel sampler like the trajectory: its zero history and the
-    left limits at the panel rights keep the delayed terms zero left of a."""
-    P = zpath.samples(traj)
-    eta_s, deta_s, eta_d, deta_d = P.read(eta)
-    f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
-                 + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
-    total = float(np.sum(P.simpson(f)))
+    variation_weights contracted with eta's panel reads: its zero history and
+    the left limits at the panel rights keep the delayed terms zero left of a."""
+    P, w = variation_weights(zpath, traj)
+    total = float(np.sum(w * P.read(eta)))
     if not isfinite(total):
         raise NonFinite("first variation is non-finite")
-    if zpath.lambda_b == 0.0:
-        raise NonFinite("integrating factor lambda(b) underflowed to 0")
     return total / zpath.lambda_b

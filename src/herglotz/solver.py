@@ -14,11 +14,11 @@ integration overflows or leaves the real domain is a rejected step, and
 maximize problems run on the negated objective. The gradient is the adjoint
 of the natural spline through the node values (integrate.Panels.scatter,
 the transpose of the read, then trajectory.build_adjoint, the transpose of
-the build of trajectory.CubicSpline): the Simpson-weighted partials at the
-panel samples, each delayed one folded onto the panel m back, summed per
-spline piece by slices (every sampled trajectory on the grid has a regular
-panel plan), plus one solve with the plan's transposed slope matrix,
-factored once per grid (trajectory.Tridiagonal), O(n) per call.
+the build of trajectory.CubicSpline) applied to the first variation's
+weight table (integrate.variation_weights): each delayed weight folded onto
+the panel m back, summed per spline piece by slices (every sampled
+trajectory on the grid has a regular panel plan), plus one solve with the
+plan's transposed slope matrix, factored once per grid, O(n) per call.
 
 The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
 the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import expr
 from .errors import BadInterval, DomainError, InvalidTrajectory, NonFinite
-from .integrate import ZPath, integrate_z
+from .integrate import ZPath, integrate_z, variation_weights
 from .trajectory import (
     HerglotzProblem,
     SampledTrajectory,
@@ -126,11 +126,10 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     in one quadrature pass from the first-variation integral; the sign is
     flipped for maximize problems so descent always means improvement.
 
-    The Simpson-weighted partials at the panel samples and at their delayed
-    images inside [a, b] are pulled back onto the nodes through the spline
-    adjoint (Panels.scatter), so all unit directions are paired at once in
-    O(n). Only the weight rows of the partials L reads are formed; the rest
-    stay +0.0, what weights times lambda times a zero table gives.
+    The weight table of the first variation (integrate.variation_weights,
+    which first_variation contracts with a direction's reads) is pulled back
+    onto the nodes through the spline adjoint (Panels.scatter), so all unit
+    directions are paired at once in O(n).
 
     The solver drives sampled trajectories, but any trajectory whose panels
     are the grid's intervals is accepted (a piecewise one with its kinks on
@@ -140,16 +139,9 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     on a grid equal to the problem's (equal grids have the same nodes, so
     the panel plan holds for them). A lambda(b) that underflows to 0 raises
     NonFinite."""
-    P = zpath.samples(traj)
+    P, w = variation_weights(zpath, traj)
     if problem.grid != P.plan.grid:
         raise InvalidTrajectory("z-path was integrated on a different grid")
-    if zpath.lambda_b == 0.0:
-        raise NonFinite("integrating factor lambda(b) underflowed to 0")
-    wl = P.plan.weights * P.lam
-    w = np.zeros((4, len(wl)))
-    for row, name in zip(w, ("x", "dx", "xtau", "dxtau")):
-        if name in P.variables:
-            np.multiply(wl, P.table(name), out=row)
     g = P.scatter(w)[1:-1]
     g /= zpath.lambda_b
     if problem.sense == "maximize":
@@ -174,9 +166,9 @@ def fd_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
 
 def _h1_band(problem: HerglotzProblem, zpath: ZPath) -> np.ndarray:
     """The lambda-weighted stiffness K_W on the free nodes, with Dirichlet
-    ends (a, b and the history are pinned), in solve_tridiagonal's layout:
-    factored once per solve (Tridiagonal), applying K_W^-1 is one
-    tridiagonal solve, O(n).
+    ends (a, b and the history are pinned), in Tridiagonal's band layout:
+    factored once per solve (Tridiagonal), applying K_W^-1 is one gttrs
+    solve, O(n).
 
     The node weights W are the leading coefficient of the delayed
     Euler-Lagrange operator for an L quadratic in x': lambda(s) if L reads

@@ -129,56 +129,43 @@ def check_domain(lo: float, hi: float, ts: np.ndarray) -> None:
         raise OutOfDomain(f"t={float(ts[~inside][0])} outside [{lo}, {hi}]")
 
 
-def solve_tridiagonal(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with A x = rhs for the tridiagonal A held in band, in the (1, 1)
-    banded layout (band[0, 1:] the superdiagonal, band[1] the diagonal,
-    band[2, :-1] the subdiagonal); rhs has one or more columns. One call of
-    LAPACK's gtsv, as scipy.linalg.solve_banded makes for this layout, with
-    the same bits. Neither argument is modified; a singular A raises
-    numpy.linalg.LinAlgError. A run that builds no spline never loads scipy."""
-    from scipy.linalg.lapack import dgtsv
-    if len(rhs) == 1:  # gtsv rejects a 1x1 system
-        if band[1, 0] == 0.0:
-            raise LinAlgError("singular matrix")
-        return rhs / band[1, 0]
-    *_, x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)
-    if info != 0:
-        raise LinAlgError(f"singular matrix (gtsv info {info})")
-    return x
-
-
 class Tridiagonal:
-    """A tridiagonal matrix, band in solve_tridiagonal's layout: LAPACK's
-    gttrf factors it once, here, and each solve(rhs) is one gttrs call with
-    the bits of solve_tridiagonal, since gtsv runs the same elimination with
-    partial pivoting and the same substitutions (LAPACK Users' Guide, 3rd
-    ed., SIAM 1999, sec. 2.4). Below 3 rows it solves by solve_tridiagonal,
-    as scipy's gttrf wrapper rejects 2 rows. A singular matrix raises
-    numpy.linalg.LinAlgError here. The band is kept as given and must not
-    change; the factors (gttrf's dl, d, du, du2 and ipiv, None below 3 rows)
-    are read-only."""
+    """A tridiagonal matrix, band in solve_banded's (1, 1) layout (band[0, 1:]
+    the superdiagonal, band[1] the diagonal, band[2, :-1] the subdiagonal):
+    LAPACK's gttrf factors it once, here, and each solve(rhs) is one gttrs
+    call with the bits of gtsv, which runs the same elimination with partial
+    pivoting and the same substitutions (LAPACK Users' Guide, 3rd ed., SIAM
+    1999, sec. 2.4). scipy's gttrf wrapper rejects fewer than 3 rows, so a
+    smaller matrix is the trailing block of a 3-row one with an identity
+    head that couples to nothing and leaves the block's bits alone. A
+    singular matrix raises numpy.linalg.LinAlgError here. The band must not
+    change; the factors (gttrf's dl, d, du, du2 and ipiv) are read-only."""
 
     def __init__(self, band: np.ndarray):
-        self.band, self.factors = band, None
-        if band.shape[1] > 2:
-            from scipy.linalg.lapack import dgttrf, dgttrs
-            *factors, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
-            if info != 0:
-                raise LinAlgError(f"singular matrix (gttrf info {info})")
-            for arr in factors:
-                arr.setflags(write=False)
-            self.factors, self._gttrs = tuple(factors), dgttrs
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        self.band, self._gttrs = band, dgttrs
+        self._head = head = max(3 - band.shape[1], 0)
+        if head:
+            band = np.pad(band, ((0, 0), (head, 0)))
+            band[1, :head], band[0, head] = 1.0, 0.0
+        *factors, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+        if info != 0:
+            raise LinAlgError(f"singular matrix (gttrf info {info})")
+        for arr in factors:
+            arr.setflags(write=False)
+        self.factors = tuple(factors)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs, rhs one or more columns, left unmodified."""
-        if self.factors is None:
-            return solve_tridiagonal(self.band, rhs)
-        return self._gttrs(*self.factors, rhs)[0]
+        head = self._head
+        if head:
+            rhs = np.concatenate([np.zeros((head,) + rhs.shape[1:]), rhs])
+        return self._gttrs(*self.factors, rhs)[0][head:]
 
 
 def _slope_band(x: np.ndarray, bc: str):
     """The matrix of the slope system of the cubic spline through nodes x, in
-    solve_tridiagonal's layout, and whether its end rows are not-a-knot:
+    Tridiagonal's layout, and whether its end rows are not-a-knot:
     the one place the end rows are chosen, for the build and its transpose.
     Not-a-knot needs 4 nodes; with fewer the ends are natural."""
     if bc not in ("natural", "not-a-knot"):
@@ -477,7 +464,7 @@ class VariationDirection(SampledTrajectory):
 
 
 def adjoint_band(band: np.ndarray) -> np.ndarray:
-    """The transpose of a slope matrix band in solve_tridiagonal's layout,
+    """The transpose of a slope matrix band in Tridiagonal's layout,
     as a read-only copy: given the natural spline's forward band
     (Grid.spline_geometry), the system build_adjoint solves."""
     t = band.copy()
@@ -616,8 +603,18 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def sampled_from_csv(grid: Grid, path) -> SampledTrajectory:
-    """Read node values from a CSV with (at least) columns t, x."""
-    rows = np.genfromtxt(path, delimiter=",", names=True)
+    """Read node values from a UTF-8 CSV with (at least) columns t, x. A file
+    with no header line, or with a row of too few or too many fields, raises
+    InvalidTrajectory naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        # numpy warns on a file with no header line, then fails with IndexError
+        if not any(line.replace("#", "").strip() for line in lines):
+            raise InvalidTrajectory(f"{path}: empty file, need a CSV header with t and x columns")
+        rows = np.genfromtxt(lines, delimiter=",", names=True)
+    except ValueError as e:  # not UTF-8, or a ragged row in a message of several lines
+        raise InvalidTrajectory(f"{path}: {' '.join(str(e).split())}") from None
     if rows.dtype.names is None or "t" not in rows.dtype.names or "x" not in rows.dtype.names:
         raise InvalidTrajectory(f"{path}: need a CSV header with t and x columns")
     ts = np.atleast_1d(rows["t"])

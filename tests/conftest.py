@@ -10,7 +10,7 @@ import herglotz as hg
 from herglotz import conditions, expr
 from herglotz.bundles import bundle
 from herglotz.errors import FixedNode
-from herglotz.integrate import Panels, VariationDirection
+from herglotz.integrate import Panels, VariationDirection, variation_weights
 from herglotz.trajectory import CubicSpline as NodeSpline
 from herglotz.trajectory import SampledTrajectory
 
@@ -241,11 +241,10 @@ def per_call_panel_read(P, traj):
 
 def per_call_first_variation(P, zpath, eta):
     """first_variation with eta read by per_call_panel_read at the samples P
-    carries, z and lambda filled in."""
-    eta_s, deta_s, eta_d, deta_d = per_call_panel_read(P, eta)
-    f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
-                 + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
-    return float(np.sum(P.simpson(f))) / zpath.lambda_b
+    carries, z and lambda filled in: the shared weight table contracted with
+    those reads."""
+    _, w = variation_weights(zpath, P.traj)
+    return float(np.sum(w * per_call_panel_read(P, eta))) / zpath.lambda_b
 
 
 def per_panel_hermite(problem, zpath):

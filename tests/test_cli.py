@@ -89,6 +89,41 @@ class TestExitCodes:
         assert rc == 2
         assert "byte offset 9" in err
 
+    @pytest.mark.parametrize("command", ["integrate", "check-el", "solve"])
+    @pytest.mark.parametrize("lagrangian", ["dx^2" + "+x" * 3000,
+                                            "(" * 2000 + "dx^2" + ")" * 2000],
+                             ids=["sum-of-3001", "2000-groups"])
+    def test_deeply_nested_expression_is_exit_2(self, tmp_path, capsys, command,
+                                                lagrangian):
+        data = json.loads(bundle("classical-line").config_path.read_text())
+        data["lagrangian"] = lagrangian
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(data))
+        assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nested deeper" in err
+        assert "Traceback" not in err
+
+    def test_sum_of_200_terms_is_accepted(self, tmp_path, capsys):
+        data = json.loads(bundle("classical-line").config_path.read_text())
+        data["lagrangian"] = "dx^2" + "+0*x" * 199
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["check-el", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n0,0\n0.5\n1,1\n", "Line #3 (got 1 columns instead of 2)"),
+        ("", "empty file"),
+    ], ids=["ragged", "empty"])
+    def test_malformed_samples_csv_is_exit_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "s.csv").write_text(text)
+        cfg = write_config(tmp_path, interval={"a": 0.0, "b": 1.0}, tau=0.0, n=2,
+                           history="0", lagrangian="dx^2",
+                           trajectory={"backend": "samples", "path": "s.csv"})
+        assert main(["integrate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "s.csv" in err and message in err
+
     def test_non_extremal_fails_check_el(self, tmp_path, capsys):
         rc = main(["check-el", "paper-s4-nonextremal", "--n", "400",
                    "--out", str(tmp_path / "o")])

@@ -239,6 +239,17 @@ class TestWeakStrongConsistency:
         wf = weak_form_values(problem, traj, zp, r1, r2)
         assert np.max(np.abs(gv - wf)) < 5e-7
 
+    def test_kink_off_the_nodes_has_no_weak_form(self):
+        # the residuals are sampled at the nodes, which a panel split at the
+        # kink does not end on
+        g = build_grid(0.0, 1.0, 0.0, 16)
+        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="0",
+                                     lagrangian="dx^2 + x*dx + 0.5*z")
+        traj = PiecewiseTrajectory(g, [(0.0, 0.33, "t"), (0.33, 1.0, "0.33 + 2*(t - 0.33)")])
+        zp = integrate_z(problem, traj)
+        with pytest.raises(hg.errors.InvalidTrajectory, match="no weak form"):
+            weak_form_values(problem, traj, zp, *el_residuals(problem, traj, zp))
+
     def test_hat_paired_identity(self):
         # with piecewise-linear pairing functions on both sides the quadrature
         # cross terms vanish and the match is tight; the first-variation

@@ -143,6 +143,68 @@ class TestParse:
         with pytest.raises(errors.ExpressionSyntaxError):
             parse("x $ 2")
 
+    @pytest.mark.parametrize("text, offset", [("t^1e400", 2), ("x + 2.5e309*dx", 4)])
+    def test_overflowing_number_is_a_bad_number(self, text, offset):
+        # float() reads it as inf, which no expression can hold
+        with pytest.raises(errors.ExpressionSyntaxError, match="bad number") as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+    def test_underflowing_number_is_zero(self):
+        assert parse("1e-400") == Num(0.0)
+
+
+class TestDepth:
+    """A tree deeper than expr._MAX_DEPTH is a syntax error at the token
+    where the bound is passed; every accepted tree walks within the default
+    recursion limit."""
+
+    D = expr._MAX_DEPTH
+
+    def test_a_200_term_sum_parses(self):
+        tree = parse("dx^2" + " + x" * 199)
+        assert variables_in(tree) == {"dx", "x"}
+        assert evaluate(tree, {"dx": 2.0, "x": 1.0}) == 203.0
+
+    @pytest.mark.parametrize("build", [
+        lambda k: "dx^2" + "+x" * (k - 2),          # left-deep sum
+        lambda k: "(" * (k - 1) + "x" + ")" * (k - 1),
+        lambda k: "-" * (k - 1) + "x",
+        lambda k: "x^" * (k - 1) + "x",               # right-deep power
+        lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1),
+        lambda k: "x" + "*x/x" * ((k - 1) // 2) + "*x" * ((k - 1) % 2),
+    ], ids=["sum", "groups", "minus", "power", "calls", "product"])
+    def test_bound_is_exact(self, build):
+        tree = parse(build(self.D))
+        # every walk of the deepest tree accepted
+        bind = {"x": 0.5, "dx": 0.5}
+        assert variables_in(tree) <= {"x", "dx"}
+        assert _degree(tree, "x") in (1, 2)
+        assert to_text(tree)
+        expr.partial(tree, "x", bind)
+        expr.affine(tree, "x", {k: np.full(3, v) for k, v in bind.items()})
+        with pytest.raises(errors.ExpressionSyntaxError, match="nested deeper") as exc:
+            parse(build(self.D + 1))
+        assert 0 <= exc.value.offset < len(build(self.D + 1))
+
+    @pytest.mark.parametrize("text", ["dx^2" + "+x" * 3000,
+                                      "(" * 2000 + "dx^2" + ")" * 2000,
+                                      "-" * 5000 + "x", "x^" * 5000 + "x"],
+                             ids=["sum", "groups", "minus", "power"])
+    def test_deep_text_raises_no_recursion_error(self, text):
+        with pytest.raises(errors.ExpressionSyntaxError, match="nested deeper"):
+            parse(text)
+
+    def test_offset_names_the_token_past_the_bound(self):
+        # the sum's operator that makes it one level too deep, and the first
+        # token inside the group past the bound
+        with pytest.raises(errors.ExpressionSyntaxError) as exc:
+            parse("x" + "+x" * self.D)
+        assert exc.value.offset == 2 * (self.D - 1) + 1
+        with pytest.raises(errors.ExpressionSyntaxError) as exc:
+            parse("(" * self.D + "x" + ")" * self.D)
+        assert exc.value.offset == self.D
+
 
 class TestPrint:
     def test_roundtrip_on_random_trees(self):

@@ -20,6 +20,7 @@ from herglotz.integrate import (
     first_variation,
     integrate_z,
     integration_stops,
+    variation_weights,
 )
 from herglotz.noether import group_variation
 from herglotz.solver import solve_direct, variational_gradient
@@ -793,12 +794,10 @@ class TestPanelPlan:
         original = SampledTrajectory.read_grid
         monkeypatch.setattr(SampledTrajectory, "read_grid",
                             lambda self, *a: located.append(1) or original(self, *a))
+        _, w = variation_weights(zp, traj)
         for eta in (VariationDirection.from_free(coarse, rng.normal(size=49)),
                     VariationDirection.from_free(twin, free)):
-            eta_s, deta_s, eta_d, deta_d = per_call_panel_read(P, eta)
-            f = P.lam * (P.table("x") * eta_s + P.table("dx") * deta_s
-                         + P.table("xtau") * eta_d + P.table("dxtau") * deta_d)
-            expected = float(np.sum(P.simpson(f))) / zp.lambda_b
+            expected = float(np.sum(w * per_call_panel_read(P, eta))) / zp.lambda_b
             assert first_variation(problem, traj, zp, eta) == expected
         assert expected == planned
         assert located == []

@@ -236,8 +236,7 @@ class TestHoistedInvariants:
         band[0] = band[2] = -rng.uniform(0.5, 1.5, n)
         band[1] = 4.0
 
-        def kinv(v):
-            return trajectory.solve_tridiagonal(band, v)
+        kinv = trajectory.Tridiagonal(band).solve
 
         for scale in (1e-150, 1.0, 1e150):
             grad = rng.standard_normal(n) * scale

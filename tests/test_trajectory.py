@@ -25,7 +25,6 @@ from herglotz.trajectory import (
     perturb,
     sampled_from_csv,
     seed_trajectory,
-    solve_tridiagonal,
     trajectory_csv,
 )
 
@@ -267,32 +266,13 @@ class TestCubicSpline:
 
 class TestSolveTridiagonal:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 2001])
-    def test_bitwise_equal_to_solve_banded(self, n):
-        rng = np.random.default_rng(n)
-        band = rng.uniform(-1.0, 1.0, (3, n))
-        band[1] += 3.0 * np.sign(band[1])
-        for rhs in (rng.normal(size=n), rng.normal(size=(n, 2))):
-            kept = band.copy(), rhs.copy()
-            got = solve_tridiagonal(band, rhs)
-            np.testing.assert_array_equal(got, solve_banded((1, 1), band, rhs), strict=True)
-            assert band.tobytes() == kept[0].tobytes() and rhs.tobytes() == kept[1].tobytes()
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_singular_band_raises(self, n):
-        band = np.ones((3, n))
-        band[:, 0] = 0.0    # a zero first column
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_tridiagonal(band, np.ones(n))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 2001])
     def test_factored_solve_is_bitwise_equal_to_solve_banded(self, n):
-        # gttrf once, then gttrs per solve; at n <= 2 the gtsv route
+        # gttrf once, then gttrs per solve; at n <= 2 behind an identity head
         rng = np.random.default_rng(n)
         band = rng.uniform(-1.0, 1.0, (3, n))
         band[1] += 3.0 * np.sign(band[1])
         kept = band.copy()
         matrix = Tridiagonal(band)
-        assert (matrix.factors is None) == (n <= 2)
         for rhs in (rng.normal(size=n), rng.normal(size=(n, 2))):
             before = rhs.copy()
             for _ in range(2):
@@ -300,6 +280,21 @@ class TestSolveTridiagonal:
                 np.testing.assert_array_equal(got, solve_banded((1, 1), band, rhs), strict=True)
             assert rhs.tobytes() == before.tobytes()
         assert band.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_systems_keep_gtsv_bits_when_pivoting(self, n):
+        # no diagonal dominance, so most 2-row systems pivot, and a signed
+        # zero in the right-hand side keeps its sign, also where a zero
+        # leading entry makes the eliminated right-hand side -0.0
+        rng = np.random.default_rng(10 + n)
+        for i in range(500):
+            band = rng.normal(size=(3, n))
+            if n == 2 and i % 2:
+                band[1, 0] = 0.0
+            rhs = rng.normal(size=(n, 2))
+            rhs[rng.integers(n), 0] = -0.0
+            got = Tridiagonal(band).solve(rhs)
+            assert got.tobytes() == solve_banded((1, 1), band, rhs).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_singular_band_raises_when_factored(self, n):
@@ -470,6 +465,20 @@ class TestCsv:
         other, _, _, _ = build_paper(10)
         with pytest.raises(errors.InvalidTrajectory):
             sampled_from_csv(other.grid, path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n0,0\n0.5\n1,1\n", "Line #3 (got 1 columns instead of 2)"),
+        ("t,x\n0,0\n0.5,1,2\n1,1\n", "Line #3 (got 3 columns instead of 2)"),
+        ("", "empty file"),
+        ("\n# \n", "empty file"),
+    ], ids=["short-row", "long-row", "empty", "blank"])
+    def test_malformed_file_is_invalid(self, tmp_path, text, message):
+        problem, _, _, _ = build_paper(8)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(errors.InvalidTrajectory) as exc:
+            sampled_from_csv(problem.grid, path)
+        assert str(path) in str(exc.value) and message in str(exc.value)
 
     def test_seventeen_digit_roundtrip(self):
         vals = np.array([1.0 / 3.0, np.pi, 2.0 / 7.0])
