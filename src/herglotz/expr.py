@@ -274,8 +274,9 @@ def to_text(e: Expression) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({to_text(e.arg)})"
     if isinstance(e, Neg):
+        # a minus over a minus is "--x", which parses to the same tree
         inner = to_text(e.operand)
-        if _prec(e.operand) < 3 or isinstance(e.operand, Neg):
+        if _prec(e.operand) < 3:
             return f"-({inner})"
         return f"-{inner}"
     p = _PREC[e.op]

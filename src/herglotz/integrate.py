@@ -50,18 +50,21 @@ with the samples. The panel geometry depends on the grid and the
 trajectory's breakpoints alone, so for the sampled trajectories of a grid it
 is computed once (PanelPlan, kept on the grid). Since tau is m steps, a
 panel's delayed samples are its delayed panel, and a breakpoint on a node
-has the node m panels on as its image; so the panels of a sampled
-trajectory are the grid's intervals (a regular plan): every sample is a
-node or an interval midpoint, and every delayed one the same point m
-panels back. A sampled trajectory or direction on the grid is then read
-once on the whole grid, at its nodes and one cubic per interval, with no
-interval search (SampledTrajectory.read_grid), each row a slice of that
-read, with the bits of a search. The package's one spline adjoint, behind
-the solver gradient and the weak form, is the transpose of that read
-(Panels.scatter): it folds each delayed sample onto the panel m back and
-sums the weights per piece by slices; a plan with a kink off the nodes is
-read by a search and has no adjoint. The first variation's one weight
-table (variation_weights) is read by first_variation and scattered by the
+has the node m panels on as its image; so where every breakpoint is a node,
+as for a sampled trajectory, the panels are the grid's intervals (a regular
+plan, built with no stop merge): every sample is a node or an interval
+midpoint, and every delayed one the same point m panels back. A trajectory
+on that grid is then read once on the whole grid, with no interval search,
+each row a slice of that read, with the bits of a search: a sampled
+trajectory or direction at its nodes and one cubic per interval
+(SampledTrajectory.read_grid), a piecewise one by one walk of each piece
+over its run of nodes and midpoints (PiecewiseTrajectory.read_grid). The
+package's one spline adjoint, behind the solver gradient and the weak form,
+is the transpose of that read (Panels.scatter): it folds each delayed
+sample onto the panel m back and sums the weights per piece by slices; a
+plan with a kink off the nodes merges the kinks into its stops, is read by
+a search and has no adjoint. The first variation's one weight table
+(variation_weights) is read by first_variation and scattered by the
 gradient.
 The first variation, the solver gradient and the invariance defect take
 the samples from the z-path, with z and lambda there (ZPath.samples; no
@@ -99,6 +102,7 @@ from .reportio import csv_text
 from .trajectory import (
     Grid,
     HerglotzProblem,
+    PiecewiseTrajectory,
     SampledTrajectory,
     Trajectory,
     Tridiagonal,
@@ -438,15 +442,31 @@ class PanelPlan:
     intervals: the panel ends are the nodes of [a, b] bit for bit, the
     delayed ends the nodes t_0 .. t_n, and every midpoint lies strictly
     inside its interval. A delayed midpoint inside [a, b] is then the
-    midpoint m panels back, bit for bit. Its arrays are read-only.
+    midpoint m panels back, bit for bit. Where every breakpoint is a node
+    (Grid.node_index) and the nodes of [a, b] shifted by -tau snap onto t_0
+    .. t_n, those are the stops, with no merge (integration_stops) and no
+    snap: the merge would add no stop, and the snap would give those nodes.
+    Its arrays are read-only.
     """
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory):
         g = self.grid = problem.grid
-        stops, node_pos = integration_stops(problem, traj)
-        anchors = np.sort(np.concatenate(
-            [g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
-        dstops = _snap(stops - g.tau, anchors, 1e-9 * g.h)
+        nodes, n, tol = g.nodes, g.n, 1e-9 * g.h
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        regular = np.all((nodes[:-1] < mids) & (mids < nodes[1:]))
+        stops, dstops = g.main_nodes, nodes[:n + 1]
+        if (regular and all(g.node_index(rho) is not None for rho in traj.breakpoints)
+                and np.all(np.abs(stops - g.tau - dstops) <= tol)):
+            # every kink a node: the merge adds no stop, and the snap moves
+            # every delayed stop onto its node
+            node_pos = np.arange(n + 1)
+        else:
+            stops, node_pos = integration_stops(problem, traj)
+            anchors = np.sort(np.concatenate(
+                [nodes, np.asarray(traj.breakpoints, dtype=float)]))
+            dstops = _snap(stops - g.tau, anchors, tol)
+            regular = (regular and np.array_equal(stops, g.main_nodes)
+                       and np.array_equal(dstops, nodes[:n + 1]))
         self.k = k = len(stops) - 1
         times, delayed = (np.concatenate([s[:-1], 0.5 * (s[:-1] + s[1:]), s[1:]])
                           for s in (stops, dstops))
@@ -456,10 +476,6 @@ class PanelPlan:
         # never leaks across its panel boundary
         inside = delayed >= g.a
         inside[2 * k:] = delayed[2 * k:] > g.a
-        nodes = g.nodes
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        regular = (np.array_equal(stops, g.main_nodes) and np.array_equal(dstops, nodes[:g.n + 1])
-                   and np.all((nodes[:-1] < mids) & (mids < nodes[1:])))
         self.offsets = mids - nodes[:-1] if regular else None
         self.node_pos, self.hs, self.times, self.delayed, self.inside = (
             node_pos, stops[1:] - stops[:-1], times, delayed, inside)
@@ -495,6 +511,17 @@ class PanelPlan:
         return pieces, z
 
     @cached_property
+    def grid_times(self) -> np.ndarray:
+        """The samples of PiecewiseTrajectory.read_grid on a regular plan's
+        grid: its nodes and interval midpoints in turn, t_0, m_0, .., t_N."""
+        nodes = self.grid.nodes
+        ts = np.empty(2 * len(nodes) - 1)
+        ts[::2] = nodes
+        ts[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        ts.setflags(write=False)
+        return ts
+
+    @cached_property
     def powers(self) -> np.ndarray:
         """The offset powers 1, z, z^2 of the k + 1 samples of [a, b] off its
         nodes that Panels.scatter weighs on a regular plan: the midpoints,
@@ -510,7 +537,8 @@ def panel_plan(problem: HerglotzProblem, traj: Trajectory) -> PanelPlan:
     """The panel plan of the problem's grid for the trajectory's breakpoints.
     A sampled trajectory on the problem's very grid has the grid's own
     breakpoints, so its plan is built on first use and kept on the grid
-    (Grid.plan_slot); any other trajectory gets a plan of its own."""
+    (Grid.plan_slot); any other trajectory gets a plan of its own, the
+    grid's regular one, unmerged, where its kinks are nodes."""
     g = problem.grid
     if not (isinstance(traj, SampledTrajectory) and traj.grid is g):
         return PanelPlan(problem, traj)
@@ -551,25 +579,35 @@ class Panels(Samples):
 
     def read(self, traj: Trajectory):
         """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with
-        the one-sided limits of the class docstring. A sampled trajectory on
-        a regular plan's very grid is read once on the whole grid
-        (SampledTrajectory.read_grid at the plan's grid_read), with no
-        interval search, and each row is sliced out of that read: the panel
-        ends are nodes, the midpoints interval midpoints, and the delayed
-        samples of panel i those of grid interval i, with x' at the delayed
-        right end a from the left; any other trajectory is searched afresh."""
+        the one-sided limits of the class docstring. On a regular plan, a
+        sampled trajectory on its very grid (SampledTrajectory.read_grid at
+        the plan's grid_read) and a piecewise one whose pieces start on the
+        grid's nodes (PiecewiseTrajectory.read_grid at grid_times) are read
+        once on the whole grid, with no interval search, and each row is
+        sliced out of that read: the panel ends are nodes, the midpoints
+        interval midpoints, and the delayed samples of panel i those of grid
+        interval i, with x and x' at a right end on a kink from the left.
+        Any other trajectory, and every one on an irregular plan, is read by
+        four searches (eval_many), both sides, undelayed and delayed."""
         plan, k = self.plan, self.k
-        if (isinstance(traj, SampledTrajectory) and traj.grid is plan.grid
-                and plan.offsets is not None):
-            m = plan.grid.m
-            node, mid, dx_a = traj.read_grid(*plan.grid_read)
+        got = None
+        if plan.offsets is not None:
+            if isinstance(traj, PiecewiseTrajectory):
+                got = traj.read_grid(plan.grid, plan.grid_times)
+            elif traj.grid is plan.grid:
+                got = traj.read_grid(*plan.grid_read)
+        if got is not None:
+            node, mid, left = got
             out = np.empty((4, 3 * k))
             # x and x' from interval m on, x(s - tau) and x'(s - tau) from 0
-            for rows, i in ((slice(0, 2), m), (slice(2, 4), 0)):
+            for r, i in ((0, plan.grid.m), (2, 0)):
+                rows = slice(r, r + 2)
                 out[rows, :k], out[rows, k:2 * k], out[rows, 2 * k:] = (
                     node[:, i:i + k], mid[:, i:i + k], node[:, i + 1:i + k + 1])
-            if m:
-                out[3, 2 * k + m - 1] = dx_a[0]
+                # a kink, node j, is the right end of panel j - 1 - i
+                for j, x, dx in left:
+                    if 0 <= j - 1 - i < k:
+                        out[r, 2 * k + j - 1 - i], out[r + 1, 2 * k + j - 1 - i] = x, dx
             return list(out)
         out = [np.empty_like(self.times) for _ in range(4)]
         for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):

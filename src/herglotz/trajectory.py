@@ -32,6 +32,11 @@ Two backends:
   derivative applies the 5-point rows of fdiff to the exact first derivative
   at step h/16 (a fifth of the piece if that is shorter), with the read time
   itself as window point p = 0..4, chosen so the window stays in the piece.
+  eval_many searches the piece of each sample among the piece starts, kept
+  as one read-only array. Where every piece starts on a grid node,
+  PiecewiseTrajectory.read_grid reads the whole grid in SampledTrajectory's
+  layout with no search: each piece walks once over its run of nodes and
+  interval midpoints, with eval_many's bits.
 
 At a breakpoint, evaluation uses the right limit; quadrature internals may
 ask for the left limit via side="left". Trajectories are immutable; perturb
@@ -43,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import perm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -83,6 +88,12 @@ class Grid:
     def main_nodes(self) -> np.ndarray:
         """Nodes on [a, b]."""
         return self.nodes[self.m:]
+
+    def node_index(self, t: float) -> Optional[int]:
+        """The index of the node that is t bit for bit, found by rounding,
+        or None if t is no node."""
+        j = round((t - self.nodes[0]) / self.h)
+        return j if 0 <= j < len(self.nodes) and self.nodes[j] == t else None
 
     @property
     def free_indices(self) -> range:
@@ -338,16 +349,19 @@ class SampledTrajectory:
         pieces i, history first: one in every interval, then the last pieces
         of [a, b] and, if tau > 0, of the history at their lengths. Returns
         x and x' at the nodes (x' from the right, at b from the left), x and
-        x' in the intervals, and x' at a from the left (empty if tau = 0). A
-        node reads its stored value and, as the start of its piece, that
-        piece's linear coefficient for x'."""
+        x' in the intervals, and a triple (node index, x, x') from the left
+        at each kink, the node a if tau > 0: the layout of
+        PiecewiseTrajectory.read_grid. A node reads its stored value and, as
+        the start of its piece, that piece's linear coefficient for x'."""
         N, c = len(self.values) - 1, self.c
         v, d = _power_sums(c, i, z, (0, 1))
         at_nodes = np.empty((2, N + 1))
         at_nodes[0] = self.values
         at_nodes[1, :N] = c[2]
         at_nodes[1, N] = d[N]
-        return at_nodes, np.stack((v[:N], d[:N])), d[N + 1:]
+        m = self.grid.m
+        left = ((m, self.values[m], d[N + 1]),) if m else ()
+        return at_nodes, np.stack((v[:N], d[:N])), left
 
     def eval(self, t: float, side: str = "right"):
         x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
@@ -390,14 +404,15 @@ class PiecewiseTrajectory:
                 raise InvalidTrajectory(
                     f"value jump {left - right:.3g} at breakpoint t={q[0]}")
         self.pieces = tuple(parsed)
-        self._starts = [p[0] for p in parsed]
+        self._starts = np.array([p[0] for p in parsed])
+        self._starts.setflags(write=False)
         self.breakpoints = tuple(
             q[0] for q in parsed[1:] if grid.nodes[0] < q[0] < grid.b)
 
     def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)
         check_domain(self.grid.nodes[0], self.grid.b, ts)
-        starts = np.array(self._starts)
+        starts = self._starts
         if side == "left":
             idx = np.searchsorted(starts, ts, side="left") - 1
         else:
@@ -430,6 +445,31 @@ class PiecewiseTrajectory:
                     out[at] = dmat[at] @ ROWS[5][k] / s
                 ddx[mask] = out
         return (x, dx, ddx) if want_ddx else (x, dx)
+
+    def read_grid(self, grid: Grid, ts: np.ndarray):
+        """A read of the whole of grid, this trajectory's or an equal one,
+        with eval_many's bits and no piece search, where every piece after
+        the first starts on a node, bit for bit (else None): the nodes and
+        interval midpoints in turn, t_0, m_0, t_1, .., t_N, are ts. Each
+        piece is walked once, by value_and_partial, on the slice of ts from
+        its start node to the next piece's, which it reads from the left.
+        Returns SampledTrajectory.read_grid's layout: x and x' at the nodes
+        from the right (at b from the left), in the intervals, and a triple
+        (node index, x, x') from the left at each kink."""
+        if grid != self.grid:
+            return None
+        kinks = [grid.node_index(t) for t in self._starts[1:]]
+        ends = [0, *kinks, grid.n + grid.m]
+        if None in kinks or any(i >= j for i, j in zip(ends, ends[1:])):
+            return None
+        read = np.empty((2, len(ts)))
+        left = []
+        for (_, _, e), i, j in zip(self.pieces, ends, ends[1:]):
+            run = slice(2 * i, 2 * j + 1)
+            # a piece constant in value or slope comes back a float
+            read[0, run], read[1, run] = expr.value_and_partial(e, "t", {"t": ts[run]})
+            left.append((j, read[0, 2 * j], read[1, 2 * j]))
+        return read[:, ::2], read[:, 1::2], left[:-1]
 
     def eval(self, t: float, side: str = "right"):
         x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)

@@ -1,6 +1,7 @@
 import sys
 from decimal import Decimal, localcontext
 from math import isfinite, perm
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ import herglotz as hg
 from herglotz import conditions, expr
 from herglotz.bundles import bundle
 from herglotz.errors import FixedNode
-from herglotz.integrate import Panels, VariationDirection, variation_weights
+from herglotz.integrate import (
+    Panels,
+    VariationDirection,
+    _snap,
+    integration_stops,
+    variation_weights,
+)
 from herglotz.trajectory import CubicSpline as NodeSpline
 from herglotz.trajectory import SampledTrajectory
 
@@ -236,6 +243,43 @@ def per_call_panel_read(P, traj):
     for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
         out[0][sl], out[1][sl] = per_call_eval(traj, P.times[sl], side)
         out[2][sl], out[3][sl] = per_call_eval(traj, P.delayed[sl], side)
+    return out
+
+
+# Merged oracles: the panel plan by the general stop merge, whatever the
+# kinks, and the trajectory read by four interval searches.
+
+def merged_plan(problem, traj):
+    """The arrays of PanelPlan by the general path: integration_stops merges
+    the kinks and their images into the nodes of [a, b], the delayed stops
+    are snapped onto the nodes and kinks, and offsets is None unless the
+    panels are the grid's intervals."""
+    g = problem.grid
+    stops, node_pos = integration_stops(problem, traj)
+    anchors = np.sort(np.concatenate([g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
+    dstops = _snap(stops - g.tau, anchors, 1e-9 * g.h)
+    k = len(stops) - 1
+    times, delayed = (np.concatenate([s[:-1], 0.5 * (s[:-1] + s[1:]), s[1:]])
+                      for s in (stops, dstops))
+    inside = delayed >= g.a
+    inside[2 * k:] = delayed[2 * k:] > g.a
+    nodes = g.nodes
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    regular = (np.array_equal(stops, g.main_nodes) and np.array_equal(dstops, nodes[:g.n + 1])
+               and np.all((nodes[:-1] < mids) & (mids < nodes[1:])))
+    return SimpleNamespace(k=k, node_pos=node_pos, hs=stops[1:] - stops[:-1], times=times,
+                           delayed=delayed, inside=inside,
+                           offsets=mids - nodes[:-1] if regular else None)
+
+
+def searched_panel_read(plan, traj):
+    """x, x', x(s - tau), x'(s - tau) at a plan's samples by four eval_many
+    calls: lefts and midpoints from the right, rights from the left."""
+    k = plan.k
+    out = [np.empty_like(plan.times) for _ in range(4)]
+    for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
+        out[0][sl], out[1][sl] = traj.eval_many(plan.times[sl], side=side, want_ddx=False)
+        out[2][sl], out[3][sl] = traj.eval_many(plan.delayed[sl], side=side, want_ddx=False)
     return out
 
 

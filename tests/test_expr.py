@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import herglotz as hg
 from herglotz import errors, expr
@@ -206,10 +208,48 @@ class TestDepth:
         assert exc.value.offset == self.D
 
 
+def tree_depth(e):
+    """Levels of a tree, a leaf counting as one."""
+    if isinstance(e, Bin):
+        return 1 + max(tree_depth(e.left), tree_depth(e.right))
+    if isinstance(e, Neg):
+        return 1 + tree_depth(e.operand)
+    if isinstance(e, Call):
+        return 1 + tree_depth(e.arg)
+    return 1
+
+
+# the trees parse can give: literals are finite and carry no sign
+TREES = st.recursive(
+    st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Num),
+              st.sampled_from(VARIABLES).map(Var)),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub)),
+    max_leaves=30)
+
+
 class TestPrint:
     def test_roundtrip_on_random_trees(self):
         for tree in random_trees(7, 300):
             assert parse(to_text(tree)) == tree
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(TREES)
+    def test_roundtrip_on_generated_trees(self, tree):
+        assume(tree_depth(tree) <= expr._MAX_DEPTH)
+        assert parse(to_text(tree)) == tree
+
+    @pytest.mark.parametrize("minuses", [200, expr._MAX_DEPTH - 1])
+    def test_minus_chain_roundtrips(self, minuses):
+        # a minus over a minus prints as "--", no group, so the text nests no
+        # deeper than the chain: the deepest one parse accepts prints back
+        tree = parse("-" * minuses + "x")
+        assert tree_depth(tree) == minuses + 1
+        text = to_text(tree)
+        assert text == "-" * minuses + "x"
+        assert parse(text) == tree
 
     def test_variables_in(self):
         assert variables_in(parse("sin(dx) * xtau + z - t")) == {

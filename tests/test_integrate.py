@@ -31,10 +31,12 @@ from conftest import (
     build_bundle,
     build_paper,
     masked_first_variation,
+    merged_plan,
     per_call_first_variation,
     per_call_panel_read,
     per_name_table,
     per_panel_hermite,
+    searched_panel_read,
     unit_direction,
     wavy_sampled,
     whole_tree_z,
@@ -742,7 +744,7 @@ class TestPanelPlan:
         # the plan is built once; on its regular grid no spline is searched
         # (at n = 98, a + m h != a + tau)
         counts = {}
-        for owner, name in ((integrate, "integration_stops"), (trajectory, "_read")):
+        for owner, name in ((integrate.PanelPlan, "__init__"), (trajectory, "_read")):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
@@ -752,11 +754,11 @@ class TestPanelPlan:
             monkeypatch.setattr(owner, name, counted)
         for n in (100, 98):
             problem, _, _, _ = build_paper(n)
-            counts.update(integration_stops=0, _read=0)
+            counts.update(__init__=0, _read=0)
             result = solve_direct(problem)
             assert result.converged and result.iterations >= 5
             assert result.zpath.samples(result.trajectory).plan.offsets is not None
-            assert counts == {"integration_stops": 1, "_read": 0}
+            assert counts == {"__init__": 1, "_read": 0}
 
     def test_plan_arrays_are_read_only(self):
         problem, _, _, _ = build_paper(40)
@@ -865,6 +867,126 @@ class TestPanelPlan:
         coarse = replace(problem, grid=build_grid(g.a, g.b, g.tau, 50))
         with pytest.raises(errors.InvalidTrajectory):
             variational_gradient(coarse, traj, zp)
+
+
+def kinked_trajectory(grid, kinks):
+    """A piecewise trajectory on grid whose x' jumps at the nodes of the
+    given indices: slopes 1, -2, 0 and 0.5 in turn, a sine on the last
+    piece; the constant piece reads its value and slope as floats."""
+    ends = [float(grid.nodes[0]), *(float(grid.nodes[j]) for j in kinks), grid.b]
+    pieces, x0 = [], 0.25
+    for p, (t0, t1) in enumerate(zip(ends, ends[1:])):
+        slope = (1.0, -2.0, 0.0, 0.5)[p % 4]
+        text = repr(x0) if slope == 0.0 else f"{x0!r} + {slope!r} * (t - {t0!r})"
+        if p == len(ends) - 2:
+            text += f" + 0.1 * sin(3 * (t - {t0!r}))"
+        pieces.append((t0, t1, text))
+        x0 = float(expr.evaluate(expr.parse(text), {"t": t1}))
+    return PiecewiseTrajectory(grid, pieces)
+
+
+KINKED = {"tau0": (0.0, (3, 9, 15)), "tau": (0.25, (2, 5, 14))}
+
+
+def kinked_problem(tau):
+    g = build_grid(0.0, 1.0, tau, 20)
+    return hg.HerglotzProblem(grid=g, gamma=0.5, beta=1.0, history="0.25 + t",
+                              lagrangian="dx^2 + dxtau^2 + x*xtau + sin(t)*z")
+
+
+def assert_merged(P, problem, traj):
+    """The plan's arrays and the panel reads are those of the merged plan
+    and four searched reads, bit for bit."""
+    want = merged_plan(problem, traj)
+    plan = P.plan
+    assert plan.k == want.k and (plan.offsets is None) == (want.offsets is None)
+    fields = ["node_pos", "hs", "times", "delayed", "inside"]
+    if want.offsets is not None:
+        fields.append("offsets")
+    for name in fields:
+        got, ref = getattr(plan, name), getattr(want, name)
+        assert got.dtype == ref.dtype and _bits(got) == _bits(ref), name
+    assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*searched_panel_read(want, traj))
+
+
+class TestNodeKinkPlan:
+    """Where every kink is a grid node, the plan is the grid's regular plan
+    with no stop merge, and a piecewise trajectory is read once on the grid,
+    each piece walked once; both have the bits of the merged plan and the
+    four searched reads."""
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    @pytest.mark.parametrize("n", [100, 98, None], ids=["n100", "n98", "shipped"])
+    def test_bundles_equal_the_merged_plan(self, name, n):
+        problem, traj, _, _ = build_bundle(name, n)
+        for tr in (traj, wavy_sampled(problem)):
+            assert_merged(Panels(problem, tr), problem, tr)
+
+    @pytest.mark.parametrize("case", KINKED, ids=list(KINKED))
+    def test_kinks_at_three_interior_nodes(self, monkeypatch, case):
+        tau, kinks = KINKED[case]
+        problem = kinked_problem(tau)
+        g = problem.grid
+        traj = kinked_trajectory(g, kinks)
+        assert traj.breakpoints == tuple(g.nodes[list(kinks)])
+        reads = []
+        original = PiecewiseTrajectory.read_grid
+        monkeypatch.setattr(PiecewiseTrajectory, "read_grid",
+                            lambda self, *a: reads.append(1) or original(self, *a))
+        P = Panels(problem, traj)
+        assert P.plan.offsets is not None and reads == [1]
+        assert_merged(P, problem, traj)
+        # x' jumps at each kink, so a wrong side would show
+        for j in kinks:
+            left, right = (traj.eval_many(np.array([g.nodes[j]]), side, want_ddx=False)[1][0]
+                           for side in ("left", "right"))
+            assert left != right
+        # on an equal grid, and on a sampled trajectory's plan, the same read
+        twin = replace(problem, grid=build_grid(g.a, g.b, g.tau, g.n))
+        assert_merged(Panels(twin, traj), twin, traj)
+        Q = Panels(problem, wavy_sampled(problem))
+        assert _bits(*Q.read(traj)) == _bits(*searched_panel_read(Q.plan, traj))
+        assert len(reads) == 3
+        zp = integrate_z(problem, traj)
+        assert_gradient_or_refusal(problem, traj, zp)
+
+    @pytest.mark.parametrize("case", KINKED, ids=list(KINKED))
+    def test_a_kink_one_ulp_off_a_node_is_searched(self, monkeypatch, case):
+        # the ulp moves the node onto the kink in the stops: the plan is not
+        # the grid's, and its reads are the four searches
+        tau, kinks = KINKED[case]
+        problem = kinked_problem(tau)
+        g = problem.grid
+        j = kinks[-1]
+        off = np.nextafter(g.nodes[j], np.inf)
+        pieces = list(kinked_trajectory(g, kinks).pieces)
+        pieces[-2:] = [(pieces[-2][0], off, pieces[-2][2]), (off, g.b, pieces[-1][2])]
+        traj = PiecewiseTrajectory(g, pieces)
+        reads = []
+        original = PiecewiseTrajectory.read_grid
+        monkeypatch.setattr(PiecewiseTrajectory, "read_grid",
+                            lambda self, *a: reads.append(1) or original(self, *a))
+        P = Panels(problem, traj)
+        assert P.plan.offsets is None and reads == []
+        assert_merged(P, problem, traj)
+        # read on a regular plan, it finds the kink off the nodes and searches
+        Q = Panels(problem, wavy_sampled(problem))
+        assert _bits(*Q.read(traj)) == _bits(*searched_panel_read(Q.plan, traj))
+        assert reads == [1]
+
+    def test_each_piece_is_walked_once_per_integration(self, monkeypatch):
+        problem, traj, _, _ = build_paper(100)
+        walks = {id(e): 0 for _, _, e in traj.pieces}
+        original = expr.value_and_partial
+
+        def counted(e, *args):
+            if id(e) in walks:
+                walks[id(e)] += 1
+            return original(e, *args)
+
+        monkeypatch.setattr(expr, "value_and_partial", counted)
+        integrate_z(problem, traj)
+        assert list(walks.values()) == [1, 1, 1]
 
 
 class TestScatter:
