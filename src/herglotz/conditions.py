@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadInterval, InvalidTrajectory, NonFinite
+from .errors import BadInterval, NonFinite
 from .fdiff import derivative_on_segment
 from .integrate import Samples, ZPath, integrate_z
 from .reportio import csv_text
@@ -67,14 +67,16 @@ class ResidualReport:
 
 
 def exclusion_zones(traj: Trajectory, lo: float, hi: float) -> list:
-    """Open intervals of radius 2h around breakpoints and their +-tau images."""
+    """Open intervals of radius 2h around breakpoints and their +-tau images.
+    An image within 1e-9 h of a point already taken, a breakpoint first, is
+    that point: a kink tau from another misses it by round-off only."""
     g = traj.grid
     r = 2.0 * g.h
-    points = set()
-    for rho in traj.breakpoints:
-        for p in (rho, rho - g.tau, rho + g.tau):
-            if lo - r < p < hi + r:
-                points.add(p)
+    images = [rho + s for rho in traj.breakpoints for s in (-g.tau, g.tau)]
+    points = []
+    for p in (*traj.breakpoints, *images):
+        if lo - r < p < hi + r and all(abs(p - q) > 1e-9 * g.h for q in points):
+            points.append(p)
     return [(p - r, p + r) for p in sorted(points)]
 
 
@@ -115,7 +117,7 @@ class NodeTables(Samples):
                  want_ddx: bool = False):
         g = self.grid = problem.grid
         self.traj = traj
-        reads = traj.eval_many(g.nodes, side="right", want_ddx=want_ddx)
+        reads = traj.eval_many(g.nodes, want_ddx=want_ddx)
         x, dx = reads[:2]
         self.t, self.x, self.dx = g.main_nodes, x[g.m:], dx[g.m:]
         self.xtau, self.dxtau = x[: g.n + 1], dx[: g.n + 1]
@@ -224,16 +226,13 @@ def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     The plan's Simpson weights times the residual at the panel samples (the
     reports' node values, and not-a-knot splines through them at the
     midpoints) pair with every unit direction at once as weights of x, by
-    the gradient's transposed read (Panels.scatter; the panels must be the
-    grid's intervals, else InvalidTrajectory). The [b-tau, b] residual is
-    displayed without its lambda weight, so it is multiplied back before
-    pairing; the total is normalized by lambda(b) like the gradient, and a
-    lambda(b) that underflows to 0 raises NonFinite.
+    the gradient's transposed read (Panels.scatter). The [b-tau, b]
+    residual is displayed without its lambda weight, so it is multiplied
+    back before pairing; the total is normalized by lambda(b) like the
+    gradient, and a lambda(b) that underflows to 0 raises NonFinite.
     """
     g = problem.grid
     P = zpath.samples(traj)
-    if P.plan.offsets is None:
-        raise InvalidTrajectory("no weak form: a kink off the grid nodes splits a panel")
     tmain = g.main_nodes
     k1 = g.n - g.m  # >= 1, as tau < b - a
     # the strong density jumps at the seam (the shifted terms stop applying),

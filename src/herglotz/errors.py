@@ -61,7 +61,9 @@ class NonFinite(HerglotzError):
 
 class BadInterval(HerglotzError):
     """Grid construction inputs violate a < b, 0 <= tau < b - a, or n >= 2;
-    or n is too coarse for a check: a report has every sample excluded."""
+    or the grid is too fine for an interval midpoint to lie inside its
+    interval; or n is too coarse for a check: a report has every sample
+    excluded."""
 
 
 class DelayNotAligned(HerglotzError):
@@ -73,7 +75,9 @@ class OutOfDomain(HerglotzError):
 
 
 class InvalidTrajectory(HerglotzError):
-    """Trajectory construction data is inconsistent (gaps, jumps, bad sizes)."""
+    """Trajectory construction data is inconsistent (gaps, jumps, bad sizes,
+    a boundary between pieces that is not a grid node), or a trajectory is
+    read on a grid other than the problem's."""
 
 
 class FixedNode(HerglotzError):

@@ -4,12 +4,11 @@ The functional value z(b) is produced by integrating
 
     z'(t) = L(t, x(t), x'(t), x(t-tau), x'(t-tau), z(t)),   z(a) = gamma
 
-with classic 4-stage Runge-Kutta at the grid step, restarted at every
-trajectory breakpoint and at every breakpoint shifted by +tau, so no stage
-straddles a kink of the integrand. Delayed arguments are read from the
-trajectory; since tau sits exactly on the grid, delayed reads at nodes land
-on nodes. Stage times at substep ends use one-sided trajectory limits so the
-integrand stays smooth within each substep. Along the trajectory only z
+with classic 4-stage Runge-Kutta, one step per grid interval of [a, b].
+Every trajectory kink is a grid node (trajectory.PiecewiseTrajectory), and
+so is its image m nodes on (tau = m h), so no stage straddles a kink of the
+integrand. Stage times at step ends use one-sided trajectory limits so the
+integrand stays smooth within each step. Along the trajectory only z
 changes from stage to stage. Where L is affine in z, L = A + B z (expr.affine;
 every shipped bundle is), one array walk over all the samples gives the
 columns A and B: log-lambda is then one running sum of -B, bit for bit the
@@ -40,31 +39,24 @@ closed integral
     zeta(b) = (1/lambda(b)) int_a^b lambda(s) [ L_x eta + L_dx eta'
               + L_xtau eta(s-tau) + L_dxtau eta'(s-tau) ] ds
 
-with eta identically zero left of a, evaluated by composite Simpson on
-breakpoint-aligned panels (grid intervals split at kinks, midpoint sampled).
-These panels are the RK4 substeps, so one sampler serves both: Panels.read
-reads a trajectory, one-sided, at the panel ends and midpoints and at their
-delayed images; integrate_z runs its RK4 stages on the reads of x and keeps z
-and log-lambda at the stops, the panel ends, which the z-path carries on
-with the samples. The panel geometry depends on the grid and the
-trajectory's breakpoints alone, so for the sampled trajectories of a grid it
-is computed once (PanelPlan, kept on the grid). Since tau is m steps, a
-panel's delayed samples are its delayed panel, and a breakpoint on a node
-has the node m panels on as its image; so where every breakpoint is a node,
-as for a sampled trajectory, the panels are the grid's intervals (a regular
-plan, built with no stop merge): every sample is a node or an interval
-midpoint, and every delayed one the same point m panels back. A trajectory
-on that grid is then read once on the whole grid, with no interval search,
-each row a slice of that read, with the bits of a search: a sampled
-trajectory or direction at its nodes and one cubic per interval
-(SampledTrajectory.read_grid), a piecewise one by one walk of each piece
-over its run of nodes and midpoints (PiecewiseTrajectory.read_grid). The
-package's one spline adjoint, behind the solver gradient and the weak form,
-is the transpose of that read (Panels.scatter): it folds each delayed
-sample onto the panel m back and sums the weights per piece by slices; a
-plan with a kink off the nodes merges the kinks into its stops, is read by
-a search and has no adjoint. The first variation's one weight table
-(variation_weights) is read by first_variation and scattered by the
+with eta identically zero left of a, evaluated by composite Simpson on the
+grid's intervals of [a, b], midpoint sampled. These panels are the RK4
+steps, so one sampler serves both: Panels.read reads a trajectory,
+one-sided, at the panel ends and midpoints and at their delayed images;
+integrate_z runs its RK4 stages on the reads of x and keeps z and
+log-lambda at the stops, the panel ends, which the z-path carries on with
+the samples. The panel geometry depends on the grid alone, so it is
+computed once per grid (PanelPlan, kept on the grid); since tau is m steps,
+the delayed samples of panel i are the samples of grid interval i. A
+trajectory is read once on the whole grid, with no interval search, each
+row a slice of that read: a sampled trajectory or direction at its nodes
+and one cubic per interval (SampledTrajectory.read_grid), a piecewise one
+by one walk of each piece over its run of nodes and midpoints
+(PiecewiseTrajectory.read_grid). The package's one spline adjoint, behind
+the solver gradient and the weak form, is the transpose of that read
+(Panels.scatter): it folds each delayed sample onto the panel m back and
+sums the weights per piece by slices. The first variation's one weight
+table (variation_weights) is read by first_variation and scattered by the
 gradient.
 The first variation, the solver gradient and the invariance defect take
 the samples from the z-path, with z and lambda there (ZPath.samples; no
@@ -89,6 +81,7 @@ whichever caller comes first); concurrent integrations are safe.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
@@ -97,13 +90,12 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import InvalidTrajectory, NonFinite
+from .errors import BadInterval, InvalidTrajectory, NonFinite
 from .reportio import csv_text
 from .trajectory import (
     Grid,
     HerglotzProblem,
     PiecewiseTrajectory,
-    SampledTrajectory,
     Trajectory,
     Tridiagonal,
     VariationDirection,
@@ -116,54 +108,10 @@ _POWER_RANKS = np.array([[1.0], [2.0], [3.0]])
 _POWER_RANKS.setflags(write=False)
 
 
-def _snap(ts: np.ndarray, anchors: np.ndarray, tol: float) -> np.ndarray:
-    """Replace entries of ts lying within tol of an anchor by that anchor.
-
-    Kills one-ulp drift so that kink times compare exactly in side-aware
-    evaluation (e.g. a node computed as a + k*h versus a breakpoint 1.0).
-    """
-    if len(anchors) == 0:
-        return ts
-    out = np.asarray(ts, dtype=float).copy()
-    idx = np.clip(np.searchsorted(anchors, out), 0, len(anchors) - 1)
-    below = np.clip(idx - 1, 0, len(anchors) - 1)
-    pick = np.where(
-        np.abs(anchors[idx] - out) <= np.abs(anchors[below] - out), idx, below)
-    near = np.abs(anchors[pick] - out) <= tol
-    out[near] = anchors[pick][near]
-    return out
-
-
 def integration_stops(problem: HerglotzProblem, traj: Trajectory):
-    """Sorted substep boundaries on [a, b] and the stop index of each node.
-
-    Stops are the grid nodes on [a, b] merged with every trajectory
-    breakpoint rho and its image rho + tau (both read by the integrand).
-    A node within snapping tolerance of a kink is displaced onto the kink
-    value so float comparisons at the kink are exact. The image of a
-    breakpoint that is the node nodes[i], bit for bit, is the node
-    nodes[i + m] (tau = m h), already a stop; that of any other breakpoint
-    is the float rho + tau, whose delayed image is then the kink itself.
-    """
-    g = problem.grid
-    vals = g.main_nodes.astype(float).copy()
-    tol = 1e-9 * g.h
-    extras = []
-    for rho in map(float, traj.breakpoints):
-        for p in (rho,) if rho in g.nodes else (rho, rho + g.tau):
-            if p <= g.a + tol or p >= g.b - tol:
-                continue
-            j = int(round((p - g.a) / g.h))
-            if 0 <= j <= g.n and abs(vals[j] - p) <= tol:
-                vals[j] = p
-            else:
-                extras.append(p)
-    if extras:
-        stops = np.sort(np.concatenate([vals, np.array(sorted(set(extras)))]))
-    else:
-        stops = vals
-    node_pos = np.searchsorted(stops, vals)
-    return stops, node_pos
+    """The stops of integrate_z, the nodes of [a, b], and the stop index of
+    each node; the same for every trajectory on the grid."""
+    return problem.grid.main_nodes, np.arange(problem.grid.n + 1)
 
 
 @dataclass(eq=False)
@@ -426,62 +374,50 @@ class Samples:
 
 
 class PanelPlan:
-    """The geometry of the Simpson panels of a grid for one set of trajectory
-    breakpoints, which every trajectory and direction read on those panels
-    shares (panel_plan): the node positions among the stops, the panel steps
-    hs, the sample times, their delayed images, the inside mask and, on a
-    regular plan, the midpoint offsets into every grid interval, history
-    first (else None); filled in on first use, the Simpson weights of the
-    samples, the adjoint's transposed slope matrix factored once
-    (Tridiagonal), and on a regular plan the pieces and offsets of the grid
-    read and the scatter's offset powers.
-
-    A panel's delayed samples are its delayed panel: the stops are shifted
-    by -tau and snapped once, and the delayed midpoint is the midpoint of the
-    snapped ends. The plan is regular when its panels are the grid's
-    intervals: the panel ends are the nodes of [a, b] bit for bit, the
-    delayed ends the nodes t_0 .. t_n, and every midpoint lies strictly
-    inside its interval. A delayed midpoint inside [a, b] is then the
-    midpoint m panels back, bit for bit. Where every breakpoint is a node
-    (Grid.node_index) and the nodes of [a, b] shifted by -tau snap onto t_0
-    .. t_n, those are the stops, with no merge (integration_stops) and no
-    snap: the merge would add no stop, and the snap would give those nodes.
-    Its arrays are read-only.
+    """The Simpson panels of a grid, which every trajectory and direction on
+    it shares (panel_plan): panel i is grid interval m + i, from node i of
+    [a, b] to node i + 1, sampled at its ends and midpoint, and its delayed
+    samples are those of grid interval i, tau = m h back. It holds the node
+    positions among the stops, the panel steps hs, the sample times, their
+    delayed images, the inside mask and the midpoint offsets into every grid
+    interval, history first; filled in on first use, the Simpson weights of
+    the samples, the adjoint's transposed slope matrix factored once
+    (Tridiagonal), the pieces and offsets of the grid reads and the
+    scatter's offset powers. A grid too fine for every midpoint to lie
+    strictly inside its interval raises BadInterval. Its arrays are
+    read-only. The grid keeps its plan (Grid.plan_slot), and the plan refers
+    back to it weakly: a reference each way would keep every grid and its
+    plan alive until the cyclic collector runs. A Panels holds the grid.
     """
 
-    def __init__(self, problem: HerglotzProblem, traj: Trajectory):
-        g = self.grid = problem.grid
-        nodes, n, tol = g.nodes, g.n, 1e-9 * g.h
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        regular = np.all((nodes[:-1] < mids) & (mids < nodes[1:]))
-        stops, dstops = g.main_nodes, nodes[:n + 1]
-        if (regular and all(g.node_index(rho) is not None for rho in traj.breakpoints)
-                and np.all(np.abs(stops - g.tau - dstops) <= tol)):
-            # every kink a node: the merge adds no stop, and the snap moves
-            # every delayed stop onto its node
-            node_pos = np.arange(n + 1)
-        else:
-            stops, node_pos = integration_stops(problem, traj)
-            anchors = np.sort(np.concatenate(
-                [nodes, np.asarray(traj.breakpoints, dtype=float)]))
-            dstops = _snap(stops - g.tau, anchors, tol)
-            regular = (regular and np.array_equal(stops, g.main_nodes)
-                       and np.array_equal(dstops, nodes[:n + 1]))
-        self.k = k = len(stops) - 1
-        times, delayed = (np.concatenate([s[:-1], 0.5 * (s[:-1] + s[1:]), s[1:]])
-                          for s in (stops, dstops))
+    def __init__(self, grid: Grid):
+        self._grid = weakref.ref(grid)
+        nodes, m, n = grid.nodes, grid.m, grid.n
+        lo, hi = nodes[:-1], nodes[1:]
+        mids = 0.5 * (lo + hi)
+        if not np.all((lo < mids) & (mids < hi)):
+            raise BadInterval(
+                f"grid step h={grid.h} too fine for [{grid.a}, {grid.b}]: "
+                "an interval midpoint is not inside its interval")
+        self.k = k = n
+        times = np.concatenate([lo[m:], mids[m:], hi[m:]])
+        delayed = np.concatenate([lo[:n], mids[:n], hi[:n]])
         # delayed images that fall inside [a, b], where the solver's spline
         # adjoint and the group generators act; rights take the left limit, so
         # exactly s - tau = a counts as outside there and a kink at s = a + tau
         # never leaks across its panel boundary
-        inside = delayed >= g.a
-        inside[2 * k:] = delayed[2 * k:] > g.a
-        self.offsets = mids - nodes[:-1] if regular else None
+        inside = delayed >= grid.a
+        inside[2 * k:] = delayed[2 * k:] > grid.a
+        self.offsets = mids - lo
         self.node_pos, self.hs, self.times, self.delayed, self.inside = (
-            node_pos, stops[1:] - stops[:-1], times, delayed, inside)
-        for arr in (node_pos, self.hs, times, delayed, inside, self.offsets):
-            if arr is not None:
-                arr.setflags(write=False)
+            np.arange(n + 1), hi[m:] - lo[m:], times, delayed, inside)
+        for arr in (self.node_pos, self.hs, times, delayed, inside, self.offsets):
+            arr.setflags(write=False)
+
+    @property
+    def grid(self) -> Grid:
+        """The plan's grid, alive while a Panels on it is."""
+        return self._grid()
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -499,7 +435,7 @@ class PanelPlan:
 
     @cached_property
     def grid_read(self) -> tuple:
-        """The pieces and offsets of SampledTrajectory.read_grid on a regular
+        """The pieces and offsets of SampledTrajectory.read_grid on the
         plan's grid: every interval at its midpoint, then the last pieces of
         [a, b] and, if tau > 0, of the history at their lengths."""
         m, nodes = self.grid.m, self.grid.nodes
@@ -512,8 +448,8 @@ class PanelPlan:
 
     @cached_property
     def grid_times(self) -> np.ndarray:
-        """The samples of PiecewiseTrajectory.read_grid on a regular plan's
-        grid: its nodes and interval midpoints in turn, t_0, m_0, .., t_N."""
+        """The samples of PiecewiseTrajectory.read_grid on the plan's grid:
+        its nodes and interval midpoints in turn, t_0, m_0, .., t_N."""
         nodes = self.grid.nodes
         ts = np.empty(2 * len(nodes) - 1)
         ts[::2] = nodes
@@ -524,8 +460,8 @@ class PanelPlan:
     @cached_property
     def powers(self) -> np.ndarray:
         """The offset powers 1, z, z^2 of the k + 1 samples of [a, b] off its
-        nodes that Panels.scatter weighs on a regular plan: the midpoints,
-        then b on the last piece."""
+        nodes that Panels.scatter weighs: the midpoints, then b on the last
+        piece."""
         nodes = self.grid.main_nodes
         z = np.append(self.offsets[self.grid.m:], nodes[-1] - nodes[-2])
         powers = np.stack([np.ones_like(z), z, z * z])
@@ -533,28 +469,21 @@ class PanelPlan:
         return powers
 
 
-def panel_plan(problem: HerglotzProblem, traj: Trajectory) -> PanelPlan:
-    """The panel plan of the problem's grid for the trajectory's breakpoints.
-    A sampled trajectory on the problem's very grid has the grid's own
-    breakpoints, so its plan is built on first use and kept on the grid
-    (Grid.plan_slot); any other trajectory gets a plan of its own, the
-    grid's regular one, unmerged, where its kinks are nodes."""
-    g = problem.grid
-    if not (isinstance(traj, SampledTrajectory) and traj.grid is g):
-        return PanelPlan(problem, traj)
-    if not g.plan_slot:
-        g.plan_slot[:] = [PanelPlan(problem, traj)]
-    return g.plan_slot[0]
+def panel_plan(grid: Grid) -> PanelPlan:
+    """The grid's panel plan, built on first use and kept on the grid
+    (Grid.plan_slot) for every trajectory on it."""
+    if not grid.plan_slot:
+        grid.plan_slot[:] = [PanelPlan(grid)]
+    return grid.plan_slot[0]
 
 
 class Panels(Samples):
-    """Breakpoint-aligned Simpson panels of [a, b] sampled once along a
-    trajectory: the one sampler behind the RK4 stages of integrate_z, the
-    first variation, the solver gradient and the invariance defect. The
-    z-path carries it (ZPath.samples), which fills in z and lambda here. The
-    geometry comes from the grid's panel plan (plan), shared by every
-    trajectory on the grid. The reads of the variables L reads are checked
-    finite here, once; a non-finite one raises InvalidBinding.
+    """The Simpson panels of [a, b] sampled once along a trajectory: the one
+    sampler behind the RK4 stages of integrate_z, the first variation, the
+    solver gradient and the invariance defect. The z-path carries it
+    (ZPath.samples), which fills in z and lambda here. The geometry comes
+    from the panel plan (plan) of the problem's grid (grid). The reads of the variables L reads
+    are checked finite here, once; a non-finite one raises InvalidBinding.
 
     Sample arrays are ordered panel lefts, then midpoints, then rights (k of
     each). Trajectory reads are one-sided: lefts and midpoints take the right
@@ -563,7 +492,8 @@ class Panels(Samples):
     """
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory):
-        plan = self.plan = panel_plan(problem, traj)
+        self.grid = problem.grid
+        plan = self.plan = panel_plan(self.grid)
         self.traj = traj
         self.k, self.hs, self.node_pos = plan.k, plan.hs, plan.node_pos
         self.times, self.delayed, self.inside = plan.times, plan.delayed, plan.inside
@@ -579,43 +509,31 @@ class Panels(Samples):
 
     def read(self, traj: Trajectory):
         """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with
-        the one-sided limits of the class docstring. On a regular plan, a
-        sampled trajectory on its very grid (SampledTrajectory.read_grid at
-        the plan's grid_read) and a piecewise one whose pieces start on the
-        grid's nodes (PiecewiseTrajectory.read_grid at grid_times) are read
-        once on the whole grid, with no interval search, and each row is
-        sliced out of that read: the panel ends are nodes, the midpoints
-        interval midpoints, and the delayed samples of panel i those of grid
-        interval i, with x and x' at a right end on a kink from the left.
-        Any other trajectory, and every one on an irregular plan, is read by
-        four searches (eval_many), both sides, undelayed and delayed."""
+        the one-sided limits of the class docstring, by one read of the
+        whole grid (SampledTrajectory.read_grid at the plan's grid_read,
+        PiecewiseTrajectory.read_grid at its grid_times), each row sliced
+        out of it: the delayed samples of panel i are those of grid interval
+        i, and x and x' at a right end on a kink are read from the left. A
+        trajectory on a grid other than the problem's (by ==) raises
+        InvalidTrajectory."""
         plan, k = self.plan, self.k
-        got = None
-        if plan.offsets is not None:
-            if isinstance(traj, PiecewiseTrajectory):
-                got = traj.read_grid(plan.grid, plan.grid_times)
-            elif traj.grid is plan.grid:
-                got = traj.read_grid(*plan.grid_read)
-        if got is not None:
-            node, mid, left = got
-            out = np.empty((4, 3 * k))
-            # x and x' from interval m on, x(s - tau) and x'(s - tau) from 0
-            for r, i in ((0, plan.grid.m), (2, 0)):
-                rows = slice(r, r + 2)
-                out[rows, :k], out[rows, k:2 * k], out[rows, 2 * k:] = (
-                    node[:, i:i + k], mid[:, i:i + k], node[:, i + 1:i + k + 1])
-                # a kink, node j, is the right end of panel j - 1 - i
-                for j, x, dx in left:
-                    if 0 <= j - 1 - i < k:
-                        out[r, 2 * k + j - 1 - i], out[r + 1, 2 * k + j - 1 - i] = x, dx
-            return list(out)
-        out = [np.empty_like(self.times) for _ in range(4)]
-        for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
-            out[0][sl], out[1][sl] = traj.eval_many(
-                self.times[sl], side=side, want_ddx=False)
-            out[2][sl], out[3][sl] = traj.eval_many(
-                self.delayed[sl], side=side, want_ddx=False)
-        return out
+        if traj.grid != self.grid:
+            raise InvalidTrajectory("trajectory is on a grid other than the problem's")
+        if isinstance(traj, PiecewiseTrajectory):
+            node, mid, left = traj.read_grid(plan.grid_times)
+        else:
+            node, mid, left = traj.read_grid(*plan.grid_read)
+        out = np.empty((4, 3 * k))
+        # x and x' from interval m on, x(s - tau) and x'(s - tau) from 0
+        for r, i in ((0, self.grid.m), (2, 0)):
+            rows = slice(r, r + 2)
+            out[rows, :k], out[rows, k:2 * k], out[rows, 2 * k:] = (
+                node[:, i:i + k], mid[:, i:i + k], node[:, i + 1:i + k + 1])
+            # a kink, node j, is the right end of panel j - 1 - i
+            for j, x, dx in left:
+                if 0 <= j - 1 - i < k:
+                    out[r, 2 * k + j - 1 - i], out[r + 1, 2 * k + j - 1 - i] = x, dx
+        return list(out)
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
         """Node weights g on [a, b] with g . y = sum(w[0] x + w[1] x' + w[2]
@@ -623,18 +541,13 @@ class Panels(Samples):
         sampled trajectory on the plan's grid with node values y on [a, b]
         (delayed reads left of a leave y alone): the transpose of read, the
         package's one spline adjoint, behind the gradient and the weak form.
-        The plan must be regular; one whose panels are not the grid's
-        intervals raises InvalidTrajectory. A panel's delayed samples are
-        those of the panel m back, so the delayed weights first fold onto
-        them, by one slice-add over lefts, midpoints and rights. Then, per piece of
-        the [a, b] spline, a node sample adds its weights to the constant
-        and the linear coefficient, and the midpoints and b add theirs at
-        the plan's offset powers."""
+        A panel's delayed samples are those of the panel m back, so the
+        delayed weights first fold onto them, by one slice-add over lefts,
+        midpoints and rights. Then, per piece of the [a, b] spline, a node
+        sample adds its weights to the constant and the linear coefficient,
+        and the midpoints and b add theirs at the plan's offset powers."""
         plan, k = self.plan, self.k
-        if plan.offsets is None:
-            raise InvalidTrajectory(
-                "no gradient: a trajectory kink off the grid nodes splits a panel")
-        m, powers = plan.grid.m, plan.powers
+        m, powers = self.grid.m, plan.powers
         # x and x' at the lefts, midpoints and rights, with the delayed
         # samples of panel i >= m folded onto panel i - m
         v = w[:2].reshape(2, 3, k).copy()
@@ -650,7 +563,7 @@ class Panels(Samples):
         gc = gc[:, :k]
         gc[:2] += lefts
         gc[:2, 1:] += rights[:, :-1]
-        return build_adjoint(plan.grid.spline_geometry[1][0], plan.adjoint, gc)
+        return build_adjoint(self.grid.spline_geometry[1][0], plan.adjoint, gc)
 
     def simpson(self, f: np.ndarray) -> np.ndarray:
         """Composite Simpson integral of sampled f over each panel (weights)."""

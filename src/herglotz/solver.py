@@ -16,9 +16,9 @@ of the natural spline through the node values (integrate.Panels.scatter,
 the transpose of the read, then trajectory.build_adjoint, the transpose of
 the build of trajectory.CubicSpline) applied to the first variation's
 weight table (integrate.variation_weights): each delayed weight folded onto
-the panel m back, summed per spline piece by slices (every sampled
-trajectory on the grid has a regular panel plan), plus one solve with the
-plan's transposed slope matrix, factored once per grid, O(n) per call.
+the panel m back, summed per spline piece by slices (the panels are the
+grid's intervals), plus one solve with the plan's transposed slope
+matrix, factored once per grid, O(n) per call.
 
 The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
 the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and
@@ -131,16 +131,14 @@ def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
     onto the nodes through the spline adjoint (Panels.scatter), so all unit
     directions are paired at once in O(n).
 
-    The solver drives sampled trajectories, but any trajectory whose panels
-    are the grid's intervals is accepted (a piecewise one with its kinks on
-    the nodes); else InvalidTrajectory. The entries are the first variations
-    along the unit node directions of the grid. zpath must come from
-    integrate_z along this very trajectory object, whose samples it carries,
-    on a grid equal to the problem's (equal grids have the same nodes, so
-    the panel plan holds for them). A lambda(b) that underflows to 0 raises
-    NonFinite."""
+    The solver drives sampled trajectories, but a piecewise one is accepted
+    too. The entries are the first variations along the unit node
+    directions of the grid. zpath must come from integrate_z along this
+    very trajectory object, whose samples it carries, on a grid equal (==)
+    to the problem's, else InvalidTrajectory. A lambda(b) that underflows to
+    0 raises NonFinite."""
     P, w = variation_weights(zpath, traj)
-    if problem.grid != P.plan.grid:
+    if problem.grid != P.grid:
         raise InvalidTrajectory("z-path was integrated on a different grid")
     g = P.scatter(w)[1:-1]
     g /= zpath.lambda_b

@@ -22,7 +22,7 @@ Two backends:
   rule, _read, reads a spline or a trajectory: an interval search for the
   piece and offset of each sample, and for the samples on a node, then a
   read there. A read of the whole grid, one sample in every interval
-  (integrate's regular panel plan), skips the search:
+  (integrate's panel plan), skips the search:
   SampledTrajectory.read_grid reads the node values, the slope coefficients
   at the nodes and one cubic per interval, in the grid's order, with the
   same bits (a zero slope's sign aside). Every read runs Horner's rule on
@@ -30,17 +30,17 @@ Two backends:
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative applies the 5-point rows of fdiff to the exact first derivative
-  at step h/16 (a fifth of the piece if that is shorter), with the read time
-  itself as window point p = 0..4, chosen so the window stays in the piece.
+  at step h/16, with the read time itself as window point p = 0..4, chosen
+  so the window stays in the piece (a piece spans a grid step or more).
   eval_many searches the piece of each sample among the piece starts, kept
-  as one read-only array. Where every piece starts on a grid node,
+  as one read-only array. Every boundary between pieces is a grid node, so
   PiecewiseTrajectory.read_grid reads the whole grid in SampledTrajectory's
   layout with no search: each piece walks once over its run of nodes and
   interval midpoints, with eval_many's bits.
 
-At a breakpoint, evaluation uses the right limit; quadrature internals may
-ask for the left limit via side="left". Trajectories are immutable; perturb
-returns a new value.
+At a breakpoint, evaluation uses the right limit; a grid read also gives the
+left limit at each kink. Trajectories are immutable; perturb returns a new
+value.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class Grid:
     """Uniform mesh on [a-tau, b]: h=(b-a)/n, tau=m*h, nodes t_i = a + (i-m)h.
 
     plan_slot holds at most one integrate.PanelPlan, filled on first use: the
-    sample geometry that every sampled trajectory on this grid shares;
+    sample geometry that every trajectory on this grid shares;
     spline_geometry, also computed on first use, is their spline geometry."""
 
     a: float
@@ -89,11 +89,11 @@ class Grid:
         """Nodes on [a, b]."""
         return self.nodes[self.m:]
 
-    def node_index(self, t: float) -> Optional[int]:
-        """The index of the node that is t bit for bit, found by rounding,
-        or None if t is no node."""
-        j = round((t - self.nodes[0]) / self.h)
-        return j if 0 <= j < len(self.nodes) and self.nodes[j] == t else None
+    def node_index(self, t: float, tol: float) -> Optional[int]:
+        """The index of the node nearest t if it lies within tol of t, else
+        None."""
+        j = int(np.clip(np.rint((t - self.nodes[0]) / self.h), 0, len(self.nodes) - 1))
+        return j if abs(self.nodes[j] - t) <= tol else None
 
     @property
     def free_indices(self) -> range:
@@ -259,19 +259,14 @@ class CubicSpline:
         return _read(self.x, self.y, self.c, ts, nus)
 
 
-def _read(x, y, c, ts, nus, kinks=()) -> tuple:
+def _read(x, y, c, ts, nus) -> tuple:
     """The derivatives of orders nus at ts, one array each with the bits of
     separate calls, of the cubic pieces c (one column each) between
-    breakpoints x with node values y: piece i holds x[i] <= t < x[i+1], but
-    a sample on one of the kinks takes the piece that ends there (a left
-    limit), and the end pieces extend past the ends; a value read on a node
-    is stored."""
+    breakpoints x with node values y: piece i holds x[i] <= t < x[i+1], and
+    the end pieces extend past the ends; a value read on a node is stored."""
     ts = np.asarray(ts, dtype=float)
     t = ts.reshape(-1)
-    i = np.searchsorted(x, t, side="right") - 1
-    if kinks:
-        i -= np.isin(t, kinks)
-    i = np.clip(i, 0, len(x) - 2)
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
     at = i + (t == x[i + 1])
     rows = np.flatnonzero(t == x[at])
     out = _power_sums(c, i, t - x[i], nus)
@@ -336,12 +331,11 @@ class SampledTrajectory:
         [a, b] is built. Every solver trial and perturb is built here."""
         return SampledTrajectory(self.grid, values, _hist=self._hist)
 
-    def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
+    def eval_many(self, ts, want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)
         check_domain(self.grid.nodes[0], self.grid.b, ts)
         nus = (0, 1, 2) if want_ddx else (0, 1)
-        kinks = self.breakpoints if side == "left" else ()
-        return _read(self.grid.nodes, self.values, self.c, ts, nus, kinks)
+        return _read(self.grid.nodes, self.values, self.c, ts, nus)
 
     def read_grid(self, i: np.ndarray, z: np.ndarray) -> tuple:
         """A read of the whole grid with eval_many's bits (a zero slope's
@@ -363,13 +357,16 @@ class SampledTrajectory:
         left = ((m, self.values[m], d[N + 1]),) if m else ()
         return at_nodes, np.stack((v[:N], d[:N])), left
 
-    def eval(self, t: float, side: str = "right"):
-        x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
+    def eval(self, t: float):
+        x, dx, ddx = self.eval_many(np.array([float(t)]))
         return float(x[0]), float(dx[0]), float(ddx[0])
 
 
 class PiecewiseTrajectory:
-    """Closed-form pieces covering [a-tau, b]; exact x and dx per piece."""
+    """Closed-form pieces covering [a-tau, b]; exact x and dx per piece.
+    Every boundary between pieces is a grid node: one within 1e-9 of the span
+    of a node is put on that node, bit for bit, and any other raises
+    InvalidTrajectory. kinks holds their node indices."""
 
     def __init__(self, grid: Grid, pieces: Sequence):
         self.grid = grid
@@ -388,35 +385,40 @@ class PiecewiseTrajectory:
             parsed.append((t0, t1, e))
         if not parsed:
             raise InvalidTrajectory("no pieces given")
-        span = grid.b - grid.nodes[0]
-        tol = 1e-9 * max(1.0, span)
-        if abs(parsed[0][0] - grid.nodes[0]) > tol or abs(parsed[-1][1] - grid.b) > tol:
+        nodes, h = grid.nodes, grid.h
+        tol = 1e-9 * max(1.0, grid.b - nodes[0])
+        if abs(parsed[0][0] - nodes[0]) > tol or abs(parsed[-1][1] - grid.b) > tol:
             raise InvalidTrajectory("pieces must cover [a - tau, b]")
+        kinks = []
+        for (_, t1, _), (t0, _, _) in zip(parsed, parsed[1:]):
+            if abs(t1 - t0) > tol:
+                raise InvalidTrajectory(f"gap between pieces at t={t1}")
+            j = grid.node_index(t0, tol)
+            if j is None:
+                raise InvalidTrajectory(
+                    f"piece boundary t={t0} is not a grid node (h={h})")
+            kinks.append(j)
+        ends = [parsed[0][0], *map(float, nodes[kinks]), parsed[-1][1]]
+        parsed = [(t0, t1, e) for (_, _, e), t0, t1 in zip(parsed, ends, ends[1:])]
         for (t0, t1, e) in parsed:
-            if t1 - t0 < grid.h / 4:
+            if t1 - t0 < h / 4:
                 raise InvalidTrajectory(f"piece [{t0}, {t1}] shorter than h/4")
         for (p, q) in zip(parsed, parsed[1:]):
-            if abs(p[1] - q[0]) > tol:
-                raise InvalidTrajectory(f"gap between pieces at t={p[1]}")
             left = expr.evaluate(p[2], {"t": p[1]})
             right = expr.evaluate(q[2], {"t": q[0]})
             if abs(left - right) > 1e-9:
                 raise InvalidTrajectory(
                     f"value jump {left - right:.3g} at breakpoint t={q[0]}")
         self.pieces = tuple(parsed)
+        self.kinks = tuple(kinks)
         self._starts = np.array([p[0] for p in parsed])
         self._starts.setflags(write=False)
-        self.breakpoints = tuple(
-            q[0] for q in parsed[1:] if grid.nodes[0] < q[0] < grid.b)
+        self.breakpoints = tuple(ends[1:-1])
 
-    def eval_many(self, ts, side: str = "right", want_ddx: bool = True):
+    def eval_many(self, ts, want_ddx: bool = True):
         ts = np.asarray(ts, dtype=float)
         check_domain(self.grid.nodes[0], self.grid.b, ts)
-        starts = self._starts
-        if side == "left":
-            idx = np.searchsorted(starts, ts, side="left") - 1
-        else:
-            idx = np.searchsorted(starts, ts, side="right") - 1
+        idx = np.searchsorted(self._starts, ts, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
         x = np.empty_like(ts)
         dx = np.empty_like(ts)
@@ -430,9 +432,10 @@ class PiecewiseTrajectory:
             x[mask] = xv
             dx[mask] = dv
             if want_ddx:
-                # a window of 4s fits at every point of a piece of length >= 5s;
-                # reads in the domain slack past an end clip to the end row
-                s = min(self.grid.h / 16.0, (t1 - t0) / 5.0)
+                # a window of 4s fits at every point of a piece of length >= 5s,
+                # and a piece spans at least one grid step; reads in the domain
+                # slack past an end clip to the end row
+                s = self.grid.h / 16.0
                 p = np.minimum(2, np.floor((tm - t0) / s))
                 p = np.clip(np.maximum(p, 4 - np.floor((t1 - tm) / s)), 0, 4).astype(int)
                 pts = (tm - p * s)[:, None] + s * np.arange(5)[None, :]
@@ -446,22 +449,16 @@ class PiecewiseTrajectory:
                 ddx[mask] = out
         return (x, dx, ddx) if want_ddx else (x, dx)
 
-    def read_grid(self, grid: Grid, ts: np.ndarray):
-        """A read of the whole of grid, this trajectory's or an equal one,
-        with eval_many's bits and no piece search, where every piece after
-        the first starts on a node, bit for bit (else None): the nodes and
-        interval midpoints in turn, t_0, m_0, t_1, .., t_N, are ts. Each
-        piece is walked once, by value_and_partial, on the slice of ts from
-        its start node to the next piece's, which it reads from the left.
-        Returns SampledTrajectory.read_grid's layout: x and x' at the nodes
-        from the right (at b from the left), in the intervals, and a triple
-        (node index, x, x') from the left at each kink."""
-        if grid != self.grid:
-            return None
-        kinks = [grid.node_index(t) for t in self._starts[1:]]
-        ends = [0, *kinks, grid.n + grid.m]
-        if None in kinks or any(i >= j for i, j in zip(ends, ends[1:])):
-            return None
+    def read_grid(self, ts: np.ndarray):
+        """A read of the whole grid with eval_many's bits and no piece
+        search: the nodes and interval midpoints in turn, t_0, m_0, t_1, ..,
+        t_N, are ts. Each piece is walked once, by value_and_partial, on the
+        slice of ts from its start node to the next piece's, which it reads
+        from the left. Returns SampledTrajectory.read_grid's layout: x and
+        x' at the nodes from the right (at b from the left), in the
+        intervals, and a triple (node index, x, x') from the left at each
+        kink."""
+        ends = [0, *self.kinks, len(self.grid.nodes) - 1]
         read = np.empty((2, len(ts)))
         left = []
         for (_, _, e), i, j in zip(self.pieces, ends, ends[1:]):
@@ -471,8 +468,8 @@ class PiecewiseTrajectory:
             left.append((j, read[0, 2 * j], read[1, 2 * j]))
         return read[:, ::2], read[:, 1::2], left[:-1]
 
-    def eval(self, t: float, side: str = "right"):
-        x, dx, ddx = self.eval_many(np.array([float(t)]), side=side)
+    def eval(self, t: float):
+        x, dx, ddx = self.eval_many(np.array([float(t)]))
         return float(x[0]), float(dx[0]), float(ddx[0])
 
 

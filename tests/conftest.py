@@ -14,8 +14,6 @@ from herglotz.errors import FixedNode
 from herglotz.integrate import (
     Panels,
     VariationDirection,
-    _snap,
-    integration_stops,
     variation_weights,
 )
 from herglotz.trajectory import CubicSpline as NodeSpline
@@ -179,9 +177,9 @@ def trajectory_reads(monkeypatch):
         reads = []
         original = cls.eval_many
 
-        def recorded(self, ts, side="right", want_ddx=True):
+        def recorded(self, ts, want_ddx=True):
             reads.append(want_ddx)
-            return original(self, ts, side=side, want_ddx=want_ddx)
+            return original(self, ts, want_ddx=want_ddx)
 
         monkeypatch.setattr(cls, "eval_many", recorded)
         return reads
@@ -212,13 +210,29 @@ def per_call_spline_read(spline, ts, nus):
     return tuple(out)
 
 
+def one_sided_piece_read(traj, ts, side):
+    """x and x' of a piecewise trajectory at ts on the given side, by a
+    search of its own: the piece of each sample is found among the piece
+    starts with searchsorted's side, so with side "left" a sample on a kink
+    takes the piece that ends there, and walked as eval_many walks it."""
+    ts = np.asarray(ts, dtype=float)
+    starts = np.array([t0 for t0, _, _ in traj.pieces])
+    idx = np.clip(np.searchsorted(starts, ts, side=side) - 1, 0, len(starts) - 1)
+    x, dx = np.empty_like(ts), np.empty_like(ts)
+    for i, (_, _, e) in enumerate(traj.pieces):
+        at = idx == i
+        if np.any(at):
+            x[at], dx[at] = expr.value_and_partial(e, "t", {"t": ts[at]})
+    return x, dx
+
+
 def per_call_eval(traj, ts, side):
-    """x and x' of a trajectory at ts on the given side; a sampled one is
-    read from its own natural splines through the node values of
-    [a - tau, a] and [a, b], built here, picked per sample and read with
-    per_call_spline_read."""
+    """x and x' of a trajectory at ts on the given side; a piecewise one is
+    read by one_sided_piece_read, a sampled one from its own natural splines
+    through the node values of [a - tau, a] and [a, b], built here, picked
+    per sample and read with per_call_spline_read."""
     if not isinstance(traj, SampledTrajectory):
-        return traj.eval_many(ts, side=side, want_ddx=False)
+        return one_sided_piece_read(traj, ts, side)
     g = traj.grid
     main = NodeSpline(g.main_nodes, traj.values[g.m:], "natural")
     if g.m == 0:
@@ -246,41 +260,20 @@ def per_call_panel_read(P, traj):
     return out
 
 
-# Merged oracles: the panel plan by the general stop merge, whatever the
-# kinks, and the trajectory read by four interval searches.
-
-def merged_plan(problem, traj):
-    """The arrays of PanelPlan by the general path: integration_stops merges
-    the kinks and their images into the nodes of [a, b], the delayed stops
-    are snapped onto the nodes and kinks, and offsets is None unless the
-    panels are the grid's intervals."""
-    g = problem.grid
-    stops, node_pos = integration_stops(problem, traj)
-    anchors = np.sort(np.concatenate([g.nodes, np.asarray(traj.breakpoints, dtype=float)]))
-    dstops = _snap(stops - g.tau, anchors, 1e-9 * g.h)
-    k = len(stops) - 1
+def node_plan(grid):
+    """The arrays of PanelPlan written out: the stops are the nodes of
+    [a, b], the delayed stops the nodes t_0 .. t_n, and the offsets those of
+    the midpoints into every grid interval."""
+    nodes, n = grid.nodes, grid.n
+    stops, dstops = grid.main_nodes, nodes[:n + 1]
     times, delayed = (np.concatenate([s[:-1], 0.5 * (s[:-1] + s[1:]), s[1:]])
                       for s in (stops, dstops))
-    inside = delayed >= g.a
-    inside[2 * k:] = delayed[2 * k:] > g.a
-    nodes = g.nodes
+    inside = delayed >= grid.a
+    inside[2 * n:] = delayed[2 * n:] > grid.a
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    regular = (np.array_equal(stops, g.main_nodes) and np.array_equal(dstops, nodes[:g.n + 1])
-               and np.all((nodes[:-1] < mids) & (mids < nodes[1:])))
-    return SimpleNamespace(k=k, node_pos=node_pos, hs=stops[1:] - stops[:-1], times=times,
-                           delayed=delayed, inside=inside,
-                           offsets=mids - nodes[:-1] if regular else None)
-
-
-def searched_panel_read(plan, traj):
-    """x, x', x(s - tau), x'(s - tau) at a plan's samples by four eval_many
-    calls: lefts and midpoints from the right, rights from the left."""
-    k = plan.k
-    out = [np.empty_like(plan.times) for _ in range(4)]
-    for sl, side in ((slice(0, 2 * k), "right"), (slice(2 * k, 3 * k), "left")):
-        out[0][sl], out[1][sl] = traj.eval_many(plan.times[sl], side=side, want_ddx=False)
-        out[2][sl], out[3][sl] = traj.eval_many(plan.delayed[sl], side=side, want_ddx=False)
-    return out
+    return SimpleNamespace(k=n, node_pos=np.arange(n + 1), hs=stops[1:] - stops[:-1],
+                           times=times, delayed=delayed, inside=inside,
+                           offsets=mids - nodes[:-1])
 
 
 def per_call_first_variation(P, zpath, eta):

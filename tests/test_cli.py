@@ -124,6 +124,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "s.csv" in err and message in err
 
+    def test_piece_boundary_off_the_nodes_is_exit_2(self, tmp_path, capsys):
+        # classical-line's x = t split at 0.333, which no node of n = 100 holds
+        data = json.loads(bundle("classical-line").config_path.read_text())
+        data["trajectory"]["pieces"] = [{"from": 0.0, "to": 0.333, "expr": "t"},
+                                        {"from": 0.333, "to": 1.0, "expr": "t"}]
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["check-el", str(cfg), "--n", "100", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "t=0.333 is not a grid node (h=0.01)" in err
+
     def test_non_extremal_fails_check_el(self, tmp_path, capsys):
         rc = main(["check-el", "paper-s4-nonextremal", "--n", "400",
                    "--out", str(tmp_path / "o")])

@@ -16,7 +16,7 @@ from herglotz.integrate import integrate_z
 from herglotz.noether import check_noether
 from herglotz.trajectory import PiecewiseTrajectory, build_grid
 
-from conftest import build_bundle, build_paper, wavy_sampled
+from conftest import build_bundle, build_paper, one_sided_piece_read, wavy_sampled
 
 E = math.e
 
@@ -239,16 +239,12 @@ class TestWeakStrongConsistency:
         wf = weak_form_values(problem, traj, zp, r1, r2)
         assert np.max(np.abs(gv - wf)) < 5e-7
 
-    def test_kink_off_the_nodes_has_no_weak_form(self):
-        # the residuals are sampled at the nodes, which a panel split at the
-        # kink does not end on
+    def test_kink_off_the_nodes_is_refused(self):
+        # the residuals are sampled at the nodes, and every panel ends on
+        # them: a kink off the nodes is refused where the pieces are given
         g = build_grid(0.0, 1.0, 0.0, 16)
-        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="0",
-                                     lagrangian="dx^2 + x*dx + 0.5*z")
-        traj = PiecewiseTrajectory(g, [(0.0, 0.33, "t"), (0.33, 1.0, "0.33 + 2*(t - 0.33)")])
-        zp = integrate_z(problem, traj)
-        with pytest.raises(hg.errors.InvalidTrajectory, match="no weak form"):
-            weak_form_values(problem, traj, zp, *el_residuals(problem, traj, zp))
+        with pytest.raises(hg.errors.InvalidTrajectory, match=r"t=0\.33 is not a grid node"):
+            PiecewiseTrajectory(g, [(0.0, 0.33, "t"), (0.33, 1.0, "0.33 + 2*(t - 0.33)")])
 
     def test_hat_paired_identity(self):
         # with piecewise-linear pairing functions on both sides the quadrature
@@ -333,11 +329,8 @@ class TestWeakStrongConsistency:
                 w1 = w1n[node] + (s1n[node] if with_shift else 0.0)
             return w0, w1
 
-        bsd = {"t": g.b, "x": float(traj.eval(g.b, side="left")[0]),
-               "dx": float(traj.eval(g.b, side="left")[1]),
-               "xtau": float(traj.eval(g.b - g.tau, side="left")[0]),
-               "dxtau": float(traj.eval(g.b - g.tau, side="left")[1]),
-               "z": zp.z_b}
+        (xb, xbt), (dxb, dxbt) = one_sided_piece_read(traj, [g.b, g.b - g.tau], "left")
+        bsd = {"t": g.b, "x": xb, "dx": dxb, "xtau": xbt, "dxtau": dxbt, "z": zp.z_b}
         seam_term = zp.lambda_b * float(
             hg.partial(problem.lagrangian, "dxtau", bsd))
         for j in range(1, g.n, max(1, g.n // 17)):
