@@ -21,6 +21,8 @@ BUNDLE_NAMES = (
     "herglotz-damped",
     "classical-line",
 )
+# resolved once: the directory of the shipped bundle files
+_BUNDLE_DIR = Path(str(resources.files("herglotz").joinpath("bundles")))
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,11 @@ class BundleInfo:
         return load_config(self.config_path)
 
 
-def _bundle_dir() -> Path:
-    return Path(str(resources.files("herglotz").joinpath("bundles")))
-
-
 def bundle_config_path(name: str) -> Path:
     """The config file of a shipped bundle; its expected values are not read."""
     if name not in BUNDLE_NAMES:
         raise ConfigError(f"unknown bundle {name!r}; available: {', '.join(BUNDLE_NAMES)}")
-    return _bundle_dir() / f"{name}.json"
+    return _BUNDLE_DIR / f"{name}.json"
 
 
 def bundle(name: str) -> BundleInfo:

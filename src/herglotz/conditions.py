@@ -1,13 +1,17 @@
 """Residual evaluators for the delayed Euler-Lagrange and DuBois-Reymond
 conditions, plus the auxiliary hypothesis profiles they depend on.
 
-Every report samples its quantity at the grid nodes of its interval. Outer
-time derivatives of sampled coefficient functions use 5-point differencing at
-the grid step with one-sided closure at interval ends, matching the 4th-order
-accuracy of the z integration. Sup-norms skip samples within 2h of any
-trajectory breakpoint or of its +-tau images (delayed reads kink there); the
-conditions hold classically only on the open smooth subintervals; a report
-with no sample left (n too coarse) raises BadInterval, CLI exit 2.
+Every report samples its quantity at the grid nodes of its interval, from
+a node table (NodeTables) built on the z-path: x and x' are the node half of
+the grid read the z-path already made, so a check reads the trajectory no
+second time, and x'' is read only for H1, at the nodes of [a-tau, b-tau].
+Outer time derivatives of sampled coefficient functions use 5-point
+differencing at the grid step with one-sided closure at interval ends,
+matching the 4th-order accuracy of the z integration. Sup-norms skip
+samples within 2h of any trajectory breakpoint or of its +-tau images
+(delayed reads kink there); the conditions hold classically only on the
+open smooth subintervals; a report with no sample left (n too coarse)
+raises BadInterval, CLI exit 2.
 
 Sign convention: left-hand side minus right-hand side exactly as the
 conditions are usually displayed, so residual magnitudes are comparable
@@ -108,20 +112,23 @@ def _report(label, times, values, tol, traj) -> ResidualReport:
 class NodeTables(Samples):
     """L and its partials along the trajectory at the nodes of [a, b], filled
     in by name on first use, with the reads, z and lambda feeding them: all a
-    node-sampled check needs, built once per check. The trajectory is read
-    once, at every grid node; tau is m steps, so the delayed reads at the
-    nodes of [a, b] are the reads at the first n+1 nodes. x'' is read only
-    for a check of H1, which asks for it with want_ddx (else ddxtau is None)."""
+    node-sampled check needs, built once per check. x and x' at the nodes
+    are the node half of the z-path's grid read (Panels.node), so a check
+    reads the trajectory no second time; traj must be the trajectory object
+    the z-path was integrated along (ZPath.along), else InvalidTrajectory.
+    tau is m steps, so the delayed reads at the nodes of [a, b] are the reads
+    at the first n+1 nodes. x'' is read only for a check of H1, which asks
+    for it with want_ddx (else ddxtau is None), at those n+1 nodes
+    (ddx_at_nodes)."""
 
     def __init__(self, problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
                  want_ddx: bool = False):
         g = self.grid = problem.grid
         self.traj = traj
-        reads = traj.eval_many(g.nodes, want_ddx=want_ddx)
-        x, dx = reads[:2]
+        x, dx = zpath.along(traj).node
         self.t, self.x, self.dx = g.main_nodes, x[g.m:], dx[g.m:]
         self.xtau, self.dxtau = x[: g.n + 1], dx[: g.n + 1]
-        self.ddxtau = reads[2][: g.n + 1] if want_ddx else None
+        self.ddxtau = traj.ddx_at_nodes(g.n + 1) if want_ddx else None
         self.z, self.lam = zpath.z, zpath.lam
         super().__init__(problem.lagrangian, {
             "t": self.t, "x": self.x, "dx": self.dx,

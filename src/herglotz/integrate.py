@@ -11,27 +11,23 @@ integrand. Stage times at step ends use one-sided trajectory limits so the
 integrand stays smooth within each step. Along the trajectory only z
 changes from stage to stage. Where L is affine in z, L = A + B z (expr.affine;
 every shipped bundle is), one array walk over all the samples gives the
-columns A and B: log-lambda is then one running sum of -B, bit for bit the
-stage walk's up to the last bits of ^ (other than ^2) and the functions,
-which numpy's kernels and libm may round apart, and each RK4 step is an
-affine map z -> z + p + r z, its p and r the stage formulas on the whole
-columns. A scan composes the k maps in ceil(log2 k) whole-array rounds,
-in place in preallocated buffers, with no Python loop over the panels; z
-then rounds otherwise than a stage loop, and lies within 16 u M of exact
+columns A and B: log-lambda is then one running sum of -B, and each RK4 step
+is an affine map z -> z + p + r z, its p and r the stage formulas on the
+whole columns. A scan composes the k maps in ceil(log2 k) whole-array
+rounds, with no Python loop over the panels; z lies within 16 u M of exact
 RK4 on the same columns at every stop (u = 2^-53, M the same formulas run
 on |A|, |B| and |gamma|). Otherwise each stage binds the sample's t, x, dx,
-xtau and dxtau as floats, then z, and walks the whole tree of L; z and
-lambda are bit for bit those of that walk. A stage that meets a non-finite
-z, or a stop where z or log-lambda is one, raises NonFinite; where the scan
-meets a non-finite value, the stage walk runs instead, so the error names
-the same t, and a composed map that overflows where z does not (r * 0)
-costs only time.
+xtau and dxtau as floats, then z, and walks the whole tree of L. A stage
+that meets a non-finite z, or a stop where z or log-lambda is one, raises
+NonFinite; where the scan meets a non-finite value, the stage walk runs
+instead, so the error names the same t, and a composed map that overflows
+where z does not (r * 0) costs only time.
 
 The integrating factor lambda(t) = exp(-int_a^t dL/dz) is accumulated in the
 same pass as log-lambda (positivity by construction) and exponentiated once
-at every stop (ZPath.stop_lam; the node values are a slice of it); if L does
-not depend on z the integrand is exactly zero and lambda is exactly one at
-every node.
+at every stop; if L does not depend on z the integrand is exactly zero and
+lambda is exactly one at every node. The stops are the nodes of [a, b], so
+ZPath.z and ZPath.lam are the stop arrays themselves, read-only.
 
 The first variation zeta(b) of z(b) along an admissible direction eta is the
 closed integral
@@ -52,7 +48,9 @@ trajectory is read once on the whole grid, with no interval search, each
 row a slice of that read: a sampled trajectory or direction at its nodes
 and one cubic per interval (SampledTrajectory.read_grid), a piecewise one
 by one walk of each piece over its run of nodes and midpoints
-(PiecewiseTrajectory.read_grid). The package's one spline adjoint, behind
+(PiecewiseTrajectory.read_grid). Panels keeps the node half of that read,
+x and x' at every grid node (Panels.node), from which the condition checks
+build their node tables. The package's one spline adjoint, behind
 the solver gradient and the weak form, is the transpose of that read
 (Panels.scatter): it folds each delayed sample onto the panel m back and
 sums the weights per piece by slices. The first variation's one weight
@@ -116,12 +114,12 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
 
 @dataclass(eq=False)
 class ZPath:
-    """z and lambda at the nodes of [a, b], z, mu = log lambda and lambda =
-    exp(mu) at every integration stop (lam is a slice of stop_lam, the one
-    exp of the z-path's mu), and the panel samples of the trajectory they
-    were integrated on; affine holds the columns (A, B) of L = A + B z at
-    the samples where the z-path composed its affine steps, as the rows of
-    one array (expr.affine), else None."""
+    """z, mu = log lambda and lambda = exp(mu) at every integration stop,
+    the nodes of [a, b] (z and lam are stop_z and stop_lam themselves), and
+    the panel samples of the trajectory they were integrated on; affine
+    holds the columns (A, B) of L = A + B z at the samples where the z-path
+    composed its affine steps, as the rows of one array (expr.affine), else
+    None."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
@@ -147,6 +145,14 @@ class ZPath:
     def csv(self) -> str:
         return csv_text(["t", "z", "lambda"], [self.times, self.z, self.lam])
 
+    def along(self, traj: Trajectory) -> Panels:
+        """The panel samples as integrate_z read them, z and lambda not
+        filled in. traj must be the very trajectory object this z-path was
+        integrated along; another raises InvalidTrajectory."""
+        if traj is not self.panels.traj:
+            raise InvalidTrajectory("z-path was integrated along a different trajectory")
+        return self.panels
+
     def samples(self, traj: Trajectory) -> Panels:
         """The panel samples this z-path was integrated on, with z and lambda
         there filled in on first use. traj must be the very trajectory object
@@ -166,9 +172,7 @@ class ZPath:
         and an A + B z that overflows makes z at the midpoint non-finite. The
         tree walk checks its slopes as well, since an infinite L_z can give
         lambda = exp(-inf) = 0."""
-        P = self.panels
-        if traj is not P.traj:
-            raise InvalidTrajectory("z-path was integrated along a different trajectory")
+        P = self.along(traj)
         if "z" not in P.bind:
             k, zs, mus = P.k, self.stop_z, self.stop_mu
             with np.errstate(over="ignore", invalid="ignore"):
@@ -210,10 +214,11 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     zs, mus = _stages(problem, P) if path is None else path
     with np.errstate(over="ignore"):
         lams = np.exp(mus)
-    lam = lams[P.node_pos]
-    if not np.isfinite(lam).all():
+    if not np.isfinite(lams).all():
         raise NonFinite("integrating factor overflowed")
-    return ZPath(grid=g, z=zs[P.node_pos], lam=lam, panels=P, stop_z=zs, stop_mu=mus,
+    for arr in (zs, mus, lams):
+        arr.setflags(write=False)
+    return ZPath(grid=g, z=zs, lam=lams, panels=P, stop_z=zs, stop_mu=mus,
                  stop_lam=lams, affine=None if path is None else coeffs)
 
 
@@ -377,15 +382,15 @@ class PanelPlan:
     """The Simpson panels of a grid, which every trajectory and direction on
     it shares (panel_plan): panel i is grid interval m + i, from node i of
     [a, b] to node i + 1, sampled at its ends and midpoint, and its delayed
-    samples are those of grid interval i, tau = m h back. It holds the node
-    positions among the stops, the panel steps hs, the sample times, their
-    delayed images, the inside mask and the midpoint offsets into every grid
-    interval, history first; filled in on first use, the Simpson weights of
-    the samples, the adjoint's transposed slope matrix factored once
-    (Tridiagonal), the pieces and offsets of the grid reads and the
-    scatter's offset powers. A grid too fine for every midpoint to lie
-    strictly inside its interval raises BadInterval. Its arrays are
-    read-only. The grid keeps its plan (Grid.plan_slot), and the plan refers
+    samples are those of grid interval i, tau = m h back. It holds the
+    panel steps hs, the sample times, their delayed images, the inside mask
+    and the midpoint offsets into every grid interval, history first;
+    filled in on first use, the Simpson weights of the samples, the
+    adjoint's transposed slope matrix factored once (Tridiagonal), the
+    pieces and offsets of the grid reads and the scatter's offset powers.
+    A grid too fine for every midpoint to lie strictly inside its interval
+    raises BadInterval. Its arrays are read-only. The grid keeps its plan
+    (Grid.plan_slot), and the plan refers
     back to it weakly: a reference each way would keep every grid and its
     plan alive until the cyclic collector runs. A Panels holds the grid.
     """
@@ -409,9 +414,9 @@ class PanelPlan:
         inside = delayed >= grid.a
         inside[2 * k:] = delayed[2 * k:] > grid.a
         self.offsets = mids - lo
-        self.node_pos, self.hs, self.times, self.delayed, self.inside = (
-            np.arange(n + 1), hi[m:] - lo[m:], times, delayed, inside)
-        for arr in (self.node_pos, self.hs, times, delayed, inside, self.offsets):
+        self.hs, self.times, self.delayed, self.inside = (
+            hi[m:] - lo[m:], times, delayed, inside)
+        for arr in (self.hs, times, delayed, inside, self.offsets):
             arr.setflags(write=False)
 
     @property
@@ -482,8 +487,10 @@ class Panels(Samples):
     sampler behind the RK4 stages of integrate_z, the first variation, the
     solver gradient and the invariance defect. The z-path carries it
     (ZPath.samples), which fills in z and lambda here. The geometry comes
-    from the panel plan (plan) of the problem's grid (grid). The reads of the variables L reads
-    are checked finite here, once; a non-finite one raises InvalidBinding.
+    from the panel plan (plan) of the problem's grid (grid). node holds x
+    and x' at every grid node, the node half of the grid read, for the
+    condition checks' node tables. The reads of the variables L reads are
+    checked finite here, once; a non-finite one raises InvalidBinding.
 
     Sample arrays are ordered panel lefts, then midpoints, then rights (k of
     each). Trajectory reads are one-sided: lefts and midpoints take the right
@@ -495,9 +502,9 @@ class Panels(Samples):
         self.grid = problem.grid
         plan = self.plan = panel_plan(self.grid)
         self.traj = traj
-        self.k, self.hs, self.node_pos = plan.k, plan.hs, plan.node_pos
+        self.k, self.hs = plan.k, plan.hs
         self.times, self.delayed, self.inside = plan.times, plan.delayed, plan.inside
-        self.x, self.dx, self.xtau, self.dxtau = self.read(traj)
+        self.node, (self.x, self.dx, self.xtau, self.dxtau) = self._read(traj)
         reads = {"x": self.x, "dx": self.dx, "xtau": self.xtau, "dxtau": self.dxtau}
         super().__init__(problem.lagrangian,
                          expr.CheckedBindings(t=self.times, **reads))
@@ -516,6 +523,11 @@ class Panels(Samples):
         i, and x and x' at a right end on a kink are read from the left. A
         trajectory on a grid other than the problem's (by ==) raises
         InvalidTrajectory."""
+        return self._read(traj)[1]
+
+    def _read(self, traj: Trajectory):
+        """The node half of the grid read, x and x' at every grid node
+        (read-only), and the four rows of read."""
         plan, k = self.plan, self.k
         if traj.grid != self.grid:
             raise InvalidTrajectory("trajectory is on a grid other than the problem's")
@@ -533,7 +545,8 @@ class Panels(Samples):
             for j, x, dx in left:
                 if 0 <= j - 1 - i < k:
                     out[r, 2 * k + j - 1 - i], out[r + 1, 2 * k + j - 1 - i] = x, dx
-        return list(out)
+        node.setflags(write=False)
+        return node, list(out)
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
         """Node weights g on [a, b] with g . y = sum(w[0] x + w[1] x' + w[2]

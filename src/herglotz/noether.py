@@ -132,7 +132,7 @@ def group_variation(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     cum = np.concatenate([[0.0], np.cumsum(P.simpson(f))])
     if not np.all(zpath.lam):
         raise NonFinite("integrating factor lambda underflowed to 0")
-    h_nodes = cum[P.node_pos] / zpath.lam
+    h_nodes = cum / zpath.lam
     sup = float(np.max(np.abs(h_nodes)))
     return InvarianceProfile(times=problem.grid.main_nodes, values=h_nodes,
                              sup_norm=sup, tolerance=float(tol), passed=sup <= tol)

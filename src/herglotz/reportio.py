@@ -53,16 +53,26 @@ def json_text(obj) -> str:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write text to path through a fresh file in the same directory, renamed
-    over path once complete. The file is created with mode 0o666, so the
-    umask decides the report's permissions, as for open()."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    """Write text to path as UTF-8 through a fresh file in the same
+    directory, renamed over path once complete; a write that fails leaves no
+    temporary file. The file is created with mode 0o666, so the umask
+    decides the report's permissions, as for open(). The directory, parents
+    included, is created only when the file cannot be opened without it."""
+    path = os.fspath(path)
+    data = memoryview(text.encode())
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        with os.fdopen(fd, "w", newline="\n") as f:
-            f.write(text)
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:

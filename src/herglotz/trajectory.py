@@ -24,19 +24,24 @@ Two backends:
   read there. A read of the whole grid, one sample in every interval
   (integrate's panel plan), skips the search:
   SampledTrajectory.read_grid reads the node values, the slope coefficients
-  at the nodes and one cubic per interval, in the grid's order, with the
-  same bits (a zero slope's sign aside). Every read runs Horner's rule on
-  its piece, over contiguous rows of the columns it takes.
+  at the nodes and one cubic per interval, in the grid's order. Every read
+  runs Horner's rule on its piece, over contiguous rows of the columns it
+  takes.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
-  derivative applies the 5-point rows of fdiff to the exact first derivative
-  at step h/16, with the read time itself as window point p = 0..4, chosen
-  so the window stays in the piece (a piece spans a grid step or more).
-  eval_many searches the piece of each sample among the piece starts, kept
-  as one read-only array. Every boundary between pieces is a grid node, so
-  PiecewiseTrajectory.read_grid reads the whole grid in SampledTrajectory's
-  layout with no search: each piece walks once over its run of nodes and
-  interval midpoints, with eval_many's bits.
+  derivative is one function, stencil_ddx: the 5-point rows of fdiff on the
+  exact first derivative at step h/16, the window kept in the piece (a
+  piece spans a grid step or more). eval_many searches the piece of each
+  sample among the piece starts, kept as one read-only array. Every
+  boundary between pieces is a grid node, so PiecewiseTrajectory.read_grid
+  reads the whole grid in SampledTrajectory's layout with no search: each
+  piece walks once over its run of nodes and interval midpoints.
+
+The grid read serves the z-path and, through its node half, the node tables
+of the condition checks; x'' at the nodes, which only the H1 check reads,
+comes from ddx_at_nodes (the spline's second derivative, or stencil_ddx per
+piece). Both agree with eval_many at the same points, a zero slope's sign
+aside. eval_many serves the trajectory CSV and reads at arbitrary times.
 
 At a breakpoint, evaluation uses the right limit; a grid read also gives the
 left limit at each kink. Trajectories are immutable; perturb returns a new
@@ -337,6 +342,13 @@ class SampledTrajectory:
         nus = (0, 1, 2) if want_ddx else (0, 1)
         return _read(self.grid.nodes, self.values, self.c, ts, nus)
 
+    def ddx_at_nodes(self, count: int) -> np.ndarray:
+        """x'' at the first count grid nodes with eval_many's bits: a node
+        reads the piece it starts, b the last piece at its length."""
+        nodes = self.grid.nodes
+        i = np.minimum(np.arange(count), len(nodes) - 2)
+        return _power_sums(self.c, i, nodes[:count] - nodes[i], (2,))[0]
+
     def read_grid(self, i: np.ndarray, z: np.ndarray) -> tuple:
         """A read of the whole grid with eval_many's bits (a zero slope's
         sign aside) and no interval search, at the offsets z > 0 into the
@@ -360,6 +372,28 @@ class SampledTrajectory:
     def eval(self, t: float):
         x, dx, ddx = self.eval_many(np.array([float(t)]))
         return float(x[0]), float(dx[0]), float(ddx[0])
+
+
+def stencil_ddx(e: expr.Expression, t0: float, t1: float, h: float,
+                ts: np.ndarray) -> np.ndarray:
+    """x'' of the piece e on [t0, t1] at ts: the 5-point rows of fdiff on
+    the exact first derivative at step s = h/16, with the read time itself
+    as window point p = 0..4, chosen so the window stays in the piece."""
+    # a window of 4s fits at every point of a piece of length >= 5s, and a
+    # piece spans at least one grid step; reads in the domain slack past an
+    # end clip to the end row
+    s = h / 16.0
+    p = np.minimum(2, np.floor((ts - t0) / s))
+    p = np.clip(np.maximum(p, 4 - np.floor((t1 - ts) / s)), 0, 4).astype(int)
+    pts = (ts - p * s)[:, None] + s * np.arange(5)[None, :]
+    dmat = np.broadcast_to(np.asarray(
+        expr.partial(e, "t", {"t": pts.ravel()}), dtype=float),
+        pts.size).reshape(pts.shape)
+    out = np.empty(len(ts))
+    for k in np.unique(p):
+        at = p == k
+        out[at] = dmat[at] @ ROWS[5][k] / s
+    return out
 
 
 class PiecewiseTrajectory:
@@ -432,22 +466,23 @@ class PiecewiseTrajectory:
             x[mask] = xv
             dx[mask] = dv
             if want_ddx:
-                # a window of 4s fits at every point of a piece of length >= 5s,
-                # and a piece spans at least one grid step; reads in the domain
-                # slack past an end clip to the end row
-                s = self.grid.h / 16.0
-                p = np.minimum(2, np.floor((tm - t0) / s))
-                p = np.clip(np.maximum(p, 4 - np.floor((t1 - tm) / s)), 0, 4).astype(int)
-                pts = (tm - p * s)[:, None] + s * np.arange(5)[None, :]
-                dmat = np.broadcast_to(np.asarray(
-                    expr.partial(e, "t", {"t": pts.ravel()}), dtype=float),
-                    pts.size).reshape(pts.shape)
-                out = np.empty(len(tm))
-                for k in np.unique(p):
-                    at = p == k
-                    out[at] = dmat[at] @ ROWS[5][k] / s
-                ddx[mask] = out
+                ddx[mask] = stencil_ddx(e, t0, t1, self.grid.h, tm)
         return (x, dx, ddx) if want_ddx else (x, dx)
+
+    def ddx_at_nodes(self, count: int) -> np.ndarray:
+        """x'' at the first count grid nodes with eval_many's bits: a node
+        takes the piece that starts there (b the last one), and each piece
+        makes one stencil_ddx call over its run of nodes."""
+        ts = self.grid.nodes[:count]
+        out = np.empty(count)
+        starts = [0, *self.kinks]
+        stops = [*self.kinks, len(self.grid.nodes)]
+        for (t0, t1, e), i, j in zip(self.pieces, starts, stops):
+            if i >= count:
+                break
+            run = slice(i, min(j, count))
+            out[run] = stencil_ddx(e, t0, t1, self.grid.h, ts[run])
+        return out
 
     def read_grid(self, ts: np.ndarray):
         """A read of the whole grid with eval_many's bits and no piece

@@ -85,7 +85,7 @@ def whole_tree_z(problem, traj):
         assert isfinite(z) and isfinite(mu)
         zs[i + 1] = z
         mus[i + 1] = mu
-    return zs[P.node_pos], np.exp(mus[P.node_pos])
+    return zs, np.exp(mus)
 
 
 def affine_rk4(P, A, B, gamma, exact=True):
@@ -271,7 +271,7 @@ def node_plan(grid):
     inside = delayed >= grid.a
     inside[2 * n:] = delayed[2 * n:] > grid.a
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    return SimpleNamespace(k=n, node_pos=np.arange(n + 1), hs=stops[1:] - stops[:-1],
+    return SimpleNamespace(k=n, hs=stops[1:] - stops[:-1],
                            times=times, delayed=delayed, inside=inside,
                            offsets=mids - nodes[:-1])
 

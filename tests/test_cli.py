@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from herglotz.bundles import bundle
+from herglotz.bundles import BUNDLE_NAMES, bundle
 from herglotz import cli
 from herglotz.cli import main
 from herglotz.config import load_config, parse_config, schema_path
 from herglotz.errors import ConfigError
 from herglotz.solver import SolveOptions
+from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory
 
 
 def _closed_objects(node, path=()):
@@ -380,6 +381,27 @@ class TestSubcommands:
         assert abs(data["z_b"] - 1.0) < 1e-3
         assert (out / "solution.csv").exists()
         assert (out / "solution_zpath.csv").exists()
+
+    def test_check_commands_make_no_eval_many_call(self, tmp_path, capsys,
+                                                   trajectory_reads):
+        # every check reads x and x' once, by its z-path's grid read, and x''
+        # by ddx_at_nodes: on the bundles and on a samples-backend config
+        import herglotz as hg
+        from herglotz.trajectory import trajectory_csv
+        from conftest import build_paper, wavy_sampled
+
+        problem, _, _, _ = build_paper(100)
+        (tmp_path / "nodes.csv").write_text(trajectory_csv(wavy_sampled(problem)))
+        sampled = write_config(tmp_path, n=100,
+                               trajectory={"backend": "samples", "path": "nodes.csv"})
+        reads = [trajectory_reads(cls) for cls in (PiecewiseTrajectory, SampledTrajectory)]
+        for config in (*BUNDLE_NAMES, str(sampled)):
+            for command in ("integrate", "check-el", "check-dbr", "check-hyp",
+                            "invariance", "noether"):
+                out = tmp_path / Path(config).stem / command
+                assert main([command, config, "--out", str(out)]) in (0, 1)
+        assert main(["paper-example", "--out", str(tmp_path / "paper")]) == 0
+        assert reads == [[], []]
 
     def test_reports_are_bit_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -5,6 +5,7 @@ import pytest
 
 import herglotz as hg
 from herglotz import expr
+from herglotz.bundles import BUNDLE_NAMES
 from herglotz.conditions import (
     dbr_residuals,
     el_residuals,
@@ -12,9 +13,10 @@ from herglotz.conditions import (
     node_tables,
     weak_form_values,
 )
+from herglotz.errors import InvalidTrajectory
 from herglotz.integrate import integrate_z
 from herglotz.noether import check_noether
-from herglotz.trajectory import PiecewiseTrajectory, build_grid
+from herglotz.trajectory import PiecewiseTrajectory, SampledTrajectory, build_grid
 
 from conftest import build_bundle, build_paper, one_sided_piece_read, wavy_sampled
 
@@ -166,18 +168,93 @@ class TestNodeTables:
         run()
         assert len(walks) == expected
 
-    def test_hypotheses_read_the_trajectory_once(self, trajectory_reads, paper400):
-        problem, traj, group, zp = paper400
+    def test_hypotheses_read_the_trajectory_once(self, monkeypatch, trajectory_reads,
+                                                 paper400):
+        # no eval_many call: the grid read of the z-path the check integrates
+        # is the only read of x and x', and x'' is read once, at n+1 nodes
+        problem, traj, group, _ = paper400
         reads = trajectory_reads(type(traj))
-        hypothesis_profiles(problem, traj, group=group, zpath=zp)
-        assert len(reads) == 1
+        grid_reads = counted_calls(monkeypatch, type(traj), "read_grid")
+        ddx_reads = counted_calls(monkeypatch, type(traj), "ddx_at_nodes")
+        hypothesis_profiles(problem, traj, group=group)
+        assert reads == [] and len(grid_reads) == 1
+        assert ddx_reads == [((problem.grid.n + 1,), {})]
 
-    def test_residual_checks_read_no_second_derivative(self, trajectory_reads, paper400):
+    def test_residual_checks_read_no_second_derivative(self, monkeypatch, trajectory_reads,
+                                                       paper400):
+        # no eval_many call: the node tables are the z-path's grid read
         problem, traj, _, zp = paper400
         reads = trajectory_reads(type(traj))
+        grid_reads = counted_calls(monkeypatch, type(traj), "read_grid")
+        ddx_reads = counted_calls(monkeypatch, type(traj), "ddx_at_nodes")
         el_residuals(problem, traj, zp)
         dbr_residuals(problem, traj, zp)
-        assert reads == [False, False]
+        assert reads == [] and grid_reads == [] and ddx_reads == []
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    @pytest.mark.parametrize("n", [None, 98])
+    def test_tables_are_the_reads_of_eval_many(self, name, n):
+        # x and x' are the node half of the grid read, x'' ddx_at_nodes; both
+        # have eval_many's bits at the nodes (n = 98 puts paper-s4's kink at
+        # t = 1 one ulp off its node, snapped onto node n/2). Policy on a zero
+        # slope: a sampled node's x' is its piece's slope coefficient as
+        # stored, where eval_many's Horner sum at offset 0 turns a -0.0
+        # coefficient into +0.0, so the two may differ in the sign of a zero
+        # slope only; they compare equal by == everywhere and bit for bit
+        # wherever the value is not a zero
+        problem, traj, _, _ = build_bundle(name, n)
+        g = problem.grid
+        for tr in (traj, wavy_sampled(problem)):
+            T = node_tables(problem, tr, integrate_z(problem, tr), want_ddx=True)
+            x, dx, ddx = tr.eval_many(g.nodes)
+            got = (T.x, T.dx, T.xtau, T.dxtau, T.ddxtau)
+            want = (x[g.m:], dx[g.m:], x[: g.n + 1], dx[: g.n + 1], ddx[: g.n + 1])
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+                assert _bits(a[a != 0.0]) == _bits(b[b != 0.0])
+            # x and x'' keep even the sign of a zero
+            for a, b in zip(got[::2], want[::2]):
+                assert _bits(a) == _bits(b)
+
+    def test_zero_slope_policy(self):
+        # a -0.0 slope coefficient: the table keeps it, eval_many gives +0.0
+        g = build_grid(0.0, 1.0, 0.0, 4)
+        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=0.0, history="0",
+                                     lagrangian="dx^2")
+        traj = SampledTrajectory(g, np.zeros(5))
+        traj.c = np.where(np.arange(4) == 2, -0.0, 0.0)[:, None] * np.ones(4)
+        T = node_tables(problem, traj, integrate_z(problem, traj))
+        assert np.all(np.signbit(T.dx[:-1]))
+        assert not np.any(np.signbit(traj.eval_many(g.nodes[:-1], want_ddx=False)[1]))
+
+    def test_tables_need_the_trajectory_of_the_z_path(self, paper400):
+        problem, traj, group, zp = paper400
+        twin = PiecewiseTrajectory(problem.grid, traj.pieces)
+        with pytest.raises(InvalidTrajectory, match="different trajectory"):
+            node_tables(problem, twin, zp)
+        for check in (lambda: el_residuals(problem, twin, zp),
+                      lambda: dbr_residuals(problem, twin, zp),
+                      lambda: hypothesis_profiles(problem, twin, group, zp),
+                      lambda: check_noether(problem, twin, zp, group)):
+            with pytest.raises(InvalidTrajectory):
+                check()
+
+
+def counted_calls(monkeypatch, cls, name):
+    """List that grows by the arguments of each later call of cls.name."""
+    calls = []
+    original = getattr(cls, name)
+
+    def recorded(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64).tolist()
 
 
 class TestReductions:

@@ -764,7 +764,7 @@ class TestPanelPlan:
         zp = integrate_z(problem, traj)
         before = variational_gradient(problem, traj, zp)
         plan = zp.samples(traj).plan
-        shared = [plan.node_pos, plan.hs, plan.times, plan.delayed, plan.inside,
+        shared = [plan.hs, plan.times, plan.delayed, plan.inside,
                   plan.weights, plan.adjoint.band, *plan.adjoint.factors, plan.offsets,
                   *plan.grid_read, plan.powers]
         # and the grid's factored slope matrices, which every trajectory shares
@@ -913,7 +913,7 @@ def assert_node_plan(P, traj):
     reads those of four per-call searches, bit for bit."""
     want = node_plan(P.plan.grid)
     assert P.plan.k == want.k
-    for name in ["node_pos", "hs", "times", "delayed", "inside", "offsets"]:
+    for name in ["hs", "times", "delayed", "inside", "offsets"]:
         got, ref = getattr(P.plan, name), getattr(want, name)
         assert got.dtype == ref.dtype and _bits(got) == _bits(ref), name
     assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(want, traj))
@@ -1177,8 +1177,9 @@ class TestLeanPathBits:
             P = zp.panels
             want = written_out_affine_stages(P.k, P.hs, problem.gamma, *zp.affine)
             assert _bits(zp.stop_z, zp.stop_mu) == _bits(*want)
-            assert _bits(zp.stop_lam, zp.lam) == _bits(np.exp(want[1]),
-                                                       np.exp(want[1][P.node_pos]))
+            assert _bits(zp.stop_lam) == _bits(np.exp(want[1]))
+            # every stop is a node: z and lambda are the stop arrays themselves
+            assert zp.z is zp.stop_z and zp.lam is zp.stop_lam
 
     def test_samples_keep_the_bits(self):
         seen = set()

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 from scipy.linalg import solve_banded
 
 import herglotz as hg
-from herglotz import errors, reportio
+from herglotz import errors, reportio, trajectory
 from herglotz.reportio import csv_text, write_text_atomic
 from herglotz.trajectory import (
     CubicSpline,
@@ -74,6 +74,27 @@ class TestGrid:
 
 
 class TestPiecewise:
+    def test_second_derivative_comes_from_the_shared_stencil(self, monkeypatch):
+        # eval_many and ddx_at_nodes both take x'' from stencil_ddx, one call
+        # per piece they read, and compute none of their own
+        _, traj, _, _ = build_paper(40)
+        g = traj.grid
+        calls = []
+
+        def stub(e, t0, t1, h, ts):
+            calls.append((t0, t1, len(ts)))
+            return np.full(len(ts), 7.0)
+
+        monkeypatch.setattr(trajectory, "stencil_ddx", stub)
+        _, _, ddx = traj.eval_many(g.nodes)
+        assert np.all(ddx == 7.0) and len(calls) == len(traj.pieces)
+        calls.clear()
+        assert np.all(traj.ddx_at_nodes(g.n + 1) == 7.0)
+        # nodes 0 .. n of [-1, 2] end at the kink t = 1, so each piece is
+        # read once, the third at its first node only
+        assert [c[:2] for c in calls] == [p[:2] for p in traj.pieces]
+        assert [c[2] for c in calls] == [g.m, g.m, 1]
+
     def test_reference_extremal_on_flat_piece(self):
         _, traj, _, _ = build_paper(40)
         assert traj.eval(0.5) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
@@ -564,3 +585,61 @@ class TestCsv:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "r.csv").stat().st_mode) == 0o666 & ~umask
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+
+    def test_a_missing_nested_directory_is_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c" / "r.csv"
+        write_text_atomic(path, "t,x\n1,2\n")
+        assert path.read_bytes() == b"t,x\n1,2\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["r.csv"]
+
+    def test_several_reports_land_in_one_directory(self, tmp_path):
+        out = tmp_path / "out"
+        names = [f"r{i}.csv" for i in range(5)]
+        for i, name in enumerate(names):
+            write_text_atomic(out / name, f"v\n{i}\n")
+        # and a second write replaces a report in place
+        write_text_atomic(out / names[0], "v\n9\n")
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert [(out / name).read_text() for name in names] == [
+            "v\n9\n", "v\n1\n", "v\n2\n", "v\n3\n", "v\n4\n"]
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        # os.write fails after part of the text is written: the report keeps
+        # its old content and no *.tmp file is left
+        path = tmp_path / "r.csv"
+        write_text_atomic(path, "old\n")
+        original = os.write
+        calls = []
+
+        def partial_then_fail(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return original(fd, data[:3])
+
+        monkeypatch.setattr(os, "write", partial_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            write_text_atomic(path, "t,x\n" * 100)
+        assert len(calls) == 2
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+
+    def test_a_short_write_is_completed(self, tmp_path, monkeypatch):
+        original = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: original(fd, data[:7]))
+        text = "t,label\n" + "0.5,\"Q on [a, b]\"\n" * 20
+        write_text_atomic(tmp_path / "r.csv", text)
+        assert (tmp_path / "r.csv").read_text() == text
+
+    def test_bytes_are_those_of_a_utf8_text_file(self, tmp_path):
+        # text with line feeds and a non-ASCII label: the bytes open() writes
+        # in text mode as UTF-8 with no newline translation
+        text = csv_text(["t", "label"], [np.array([0.5, -0.0, 1e-300]),
+                                         np.array(["λ-weighted", "Q on [a, b]", "τ"],
+                                                  dtype=object)])
+        write_text_atomic(tmp_path / "r.csv", text)
+        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "r.csv").read_bytes() == text.encode("utf-8")
+        assert "λ".encode("utf-8") in (tmp_path / "r.csv").read_bytes()
