@@ -113,7 +113,8 @@ def cmd_check_residuals(args) -> int:
 
 def cmd_check_hyp(args) -> int:
     problem, traj, group, _ = _built(args, need_traj=True)
-    h1, h2 = hypothesis_profiles(problem, traj, group=group, tol=_tol(args, "hyp"))
+    zpath = integrate_z(problem, traj)
+    h1, h2 = hypothesis_profiles(problem, traj, zpath, group, _tol(args, "hyp"))
     reports = {"hyp_extremal": h1}
     if h2 is not None:
         reports["hyp_noether"] = h2

@@ -1,11 +1,10 @@
 """Residual evaluators for the delayed Euler-Lagrange and DuBois-Reymond
 conditions, plus the auxiliary hypothesis profiles they depend on.
 
-Every report samples its quantity at the grid nodes of its interval, from
-a node table (NodeTables) built on the z-path: x and x' are the node half of
-the grid read the z-path already made, so a check reads the trajectory no
-second time, and x'' is read only for H1, at the nodes of [a-tau, b-tau].
-Outer time derivatives of sampled coefficient functions use 5-point
+Every check takes the z-path of its trajectory and samples its quantity at
+the grid nodes of its interval, from the z-path's one node table
+(node_tables, integrate.NodeTables), which every check on that z-path
+shares. Outer time derivatives of sampled coefficient functions use 5-point
 differencing at the grid step with one-sided closure at interval ends,
 matching the 4th-order accuracy of the z integration. Sup-norms skip
 samples within 2h of any trajectory breakpoint or of its +-tau images
@@ -22,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional
 
 import numpy as np
 
 from .errors import BadInterval, NonFinite
 from .fdiff import derivative_on_segment
-from .integrate import Samples, ZPath, integrate_z
+from .integrate import NodeTables, ZPath
 from .reportio import csv_text
 from .trajectory import CubicSpline, HerglotzProblem, Trajectory
 
@@ -109,36 +107,10 @@ def _report(label, times, values, tol, traj) -> ResidualReport:
                           passed=sup <= tol, excluded_zones=zones)
 
 
-class NodeTables(Samples):
-    """L and its partials along the trajectory at the nodes of [a, b], filled
-    in by name on first use, with the reads, z and lambda feeding them: all a
-    node-sampled check needs, built once per check. x and x' at the nodes
-    are the node half of the z-path's grid read (Panels.node), so a check
-    reads the trajectory no second time; traj must be the trajectory object
-    the z-path was integrated along (ZPath.along), else InvalidTrajectory.
-    tau is m steps, so the delayed reads at the nodes of [a, b] are the reads
-    at the first n+1 nodes. x'' is read only for a check of H1, which asks
-    for it with want_ddx (else ddxtau is None), at those n+1 nodes
-    (ddx_at_nodes)."""
-
-    def __init__(self, problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
-                 want_ddx: bool = False):
-        g = self.grid = problem.grid
-        self.traj = traj
-        x, dx = zpath.along(traj).node
-        self.t, self.x, self.dx = g.main_nodes, x[g.m:], dx[g.m:]
-        self.xtau, self.dxtau = x[: g.n + 1], dx[: g.n + 1]
-        self.ddxtau = traj.ddx_at_nodes(g.n + 1) if want_ddx else None
-        self.z, self.lam = zpath.z, zpath.lam
-        super().__init__(problem.lagrangian, {
-            "t": self.t, "x": self.x, "dx": self.dx,
-            "xtau": self.xtau, "dxtau": self.dxtau, "z": self.z})
-
-
-def node_tables(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
-                want_ddx: bool = False) -> NodeTables:
-    """The node table of one check: the one call each check makes."""
-    return NodeTables(problem, traj, zpath, want_ddx)
+def node_tables(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath) -> NodeTables:
+    """The node table of the z-path along traj (ZPath.nodes), which every
+    check on that z-path shares."""
+    return zpath.nodes(traj)
 
 
 def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
@@ -153,10 +125,7 @@ def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
         L_x(t) - d/dt L_dx(t) + L_dx(t) L_z(t)
     Both are asserted at the shared point t = b-tau and both are reported.
     """
-    return _el_reports(node_tables(problem, traj, zpath), tol)
-
-
-def _el_reports(T: NodeTables, tol: float):
+    T = node_tables(problem, traj, zpath)
     m, n, h = T.grid.m, T.grid.n, T.grid.h
     k1 = n - m
     Lx, Ldx, Lxt, Ldxt, Lz = (T.table(v) for v in ("x", "dx", "xtau", "dxtau", "z"))
@@ -193,8 +162,8 @@ def dbr_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
             _report(DBR2_LABEL, T.t[k1:], r2, tol, T.traj))
 
 
-def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, group=None,
-                        zpath: Optional[ZPath] = None, tol: float = TOLERANCES["hyp"]):
+def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
+                        group=None, tol: float = TOLERANCES["hyp"]):
     """Profiles of the auxiliary hypotheses behind the first-integral results.
 
     H1(t) = L_xtau(t+tau) x'(t) + L_dxtau(t+tau) x''(t)   on [a-tau, b-tau];
@@ -203,9 +172,7 @@ def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, group=None,
     computed only when a symmetry group is supplied (else None), with the
     generator time derivatives taken along the trajectory by the chain rule.
     """
-    if zpath is None:
-        zpath = integrate_z(problem, traj)
-    T = node_tables(problem, traj, zpath, want_ddx=True)
+    T = node_tables(problem, traj, zpath)
     return _hyp_reports(T, None if group is None else group.along(T.t, T.x, T.dx), tol)
 
 

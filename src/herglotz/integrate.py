@@ -26,8 +26,8 @@ where z does not (r * 0) costs only time.
 The integrating factor lambda(t) = exp(-int_a^t dL/dz) is accumulated in the
 same pass as log-lambda (positivity by construction) and exponentiated once
 at every stop; if L does not depend on z the integrand is exactly zero and
-lambda is exactly one at every node. The stops are the nodes of [a, b], so
-ZPath.z and ZPath.lam are the stop arrays themselves, read-only.
+lambda is exactly one at every node. The stops are the nodes of [a, b];
+ZPath keeps z, mu and lambda there once each, read-only.
 
 The first variation zeta(b) of z(b) along an admissible direction eta is the
 closed integral
@@ -44,35 +44,32 @@ log-lambda at the stops, the panel ends, which the z-path carries on with
 the samples. The panel geometry depends on the grid alone, so it is
 computed once per grid (PanelPlan, kept on the grid); since tau is m steps,
 the delayed samples of panel i are the samples of grid interval i. A
-trajectory is read once on the whole grid, with no interval search, each
-row a slice of that read: a sampled trajectory or direction at its nodes
-and one cubic per interval (SampledTrajectory.read_grid), a piecewise one
-by one walk of each piece over its run of nodes and midpoints
-(PiecewiseTrajectory.read_grid). Panels keeps the node half of that read,
-x and x' at every grid node (Panels.node), from which the condition checks
-build their node tables. The package's one spline adjoint, behind
-the solver gradient and the weak form, is the transpose of that read
-(Panels.scatter): it folds each delayed sample onto the panel m back and
-sums the weights per piece by slices. The first variation's one weight
-table (variation_weights) is read by first_variation and scattered by the
-gradient.
-The first variation, the solver gradient and the invariance defect take
-the samples from the z-path, with z and lambda there (ZPath.samples; no
-spline): the stop values at the panel ends, and RK4's cubic Hermite dense
-output, with its one exp, only at the k midpoints. The Lagrangian partials
-are filled in on first use, and each consumer is a short formula over
-them. A direction eta is a sampled trajectory with zero history
+trajectory is read once on the whole grid by its read_grid, given the
+plan, with no interval search; each row is a slice of that read. The
+package's one spline adjoint, behind the solver gradient and the weak
+form, is the transpose of that read (Panels.scatter). The first
+variation's one weight table (variation_weights) is read by
+first_variation and scattered by the gradient.
+
+A z-path hands out two kinds of samples, the two kinds of Samples, each
+built on first use and kept: its panel samples with z and lambda there
+(ZPath.samples; the stop values at the panel ends, RK4's cubic Hermite
+dense output at the k midpoints), which the first variation, the solver
+gradient and the invariance defect read; and its node samples (ZPath.nodes,
+NodeTables), x and x' at the nodes of [a, b] and their delayed images from
+the node half of the grid read, which every node-sampled check reads.
+Both refuse a trajectory other than the one the z-path was integrated
+along. The Lagrangian and its partials are filled in by name on first use
+(Samples.table), and each consumer is a short formula over them. A
+direction eta is a sampled trajectory with zero history
 (trajectory.VariationDirection), so the first variation reads it through
-Panels.read too; the one spline through node values (trajectory.CubicSpline)
-and the transpose of its build (trajectory.build_adjoint) live in trajectory.
+Panels.read too.
 Each array is checked finite once, where it is made: a read of the
 trajectory that L walks over where Panels makes it (a non-finite one raises
 InvalidBinding, as a lookup of it would), z and lambda at the samples where
 ZPath.samples makes them, z and log-lambda at the stops where the
-integration makes them. The panel bindings are an expr.CheckedBindings, so
-no walk of L over them scans an array again. The affine columns A and B are
-the two rows of one array (expr.affine), on which the stage formulas run
-at once.
+integration makes them. The affine columns A and B are the two rows of one
+array (expr.affine), on which the stage formulas run at once.
 All operations are pure (a fill-in on first use writes the same values
 whichever caller comes first); concurrent integrations are safe.
 """
@@ -93,7 +90,6 @@ from .reportio import csv_text
 from .trajectory import (
     Grid,
     HerglotzProblem,
-    PiecewiseTrajectory,
     Trajectory,
     Tridiagonal,
     VariationDirection,
@@ -115,19 +111,16 @@ def integration_stops(problem: HerglotzProblem, traj: Trajectory):
 @dataclass(eq=False)
 class ZPath:
     """z, mu = log lambda and lambda = exp(mu) at every integration stop,
-    the nodes of [a, b] (z and lam are stop_z and stop_lam themselves), and
-    the panel samples of the trajectory they were integrated on; affine
-    holds the columns (A, B) of L = A + B z at the samples where the z-path
-    composed its affine steps, as the rows of one array (expr.affine), else
-    None."""
+    the nodes of [a, b], and the panel samples of the trajectory they were
+    integrated on; affine holds the columns (A, B) of L = A + B z at the
+    samples where the z-path composed its affine steps, as the rows of one
+    array (expr.affine), else None."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     panels: Panels = field(repr=False)
-    stop_z: np.ndarray = field(repr=False)
-    stop_mu: np.ndarray = field(repr=False)
-    stop_lam: np.ndarray = field(repr=False)
     affine: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -153,6 +146,17 @@ class ZPath:
             raise InvalidTrajectory("z-path was integrated along a different trajectory")
         return self.panels
 
+    def nodes(self, traj: Trajectory) -> NodeTables:
+        """The node table along traj, built on first use and the same object
+        after that. traj must be the very trajectory object this z-path was
+        integrated along, checked at every call as in along."""
+        self.along(traj)
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> NodeTables:
+        return NodeTables(self)
+
     def samples(self, traj: Trajectory) -> Panels:
         """The panel samples this z-path was integrated on, with z and lambda
         there filled in on first use. traj must be the very trajectory object
@@ -174,7 +178,7 @@ class ZPath:
         lambda = exp(-inf) = 0."""
         P = self.along(traj)
         if "z" not in P.bind:
-            k, zs, mus = P.k, self.stop_z, self.stop_mu
+            k, zs, mus = P.k, self.z, self.mu
             with np.errstate(over="ignore", invalid="ignore"):
                 if self.affine is None:
                     bind = expr.CheckedBindings(
@@ -194,7 +198,7 @@ class ZPath:
                 h8 = P.hs / 8.0
                 z_mid = 0.5 * (zs[:-1] + zs[1:]) + h8 * (L0 - L1)
                 lam_mid = np.exp(0.5 * (mus[:-1] + mus[1:]) + h8 * (Lz1 - Lz0))
-                lams = self.stop_lam
+                lams = self.lam
                 z = np.concatenate([zs[:-1], z_mid, zs[1:]])
                 lam = np.concatenate([lams[:-1], lam_mid, lams[1:]])
             if not all(np.isfinite(v).all() for v in (*slopes, z, lam)):
@@ -218,8 +222,8 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
         raise NonFinite("integrating factor overflowed")
     for arr in (zs, mus, lams):
         arr.setflags(write=False)
-    return ZPath(grid=g, z=zs, lam=lams, panels=P, stop_z=zs, stop_mu=mus,
-                 stop_lam=lams, affine=None if path is None else coeffs)
+    return ZPath(grid=g, z=zs, mu=mus, lam=lams, panels=P,
+                 affine=None if path is None else coeffs)
 
 
 def _stages(problem: HerglotzProblem, P: Panels):
@@ -331,8 +335,8 @@ def _affine_stages(P: Panels, gamma: float, AB: np.ndarray):
 class Samples:
     """The Lagrangian at a set of trajectory samples: L itself or one of its
     partials, evaluated by name under the bindings on first use and kept on
-    the instance. The one place Lagrangian tables are filled; the panel
-    samples and the node tables of the condition checks are its two kinds.
+    the instance. The one place Lagrangian tables are filled; a z-path's
+    panel samples (Panels) and node samples (NodeTables) are its two kinds.
     A partial in a variable L does not read is an exact zero table, filled
     with no walk of L."""
 
@@ -376,6 +380,32 @@ class Samples:
                 v.flags.writeable = False
             self._tables[name] = v
         return self._tables[name]
+
+
+class NodeTables(Samples):
+    """The node samples of a z-path (ZPath.nodes): L and its partials at the
+    nodes of [a, b], with the reads, z and lambda feeding them, all that a
+    node-sampled check needs. x and x' are the node half of the z-path's
+    grid read (Panels.node); tau is m steps, so the delayed reads at the
+    nodes of [a, b] are the reads at the first n+1 nodes. x'' there
+    (ddxtau), which only the H1 check reads, is read on first use."""
+
+    def __init__(self, zpath: ZPath):
+        g = self.grid = zpath.grid
+        P = zpath.panels
+        self.traj = P.traj
+        x, dx = P.node
+        self.t, self.x, self.dx = g.main_nodes, x[g.m:], dx[g.m:]
+        self.xtau, self.dxtau = x[: g.n + 1], dx[: g.n + 1]
+        self.z, self.lam = zpath.z, zpath.lam
+        super().__init__(P.lagrangian, {
+            "t": self.t, "x": self.x, "dx": self.dx,
+            "xtau": self.xtau, "dxtau": self.dxtau, "z": self.z})
+
+    @cached_property
+    def ddxtau(self) -> np.ndarray:
+        """x'' at the first n+1 nodes (ddx_at_nodes)."""
+        return self.traj.ddx_at_nodes(self.grid.n + 1)
 
 
 class PanelPlan:
@@ -489,7 +519,7 @@ class Panels(Samples):
     (ZPath.samples), which fills in z and lambda here. The geometry comes
     from the panel plan (plan) of the problem's grid (grid). node holds x
     and x' at every grid node, the node half of the grid read, for the
-    condition checks' node tables. The reads of the variables L reads are
+    z-path's node table (NodeTables). The reads of the variables L reads are
     checked finite here, once; a non-finite one raises InvalidBinding.
 
     Sample arrays are ordered panel lefts, then midpoints, then rights (k of
@@ -517,12 +547,10 @@ class Panels(Samples):
     def read(self, traj: Trajectory):
         """x, x', x(s - tau) and x'(s - tau) of traj at the samples s, with
         the one-sided limits of the class docstring, by one read of the
-        whole grid (SampledTrajectory.read_grid at the plan's grid_read,
-        PiecewiseTrajectory.read_grid at its grid_times), each row sliced
-        out of it: the delayed samples of panel i are those of grid interval
-        i, and x and x' at a right end on a kink are read from the left. A
-        trajectory on a grid other than the problem's (by ==) raises
-        InvalidTrajectory."""
+        whole grid (traj.read_grid of the plan), each row sliced out of it:
+        the delayed samples of panel i are those of grid interval i, and x
+        and x' at a right end on a kink are read from the left. A trajectory
+        on a grid other than the problem's (by ==) raises InvalidTrajectory."""
         return self._read(traj)[1]
 
     def _read(self, traj: Trajectory):
@@ -531,10 +559,7 @@ class Panels(Samples):
         plan, k = self.plan, self.k
         if traj.grid != self.grid:
             raise InvalidTrajectory("trajectory is on a grid other than the problem's")
-        if isinstance(traj, PiecewiseTrajectory):
-            node, mid, left = traj.read_grid(plan.grid_times)
-        else:
-            node, mid, left = traj.read_grid(*plan.grid_read)
+        node, mid, left = traj.read_grid(plan)
         out = np.empty((4, 3 * k))
         # x and x' from interval m on, x(s - tau) and x'(s - tau) from 0
         for r, i in ((0, self.grid.m), (2, 0)):

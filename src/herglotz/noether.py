@@ -38,15 +38,14 @@ import numpy as np
 from . import expr
 from .conditions import (
     TOLERANCES,
-    NodeTables,
     ResidualReport,
-    _el_reports,
     _hyp_reports,
     _masked,
+    el_residuals,
     node_tables,
 )
 from .errors import InvalidTrajectory, NonFinite
-from .integrate import ZPath
+from .integrate import NodeTables, ZPath
 from .reportio import csv_text
 from .trajectory import HerglotzProblem, Trajectory
 
@@ -265,14 +264,14 @@ def check_noether(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     """Check every premise of the conservation statement, then the drift.
 
     Each premise uses its TOLERANCES default unless tol is given, which then
-    holds for all of them (the CLI --tol path). The node table behind the
-    Euler-Lagrange, hypothesis and conserved-quantity samples is built once
-    and shared by all three, and so are the generators at the nodes.
+    holds for all of them (the CLI --tol path). The Euler-Lagrange,
+    hypothesis and conserved-quantity samples read the z-path's one node
+    table, and the last two share the generators at the nodes.
     """
     tols = TOLERANCES if tol is None else dict.fromkeys(TOLERANCES, tol)
-    T = node_tables(problem, traj, zpath, want_ddx=True)
+    T = node_tables(problem, traj, zpath)
     gens = group.along(T.t, T.x, T.dx)
-    el1, el2 = _el_reports(T, tols["el"])
+    el1, el2 = el_residuals(problem, traj, zpath, tols["el"])
     h1, h2 = _hyp_reports(T, gens, tols["hyp"])
     inv = group_variation(problem, traj, zpath, group, tols["inv"])
     cons = _conservation(T, gens, tols["drift"])

@@ -21,12 +21,11 @@ Two backends:
   segments, each factored once (Grid.spline_geometry, Tridiagonal). One
   rule, _read, reads a spline or a trajectory: an interval search for the
   piece and offset of each sample, and for the samples on a node, then a
-  read there. A read of the whole grid, one sample in every interval
-  (integrate's panel plan), skips the search:
-  SampledTrajectory.read_grid reads the node values, the slope coefficients
-  at the nodes and one cubic per interval, in the grid's order. Every read
-  runs Horner's rule on its piece, over contiguous rows of the columns it
-  takes.
+  read there. A read of the whole grid, one sample in every interval,
+  skips the search: SampledTrajectory.read_grid reads the node values, the
+  slope coefficients at the nodes and one cubic per interval, in the grid's
+  order. Every read runs Horner's rule on its piece, over contiguous rows of
+  the columns it takes.
 * PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
   per piece; value and first derivative are exact (dual numbers), the second
   derivative is one function, stencil_ddx: the 5-point rows of fdiff on the
@@ -37,11 +36,13 @@ Two backends:
   reads the whole grid in SampledTrajectory's layout with no search: each
   piece walks once over its run of nodes and interval midpoints.
 
-The grid read serves the z-path and, through its node half, the node tables
-of the condition checks; x'' at the nodes, which only the H1 check reads,
-comes from ddx_at_nodes (the spline's second derivative, or stencil_ddx per
-piece). Both agree with eval_many at the same points, a zero slope's sign
-aside. eval_many serves the trajectory CSV and reads at arbitrary times.
+Both read_grid methods take the grid's panel plan (integrate.PanelPlan),
+which holds the offsets or times they read at. The grid read serves the
+z-path and, through its node half, the z-path's node table; x'' at the
+nodes, which only the H1 check reads, comes from ddx_at_nodes (the spline's
+second derivative, or stencil_ddx per piece). Both agree with eval_many at
+the same points, a zero slope's sign aside. eval_many returns x, x' and x''
+and serves the trajectory CSV and reads at arbitrary times.
 
 At a breakpoint, evaluation uses the right limit; a grid read also gives the
 left limit at each kink. Trajectories are immutable; perturb returns a new
@@ -336,11 +337,10 @@ class SampledTrajectory:
         [a, b] is built. Every solver trial and perturb is built here."""
         return SampledTrajectory(self.grid, values, _hist=self._hist)
 
-    def eval_many(self, ts, want_ddx: bool = True):
+    def eval_many(self, ts):
         ts = np.asarray(ts, dtype=float)
         check_domain(self.grid.nodes[0], self.grid.b, ts)
-        nus = (0, 1, 2) if want_ddx else (0, 1)
-        return _read(self.grid.nodes, self.values, self.c, ts, nus)
+        return _read(self.grid.nodes, self.values, self.c, ts, (0, 1, 2))
 
     def ddx_at_nodes(self, count: int) -> np.ndarray:
         """x'' at the first count grid nodes with eval_many's bits: a node
@@ -349,18 +349,19 @@ class SampledTrajectory:
         i = np.minimum(np.arange(count), len(nodes) - 2)
         return _power_sums(self.c, i, nodes[:count] - nodes[i], (2,))[0]
 
-    def read_grid(self, i: np.ndarray, z: np.ndarray) -> tuple:
+    def read_grid(self, plan) -> tuple:
         """A read of the whole grid with eval_many's bits (a zero slope's
-        sign aside) and no interval search, at the offsets z > 0 into the
-        pieces i, history first: one in every interval, then the last pieces
-        of [a, b] and, if tau > 0, of the history at their lengths. Returns
+        sign aside) and no interval search, at the plan's offsets z > 0 into
+        the pieces i (integrate.PanelPlan.grid_read), history first: one in
+        every interval, then the last pieces of [a, b] and, if tau > 0, of
+        the history at their lengths. Returns
         x and x' at the nodes (x' from the right, at b from the left), x and
         x' in the intervals, and a triple (node index, x, x') from the left
         at each kink, the node a if tau > 0: the layout of
         PiecewiseTrajectory.read_grid. A node reads its stored value and, as
         the start of its piece, that piece's linear coefficient for x'."""
         N, c = len(self.values) - 1, self.c
-        v, d = _power_sums(c, i, z, (0, 1))
+        v, d = _power_sums(c, *plan.grid_read, (0, 1))
         at_nodes = np.empty((2, N + 1))
         at_nodes[0] = self.values
         at_nodes[1, :N] = c[2]
@@ -449,14 +450,14 @@ class PiecewiseTrajectory:
         self._starts.setflags(write=False)
         self.breakpoints = tuple(ends[1:-1])
 
-    def eval_many(self, ts, want_ddx: bool = True):
+    def eval_many(self, ts):
         ts = np.asarray(ts, dtype=float)
         check_domain(self.grid.nodes[0], self.grid.b, ts)
         idx = np.searchsorted(self._starts, ts, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
         x = np.empty_like(ts)
         dx = np.empty_like(ts)
-        ddx = np.empty_like(ts) if want_ddx else None
+        ddx = np.empty_like(ts)
         for i, (t0, t1, e) in enumerate(self.pieces):
             mask = idx == i
             if not np.any(mask):
@@ -465,9 +466,8 @@ class PiecewiseTrajectory:
             xv, dv = expr.value_and_partial(e, "t", {"t": tm})
             x[mask] = xv
             dx[mask] = dv
-            if want_ddx:
-                ddx[mask] = stencil_ddx(e, t0, t1, self.grid.h, tm)
-        return (x, dx, ddx) if want_ddx else (x, dx)
+            ddx[mask] = stencil_ddx(e, t0, t1, self.grid.h, tm)
+        return x, dx, ddx
 
     def ddx_at_nodes(self, count: int) -> np.ndarray:
         """x'' at the first count grid nodes with eval_many's bits: a node
@@ -484,15 +484,16 @@ class PiecewiseTrajectory:
             out[run] = stencil_ddx(e, t0, t1, self.grid.h, ts[run])
         return out
 
-    def read_grid(self, ts: np.ndarray):
+    def read_grid(self, plan):
         """A read of the whole grid with eval_many's bits and no piece
-        search: the nodes and interval midpoints in turn, t_0, m_0, t_1, ..,
-        t_N, are ts. Each piece is walked once, by value_and_partial, on the
-        slice of ts from its start node to the next piece's, which it reads
-        from the left. Returns SampledTrajectory.read_grid's layout: x and
+        search, at the nodes and interval midpoints in turn, t_0, m_0, t_1,
+        .., t_N (integrate.PanelPlan.grid_times). Each piece is walked once,
+        by value_and_partial, on the run of those times from its start node
+        to the next piece's, which it reads from the left. Returns SampledTrajectory.read_grid's layout: x and
         x' at the nodes from the right (at b from the left), in the
         intervals, and a triple (node index, x, x') from the left at each
         kink."""
+        ts = plan.grid_times
         ends = [0, *self.kinks, len(self.grid.nodes) - 1]
         read = np.empty((2, len(ts)))
         left = []

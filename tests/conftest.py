@@ -1,4 +1,3 @@
-import sys
 from decimal import Decimal, localcontext
 from math import isfinite, perm
 from types import SimpleNamespace
@@ -8,10 +7,11 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import herglotz as hg
-from herglotz import conditions, expr
+from herglotz import expr
 from herglotz.bundles import bundle
 from herglotz.errors import FixedNode
 from herglotz.integrate import (
+    NodeTables,
     Panels,
     VariationDirection,
     variation_weights,
@@ -154,32 +154,30 @@ def unit_direction(grid, node_index):
 
 @pytest.fixture
 def node_table_calls(monkeypatch):
-    """List that grows by one per conditions.node_tables call, wherever the
-    function was imported."""
+    """List that grows by one per node table built (NodeTables.__init__);
+    a z-path builds at most one, however many checks read it."""
     calls = []
-    original = conditions.node_tables
+    original = NodeTables.__init__
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return original(*args, **kwargs)
+        original(self, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("herglotz") and getattr(module, "node_tables", None) is original:
-            monkeypatch.setattr(module, "node_tables", counted)
+    monkeypatch.setattr(NodeTables, "__init__", counted)
     return calls
 
 
 @pytest.fixture
 def trajectory_reads(monkeypatch):
-    """Called with a trajectory class, returns a list that grows by the
-    want_ddx of each later eval_many call on that class."""
+    """Called with a trajectory class, returns a list that grows by one per
+    later eval_many call on that class."""
     def watch(cls):
         reads = []
         original = cls.eval_many
 
-        def recorded(self, ts, want_ddx=True):
-            reads.append(want_ddx)
-            return original(self, ts, want_ddx=want_ddx)
+        def recorded(self, ts):
+            reads.append(1)
+            return original(self, ts)
 
         monkeypatch.setattr(cls, "eval_many", recorded)
         return reads
@@ -291,7 +289,7 @@ def per_panel_hermite(problem, zpath):
     each end sample. lambda is exp of mu over the whole sample column."""
     P = zpath.panels
     k = P.k
-    zs, mus = zpath.stop_z.tolist(), zpath.stop_mu.tolist()
+    zs, mus = zpath.z.tolist(), zpath.mu.tolist()
     cols = {name: P.bind[name].tolist() for name in ("t", "x", "dx", "xtau", "dxtau")}
 
     def slopes(j, zv):

@@ -75,7 +75,7 @@ def test_criterion_4_optimality_conditions(reference_run):
     problem, traj, group, zpath = reference_run
     r1, r2 = el_residuals(problem, traj, zpath, tol=1e-4)
     d1, _ = dbr_residuals(problem, traj, zpath, tol=1e-4)
-    h1, _ = hypothesis_profiles(problem, traj, group=group, zpath=zpath, tol=1e-6)
+    h1, _ = hypothesis_profiles(problem, traj, zpath, group, tol=1e-6)
     el2_max = float(np.max(np.abs(r2.values)))
     ok = (r1.sup_norm <= 1e-4 and el2_max <= 1e-10
           and d1.sup_norm <= 1e-4 and h1.sup_norm <= 1e-6)

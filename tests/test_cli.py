@@ -78,10 +78,10 @@ class TestExitCodes:
         assert len(tolerances) == 9
         assert all(t == 0.0 for t in tolerances)
 
-    def test_paper_example_builds_two_node_tables(self, tmp_path, capsys,
-                                                  node_table_calls):
+    def test_paper_example_builds_one_node_table(self, tmp_path, capsys,
+                                                 node_table_calls):
         assert main(["paper-example", "--n", "200", "--out", str(tmp_path / "o")]) == 0
-        assert len(node_table_calls) <= 2
+        assert len(node_table_calls) == 1
 
     def test_syntax_error_is_exit_2_with_offset(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lagrangian="dxtau^2 +")

@@ -108,14 +108,14 @@ class TestDuBoisReymond:
 class TestHypotheses:
     def test_reference_extremal_satisfies_h1(self, paper400):
         problem, traj, group, zp = paper400
-        h1, h2 = hypothesis_profiles(problem, traj, group=group, zpath=zp)
+        h1, h2 = hypothesis_profiles(problem, traj, zp, group)
         assert h1.sup_norm < 1e-6
         assert h2 is not None
         assert np.max(np.abs(h2.values)) == 0.0   # xi = 0, sigma constant
 
     def test_h2_omitted_without_group(self, paper400):
         problem, traj, _, zp = paper400
-        h1, h2 = hypothesis_profiles(problem, traj, zpath=zp)
+        h1, h2 = hypothesis_profiles(problem, traj, zp)
         assert h2 is None
         assert h1.sup_norm < 1e-6
 
@@ -124,18 +124,12 @@ class TestHypotheses:
         g = problem.grid
         traj = PiecewiseTrajectory(g, [(-1.0, 0.0, "-t"), (0.0, 1.0, "t^2"),
                                        (1.0, 2.0, "1")])
-        h1, _ = hypothesis_profiles(problem, traj, group=group)
+        h1, _ = hypothesis_profiles(problem, traj, integrate_z(problem, traj), group)
         # left slot is absent, so the profile reduces to 2 x'(t) x''(t) = 8t
         i = int(np.argmin(np.abs(h1.times - 0.5)))
         assert abs(h1.times[i] - 0.5) < 1e-12
         assert abs(h1.values[i] - 4.0) < 1e-4
         assert not h1.passed
-
-    def test_own_z_integration_matches_supplied(self, paper400):
-        problem, traj, group, zp = paper400
-        auto = hypothesis_profiles(problem, traj, group=group)
-        given = hypothesis_profiles(problem, traj, group=group, zpath=zp)
-        np.testing.assert_allclose(auto[0].values, given[0].values, atol=1e-12)
 
 
 def node_walks(monkeypatch, problem):
@@ -159,10 +153,12 @@ class TestNodeTables:
         ("el", 2), ("dbr", 2), ("hyp", 1), ("noether", 3)])
     def test_each_check_walks_only_the_tables_it_reads(self, monkeypatch, paper400,
                                                        check, expected):
-        problem, traj, group, zp = paper400
+        # a fresh z-path: paper400's keeps the tables an earlier test filled
+        problem, traj, group, _ = paper400
+        zp = integrate_z(problem, traj)
         run = {"el": lambda: el_residuals(problem, traj, zp),
                "dbr": lambda: dbr_residuals(problem, traj, zp),
-               "hyp": lambda: hypothesis_profiles(problem, traj, group, zp),
+               "hyp": lambda: hypothesis_profiles(problem, traj, zp, group),
                "noether": lambda: check_noether(problem, traj, zp, group)}[check]
         walks = node_walks(monkeypatch, problem)
         run()
@@ -176,7 +172,7 @@ class TestNodeTables:
         reads = trajectory_reads(type(traj))
         grid_reads = counted_calls(monkeypatch, type(traj), "read_grid")
         ddx_reads = counted_calls(monkeypatch, type(traj), "ddx_at_nodes")
-        hypothesis_profiles(problem, traj, group=group)
+        hypothesis_profiles(problem, traj, integrate_z(problem, traj), group)
         assert reads == [] and len(grid_reads) == 1
         assert ddx_reads == [((problem.grid.n + 1,), {})]
 
@@ -205,7 +201,7 @@ class TestNodeTables:
         problem, traj, _, _ = build_bundle(name, n)
         g = problem.grid
         for tr in (traj, wavy_sampled(problem)):
-            T = node_tables(problem, tr, integrate_z(problem, tr), want_ddx=True)
+            T = node_tables(problem, tr, integrate_z(problem, tr))
             x, dx, ddx = tr.eval_many(g.nodes)
             got = (T.x, T.dx, T.xtau, T.dxtau, T.ddxtau)
             want = (x[g.m:], dx[g.m:], x[: g.n + 1], dx[: g.n + 1], ddx[: g.n + 1])
@@ -225,7 +221,28 @@ class TestNodeTables:
         traj.c = np.where(np.arange(4) == 2, -0.0, 0.0)[:, None] * np.ones(4)
         T = node_tables(problem, traj, integrate_z(problem, traj))
         assert np.all(np.signbit(T.dx[:-1]))
-        assert not np.any(np.signbit(traj.eval_many(g.nodes[:-1], want_ddx=False)[1]))
+        assert not np.any(np.signbit(traj.eval_many(g.nodes[:-1])[1]))
+
+    def test_one_table_per_z_path(self, monkeypatch, paper400):
+        # a second lookup hands out the same table, so the checks after the
+        # first walk L no more and read x'' no more
+        problem, traj, group, _ = paper400
+        zp = integrate_z(problem, traj)
+        walks = node_walks(monkeypatch, problem)
+        ddx_reads = counted_calls(monkeypatch, type(traj), "ddx_at_nodes")
+        T = node_tables(problem, traj, zp)
+        el_residuals(problem, traj, zp)
+        hypothesis_profiles(problem, traj, zp, group)
+        walked = len(walks)
+        assert walked == 2 and len(ddx_reads) == 1
+        assert node_tables(problem, traj, zp) is T
+        el_residuals(problem, traj, zp)
+        hypothesis_profiles(problem, traj, zp, group)
+        assert len(walks) == walked and len(ddx_reads) == 1
+        # the trajectory is checked at every lookup, not only the first
+        twin = PiecewiseTrajectory(problem.grid, traj.pieces)
+        with pytest.raises(InvalidTrajectory, match="different trajectory"):
+            node_tables(problem, twin, zp)
 
     def test_tables_need_the_trajectory_of_the_z_path(self, paper400):
         problem, traj, group, zp = paper400
@@ -234,7 +251,7 @@ class TestNodeTables:
             node_tables(problem, twin, zp)
         for check in (lambda: el_residuals(problem, twin, zp),
                       lambda: dbr_residuals(problem, twin, zp),
-                      lambda: hypothesis_profiles(problem, twin, group, zp),
+                      lambda: hypothesis_profiles(problem, twin, zp, group),
                       lambda: check_noether(problem, twin, zp, group)):
             with pytest.raises(InvalidTrajectory):
                 check()
@@ -339,8 +356,8 @@ class TestWeakStrongConsistency:
         k1 = g.n - g.m
         tmain = g.main_nodes
         mids = 0.5 * (tmain[:-1] + tmain[1:])
-        xm, dxm = traj.eval_many(mids, want_ddx=False)
-        xtm, dxtm = traj.eval_many(mids - g.tau, want_ddx=False)
+        xm, dxm = traj.eval_many(mids)[:2]
+        xtm, dxtm = traj.eval_many(mids - g.tau)[:2]
         # one piece, so the panels are the grid intervals: z and lambda at
         # the grid midpoints are the z-path's panel samples
         P = zp.samples(traj)
@@ -369,7 +386,7 @@ class TestWeakStrongConsistency:
             ms = mids[ok] + g.tau
             # tau = m h: the midpoint m panels to the right
             at = np.flatnonzero(ok) + g.m
-            xms, dxms = traj.eval_many(ms, want_ddx=False)
+            xms, dxms = traj.eval_many(ms)[:2]
             binds = {"t": ms, "x": xms, "dx": dxms, "xtau": xm[ok],
                      "dxtau": dxm[ok], "z": z_m[at]}
             pms = np.broadcast_to(np.asarray(

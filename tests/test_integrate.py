@@ -154,7 +154,7 @@ class TestIntegrateZ:
             A, B = expr.affine(problem.lagrangian, "z", P.bind)
             exact = affine_rk4(P, A, B, problem.gamma)
             M = affine_rk4(P, A, B, problem.gamma, exact=False)
-            assert np.all(np.abs(zp.stop_z - exact) <= 16 * U * M)
+            assert np.all(np.abs(zp.z - exact) <= 16 * U * M)
 
     @staticmethod
     def _count_walks(monkeypatch):
@@ -236,7 +236,7 @@ class TestIntegrateZ:
                             lambda *a, _f=_stages: walks.append(1) or _f(*a))
         zp = integrate_z(problem, traj)
         assert walks == [1]
-        assert np.all(zp.z == 0.0) and np.all(zp.stop_z == 0.0)
+        assert np.all(zp.z == 0.0)
 
     def test_affine_overflow_with_an_offset_names_the_stages_t(self):
         # z' = 1000 z + 1 from z(0) = 1 overflows inside [0, 2]
@@ -373,7 +373,7 @@ class TestFirstVariation:
     def test_direction_vanishes_on_history_and_endpoint(self):
         g = build_grid(0.0, 2.0, 1.0, 8)
         eta = unit_direction(g, g.m + 2)
-        vals, dvals = eta.eval_many(np.array([-0.7, g.a, g.b]), want_ddx=False)
+        vals, dvals = eta.eval_many(np.array([-0.7, g.a, g.b]))[:2]
         assert vals[0] == 0.0 and dvals[0] == 0.0
         assert vals[1] == 0.0
         assert vals[2] == 0.0
@@ -607,7 +607,7 @@ class TestZPathSamples:
         problem, traj, _, _ = build_paper(20)
         problem = replace(problem, lagrangian=expr.parse("dxtau^2 + 0.1*z*z"))
         zp = integrate_z(problem, traj)
-        huge = replace(zp, stop_z=np.full_like(zp.stop_z, 1e200))
+        huge = replace(zp, z=np.full_like(zp.z, 1e200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(errors.NonFinite):
@@ -1094,7 +1094,7 @@ def written_out_samples(zpath):
     """z and lambda at the panel samples: both columns built at all 3k
     samples from the 2k end slopes, and exp taken over the whole mu column."""
     P = zpath.panels
-    k, zs, mus = P.k, zpath.stop_z, zpath.stop_mu
+    k, zs, mus = P.k, zpath.z, zpath.mu
     z_ends = np.concatenate([zs[:-1], zs[1:]])
 
     def ends(col):
@@ -1176,10 +1176,8 @@ class TestLeanPathBits:
             zp = integrate_z(problem, tr)
             P = zp.panels
             want = written_out_affine_stages(P.k, P.hs, problem.gamma, *zp.affine)
-            assert _bits(zp.stop_z, zp.stop_mu) == _bits(*want)
-            assert _bits(zp.stop_lam) == _bits(np.exp(want[1]))
-            # every stop is a node: z and lambda are the stop arrays themselves
-            assert zp.z is zp.stop_z and zp.lam is zp.stop_lam
+            assert _bits(zp.z, zp.mu) == _bits(*want)
+            assert _bits(zp.lam) == _bits(np.exp(want[1]))
 
     def test_samples_keep_the_bits(self):
         seen = set()

@@ -163,15 +163,16 @@ class TestCheckNoether:
         assert loose.passed
 
     def test_builds_one_node_table(self, paper400, node_table_calls):
-        problem, traj, group, zp = paper400
-        check_noether(problem, traj, zp, group)
+        # a fresh z-path: paper400's keeps the table an earlier test built
+        problem, traj, group, _ = paper400
+        check_noether(problem, traj, integrate_z(problem, traj), group)
         assert len(node_table_calls) == 1
 
     def test_shared_table_matches_separate_checks(self, paper400):
         problem, traj, group, zp = paper400
         verdict = check_noether(problem, traj, zp, group)
         el1, el2 = el_residuals(problem, traj, zp)
-        h1, h2 = hypothesis_profiles(problem, traj, group=group, zpath=zp)
+        h1, h2 = hypothesis_profiles(problem, traj, zp, group)
         cons = conserved_quantities(problem, traj, zp, group)
         pairs = [(verdict.el1, el1), (verdict.el2, el2), (verdict.hyp_extremal, h1),
                  (verdict.hyp_noether, h2)] + list(zip(verdict.conservation.profiles,
