@@ -175,17 +175,14 @@ def cmd_paper_example(args) -> int:
           f"|error| = {fmt(z_b_err)})")
     if z_b_err > _PAPER_Z_TOL:
         failures.append("z(b)")
-    tmid = 1.0
-    nodes = problem.grid.main_nodes
-    mid_idx = int(np.argmin(np.abs(nodes - tmid)))
-    z_mid_err = None
-    if abs(nodes[mid_idx] - tmid) < problem.grid.h / 4:
-        z_mid_err = abs(zpath.z[mid_idx] - expected["z_at_1"])
-        print(f"z(1) = {fmt(float(zpath.z[mid_idx]))}  (reference "
-              f"{fmt(expected['z_at_1'])}, |error| = {fmt(z_mid_err)})")
-        if z_mid_err > _PAPER_Z_TOL:
-            failures.append("z(1)")
-    lam_err = float(np.max(np.abs(zpath.lam - np.exp(-nodes))))
+    # t = a + tau = 1 is main node m by the grid's construction
+    z_mid = zpath.z[problem.grid.m]
+    z_mid_err = abs(z_mid - expected["z_at_1"])
+    print(f"z(1) = {fmt(float(z_mid))}  (reference "
+          f"{fmt(expected['z_at_1'])}, |error| = {fmt(z_mid_err)})")
+    if z_mid_err > _PAPER_Z_TOL:
+        failures.append("z(1)")
+    lam_err = float(np.max(np.abs(zpath.lam - np.exp(-problem.grid.main_nodes))))
     print(f"max |lambda(t) - exp(-t)| over nodes = {fmt(lam_err)}")
     if lam_err > _PAPER_Z_TOL:
         failures.append("lambda")

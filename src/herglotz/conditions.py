@@ -6,11 +6,13 @@ the grid nodes of its interval, from the z-path's one node table
 (node_tables, integrate.NodeTables), which every check on that z-path
 shares. Outer time derivatives of sampled coefficient functions use 5-point
 differencing at the grid step with one-sided closure at interval ends,
-matching the 4th-order accuracy of the z integration. Sup-norms skip
-samples within 2h of any trajectory breakpoint or of its +-tau images
-(delayed reads kink there); the conditions hold classically only on the
-open smooth subintervals; a report with no sample left (n too coarse)
-raises BadInterval, CLI exit 2.
+matching the 4th-order accuracy of the z integration. Every kink of a
+trajectory is a grid node (its kinks) and tau is m steps, so a report's
+samples are known by node index, and so are its exclusion zones
+(excluded): sup-norms skip the samples within 2 nodes of a kink node or of
+an image m nodes from one (delayed reads kink there), since the conditions
+hold classically only on the open smooth subintervals; a report with no
+sample left (n too coarse) raises BadInterval, CLI exit 2.
 
 Sign convention: left-hand side minus right-hand side exactly as the
 conditions are usually displayed, so residual magnitudes are comparable
@@ -68,43 +70,38 @@ class ResidualReport:
         }
 
 
-def exclusion_zones(traj: Trajectory, lo: float, hi: float) -> list:
-    """Open intervals of radius 2h around breakpoints and their +-tau images.
-    An image within 1e-9 h of a point already taken, a breakpoint first, is
-    that point: a kink tau from another misses it by round-off only."""
+def excluded(label: str, traj: Trajectory, first: int, count: int):
+    """The exclusion zones of a report over the count grid nodes from node
+    first, and the mask of its samples outside them, at least one (else
+    BadInterval, naming the report label). A zone is centred on a kink node
+    or on an image m nodes from one, kept when it reaches the span: it
+    masks the samples within 2 nodes of its centre c, and its bounds are
+    t_c -+ 2h, t_c the node c (a + (c - m) h past the grid's ends)."""
     g = traj.grid
+    m, last = g.m, first + count - 1
+    centres = sorted({c for j in traj.kinks for c in (j - m, j, j + m)
+                      if first - 2 < c < last + 2})
+    keep = np.ones(count, dtype=bool)
+    zones = []
     r = 2.0 * g.h
-    images = [rho + s for rho in traj.breakpoints for s in (-g.tau, g.tau)]
-    points = []
-    for p in (*traj.breakpoints, *images):
-        if lo - r < p < hi + r and all(abs(p - q) > 1e-9 * g.h for q in points):
-            points.append(p)
-    return [(p - r, p + r) for p in sorted(points)]
-
-
-def _masked(label: str, traj: Trajectory, times: np.ndarray):
-    """Exclusion zones of the sampled span and the mask of samples outside
-    them, at least one (else BadInterval, naming the report label)."""
-    zones = exclusion_zones(traj, times[0], times[-1])
-    keep = np.ones(len(times), dtype=bool)
-    pad = 1e-9 * (times[-1] - times[0])
-    # closed zones: a sample exactly 2h from a kink still has a differencing
-    # window touching the kink, so it is excluded too
-    for lo, hi in zones:
-        keep &= ~((times >= lo - pad) & (times <= hi + pad))
+    for c in centres:
+        keep[max(c - 2 - first, 0): c + 3 - first] = False
+        t = float(g.nodes[c]) if 0 <= c < len(g.nodes) else g.a + (c - m) * g.h
+        zones.append((t - r, t + r))
     if not np.any(keep):
         raise BadInterval(
             f"{label}: every sample lies within 2h of a breakpoint or of its +-tau images; "
-            f"n = {traj.grid.n} is too coarse for this check")
+            f"n = {g.n} is too coarse for this check")
     return zones, keep
 
 
-def _report(label, times, values, tol, traj) -> ResidualReport:
-    zones, keep = _masked(label, traj, times)
+def _report(label, first, values, tol, traj) -> ResidualReport:
+    """The report of values at the grid nodes from node first."""
+    zones, keep = excluded(label, traj, first, len(values))
     sup = float(np.max(np.abs(values[keep])))
-    return ResidualReport(label=label, times=times, values=np.asarray(values),
-                          tolerance=float(tol), sup_norm=sup,
-                          passed=sup <= tol, excluded_zones=zones)
+    return ResidualReport(label=label, times=traj.grid.nodes[first: first + len(values)],
+                          values=np.asarray(values), tolerance=float(tol),
+                          sup_norm=sup, passed=sup <= tol, excluded_zones=zones)
 
 
 def node_tables(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath) -> NodeTables:
@@ -135,8 +132,7 @@ def el_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
           + T.lam[: k1 + 1] * (Lx[: k1 + 1] - d3_low + Ldx[: k1 + 1] * Lz[: k1 + 1]))
     d3_high = derivative_on_segment(Ldx, k1, n + 1, h)
     r2 = Lx[k1:] - d3_high + Ldx[k1:] * Lz[k1:]
-    return (_report(EL1_LABEL, T.t[: k1 + 1], r1, tol, T.traj),
-            _report(EL2_LABEL, T.t[k1:], r2, tol, T.traj))
+    return (_report(EL1_LABEL, m, r1, tol, traj), _report(EL2_LABEL, n, r2, tol, traj))
 
 
 def dbr_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
@@ -158,8 +154,7 @@ def dbr_residuals(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     r1 = derivative_on_segment(bracket1, 0, k1 + 1, h) - T.lam[: k1 + 1] * Lt[: k1 + 1]
     bracket2 = T.lam * (L - T.dx * Ldx)
     r2 = derivative_on_segment(bracket2, k1, n + 1, h) - T.lam[k1:] * Lt[k1:]
-    return (_report(DBR1_LABEL, T.t[: k1 + 1], r1, tol, T.traj),
-            _report(DBR2_LABEL, T.t[k1:], r2, tol, T.traj))
+    return (_report(DBR1_LABEL, m, r1, tol, traj), _report(DBR2_LABEL, n, r2, tol, traj))
 
 
 def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
@@ -173,22 +168,16 @@ def hypothesis_profiles(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath
     generator time derivatives taken along the trajectory by the chain rule.
     """
     T = node_tables(problem, traj, zpath)
-    return _hyp_reports(T, None if group is None else group.along(T.t, T.x, T.dx), tol)
-
-
-def _hyp_reports(T: NodeTables, gens, tol: float):
-    """H1, and H2 from the generators at the nodes (None: no H2)."""
-    g = T.grid
+    m, n = T.grid.m, T.grid.n
+    k1 = n - m
     Lxt, Ldxt = T.table("xtau"), T.table("dxtau")
     h1 = Lxt * T.dxtau + Ldxt * T.ddxtau
-    rep1 = _report(HYP1_LABEL, g.nodes[: g.n + 1], h1, tol, T.traj)
-    if gens is None:
+    rep1 = _report(HYP1_LABEL, 0, h1, tol, traj)
+    if group is None:
         return rep1, None
-    k1 = g.n - g.m
-    _, xi, dsig, dxi = (v[: k1 + 1] for v in gens)
-    h2 = Lxt[g.m:] * xi + Ldxt[g.m:] * (dxi - T.dx[: k1 + 1] * dsig)
-    rep2 = _report(HYP2_LABEL, T.t[: k1 + 1], h2, tol, T.traj)
-    return rep1, rep2
+    _, xi, dsig, dxi = (v[: k1 + 1] for v in group.along(T.t, T.x, T.dx))
+    h2 = Lxt[m:] * xi + Ldxt[m:] * (dxi - T.dx[: k1 + 1] * dsig)
+    return rep1, _report(HYP2_LABEL, m, h2, tol, traj)
 
 
 def weak_form_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,

@@ -437,12 +437,9 @@ class PanelPlan:
         self.k = k = n
         times = np.concatenate([lo[m:], mids[m:], hi[m:]])
         delayed = np.concatenate([lo[:n], mids[:n], hi[:n]])
-        # delayed images that fall inside [a, b], where the solver's spline
-        # adjoint and the group generators act; rights take the left limit, so
-        # exactly s - tau = a counts as outside there and a kink at s = a + tau
-        # never leaks across its panel boundary
-        inside = delayed >= grid.a
-        inside[2 * k:] = delayed[2 * k:] > grid.a
+        # the delayed samples of panels m on lie in [a, b], where the solver's
+        # spline adjoint and the group generators act (rights from the left)
+        inside = np.tile(np.arange(k) >= m, 3)
         self.offsets = mids - lo
         self.hs, self.times, self.delayed, self.inside = (
             hi[m:] - lo[m:], times, delayed, inside)

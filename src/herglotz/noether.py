@@ -24,8 +24,10 @@ quantities stay constant:
 on [a, b-tau] and [b-tau, b] respectively; with no delay the two coincide
 and a single profile over [a, b] is produced. Drift is measured as the
 maximum deviation from the profile mean (catches interior oscillation, not
-just endpoint difference), with the same junction exclusion as the residual
-reports.
+just endpoint difference), with the residual reports' exclusion zones
+(conditions.excluded). Each check has one implementation, the public
+function: check_noether runs them in turn, and conserved_quantities reads
+quantity_values.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from . import expr
 from .conditions import (
     TOLERANCES,
     ResidualReport,
-    _hyp_reports,
-    _masked,
     el_residuals,
+    excluded,
+    hypothesis_profiles,
     node_tables,
 )
 from .errors import InvalidTrajectory, NonFinite
-from .integrate import NodeTables, ZPath
+from .integrate import ZPath
 from .reportio import csv_text
 from .trajectory import HerglotzProblem, Trajectory
 
@@ -181,12 +183,13 @@ class ConservationReport:
                 "verdict": "pass" if self.passed else "fail"}
 
 
-def _profile(label, times, values, tol, traj) -> QuantityProfile:
-    zones, keep = _masked(label, traj, times)
+def _profile(label, first, values, tol, traj) -> QuantityProfile:
+    """The drift profile of values at the grid nodes from node first."""
+    zones, keep = excluded(label, traj, first, len(values))
     mean = float(np.mean(values[keep]))
     drift = float(np.max(np.abs(values[keep] - mean)))
-    return QuantityProfile(label=label, times=times, values=values, mean=mean,
-                           drift=drift, tolerance=float(tol),
+    return QuantityProfile(label=label, times=traj.grid.nodes[first: first + len(values)],
+                           values=values, mean=mean, drift=drift, tolerance=float(tol),
                            passed=drift <= tol, excluded_zones=zones)
 
 
@@ -196,13 +199,9 @@ def quantity_values(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     nodes of [b-tau, b] (over all of [a, b] when tau = 0, where they collapse
     onto the same formula whenever L has no delayed-velocity dependence)."""
     T = node_tables(problem, traj, zpath)
-    return _quantities(T, group.along(T.t, T.x, T.dx))
-
-
-def _quantities(T: NodeTables, gens):
     m, n = T.grid.m, T.grid.n
     k1 = n - m
-    sig, xi, _, _ = gens
+    sig, xi, _, _ = group.along(T.t, T.x, T.dx)
     L, Ldx, Ldxt = T.table("L"), T.table("dx"), T.table("dxtau")
     coeff = T.lam[: k1 + 1] * Ldx[: k1 + 1] + T.lam[m:] * Ldxt[m:]
     q1 = (coeff * xi[: k1 + 1]
@@ -216,16 +215,12 @@ def conserved_quantities(problem: HerglotzProblem, traj: Trajectory, zpath: ZPat
                          tol: float = TOLERANCES["drift"]) -> ConservationReport:
     """Conserved-quantity profiles with drift (max deviation from the mean)
     verdicts at the given tolerance."""
-    T = node_tables(problem, traj, zpath)
-    return _conservation(T, group.along(T.t, T.x, T.dx), tol)
-
-
-def _conservation(T: NodeTables, gens, tol: float) -> ConservationReport:
-    t1, q1, t2, q2 = _quantities(T, gens)
-    if T.grid.m == 0:
-        return ConservationReport(profiles=(_profile(Q_LABEL, t1, q1, tol, T.traj),))
-    return ConservationReport(profiles=(_profile(Q1_LABEL, t1, q1, tol, T.traj),
-                                        _profile(Q2_LABEL, t2, q2, tol, T.traj)))
+    _, q1, _, q2 = quantity_values(problem, traj, zpath, group)
+    m, n = zpath.grid.m, zpath.grid.n
+    if m == 0:
+        return ConservationReport(profiles=(_profile(Q_LABEL, 0, q1, tol, traj),))
+    return ConservationReport(profiles=(_profile(Q1_LABEL, m, q1, tol, traj),
+                                        _profile(Q2_LABEL, n, q2, tol, traj)))
 
 
 @dataclass(eq=False)
@@ -264,17 +259,16 @@ def check_noether(problem: HerglotzProblem, traj: Trajectory, zpath: ZPath,
     """Check every premise of the conservation statement, then the drift.
 
     Each premise uses its TOLERANCES default unless tol is given, which then
-    holds for all of them (the CLI --tol path). The Euler-Lagrange,
-    hypothesis and conserved-quantity samples read the z-path's one node
-    table, and the last two share the generators at the nodes.
+    holds for all of them (the CLI --tol path). Each premise is its public
+    check, run in turn: el_residuals, hypothesis_profiles, group_variation
+    and conserved_quantities. The node-sampled ones read the z-path's one
+    node table, and each evaluates the generators it needs itself.
     """
     tols = TOLERANCES if tol is None else dict.fromkeys(TOLERANCES, tol)
-    T = node_tables(problem, traj, zpath)
-    gens = group.along(T.t, T.x, T.dx)
     el1, el2 = el_residuals(problem, traj, zpath, tols["el"])
-    h1, h2 = _hyp_reports(T, gens, tols["hyp"])
+    h1, h2 = hypothesis_profiles(problem, traj, zpath, group, tols["hyp"])
     inv = group_variation(problem, traj, zpath, group, tols["inv"])
-    cons = _conservation(T, gens, tols["drift"])
+    cons = conserved_quantities(problem, traj, zpath, group, tols["drift"])
     checks = [("EL-1", el1.passed), ("EL-2", el2.passed), ("H1", h1.passed)]
     if h2 is not None:
         checks.append(("H2", h2.passed))

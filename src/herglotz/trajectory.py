@@ -26,15 +26,15 @@ Two backends:
   slope coefficients at the nodes and one cubic per interval, in the grid's
   order. Every read runs Horner's rule on its piece, over contiguous rows of
   the columns it takes.
-* PiecewiseAnalytic: ordered breakpoints with a closed-form expression in t
-  per piece; value and first derivative are exact (dual numbers), the second
+* PiecewiseAnalytic: ordered pieces, each a closed-form expression in t;
+  value and first derivative are exact (dual numbers), the second
   derivative is one function, stencil_ddx: the 5-point rows of fdiff on the
   exact first derivative at step h/16, the window kept in the piece (a
-  piece spans a grid step or more). eval_many searches the piece of each
-  sample among the piece starts, kept as one read-only array. Every
-  boundary between pieces is a grid node, so PiecewiseTrajectory.read_grid
-  reads the whole grid in SampledTrajectory's layout with no search: each
-  piece walks once over its run of nodes and interval midpoints.
+  piece spans a grid step or more). Every boundary between pieces is a
+  grid node, so eval_many searches the piece of each sample among those
+  nodes, and PiecewiseTrajectory.read_grid reads the whole grid in
+  SampledTrajectory's layout with no search: each piece walks once over its
+  run of nodes and interval midpoints.
 
 Both read_grid methods take the grid's panel plan (integrate.PanelPlan),
 which holds the offsets or times they read at. The grid read serves the
@@ -44,7 +44,9 @@ second derivative, or stencil_ddx per piece). Both agree with eval_many at
 the same points, a zero slope's sign aside. eval_many returns x, x' and x''
 and serves the trajectory CSV and reads at arbitrary times.
 
-At a breakpoint, evaluation uses the right limit; a grid read also gives the
+Both kinds carry kinks, the indices of the grid nodes where x' may jump:
+the piece boundaries, or for a sampled trajectory the node a when tau > 0.
+At a kink, evaluation uses the right limit; a grid read also gives the
 left limit at each kink. Trajectories are immutable; perturb returns a new
 value.
 """
@@ -267,9 +269,9 @@ class CubicSpline:
 
 def _read(x, y, c, ts, nus) -> tuple:
     """The derivatives of orders nus at ts, one array each with the bits of
-    separate calls, of the cubic pieces c (one column each) between
-    breakpoints x with node values y: piece i holds x[i] <= t < x[i+1], and
-    the end pieces extend past the ends; a value read on a node is stored."""
+    separate calls, of the cubic pieces c (one column each) between nodes
+    x with values y: piece i holds x[i] <= t < x[i+1], and the end pieces
+    extend past the ends; a value read on a node is stored."""
     ts = np.asarray(ts, dtype=float)
     t = ts.reshape(-1)
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
@@ -308,7 +310,8 @@ class SampledTrajectory:
     """Node values; natural cubic splines over [a-tau, a] and [a, b], built
     with the grid's spline geometry and kept as one table c of cubic pieces
     in CubicSpline's layout, one column per grid interval, history columns
-    first; t=a is a breakpoint of the table when tau > 0."""
+    first; t=a is a breakpoint of the table, and node m = kinks[0], when
+    tau > 0."""
 
     def __init__(self, grid: Grid, values: Sequence[float], _hist=None):
         values = np.asarray(values, dtype=float).copy()
@@ -328,7 +331,7 @@ class SampledTrajectory:
         self._hist = _hist
         self.c = main if _hist is None else np.concatenate([_hist, main], axis=1)
         self.c.setflags(write=False)
-        self.breakpoints: tuple = (grid.a,) if m else ()
+        self.kinks: tuple = (m,) if m else ()
 
     def _with_values(self, values: np.ndarray) -> "SampledTrajectory":
         """A trajectory on the same grid with the node values values, whose
@@ -446,15 +449,11 @@ class PiecewiseTrajectory:
                     f"value jump {left - right:.3g} at breakpoint t={q[0]}")
         self.pieces = tuple(parsed)
         self.kinks = tuple(kinks)
-        self._starts = np.array([p[0] for p in parsed])
-        self._starts.setflags(write=False)
-        self.breakpoints = tuple(ends[1:-1])
 
     def eval_many(self, ts):
         ts = np.asarray(ts, dtype=float)
         check_domain(self.grid.nodes[0], self.grid.b, ts)
-        idx = np.searchsorted(self._starts, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
+        idx = np.searchsorted(self.grid.nodes[list(self.kinks)], ts, side="right")
         x = np.empty_like(ts)
         dx = np.empty_like(ts)
         ddx = np.empty_like(ts)

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import herglotz as hg
-from herglotz import expr
+from herglotz import cli, expr
 from herglotz.bundles import BUNDLE_NAMES
 from herglotz.conditions import (
     dbr_residuals,
@@ -130,6 +131,62 @@ class TestHypotheses:
         assert abs(h1.times[i] - 0.5) < 1e-12
         assert abs(h1.values[i] - 4.0) < 1e-4
         assert not h1.passed
+
+
+def _zone_reports(summary):
+    """The zone lists of every residual and conservation report in a JSON
+    summary of check-hyp or noether."""
+    if isinstance(summary, list):
+        return [rep["excluded_zones"] for rep in summary]
+    reps = [*summary["premises"].values(), *summary["conservation"]["profiles"]]
+    return [rep["excluded_zones"] for rep in reps if "excluded_zones" in rep]
+
+
+class TestExclusionZones:
+    # paper-s4 kinks at t = 0 and t = 1; at these n, the node nearest -1 or
+    # b - tau +- 2h is one ulp off the sum a kink +- tau +- 2h
+    @pytest.mark.parametrize("n", [98, 196, 206])
+    @pytest.mark.parametrize("command, report", [
+        ("check-hyp", "check_hyp.json"), ("noether", "noether.json")])
+    def test_zone_bounds_are_node_plus_minus_two_steps(self, tmp_path, n, command, report):
+        assert cli.main([command, "paper-s4", "--n", str(n), "--out", str(tmp_path)]) in (0, 1)
+        g = build_paper(n)[0].grid
+        zones = _zone_reports(json.loads((tmp_path / report).read_text()))
+        assert any(zones)
+        for lo, hi in (z for rep in zones for z in rep):
+            c = int(round((0.5 * (lo + hi) - g.nodes[0]) / g.h))
+            assert (lo, hi) == (g.nodes[c] - 2.0 * g.h, g.nodes[c] + 2.0 * g.h)
+
+    # (a, b, tau, n, kink node j, zone centre c): c is j or an image j -+ m,
+    # exactly 2 nodes before the EL-2 span [b - tau, b] (nodes n .. n + m) or
+    # after it. A float rule on j's time +- tau +- 2h lists each of these
+    # zones by rounding and masks the end sample (at n = 10, tau = 0.5 every
+    # sample of EL-1)
+    @pytest.mark.parametrize("a, b, tau, n, j, c", [
+        (0.0, 1.0, 0.5, 10, 8, 8),
+        (0.0, 1.0, 0.1, 10, 7, 8),
+        (0.0, 1.0, 7 / 12, 12, 10, 10),
+        (0.0, 1.0, 0.75, 20, 33, 18),
+        (0.0, 1.0, 0.5, 12, 14, 20),
+        (0.3, 1.3, 0.75, 12, 14, 23),
+    ])
+    def test_a_zone_two_nodes_outside_the_span_is_not_listed(self, a, b, tau, n, j, c):
+        g = build_grid(a, b, tau, n)
+        first, last = n, n + g.m
+        assert c in (first - 2, last + 2) and c in (j - g.m, j, j + g.m)
+        # L_x is the EL-2 residual, largest in size at the span's end next to c
+        slope = f"({b + 1.0!r} - t)" if c < first else f"(t - {a - 1.0!r})"
+        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="t",
+                                     lagrangian=f"{slope} * x")
+        kink = float(g.nodes[j])
+        traj = PiecewiseTrajectory(g, [(g.nodes[0], kink, "t"),
+                                       (kink, b, f"2 * t - {kink!r}")])
+        assert traj.kinks == (j,)
+        _, r2 = el_residuals(problem, traj, integrate_z(problem, traj))
+        t_c = g.nodes[c] if c < len(g.nodes) else a + (c - g.m) * g.h
+        assert all(abs(0.5 * (lo + hi) - t_c) > g.h for lo, hi in r2.excluded_zones)
+        end = 0 if c < first else -1
+        assert r2.sup_norm == abs(r2.values[end])
 
 
 def node_walks(monkeypatch, problem):

@@ -669,7 +669,8 @@ class TestPanelPlan:
         for tr in (traj, wavy_sampled(problem)):
             zp = integrate_z(problem, tr)
             P = zp.samples(tr)
-            assert all(rho in problem.grid.nodes for rho in tr.breakpoints)
+            if isinstance(tr, PiecewiseTrajectory):
+                assert [p[0] for p in tr.pieces[1:]] == list(problem.grid.nodes[list(tr.kinks)])
             assert_delayed_panels(P.plan)
             assert _bits(P.x, P.dx, P.xtau, P.dxtau) == _bits(*per_call_panel_read(P, tr))
             assert _bits(P.z, P.lam) == _bits(*per_panel_hermite(problem, zp))
@@ -703,7 +704,7 @@ class TestPanelPlan:
         given, on_node = (
             PiecewiseTrajectory(g, [(-0.3, t, "-t"), (t, 1.0, "-0.3 + 2*(t - 0.3)")])
             for t in (0.3, kink))
-        assert given.breakpoints == on_node.breakpoints == (kink,)
+        assert given.pieces[1][0] == on_node.pieces[1][0] == kink
         assert given.kinks == on_node.kinks == (2 * g.m,)
         zp, want = integrate_z(problem, given), integrate_z(problem, on_node)
         P = zp.samples(given)
@@ -937,7 +938,8 @@ class TestNodeKinkPlan:
         problem = kinked_problem(tau)
         g = problem.grid
         traj = kinked_trajectory(g, kinks)
-        assert traj.breakpoints == tuple(g.nodes[list(kinks)])
+        assert traj.kinks == tuple(kinks)
+        assert tuple(p[0] for p in traj.pieces[1:]) == tuple(g.nodes[list(kinks)])
         reads = []
         original = PiecewiseTrajectory.read_grid
         monkeypatch.setattr(PiecewiseTrajectory, "read_grid",
@@ -973,7 +975,7 @@ class TestNodeKinkPlan:
         pieces[-2:] = [(pieces[-2][0], off, pieces[-2][2]), (off, g.b, pieces[-1][2])]
         traj = PiecewiseTrajectory(g, pieces)
         assert traj.kinks == on_node.kinks
-        assert _bits(traj.breakpoints[-1]) == _bits(g.nodes[j])
+        assert _bits(traj.pieces[-1][0]) == _bits(g.nodes[j])
         reads = []
         original = PiecewiseTrajectory.read_grid
         monkeypatch.setattr(PiecewiseTrajectory, "read_grid",
@@ -992,7 +994,7 @@ class TestNodeKinkPlan:
         problem, traj, _, _ = build_paper(n)
         g = problem.grid
         node = g.main_nodes[n // 2]
-        assert node != 1.0 and _bits(traj.breakpoints[-1]) == _bits(node)
+        assert node != 1.0 and _bits(traj.pieces[-1][0]) == _bits(node)
         reads = []
         original = PiecewiseTrajectory.read_grid
         monkeypatch.setattr(PiecewiseTrajectory, "read_grid",

@@ -114,7 +114,7 @@ class TestPiecewise:
 
     def test_breakpoint_value_matches_limit_from_above(self):
         _, traj, _, _ = build_paper(40)
-        for rho in traj.breakpoints:
+        for rho in traj.grid.nodes[list(traj.kinks)]:
             x_at, _, _ = traj.eval(rho)
             x_above, _, _ = traj.eval(rho + 1e-10)
             assert abs(x_at - x_above) < 1e-9
@@ -204,7 +204,7 @@ class TestSampled:
     def test_split_at_history_junction(self):
         problem, _, _, _ = build_paper(20)
         traj = seed_trajectory(problem, "linear")
-        assert traj.breakpoints == (0.0,)
+        assert traj.kinks == (problem.grid.m,)
         _, (dx_left,) = per_call_eval(traj, np.array([0.0]), "left")
         _, dx_right, _ = traj.eval(0.0)
         assert dx_left == pytest.approx(-1.0, abs=1e-12)   # history slope
@@ -226,7 +226,7 @@ class TestSampled:
     def test_no_junction_without_delay(self):
         g = build_grid(0.0, 1.0, 0.0, 10)
         traj = SampledTrajectory(g, g.nodes)
-        assert traj.breakpoints == ()
+        assert traj.kinks == ()
 
 
 class TestCubicSpline:
