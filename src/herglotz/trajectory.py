@@ -53,8 +53,12 @@ value.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 from math import perm
 from typing import Optional, Sequence, Union
 
@@ -148,21 +152,47 @@ def check_domain(lo: float, hi: float, ts: np.ndarray) -> None:
         raise OutOfDomain(f"t={float(ts[~inside][0])} outside [{lo}, {hi}]")
 
 
+def _lapack():
+    """LAPACK's dgttrf and dgttrs: scipy's wrappers in its extension module
+    scipy.linalg._flapack, the objects scipy.linalg.lapack hands out. The
+    module is loaded under its own name without running the scipy.linalg
+    package, whose import (scipy._lib._array_api and through it numpy.f2py,
+    numpy.testing, numpy.random, ...) would be half of a solve process. It is
+    registered in sys.modules, where a later import of scipy.linalg finds and
+    reuses it, and one already there is used. Raises ImportError if scipy has
+    no such module."""
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        import scipy
+        where = [os.path.join(path, "linalg") for path in scipy.__path__]
+        found = PathFinder.find_spec("_flapack", where)
+        if found is None:
+            raise ImportError(f"no {name} in {os.pathsep.join(where)}", name=name)
+        spec = spec_from_file_location(name, found.origin)
+        flapack = module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        flapack = sys.modules.setdefault(name, flapack)
+    return flapack.dgttrf, flapack.dgttrs
+
+
 class Tridiagonal:
     """A tridiagonal matrix, band in solve_banded's (1, 1) layout (band[0, 1:]
     the superdiagonal, band[1] the diagonal, band[2, :-1] the subdiagonal):
     LAPACK's gttrf factors it once, here, and each solve(rhs) is one gttrs
     call with the bits of gtsv, which runs the same elimination with partial
     pivoting and the same substitutions (LAPACK Users' Guide, 3rd ed., SIAM
-    1999, sec. 2.4). scipy's gttrf wrapper rejects fewer than 3 rows, so a
-    smaller matrix is the trailing block of a 3-row one with an identity
-    head that couples to nothing and leaves the block's bits alone. A
-    singular matrix raises numpy.linalg.LinAlgError here. The band must not
+    1999, sec. 2.4). Both are scipy's f2py wrappers, taken from its extension
+    module scipy.linalg._flapack on the first factorization (_lapack), with
+    no import of scipy.linalg. scipy's gttrf wrapper rejects fewer than 3
+    rows, so a smaller matrix is the trailing block of a 3-row one with an
+    identity head that couples to nothing and leaves the block's bits alone.
+    A singular matrix raises numpy.linalg.LinAlgError here. The band must not
     change; the factors (gttrf's dl, d, du, du2 and ipiv) are read-only."""
 
     def __init__(self, band: np.ndarray):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        self.band, self._gttrs = band, dgttrs
+        dgttrf, self._gttrs = _lapack()
+        self.band = band
         self._head = head = max(3 - band.shape[1], 0)
         if head:
             band = np.pad(band, ((0, 0), (head, 0)))

@@ -554,15 +554,21 @@ class TestConfigHandling:
         assert group is not None
 
 
-def _scipy_loaded_after(statements):
+def _scipy_loaded_after(statements, names=None):
     """Whether a fresh interpreter has loaded any scipy module after running
-    the statements, with the package on its path."""
+    the statements, with the package on its path; given module names, which
+    of them it has loaded, in order."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = (f"import sys\n{statements}\n"
-             "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
+    report = ("any(m.partition('.')[0] == 'scipy' for m in sys.modules)" if names is None
+              else f"[m for m in {list(names)!r} if m in sys.modules]")
+    probe = f"import sys\n{statements}\nprint({report})"
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()[-1]
+
+
+LAPACK_MODULES = ("scipy.linalg", "scipy.linalg._flapack")
 
 
 def test_import_loads_no_scipy():
@@ -578,6 +584,84 @@ def test_check_commands_load_no_scipy(tmp_path, argv):
     argv = argv + ["--out", str(tmp_path)]
     assert _scipy_loaded_after(
         f"import herglotz.cli\nassert herglotz.cli.main({argv!r}) == 0") == "False"
+
+
+@pytest.mark.parametrize("command", ["solve", "check-el"])
+def test_spline_builds_load_flapack_only(tmp_path, command):
+    # a spline build takes LAPACK's gttrf and gttrs from scipy's extension
+    # module, without running the scipy.linalg package
+    from herglotz.trajectory import trajectory_csv
+    from conftest import build_paper, wavy_sampled
+
+    if command == "solve":
+        argv = ["solve", "paper-s4", "--n", "20"]
+    else:
+        problem, _, _, _ = build_paper(100)
+        (tmp_path / "nodes.csv").write_text(trajectory_csv(wavy_sampled(problem)))
+        cfg = write_config(tmp_path, n=100,
+                           trajectory={"backend": "samples", "path": "nodes.csv"})
+        argv = ["check-el", str(cfg)]
+    argv += ["--out", str(tmp_path / "o")]
+    assert _scipy_loaded_after(
+        f"import herglotz.cli\nassert herglotz.cli.main({argv!r}) in (0, 1)",
+        LAPACK_MODULES) == "['scipy.linalg._flapack']"
+
+
+# solve_banded on a pivoting band and a not-a-knot CubicSpline, saved to
+# {path!r}: scipy's own LAPACK users
+SCIPY_BITS = """
+import numpy as np
+from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
+band = np.array([[0.0, 3.0, -1.0, 2.0, 0.5], [1e-3, 4.0, 2.0, -5.0, 3.0],
+                 [2.0, 1.0, 0.25, 7.0, 0.0]])
+x = np.linspace(0.0, 3.0, 11)
+np.save({path!r}, np.concatenate([solve_banded((1, 1), band, np.arange(5.0)),
+                                  CubicSpline(x, np.sin(3 * x)).c.ravel()]))
+"""
+
+
+def test_scipy_reuses_the_loaded_lapack(tmp_path):
+    # scipy imported after the package's first factorization hands out the
+    # very wrappers the package uses, and its LAPACK users give the bits
+    # they give with scipy.linalg imported first
+    first, after = tmp_path / "first.npy", tmp_path / "after.npy"
+    assert _scipy_loaded_after(
+        "import scipy.linalg\n" + SCIPY_BITS.format(path=str(first)),
+        LAPACK_MODULES) == str(list(LAPACK_MODULES))
+    assert _scipy_loaded_after(
+        "import numpy as np\n"
+        "from herglotz import trajectory\n"
+        "trajectory.Tridiagonal(np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]))\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "dgttrf, dgttrs = trajectory._lapack()\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "assert lapack.dgttrf is dgttrf and lapack.dgttrs is dgttrs\n"
+        + SCIPY_BITS.format(path=str(after)),
+        LAPACK_MODULES) == str(list(LAPACK_MODULES))
+    assert first.read_bytes() == after.read_bytes()
+
+
+def test_missing_flapack_is_import_error():
+    # with no scipy.linalg._flapack to find, the first factorization says
+    # which module it looked for, and where
+    assert _scipy_loaded_after(
+        "import importlib.machinery\n"
+        "import numpy as np\n"
+        "import scipy\n"
+        "from herglotz.trajectory import Tridiagonal\n"
+        "find = importlib.machinery.PathFinder.find_spec\n"
+        "importlib.machinery.PathFinder.find_spec = classmethod(\n"
+        "    lambda cls, name, path=None, target=None:\n"
+        "    None if name == '_flapack' else find(name, path, target))\n"
+        "try:\n"
+        "    Tridiagonal(np.ones((3, 4)))\n"
+        "except ImportError as error:\n"
+        "    assert error.name == 'scipy.linalg._flapack', error\n"
+        "    assert str(error).startswith('no scipy.linalg._flapack in '), error\n"
+        "else:\n"
+        "    raise AssertionError('no ImportError')",
+        LAPACK_MODULES) == "[]"
 
 
 def _parsed(parse, argv, capsys):

@@ -281,11 +281,10 @@ class TestHoistedInvariants:
         # per solve on a fresh grid, one gttrf per slope matrix of a segment,
         # one for the panel plan's transposed matrix and one for the H1
         # metric; every later solve with them is a gttrs
-        import scipy.linalg.lapack as lapack
         sizes = []
-        original = lapack.dgttrf
-        monkeypatch.setattr(lapack, "dgttrf",
-                            lambda dl, d, du: sizes.append(len(d)) or original(dl, d, du))
+        dgttrf, dgttrs = trajectory._lapack()
+        monkeypatch.setattr(trajectory, "_lapack", lambda: (
+            lambda dl, d, du: sizes.append(len(d)) or dgttrf(dl, d, du), dgttrs))
         counts = []
         for max_iters in (1, 2, 1000):
             problem, _, _, opts = build_bundle(name, n=100)
