@@ -6,7 +6,7 @@ pinned to a history function on [a-tau, a] and to beta at b. The package
 integrates z together with the integrating factor lambda, evaluates the
 residuals of the delayed Euler-Lagrange and DuBois-Reymond necessary
 conditions, tests one-parameter symmetry invariance, monitors the two
-associated conserved quantities, and extremizes z(b) by direct transcription
+associated conserved quantities, and minimizes z(b) by direct transcription
 with the exact first-variation gradient.
 """
 

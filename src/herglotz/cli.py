@@ -225,7 +225,7 @@ _COMMANDS = (
     ("check-hyp", cmd_check_hyp, "auxiliary hypothesis profiles", True, True),
     ("invariance", cmd_invariance, "invariance defect of the config group", True, True),
     ("noether", cmd_noether, "full conserved-quantity check with premises", True, True),
-    ("solve", cmd_solve, "extremize z(b) by direct transcription", True, False),
+    ("solve", cmd_solve, "minimize z(b) by direct transcription", True, False),
     ("paper-example", cmd_paper_example,
      "run the bundled delayed reference problem end to end", False, True),
 )

@@ -30,7 +30,7 @@ _SOLVER_KINDS = {"max_iters": int, "grad_tol": _NUMBER, "seed_guess": (str, list
 _PIECE_KINDS = {"from": _NUMBER, "to": _NUMBER, "expr": str}
 # the keys the schema allows at the top level
 _TOP_KEYS = ("interval", "tau", "n", "gamma", "beta", "history", "lagrangian",
-             "sense", "trajectory", "group", "solver")
+             "trajectory", "group", "solver")
 
 
 def schema_path() -> Path:
@@ -40,6 +40,9 @@ def schema_path() -> Path:
 
 @dataclass
 class ProblemConfig:
+    """A parsed config: the top-level keys of the schema, with interval split
+    into a and b, and base_dir, against which a samples path resolves."""
+
     a: float
     b: float
     tau: float
@@ -48,7 +51,6 @@ class ProblemConfig:
     beta: float
     history: str
     lagrangian: str
-    sense: str = "minimize"
     trajectory: Optional[dict] = None
     group: Optional[dict] = None
     solver: Optional[dict] = None
@@ -59,8 +61,7 @@ class ProblemConfig:
         n = int(n_override) if n_override is not None else self.n
         grid = build_grid(self.a, self.b, self.tau, n)
         problem = HerglotzProblem(grid=grid, gamma=self.gamma, beta=self.beta,
-                                  history=self.history, lagrangian=self.lagrangian,
-                                  sense=self.sense)
+                                  history=self.history, lagrangian=self.lagrangian)
         traj: Optional[Trajectory] = None
         if self.trajectory is not None:
             backend = self.trajectory.get("backend")
@@ -112,9 +113,6 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
     beta = float(_need(data, "beta", _NUMBER, where))
     history = _need(data, "history", str, where)
     lagrangian = _need(data, "lagrangian", str, where)
-    sense = data.get("sense", "minimize")
-    if sense not in ("minimize", "maximize"):
-        raise ConfigError(f"{where}: sense must be minimize or maximize")
     trajectory = data.get("trajectory")
     if trajectory is not None:
         at = f"{where}.trajectory"
@@ -151,7 +149,7 @@ def parse_config(data: dict, base_dir: Path = Path("."), where: str = "config") 
             raise ConfigError(f"{where}.solver: seed_guess must be \"linear\", "
                               "\"zero\" or an array of numbers")
     return ProblemConfig(a=a, b=b, tau=tau, n=n, gamma=gamma, beta=beta,
-                         history=history, lagrangian=lagrangian, sense=sense,
+                         history=history, lagrangian=lagrangian,
                          trajectory=trajectory, group=group, solver=solver,
                          base_dir=Path(base_dir))
 

@@ -1,44 +1,22 @@
-"""Direct transcription: free node values, objective z(b), exact gradient.
+"""Direct transcription: minimize z(b) over the free node values.
 
 The decision variables are the node values strictly between a and b; the
 history segment is pinned by the initial function and x(b) by the endpoint
-condition. The gradient of z(b) with respect to node j is the first variation
-along that node's unit direction, which by linearity of spline interpolation
-is exactly the direction the trajectory moves when the node is perturbed, so
-the analytic gradient and the central-difference oracle agree to quadrature
-precision.
+condition, and the trajectory is the natural cubic spline through the node
+values (trajectory.SampledTrajectory). Maximizing z(b) is minimizing
+w(b) = -z(b), the problem with w(a) = -gamma and Lagrangian -L(..., -w).
 
-The descent loop is L-BFGS (memory 10) with Armijo backtracking; accepted
-steps decrease the working objective strictly, a trial point whose
-integration overflows or leaves the real domain is a rejected step, and
-maximize problems run on the negated objective. The gradient is the adjoint
-of the natural spline through the node values (integrate.Panels.scatter,
-the transpose of the read, then trajectory.build_adjoint, the transpose of
-the build of trajectory.CubicSpline) applied to the first variation's
-weight table (integrate.variation_weights): each delayed weight folded onto
-the panel m back, summed per spline piece by slices (the panels are the
-grid's intervals), plus one solve with the plan's transposed slope
-matrix, factored once per grid, O(n) per call.
+The gradient is d z(b)/d x_j, the first variation of z(b) along each unit
+node direction, paired for all nodes in one O(n) pass; it agrees with the
+central-difference oracle to the order of the first variation's quadrature.
 
-The two-loop recursion is seeded with an H1 (Sobolev) metric weighted by
-the integrating factor, H0 = gamma K_W^-1 (Neuberger, Sobolev Gradients and
-Differential Equations, LNM 1670; Nocedal & Wright, Numerical Optimization,
-sec. 7.2): K_W is a stiffness on the free nodes whose weights follow lambda
-where x' enters z(b), read once per solve off the seed's z-path and factored
-then (_h1_band).
-The Hessian of z(b) in the node values scales like K_W, so the iteration
-count does not grow with n and L-BFGS need not learn how lambda weighs the
-nodes; with lambda = 1 and L reading dx, K_W = tridiag(-1, 2, -1)/h. Before
-the first curvature pair the direction is -K_W^-1 g scaled to inf-norm at
-most 1, so a unit first step is bounded whatever the scale of z. Each
-stored (s, y) pair carries its y's (1/rho of Nocedal & Wright, Algorithm
-7.4), formed once for the pair test and reused by both loops and the gamma
-scaling. The stop test is the raw gradient inf-norm against grad_tol.
-
-A trial is built from the seed by SampledTrajectory._with_values: it reuses
-the seed's history columns and the grid's factored slope matrices
-(Grid.spline_geometry), so a trial builds only what depends on its node
-values.
+The descent is L-BFGS (memory 10) with Armijo backtracking, its two-loop
+recursion seeded with an H1 (Sobolev) metric weighted by the integrating
+factor (Neuberger, Sobolev Gradients and Differential Equations, LNM 1670;
+Nocedal & Wright, Numerical Optimization, sec. 7.2), so the iteration count
+does not grow with n. Every accepted step decreases z(b) strictly; a trial
+whose integration or gradient overflows or leaves the real domain is a
+rejected step. The stop test is the raw gradient inf-norm against grad_tol.
 """
 
 from __future__ import annotations
@@ -71,11 +49,13 @@ _WEIGHT_FLOOR = 1e-3  # least H1 metric node weight, met where x' leaves z(b) al
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Descent controls, the keys a config's solver section accepts (any
-    other exits 2): max_iters (an integer >= 0, default 1000), grad_tol (stop
-    at this gradient inf-norm, a finite real > 0, default 1e-6) and
-    seed_guess ("linear" between delta(a) and beta, "zero" or node values);
-    a bool or other bad value raises BadInterval. The line search is fixed:
+    """Descent controls, the keys a config's solver section accepts:
+    max_iters (an integer >= 0, default 1000), grad_tol (the solve has
+    converged once the inf-norm of d z(b)/d x over the free nodes is at most
+    this, a finite real > 0, default 1e-6) and seed_guess (the start:
+    "linear" between delta(a) and beta, "zero" or all node values). A bool
+    or other bad max_iters or grad_tol raises BadInterval; a bad seed_guess
+    raises BadGuess when the solve starts. The line search is fixed:
     _ARMIJO_C, _SHRINK, _INITIAL_STEP."""
 
     max_iters: int = 1000
@@ -122,43 +102,31 @@ class SolveResult:
 
 def variational_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
                          zpath: ZPath) -> np.ndarray:
-    """d z(b) / d x_j for every free node j (indices m+1 .. n+m-1), computed
-    in one quadrature pass from the first-variation integral; the sign is
-    flipped for maximize problems so descent always means improvement.
+    """d z(b) / d x_j for every free node j (indices m+1 .. n+m-1): the
+    first variation of z(b) along each unit node direction of the grid, all
+    paired in one O(n) pass.
 
-    The weight table of the first variation (integrate.variation_weights,
-    which first_variation contracts with a direction's reads) is pulled back
-    onto the nodes through the spline adjoint (Panels.scatter), so all unit
-    directions are paired at once in O(n).
-
-    The solver drives sampled trajectories, but a piecewise one is accepted
-    too. The entries are the first variations along the unit node
-    directions of the grid. zpath must come from integrate_z along this
-    very trajectory object, whose samples it carries, on a grid equal (==)
-    to the problem's, else InvalidTrajectory. A lambda(b) that underflows to
-    0 raises NonFinite."""
+    traj may be sampled or piecewise. zpath must come from integrate_z along
+    this very trajectory object, on a grid equal (==) to the problem's, else
+    InvalidTrajectory. A lambda(b) that underflows to 0 raises NonFinite."""
     P, w = variation_weights(zpath, traj)
     if problem.grid != P.grid:
         raise InvalidTrajectory("z-path was integrated on a different grid")
     g = P.scatter(w)[1:-1]
     g /= zpath.lambda_b
-    if problem.sense == "maximize":
-        g = -g
     return g
 
 
 def fd_gradient(problem: HerglotzProblem, traj: SampledTrajectory,
                 eps: float = 1e-5) -> np.ndarray:
-    """Central-difference oracle: perturb each free node by +-eps, re-spline,
-    re-integrate. O(number of free nodes) integrations; same sign convention
-    as variational_gradient."""
+    """Central-difference oracle for variational_gradient: (z(b) with x_j +
+    eps - z(b) with x_j - eps) / (2 eps) for every free node j of a sampled
+    trajectory, each side re-splined and re-integrated; O(n) integrations."""
     g = np.empty(problem.grid.n - 1)
     for col, j in enumerate(problem.grid.free_indices):
         zp = integrate_z(problem, perturb(traj, j, +eps)).z_b
         zm = integrate_z(problem, perturb(traj, j, -eps)).z_b
         g[col] = (zp - zm) / (2.0 * eps)
-    if problem.sense == "maximize":
-        g = -g
     return g
 
 
@@ -219,7 +187,7 @@ def _two_loop(grad, pairs, kinv):
 
 
 def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) -> SolveResult:
-    """Extremize z(b) over the free node values.
+    """Minimize z(b) over the free node values.
 
     Each iteration re-splines the trajectory, re-integrates z and lambda,
     takes an L-BFGS step with Armijo backtracking, and records the achieved
@@ -230,7 +198,6 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
     base = seed_trajectory(problem, opts.seed_guess)
     g = problem.grid
     free = np.fromiter(g.free_indices, dtype=int)
-    sign = -1.0 if problem.sense == "maximize" else 1.0
 
     def build(xfree: np.ndarray) -> SampledTrajectory:
         values = base.values.copy()
@@ -240,7 +207,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
     def objective(xfree: np.ndarray):
         traj = build(xfree)
         zpath = integrate_z(problem, traj)
-        return sign * zpath.z_b, traj, zpath
+        return zpath.z_b, traj, zpath
 
     x = base.values[free].copy()
     try:
@@ -249,7 +216,7 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
         raise NonFinite(f"objective failed at iteration 0: {e}") from e
     kinv = Tridiagonal(_h1_band(problem, zpath)).solve
     grad = variational_gradient(problem, traj, zpath)
-    history = [sign * f]
+    history = [f]
     pairs: list = []
     iterations = 0
     stop_reason = "max_iters"
@@ -293,10 +260,10 @@ def solve_direct(problem: HerglotzProblem, opts: Optional[SolveOptions] = None) 
                 pairs.pop(0)
         x, f, grad = x_new, f_new, grad_new
         iterations = it
-        history.append(sign * f)
+        history.append(f)
     final_gnorm = float(np.max(np.abs(grad))) if len(grad) else 0.0
     if stop_reason == "max_iters" and final_gnorm <= opts.grad_tol:
         stop_reason = "converged"
-    return SolveResult(trajectory=traj, z_b=sign * f, iterations=iterations,
+    return SolveResult(trajectory=traj, z_b=f, iterations=iterations,
                        final_grad_norm=final_gnorm, stop_reason=stop_reason,
                        objective_history=history, zpath=zpath)

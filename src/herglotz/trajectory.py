@@ -635,7 +635,9 @@ class HerglotzProblem:
     """Problem data: grid, z(a)=gamma, x(b)=beta, history delta(t), Lagrangian.
 
     The Lagrangian is an expression in (t, x, dx, xtau, dxtau, z); the history
-    is an expression in t alone, defining x on [a-tau, a].
+    is an expression in t alone, defining x on [a-tau, a]. Strings are parsed
+    on construction. A history that reads another variable raises
+    InvalidTrajectory, a non-finite gamma or beta BadInterval.
     """
 
     grid: Grid
@@ -643,7 +645,6 @@ class HerglotzProblem:
     beta: float
     history: expr.Expression
     lagrangian: expr.Expression
-    sense: str = "minimize"
 
     def __post_init__(self):
         for name, value in (("history", self.history), ("lagrangian", self.lagrangian)):
@@ -654,8 +655,6 @@ class HerglotzProblem:
             raise InvalidTrajectory(f"history may only use t, found {sorted(extra)}")
         if not (np.isfinite(self.gamma) and np.isfinite(self.beta)):
             raise BadInterval("gamma and beta must be finite")
-        if self.sense not in ("minimize", "maximize"):
-            raise BadInterval(f"sense must be minimize or maximize, got {self.sense!r}")
 
     def history_values(self) -> np.ndarray:
         """delta sampled at the history nodes t_0 .. t_m."""

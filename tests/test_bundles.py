@@ -1,7 +1,14 @@
+import json
 import math
+import re
+from pathlib import Path
+
+import pytest
 
 from herglotz.bundles import BUNDLE_NAMES, bundle, bundled_problems
 from herglotz.conditions import el_residuals
+from herglotz.config import load_config, parse_config, schema_path
+from herglotz.errors import ConfigError
 from herglotz.integrate import integrate_z
 
 from conftest import build_bundle
@@ -50,3 +57,31 @@ def test_reference_problem_expected_values():
     problem, traj, _, _ = build_bundle("paper-s4", n=200)
     zpath = integrate_z(problem, traj)
     assert abs(zpath.z_b - info.expected["z_b"]) < 1e-9
+
+
+def readme_config() -> dict:
+    """The example config block under the README's "Problem configuration"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Problem configuration", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES + ("README",))
+def test_shipped_configs_follow_the_schema_and_load(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(schema_path().read_text())
+    if name == "README":
+        data = readme_config()
+        config = parse_config(data, where="README")
+    else:
+        path = bundle(name).config_path
+        data = json.loads(path.read_text())
+        config = load_config(path)
+    jsonschema.validate(data, schema)
+    config.build(n_override=20)
+    # a key the schema does not list fails both the schema and the parser
+    data["sense"] = "minimize"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, schema)
+    with pytest.raises(ConfigError, match=r"unknown keys \['sense'\]"):
+        parse_config(data)

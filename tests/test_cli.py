@@ -212,18 +212,26 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
 
     def test_trial_whose_gradient_overflows_is_a_rejected_step(self, tmp_path, capsys):
-        # maximizing z(b) with z' = dx^2/2 + z^2/2 drives z towards blow-up:
-        # some trials pass Armijo with a z-path finite at the stops but not
-        # at a panel sample, so their gradient raises NonFinite; the solve
-        # rejects them and ends on a stop reason instead of aborting
+        # minimizing w(b) = -z(b), where z' = dx^2/2 + z^2/2 and z(0) = 0.5,
+        # maximizes z(b) and drives z towards blow-up: some trials pass
+        # Armijo with a z-path finite at the stops but not at a panel
+        # sample, so their gradient raises NonFinite; the solve rejects them
+        # and ends on a stop reason instead of aborting
         cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps({
-            "interval": {"a": 0.0, "b": 1.0}, "tau": 0.0, "n": 100, "gamma": 0.5,
+            "interval": {"a": 0.0, "b": 1.0}, "tau": 0.0, "n": 100, "gamma": -0.5,
             "beta": 0.6931471805599453, "history": "0",
-            "lagrangian": "dx^2 / 2 + z^2 / 2", "sense": "maximize"}))
+            "lagrangian": "-dx^2 / 2 - z^2 / 2"}))
         rc = main(["solve", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "stop_reason = line_search_failed" in capsys.readouterr().out
+        # the record pins the iterates: 6 iterations, and w(b) = -z(b) after each
+        summary = json.loads((tmp_path / "o" / "solve.json").read_text())
+        assert summary["iterations"] == 6
+        assert summary["objective_history"] == [-float.fromhex(v) for v in (
+            "0x1.03c1266ed5db7p+0", "0x1.27f6f4d2f77bdp+0", "0x1.d6fb3d5401de8p+1",
+            "0x1.9923f529847e6p+3", "0x1.c7e1f8a03c459p+7", "0x1.a03b126e32a1bp+10",
+            "0x1.35e7e1305b0b0p+16")]
 
     @pytest.mark.parametrize("lagrangian, code", [
         ("x + z", 2), ("dx*dx + z", 2), ("z^2 + 0*x", 2), ("t + z", 0), ("z^2", 0)])
@@ -469,11 +477,12 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("path, key", [
         ((), "sence"),
+        ((), "sense"),
         (("interval",), "c"),
         (("group",), "eta"),
         (("trajectory",), "pices"),
         (("trajectory", "pieces", 1), "exp"),
-    ], ids=["top", "interval", "group", "trajectory", "piece"])
+    ], ids=["top", "sense", "interval", "group", "trajectory", "piece"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, path, key):
         data = json.loads(write_config(tmp_path).read_text())
         functools.reduce(operator.getitem, path, data)[key] = "maximize"

@@ -95,20 +95,6 @@ class TestGradients:
             grads.append(fd_gradient(problem, traj)[0])
         assert grads[0] < 0.0 < grads[1]   # minimizer sits at 0.5
 
-    def test_maximize_flips_both(self):
-        problem, _, _, _ = build_paper(20)
-        flipped = hg.HerglotzProblem(grid=problem.grid, gamma=problem.gamma,
-                                     beta=problem.beta, history=problem.history,
-                                     lagrangian=problem.lagrangian,
-                                     sense="maximize")
-        traj = hg.seed_trajectory(problem, "linear")
-        zp = integrate_z(problem, traj)
-        g_min = variational_gradient(problem, traj, zp)
-        g_max = variational_gradient(flipped, traj, zp)
-        np.testing.assert_allclose(g_max, -g_min, atol=1e-15)
-        np.testing.assert_allclose(fd_gradient(flipped, traj),
-                                   -fd_gradient(problem, traj), atol=1e-15)
-
     @pytest.mark.parametrize("name", ["paper-s4", "herglotz-damped", "classical-line"])
     def test_matches_first_variation_at_large_n(self, name):
         from herglotz.integrate import VariationDirection, first_variation
@@ -370,16 +356,6 @@ class TestSolveDirect:
         assert np.array_equal(result.trajectory.values[: g.m + 1],
                               seed.values[: g.m + 1])
         assert result.trajectory.values[-1] == seed.values[-1]
-
-    def test_maximize_sense(self):
-        g = build_grid(0.0, 1.0, 0.0, 40)
-        problem = hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="0",
-                                     lagrangian="-dx^2", sense="maximize")
-        result = solve_direct(problem, SolveOptions(seed_guess="zero"))
-        assert result.converged
-        assert abs(result.z_b - (-1.0)) < 1e-4
-        hist = np.array(result.objective_history)
-        assert np.all(np.diff(hist) >= -1e-14)   # increasing for maximize
 
     def test_converged_flag_is_honest(self):
         problem, _, _, _ = build_bundle("paper-s4", n=40)

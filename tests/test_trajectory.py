@@ -428,12 +428,6 @@ class TestProblem:
             hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="-t",
                                lagrangian="z + eps")
 
-    def test_bad_sense(self):
-        g = build_grid(0.0, 2.0, 1.0, 4)
-        with pytest.raises(errors.BadInterval):
-            hg.HerglotzProblem(grid=g, gamma=0.0, beta=1.0, history="-t",
-                               lagrangian="z", sense="extremize")
-
     def test_history_values(self):
         problem, _, _, _ = build_paper(4)
         np.testing.assert_allclose(problem.history_values(), [1.0, 0.5, 0.0], atol=1e-15)
