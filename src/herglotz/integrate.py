@@ -29,6 +29,20 @@ at every stop; if L does not depend on z the integrand is exactly zero and
 lambda is exactly one at every node. The stops are the nodes of [a, b];
 ZPath keeps z, mu and lambda there once each, read-only.
 
+On the affine path mu, lambda and the r row of every scan round depend on
+the grid and the column B alone, not on A: they are one read-only record
+(IntegratingFactor), built once per grid and B. Its key is the bytes of B
+at the samples, with no analysis of L, so an L whose z-coefficient reads the
+trajectory simply builds a new record on every call. The grid's panel plan
+keeps one record in a one-entry slot (integrating_factor), which
+integrate_z reads once per call and replaces where the key differs; the
+z-path carries the record it was integrated with, so its lambda at the
+stops and at the panel samples are the record's arrays, shared by every
+z-path along the same B. Every call computes p, the per-trajectory half,
+by the same operations in the same order as a call that builds the record,
+so a z-path has the same bits whether its record was reused or not, and
+whichever integrations ran before it or beside it.
+
 The first variation zeta(b) of z(b) along an admissible direction eta is the
 closed integral
 
@@ -69,9 +83,13 @@ trajectory that L walks over where Panels makes it (a non-finite one raises
 InvalidBinding, as a lookup of it would), z and lambda at the samples where
 ZPath.samples makes them, z and log-lambda at the stops where the
 integration makes them. The affine columns A and B are the two rows of one
-array (expr.affine), on which the stage formulas run at once.
+array (expr.affine).
 All operations are pure (a fill-in on first use writes the same values
-whichever caller comes first); concurrent integrations are safe.
+whichever caller comes first); concurrent integrations are safe. The plan's
+record slot is the one shared state an integration replaces: a caller reads
+it once and writes it at most once, with a record for its own B, so
+concurrent integrations along different B on one grid only rebuild records
+more often; each result keeps its bits.
 """
 
 from __future__ import annotations
@@ -114,7 +132,8 @@ class ZPath:
     the nodes of [a, b], and the panel samples of the trajectory they were
     integrated on; affine holds the columns (A, B) of L = A + B z at the
     samples where the z-path composed its affine steps, as the rows of one
-    array (expr.affine), else None."""
+    array (expr.affine), and factor the integrating factor record of B
+    whose mu and lambda it holds (IntegratingFactor); else both are None."""
 
     grid: Grid
     z: np.ndarray = field(repr=False)
@@ -122,6 +141,7 @@ class ZPath:
     lam: np.ndarray = field(repr=False)
     panels: Panels = field(repr=False)
     affine: Optional[np.ndarray] = field(default=None, repr=False)
+    factor: Optional[IntegratingFactor] = field(default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -189,18 +209,17 @@ class ZPath:
                              for v in expr.value_and_partial(P.lagrangian, "z", bind))
                     (L0, L1), (Lz0, Lz1) = (v.reshape(2, k) for v in (L, Lz))
                     slopes = (L0, L1, Lz0, Lz1)
+                    # mu' = -L_z, and -Lz0 - (-Lz1) is Lz1 - Lz0 to the bit
+                    lams = self.lam
+                    lam_mid = np.exp(0.5 * (mus[:-1] + mus[1:]) + P.hs / 8.0 * (Lz1 - Lz0))
+                    lam = np.concatenate([lams[:-1], lam_mid, lams[1:]])
                 else:
                     A, B = self.affine
-                    Lz0, Lz1 = B[:k], B[2 * k:]
-                    L0, L1 = A[:k] + Lz0 * zs[:-1], A[2 * k:] + Lz1 * zs[1:]
+                    L0, L1 = A[:k] + B[:k] * zs[:-1], A[2 * k:] + B[2 * k:] * zs[1:]
                     slopes = ()
-                # mu' = -L_z, and -Lz0 - (-Lz1) is Lz1 - Lz0 to the bit
-                h8 = P.hs / 8.0
-                z_mid = 0.5 * (zs[:-1] + zs[1:]) + h8 * (L0 - L1)
-                lam_mid = np.exp(0.5 * (mus[:-1] + mus[1:]) + h8 * (Lz1 - Lz0))
-                lams = self.lam
+                    lam = self.factor.panel_lam
+                z_mid = 0.5 * (zs[:-1] + zs[1:]) + P.hs / 8.0 * (L0 - L1)
                 z = np.concatenate([zs[:-1], z_mid, zs[1:]])
-                lam = np.concatenate([lams[:-1], lam_mid, lams[1:]])
             if not all(np.isfinite(v).all() for v in (*slopes, z, lam)):
                 raise NonFinite("z-path is non-finite at a panel sample")
             P.z, P.lam = z, lam
@@ -212,18 +231,22 @@ def integrate_z(problem: HerglotzProblem, traj: Trajectory) -> ZPath:
     """Integrate z and log-lambda over [a, b] along the given trajectory."""
     g = problem.grid
     P = Panels(problem, traj)
-    coeffs = expr.affine(problem.lagrangian, "z", P.bind)
-    path = None if coeffs is None else _affine_stages(P, problem.gamma, coeffs)
-    # L not affine in z, or a non-finite value on the way: the stage walk decides
-    zs, mus = _stages(problem, P) if path is None else path
-    with np.errstate(over="ignore"):
-        lams = np.exp(mus)
+    AB = expr.affine(problem.lagrangian, "z", P.bind)
+    factor = None if AB is None else integrating_factor(P.plan, AB[1])
+    zs = None if factor is None else _affine_stages(factor, problem.gamma, AB)
+    if zs is None:
+        # L not affine in z, or a non-finite value on the way: the stage walk decides
+        AB = factor = None
+        zs, mus = _stages(problem, P)
+        with np.errstate(over="ignore"):
+            lams = np.exp(mus)
+    else:
+        mus, lams = factor.mu, factor.lam
     if not np.isfinite(lams).all():
         raise NonFinite("integrating factor overflowed")
     for arr in (zs, mus, lams):
         arr.setflags(write=False)
-    return ZPath(grid=g, z=zs, mu=mus, lam=lams, panels=P,
-                 affine=None if path is None else coeffs)
+    return ZPath(grid=g, z=zs, mu=mus, lam=lams, panels=P, affine=AB, factor=factor)
 
 
 def _stages(problem: HerglotzProblem, P: Panels):
@@ -266,70 +289,135 @@ def _stages(problem: HerglotzProblem, P: Panels):
     return zs, mus
 
 
-def _affine_stages(P: Panels, gamma: float, AB: np.ndarray):
-    """The same stages for L = A + B z, from the columns A = AB[0] and B =
-    AB[1] at the samples, with no tree walk; None if z or mu meets a
-    non-finite value. mu' = -B does not depend on z, so its RK4 sums are one
-    running sum. Each RK4 step is the affine map z -> z + p_i + r_i z, (p, r)
-    the stage formulas run on both rows of AB at once. An inclusive Hillis-Steele
-    scan composes them: step j after a map (p, r) is (p_j + p + r_j p,
-    r_j + r + r_j r), so ceil(log2 k) whole-array rounds (k log2 k
-    multiply-adds) give every stop as gamma + p + r gamma. r stays apart from
-    the identity's 1: q = 1 + r would round off the low bits of h B on every
-    step alike. The stage sums and the rounds run in place, in three (2, k)
-    buffers; every operation keeps its operands and association (x * y and
-    x + y are y * x and y + x to the bit), so the bits are those of the same
-    formulas written out, temporaries and all."""
-    k, hs = P.k, P.hs
+def _step_sums(hs, bm, br, s1, s_mid, s_hi, pr, st, tmp):
+    """The RK4 sum pr = h (s1 + 2 s2 + 2 s3 + s4) / 6 of one row of step
+    maps, in place: s2 = s_mid + bm (h/2 s1), s3 = s_mid + bm (h/2 s2) and s4
+    = s_hi + br (h s3), the stage in st and 2 s3 in tmp. Run on the A row it
+    gives the steps' p, on the B row their r."""
+    half = 0.5 * hs
+    np.multiply(half, s1, out=st)
+    st *= bm
+    st += s_mid
+    np.multiply(2.0, st, out=pr)
+    pr += s1
+    st *= half
+    st *= bm
+    st += s_mid
+    np.multiply(2.0, st, out=tmp)
+    pr += tmp
+    st *= hs
+    st *= br
+    st += s_hi
+    pr += st
+    pr *= hs
+    pr /= 6.0
+
+
+def _scan_round(r, p, s, tmp):
+    """One round of the Hillis-Steele scan, of shift s, on the row p in
+    place: p[s:] += r[s:] p[:-s] + p[:-s], the sum in tmp first, r the r row
+    of the step maps before the round."""
+    t = tmp[:len(p) - s]
+    np.multiply(r[s:], p[:-s], out=t)
+    t += p[:-s]
+    p[s:] += t
+
+
+class IntegratingFactor:
+    """The trajectory-free half of the affine stages (_affine_stages) on one
+    grid, for one column B = dL/dz at the panel samples: mu = log lambda and
+    lambda at the stops, finite (whether every mu is), the r row of the step
+    maps before each scan round and after the last as the rows of r
+    (ceil(log2 k) + 1 of them, k long), and, filled in on first use, lambda
+    at the panel samples (panel_lam). key is the bytes of B; the record is
+    read-only, and so are its arrays."""
+
+    def __init__(self, hs: np.ndarray, B: np.ndarray):
+        self.key = B.tobytes()
+        self.hs = hs
+        k = len(hs)
+        lo, mid, hi = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+        rounds = (k - 1).bit_length()
+        m = -B
+        with np.errstate(over="ignore", invalid="ignore"):
+            mus = np.cumsum(np.concatenate(
+                ([0.0], hs * (m[lo] + 2.0 * m[mid] + 2.0 * m[mid] + m[hi]) / 6.0)))
+            lam = np.exp(mus)
+            r = np.empty((rounds + 1, k))
+            st, tmp = np.empty((2, k))
+            _step_sums(hs, B[mid], B[hi], B[lo], B[mid], B[hi], r[0], st, tmp)
+            for j in range(rounds):
+                r[j + 1] = r[j]
+                _scan_round(r[j], r[j + 1], 2 ** j, tmp)
+        self.finite = bool(np.isfinite(mus).all())
+        self.mu, self.lam, self.r = mus, lam, r
+        for arr in (mus, lam, r):
+            arr.setflags(write=False)
+
+    @cached_property
+    def panel_lam(self) -> np.ndarray:
+        """lambda at the panel samples: the stop values at the panel ends,
+        at a midpoint exp of RK4's cubic Hermite dense output of mu,
+        (mu_i + mu_{i+1})/2 + h/8 (B_{i+1} - B_i) from mu' = -B at the
+        one-sided end samples. The same values whichever caller fills it in."""
+        k, mus, lams = len(self.hs), self.mu, self.lam
+        B = np.frombuffer(self.key)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam_mid = np.exp(0.5 * (mus[:-1] + mus[1:]) + self.hs / 8.0 * (B[2 * k:] - B[:k]))
+        lam = np.concatenate([lams[:-1], lam_mid, lams[1:]])
+        lam.setflags(write=False)
+        return lam
+
+
+def integrating_factor(plan: PanelPlan, B: np.ndarray) -> IntegratingFactor:
+    """The record of the plan's slot if its key is B's bytes, else a new one
+    for B, which replaces it. The slot is read once and written at most once,
+    so concurrent callers each get a record for their own B."""
+    factor = plan.factor
+    if factor is None or factor.key != B.tobytes():
+        factor = plan.factor = IntegratingFactor(plan.hs, B)
+    return factor
+
+
+def _affine_stages(factor: IntegratingFactor, gamma: float, AB: np.ndarray):
+    """z at every stop for L = A + B z, from the columns A = AB[0] and B =
+    AB[1] at the samples, with no tree walk; None if mu or z meets a
+    non-finite value. This is the per-trajectory half; factor is the other,
+    the record whose key is the bytes of this B (integrating_factor). The
+    record is read-only and only read here: it holds mu (mu' = -B does not
+    depend on z, so its RK4 sums are one running sum) and the r rows of the
+    scan. The plan's slot holds one record, and another caller may replace
+    it at any time, so a caller passes the record it got for its own B.
+
+    Each RK4 step is the affine map z -> z + p_i + r_i z, (p, r) the stage
+    formulas (_step_sums) on the A and B rows. An inclusive Hillis-Steele
+    scan composes them: step j after a map (p, r) is (p_j + p + r_j p, r_j +
+    r + r_j r), so ceil(log2 k) whole-array rounds give every stop as gamma
+    + p + r gamma; only p's rounds run here. r stays apart from the
+    identity's 1: q = 1 + r would round off the low bits of h B on every
+    step alike. The stage sums and the rounds run in place, and every
+    operation keeps its operands and association (x * y and x + y are y * x
+    and y + x to the bit), so z and mu have the bits of the same formulas
+    written out on both rows at once, temporaries and all."""
+    if not factor.finite:
+        return None
+    r = factor.r
+    k = r.shape[1]
     lo, mid, hi = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
-    B = AB[1]
-    m = -B
+    A, B = AB
     with np.errstate(over="ignore", invalid="ignore"):
-        mus = np.cumsum(np.concatenate(
-            ([0.0], hs * (m[lo] + 2.0 * m[mid] + 2.0 * m[mid] + m[hi]) / 6.0)))
-        # stage j of step i is p_j + r_j z, with (p, r) one stacked row each:
-        # s2 = AB_mid + bm (h/2 s1), s3 = AB_mid + bm (h/2 s2),
-        # s4 = AB_hi + br (h s3) and pr = h (s1 + 2 s2 + 2 s3 + s4) / 6,
-        # the stage in st, the running sum in pr and 2 s3 in tmp
-        half = 0.5 * hs
-        bm, br = B[mid], B[hi]
-        s1, ab_mid = AB[:, lo], AB[:, mid]
-        st, pr, tmp = np.empty((3, 2, k))
-        np.multiply(half, s1, out=st)
-        st *= bm
-        st += ab_mid
-        np.multiply(2.0, st, out=pr)
-        pr += s1
-        st *= half
-        st *= bm
-        st += ab_mid
-        np.multiply(2.0, st, out=tmp)
-        pr += tmp
-        st *= hs
-        st *= br
-        st += AB[:, hi]
-        pr += st
-        pr *= hs
-        pr /= 6.0
-        # after the round of shift s, column i composes steps i - 2s + 1 .. i:
-        # pr[:, s:] += pr[:, :-s] + pr[1, s:] pr[:, :-s], the sum in tmp first
-        s = 1
-        while s < k:
-            t = tmp[:, :k - s]
-            np.multiply(pr[1, s:], pr[:, :-s], out=t)
-            t += pr[:, :-s]
-            pr[:, s:] += t
-            s *= 2
+        p, st, tmp = np.empty((3, k))
+        _step_sums(factor.hs, B[mid], B[hi], A[lo], A[mid], A[hi], p, st, tmp)
+        for j in range(len(r) - 1):
+            _scan_round(r[j], p, 2 ** j, tmp)
         # every stop is gamma + p + r gamma
         z0 = float(gamma)
         zs = np.empty(k + 1)
         zs[0] = z0
-        pr[1] *= z0
-        np.add(z0, pr[0], out=zs[1:])
-        zs[1:] += pr[1]
-    if np.isfinite(zs).all() and np.isfinite(mus).all():
-        return zs, mus
-    return None
+        np.multiply(r[-1], z0, out=tmp)
+        np.add(z0, p, out=zs[1:])
+        zs[1:] += tmp
+    return zs if np.isfinite(zs).all() else None
 
 
 class Samples:
@@ -419,7 +507,9 @@ class PanelPlan:
     adjoint's transposed slope matrix factored once (Tridiagonal), the
     pieces and offsets of the grid reads and the scatter's offset powers.
     A grid too fine for every midpoint to lie strictly inside its interval
-    raises BadInterval. Its arrays are read-only. The grid keeps its plan
+    raises BadInterval. Its arrays are read-only. factor is the one-entry
+    slot of the affine path's integrating factor (integrating_factor), None
+    until the first integration along an L affine in z. The grid keeps its plan
     (Grid.plan_slot), and the plan refers
     back to it weakly: a reference each way would keep every grid and its
     plan alive until the cyclic collector runs. A Panels holds the grid.
@@ -445,6 +535,7 @@ class PanelPlan:
             hi[m:] - lo[m:], times, delayed, inside)
         for arr in (self.hs, times, delayed, inside, self.offsets):
             arr.setflags(write=False)
+        self.factor: Optional[IntegratingFactor] = None
 
     @property
     def grid(self) -> Grid:

@@ -1158,10 +1158,10 @@ class TestLeanPathBits:
         # out; where B is zero, mu is +0.0 at every stop
         rng = np.random.default_rng(k)
         hs = rng.uniform(0.5, 1.5, k) / k
-        P = type("P", (), {"k": k, "hs": hs})
         for A, B in self._columns(rng, k):
+            factor = integrate.IntegratingFactor(hs, B)
             for gamma in (0.5, -0.0, 0.0, -3.25):
-                got = integrate._affine_stages(P, gamma, np.stack([A, B]))
+                got = (integrate._affine_stages(factor, gamma, np.stack([A, B])), factor.mu)
                 want = written_out_affine_stages(k, hs, gamma, A, B)
                 assert _bits(*got) == _bits(*want)
             if not np.any(B):
@@ -1224,3 +1224,91 @@ class TestLeanPathBits:
         partials = ("x", "dx", "xtau", "dxtau")
         reads = expr.variables_in(problem.lagrangian)
         assert calls == [v for v in partials if v in reads]
+
+
+class TestIntegratingFactorRecord:
+    """mu, lambda and the scan's r rows are one record per grid and column
+    B = dL/dz (IntegratingFactor), kept in the plan's one-entry slot: every
+    trajectory along the same B reuses it, with the bits of a fresh build."""
+
+    TWO_B = ("dxtau^2 + z", "dxtau^2 - 0.2*z")
+
+    @staticmethod
+    def _problems(n, texts):
+        problem, _, _, _ = build_paper(n)
+        return [replace(problem, lagrangian=expr.parse(text)) for text in texts]
+
+    @staticmethod
+    def _run(problem, tr):
+        zp = integrate_z(problem, tr)
+        return _bits(zp.z, zp.mu, zp.lam, zp.samples(tr).lam,
+                     variational_gradient(problem, tr, zp))
+
+    def test_trajectories_on_a_grid_share_lambda(self):
+        problem, traj, _, _ = build_paper(100)
+        tr = wavy_sampled(problem)
+        zp1, zp2 = integrate_z(problem, traj), integrate_z(problem, tr)
+        assert zp1.lam is zp2.lam and zp1.mu is zp2.mu
+        assert zp1.factor is zp2.factor is zp1.panels.plan.factor
+        assert zp1.samples(traj).lam is zp2.samples(tr).lam
+        with pytest.raises(ValueError, match="read-only"):
+            zp1.factor.r[0, 0] = 1.0
+
+    def test_alternating_problems_keep_the_bits_of_a_fresh_grid(self):
+        # the two L differ in B, so each call replaces the other's record
+        shared = self._problems(100, self.TWO_B)
+        trs = [wavy_sampled(shared[0]), wavy_sampled(shared[0], 0.1, 3.0)]
+        for i in range(6):
+            problem, tr = shared[i % 2], trs[i // 2 % 2]
+            fresh = self._problems(100, self.TWO_B)[i % 2]
+            fresh_tr = SampledTrajectory(fresh.grid, tr.values)
+            assert self._run(problem, tr) == self._run(fresh, fresh_tr)
+            assert problem.grid.plan_slot[0].factor.key == \
+                fresh.grid.plan_slot[0].factor.key
+
+    def test_a_coefficient_that_reads_x_misses_every_call(self):
+        (problem,) = self._problems(100, ["dxtau^2 + x*z/10"])
+        trs = [wavy_sampled(problem), wavy_sampled(problem, 0.1, 3.0)]
+        factors = []
+        for i in range(4):
+            zp = integrate_z(problem, trs[i % 2])
+            P = zp.panels
+            want = written_out_affine_stages(P.k, P.hs, problem.gamma, *zp.affine)
+            assert _bits(zp.z, zp.mu) == _bits(*want)
+            assert _bits(zp.lam) == _bits(np.exp(want[1]))
+            assert P.plan.factor is zp.factor
+            factors.append(zp.factor)
+        assert len({id(f) for f in factors}) == len(factors)
+
+    def test_threads_alternating_problems_on_one_grid(self):
+        # two threads integrate the two problems in turn on the shared grid,
+        # each replacing the other's record; every result is the serial one
+        shared = self._problems(60, self.TWO_B)
+        trs = [wavy_sampled(shared[0]), wavy_sampled(shared[0], 0.1, 3.0)]
+        rounds = 200
+
+        def case(j, i):
+            return shared[(i + j) % 2], trs[j]
+
+        want = [[self._run(*case(j, i)) for i in range(2)] for j in range(2)]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def work(j):
+            start.wait()
+            for i in range(rounds):
+                got[j].append(self._run(*case(j, i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for j in range(2):
+            assert got[j] == [want[j][i % 2] for i in range(rounds)]
